@@ -6,7 +6,7 @@ when the store is unreachable.  Fabrics relay segments, filling a zeroed SRoU
 source from the observed outer source on the first hop (NAT traversal) and
 optionally admitting packets by a time-bucketed token carried in the 32-bit
 flow id.  STUN nodes answer address-discovery OAM; LSDB nodes host a regional
-link-state cache; the analytic role is a stats-watching counter sink.
+link-state cache.
 
 Every runtime is a single-threaded event handler on the shared virtual
 clock: packet arrivals, timers, and watch callbacks.  Runtimes never share
@@ -43,6 +43,10 @@ from .pathengine import (
     to_segment_list,
 )
 from .prober import (
+    DEFAULT_DOWN_AFTER,
+    DEFAULT_INTERVAL_NS,
+    DEFAULT_TIMEOUT_NS,
+    DEFAULT_WINDOW,
     EmptyWindow,
     MalformedOam,
     ProbeResponder,
@@ -51,7 +55,6 @@ from .prober import (
     full_mesh_targets,
 )
 from .schema import (
-    LinkStateRecord,
     NodeRecord,
     PolicyRule,
     ServiceRoute,
@@ -59,7 +62,6 @@ from .schema import (
     Sloc,
     from_json_bytes,
     parse_service_key,
-    to_json_bytes,
 )
 
 ZERO_SOURCE = ("0.0.0.0", 0)
@@ -69,10 +71,6 @@ DEFAULT_LEASE2_S = 600
 
 
 class DataplaneError(Exception):
-    pass
-
-
-class UnknownFunction(DataplaneError):
     pass
 
 
@@ -167,7 +165,7 @@ class TokenAuthority:
 # native-socket demux
 
 
-def native_demux(payload: bytes, observed_src: tuple[str, int]):
+def native_demux(payload: bytes):
     """Classify one UDP payload: ("srou", header, inner) when the first octet
     is the all-zero magic, ("passthrough", payload) otherwise, ("drop",
     reason) for empty or malformed input."""
@@ -209,10 +207,10 @@ class World:
 
 @dataclass
 class ProbeConfig:
-    interval_ns: int = seconds(1)
-    window: int = 100
-    timeout_ns: int = seconds(2)
-    down_after: int = 3
+    interval_ns: int = DEFAULT_INTERVAL_NS
+    window: int = DEFAULT_WINDOW
+    timeout_ns: int = DEFAULT_TIMEOUT_NS
+    down_after: int = DEFAULT_DOWN_AFTER
     report_interval_ns: int = seconds(10)
     whitelist: Optional[set[str]] = None
 
@@ -457,6 +455,12 @@ class NodeRuntime:
         self.every(cfg.interval_ns, lambda: self._probe_tick(session),
                    f"probe:{peer.short}")
 
+    def _probe_mesh(self, peer_name: str, slocs: list[Sloc]) -> None:
+        for local, peer in full_mesh_targets(self.slocs, [(peer_name, slocs)],
+                                             whitelist=self.probe_cfg.whitelist,
+                                             self_name=self.name):
+            self.ensure_session(local, peer)
+
     def _probe_tick(self, session: ProbeSession) -> None:
         req = session.make_request(self.clock.now)
         seq = session.seq
@@ -545,6 +549,8 @@ class NodeRuntime:
         if hdr.segments_left == 0:
             self.count("drop_no_segments_left")
             return
+        if hdr.reserved_rrr:
+            hdr = replace(hdr, reserved_rrr=0)  # ignored on receipt, zero on send
         seg, hdr = srou.advance_segment(hdr)
         if isinstance(seg, srou.Waypoint):
             if hdr.t_bit:
@@ -592,14 +598,7 @@ class FabricRuntime(NodeRuntime):
             slocs = [Sloc.from_doc(d) for d in doc["slocs"]]
         except Exception:
             return
-        if peer_name == self.name:
-            return
-        wl = self.probe_cfg.whitelist
-        if wl is not None and peer_name not in wl:
-            return
-        for local, peer in full_mesh_targets(self.slocs, [(peer_name, slocs)],
-                                             self_name=self.name):
-            self.ensure_session(local, peer)
+        self._probe_mesh(peer_name, slocs)
 
     def on_data(self, ss, pkt, hdr, inner) -> None:
         if self.token is not None:
@@ -676,9 +675,6 @@ class LinecardRuntime(NodeRuntime):
             self._learn(host)
         self.every(self.refresh_ns, self._refresh, "path-refresh")
 
-    def announce_static_route(self, route: ServiceRoute) -> None:
-        schema.announce_route(self.handle, route, self.lease2)
-
     def _learn(self, host: HostPort) -> None:
         """Announce a type-2 route for a locally seen (mac, ip)."""
         if host.name in self.announced or host.vnid is None:
@@ -724,10 +720,8 @@ class LinecardRuntime(NodeRuntime):
         self.service_dir[name] = slocs
         for ss in slocs:
             self.short_index[ss.short] = ss
-        if role == "fabric" and name != self.name:
-            for local in self.slocs:
-                for peer in slocs:
-                    self.ensure_session(local, peer)
+        if role == "fabric":
+            self._probe_mesh(name, [ss.sloc for ss in slocs])
         self._probe_destinations()
 
     def _on_policy(self, ev) -> None:
@@ -778,8 +772,7 @@ class LinecardRuntime(NodeRuntime):
         """Linecards actively probe each destination service node."""
         systems = {r.system_name for r in self.route_sync.table.type2.values()}
         for lpm in self.route_sync.table.type5.values():
-            for table in lpm._by_mask.values():
-                systems.update(r.system_name for r in table.values())
+            systems.update(r.system_name for r in lpm.routes())
         for system in sorted(systems):
             if system == self.name:
                 continue
@@ -806,7 +799,8 @@ class LinecardRuntime(NodeRuntime):
             self.emit("sla_change", system=system, violated=violated)
 
     def _best_direct(self, system: str):
-        """Lowest-cost probed (local, peer) pair for a destination system."""
+        """Lowest-cost probed (local, peer, rec) for a destination system;
+        unprobed, the first local and first announced SLoC with rec None."""
         best = None
         for session in self.sessions_to(system):
             try:
@@ -817,9 +811,12 @@ class LinecardRuntime(NodeRuntime):
             key = (cost, session.local.short, session.peer.short)
             if best is None or key < best[0]:
                 best = (key, session.local, session.peer, rec)
-        if best is None:
-            return None, None, None
-        return best[1], best[2], best[3]
+        if best is not None:
+            return best[1], best[2], best[3]
+        slocs = self.service_dir.get(system)
+        if not slocs:
+            raise NoRoute(f"no announced service for {system}")
+        return self.slocs[0], slocs[0], None
 
     def _path_for(self, route: ServiceRoute):
         key = route.key()
@@ -828,14 +825,8 @@ class LinecardRuntime(NodeRuntime):
             return cached
         system = route.system_name
         local, peer, rec = self._best_direct(system)
-        if peer is None:
-            slocs = self.service_dir.get(system)
-            if not slocs:
-                raise NoRoute(f"no announced service for {system}")
-            local, peer = self.slocs[0], slocs[0]
-        verdict = evaluate_sla(rec, self.sla)
         chosen = None
-        if not verdict.ok:
+        if not evaluate_sla(rec, self.sla).ok:
             chosen = self._engineer(system)
             if chosen is None:
                 self.count("sla_unmet_direct")
@@ -843,7 +834,7 @@ class LinecardRuntime(NodeRuntime):
             cost = edge_cost_ms(rec, self.sla) if rec is not None else 0.0
             chosen = (local, ComputedPath(waypoints=(peer,), cost_ms=cost,
                                           computed_at=self.clock.now,
-                                          source=PATH_DIRECT, dst_key=key))
+                                          source=PATH_DIRECT))
         self.path_cache[key] = chosen
         self.emit("path_selected", dst=key, source=chosen[1].source,
                   waypoints=[w.short for w in chosen[1].waypoints],
@@ -918,12 +909,15 @@ class LinecardRuntime(NodeRuntime):
             except NoRoute:
                 self.count("drop_no_service")
                 return None
-        local, path = path_pair
+        args = host.vnid if route.route_type == 2 else host.vrf
+        return self._encap(route, path_pair, frame, args, t_bit)
 
-        if route.route_type == 2:
-            function, args = srou.FUNC_END_DT2U, host.vnid
-        else:
-            function, args = srou.FUNC_END_DT4, host.vrf
+    def _encap(self, route: ServiceRoute, path_pair, frame: HostFrame, args: int,
+               t_bit: bool = False) -> bytes:
+        """Send a host frame along a selected path to End.DT2U (type-2 route)
+        or End.DT4 (type-5 route) at the far end; returns the wire bytes."""
+        local, path = path_pair
+        function = srou.FUNC_END_DT2U if route.route_type == 2 else srou.FUNC_END_DT4
         outer, segments, sl = to_segment_list(path, function, args,
                                               self.sla.max_segments)
         hdr = srou.SRoUHeader(
@@ -957,16 +951,13 @@ class LinecardRuntime(NodeRuntime):
             if ss is None:
                 return None
             waypoints.append(ss)
-        _, peer, _ = self._best_direct(route.system_name)
-        if peer is None:
-            slocs = self.service_dir.get(route.system_name)
-            if not slocs:
-                return None
-            peer = slocs[0]
+        try:
+            _, peer, _ = self._best_direct(route.system_name)
+        except NoRoute:
+            return None
         waypoints.append(peer)
         path = ComputedPath(waypoints=tuple(waypoints), cost_ms=0.0,
-                            computed_at=self.clock.now, source=PATH_POLICY_STEER,
-                            dst_key=route.key())
+                            computed_at=self.clock.now, source=PATH_POLICY_STEER)
         return (self.slocs[0], path)
 
     def _deliver_local(self, host: HostPort, frame: HostFrame) -> None:
@@ -1005,7 +996,7 @@ class LinecardRuntime(NodeRuntime):
         except NoRoute:
             self.count("drop_no_l2_entry")
             return
-        self._reencap(route, frame, vnid=vnid)
+        self._forward(route, frame, vnid)
 
     def _end_dt4(self, vrf: int, inner: bytes) -> None:
         try:
@@ -1022,31 +1013,16 @@ class LinecardRuntime(NodeRuntime):
         except NoRoute:
             self.count("drop_no_vrf_route")
             return
-        self._reencap(route, frame, vrf=vrf)
+        self._forward(route, frame, vrf)
 
-    def _reencap(self, route: ServiceRoute, frame: HostFrame,
-                 vnid: Optional[int] = None, vrf: Optional[int] = None) -> None:
-        """Forward toward the remote owner of a non-local destination."""
+    def _forward(self, route: ServiceRoute, frame: HostFrame, args: int) -> None:
+        """Re-encapsulate toward the remote owner of a non-local destination."""
         try:
-            local, path = self._path_for(route)
+            path_pair = self._path_for(route)
         except NoRoute:
             self.count("drop_no_service")
             return
-        function = srou.FUNC_END_DT2U if vnid is not None else srou.FUNC_END_DT4
-        args = vnid if vnid is not None else vrf
-        outer, segments, sl = to_segment_list(path, function, args,
-                                              self.sla.max_segments)
-        hdr = srou.SRoUHeader(
-            protocol_id=srou.ProtocolId.IPV4,
-            source_address=local.sloc.private_ip,
-            source_port=local.sloc.private_port,
-            segment_list=segments,
-            segments_left=sl,
-            flow_id=route.policy_tag & 0xFFFFFFFF,
-        )
-        self.send_from(local, outer.public_addr, srou.encode_header(hdr)
-                       + encode_frame(frame))
-        self.count("reencap")
+        self._encap(route, path_pair, frame, args)
 
 
 # ---------------------------------------------------------------------------
@@ -1076,29 +1052,6 @@ class LsdbRuntime(NodeRuntime):
 
     def linkstate_records(self):
         return self.cache.get_prefix(schema.LINKSTATE_PREFIX)
-
-
-class AnalyticRuntime(NodeRuntime):
-    """Stats consumer: counts what flows through the /stats prefix."""
-
-    role = "analytic"
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.stats_events = {"put": 0, "delete": 0}
-
-    def role_start(self) -> None:
-        self.watch("/stats/", self._on_stats, from_revision=1)
-
-    def _on_stats(self, ev) -> None:
-        self.stats_events[ev.kind] += 1
-
-
-class EtcdRuntime(NodeRuntime):
-    """Placeholder role: the store itself is in-process, so this node only
-    registers and keeps its lease alive."""
-
-    role = "etcd"
 
 
 # ---------------------------------------------------------------------------
@@ -1187,7 +1140,7 @@ class AppEndpoint:
 
     def _on_datagram(self, pkt: Datagram) -> None:
         try:
-            verdict = native_demux(pkt.payload, (pkt.src_ip, pkt.src_port))
+            verdict = native_demux(pkt.payload)
         except srou.CodecError as exc:
             self.count("drop_malformed")
             self.trace.emit(self.clock.now, self.name, "malformed",

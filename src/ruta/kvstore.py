@@ -349,9 +349,6 @@ class KvStore:
             if watch.client == client:
                 watch._flush()
 
-    def snapshot(self) -> dict[str, bytes]:
-        return {k: self.entries[k].value for k in sorted(self.entries)}
-
 
 class StoreHandle:
     """Per-client view of the store, optionally proxied through another handle.

@@ -16,7 +16,7 @@ import heapq
 import ipaddress
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 NS_PER_US = 1_000
@@ -39,14 +39,6 @@ def millis(x: float) -> int:
 
 
 class SimError(Exception):
-    pass
-
-
-class LinkDown(SimError):
-    pass
-
-
-class NoMapping(SimError):
     pass
 
 
@@ -421,11 +413,7 @@ class Network:
         if owner is None:
             node.drop("no_route")
             return
-        if owner == at_name and node.nat is None:
-            self._dispatch(node, pkt)
-            return
-        if owner == at_name and node.nat is not None:
-            # NAT public address with no mapping already dropped above
+        if owner == at_name:
             self._dispatch(node, pkt)
             return
         nxt = self._routes_from(at_name).get(owner)

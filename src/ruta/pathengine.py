@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import srou
 from .kvstore import DELETE, StoreHandle, StoreUnavailable, WatchEvent
@@ -40,8 +40,6 @@ from .schema import (
 PATH_DIRECT = "direct"
 PATH_ENGINEERED = "engineered"
 PATH_POLICY_STEER = "policy-steer"
-
-SLA_OK = "ok"
 
 
 class PathError(Exception):
@@ -171,7 +169,6 @@ class ComputedPath:
     cost_ms: float
     computed_at: int
     source: str  # direct | engineered | policy-steer
-    dst_key: Optional[str] = None
 
 
 def to_segment_list(path: ComputedPath, function: int, args: int,
@@ -226,6 +223,10 @@ class Lpm:
             if route is not None:
                 return route
         return None
+
+    def routes(self) -> Iterator[ServiceRoute]:
+        for table in self._by_mask.values():
+            yield from table.values()
 
     def __len__(self):
         return sum(len(t) for t in self._by_mask.values())

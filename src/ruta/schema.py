@@ -10,13 +10,10 @@ Key grammar:
     /stats/linkstate/<SLoC_src - SLoC_dst>     probe results
     /identity/<userid>/<device-id>             endpoint group tags
     /control/group/<srcGroup>/<dstGroup>       group policy rule
-    /control/RT/2/<sMAC>/<sIP>/<dMAC>/<dIP>    route-control rule (L2)
-    /control/RT/5/<sPfx>/<sMask>/<dPfx>/<dMask> route-control rule (L3)
 
-Values are canonical JSON documents (UTF-8, sorted keys); see docs/schema.md
-for one example per type.  /node and /service keys are written under the
-node-keepalive lease (class 1), /route and /stats under the slower route
-lease (class 2).
+Values are canonical JSON documents (UTF-8, sorted keys).  /node and /service
+keys are written under the node-keepalive lease (class 1), /route and /stats
+under the slower route lease (class 2).
 """
 
 from __future__ import annotations
@@ -442,14 +439,6 @@ class PolicyRule:
     @classmethod
     def from_doc(cls, doc: dict) -> "PolicyRule":
         return cls(doc["action"], tuple(doc.get("slocs", ())))
-
-
-def route_control_key_l2(src_mac: str, src_ip: str, dst_mac: str, dst_ip: str) -> str:
-    return f"/control/RT/2/{src_mac}/{src_ip}/{dst_mac}/{dst_ip}"
-
-
-def route_control_key_l3(src_prefix: str, src_mask: int, dst_prefix: str, dst_mask: int) -> str:
-    return f"/control/RT/5/{src_prefix}/{src_mask}/{dst_prefix}/{dst_mask}"
 
 
 DEFAULT_GROUP = 0

@@ -12,6 +12,7 @@ from ruta.dataplane import (
     HostPort,
     LinecardRuntime,
     LsdbRuntime,
+    ProbeConfig,
     StunRuntime,
     TokenAuthority,
     TokenEdgeConfig,
@@ -262,6 +263,48 @@ class TestRelayAndFunctions:
         w.clock.run_until(millis(5))
         assert net.lc_b.counts["drop_no_l2_entry"] == 1
 
+    def test_relay_clears_reserved_bits(self):
+        # reserved RRR bits are ignored on receipt and zeroed on send
+        net = SpineLeaf()
+        w = net.world
+        w.clock.run_until(millis(5))
+        hdr = srou.SRoUHeader(
+            protocol_id=srou.ProtocolId.IPV4, source_address="192.168.99.77",
+            source_port=5547,
+            segment_list=(srou.Function(1234, srou.FUNC_END_DT2U),
+                          srou.Waypoint("192.168.99.78", 5546)),
+            segments_left=2)
+        wire = bytearray(srou.encode_header(hdr)
+                         + encode_frame(net.frame_h1_to_h2(b"rrr")))
+        wire[2] |= 0xE0
+        w.net.send("LC_A", Datagram("192.168.99.77", 5547, "192.168.99.75", 17777,
+                                    bytes(wire)))
+        w.clock.run_until(millis(20))
+        assert net.spine_a.counts.get("relay") == 1
+        assert [f.payload for f in net.delivered] == [b"rrr"]
+
+    def test_dt2u_reencaps_toward_remote_owner(self):
+        # LC_B receives a frame for H1, which lives behind LC_A
+        net = SpineLeaf()
+        w = net.world
+        got = []
+        net.lc_a.hosts["H1"].deliver = got.append
+        w.clock.run_until(millis(5))
+        hdr = srou.SRoUHeader(
+            protocol_id=srou.ProtocolId.IPV4, source_address="192.168.99.76",
+            source_port=17777,
+            segment_list=(srou.Function(1234, srou.FUNC_END_DT2U),),
+            segments_left=1)
+        frame = HostFrame("0a:00:00:00:00:99", "0a:00:00:00:00:88",
+                          "10.0.0.99", "10.0.0.88", b"bounce")
+        w.net.send("Spine_B", Datagram("192.168.99.76", 17777, "192.168.99.78", 5546,
+                                       srou.encode_header(hdr) + encode_frame(frame)))
+        w.clock.run_until(millis(20))
+        assert [f.payload for f in got] == [b"bounce"]
+        encaps = w.trace.select("encap", "LC_B")
+        assert len(encaps) == 1
+        assert encaps[0]["detail"]["function"] == "End.DT2U"
+
     def test_postcards_per_hop(self):
         net = SpineLeaf()
         w = net.world
@@ -275,6 +318,23 @@ class TestRelayAndFunctions:
         assert len(net.spine_a.postcards) == 1
         assert len(net.lc_b.postcards) == 1
         assert net.delivered
+
+
+class TestProbeMesh:
+    def test_linecard_honours_whitelist(self):
+        w = make_world()
+        for name in ("LC", "F1", "F2"):
+            w.net.add_node(name)
+        w.net.add_link("LC", "F1", millis(1))
+        w.net.add_link("LC", "F2", millis(1))
+        lc = LinecardRuntime(w, "LC", [sloc("10.0.0.10", 5500)],
+                             probe=ProbeConfig(whitelist={"F1"}))
+        f1 = FabricRuntime(w, "F1", [sloc("10.0.0.1", 17777)])
+        f2 = FabricRuntime(w, "F2", [sloc("10.0.0.2", 17777)])
+        for rt in (lc, f1, f2):
+            rt.start()
+        w.clock.run_until(seconds(3))
+        assert {s.peer.system_name for s in lc.sessions.values()} == {"F1"}
 
 
 class TestEndDt4:
@@ -418,11 +478,11 @@ class TestNativeSocket:
             source_port=9, segment_list=(srou.Waypoint("5.6.7.8", 1),),
             segments_left=1)
         wire = srou.encode_header(hdr) + b"inner"
-        kind, msg, inner = native_demux(wire, ("1.1.1.1", 1))
+        kind, msg, inner = native_demux(wire)
         assert kind == "srou" and inner == b"inner"
-        kind, payload = native_demux(b"\xc3quic-like", ("1.1.1.1", 1))
+        kind, payload = native_demux(b"\xc3quic-like")
         assert kind == "passthrough" and payload == b"\xc3quic-like"
-        assert native_demux(b"", ("1.1.1.1", 1))[0] == "drop"
+        assert native_demux(b"")[0] == "drop"
 
     def test_demux_truncated_raises(self):
         hdr = srou.SRoUHeader(
@@ -431,7 +491,7 @@ class TestNativeSocket:
             segments_left=1)
         wire = srou.encode_header(hdr)
         with pytest.raises(srou.TruncatedHeader):
-            native_demux(wire[:10], ("1.1.1.1", 1))
+            native_demux(wire[:10])
 
     def build_nat_path(self):
         """client -- NAT -- edge fabric -- transit fabric -- server"""
