@@ -18,9 +18,9 @@ payload), serialized as 6+6+4+4 octets plus payload.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import ipaddress
+import socket
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -87,28 +87,30 @@ class HostFrame:
     payload: bytes
 
 
+def _pack_ipv4(ip: str) -> bytes:
+    try:
+        return socket.inet_pton(socket.AF_INET, ip)
+    except (OSError, TypeError, ValueError):
+        return ipaddress.IPv4Address(ip).packed  # accepts or rejects as before
+
+
 def encode_frame(frame: HostFrame) -> bytes:
     def mac(m: str) -> bytes:
         return bytes(int(p, 16) for p in m.split(":"))
 
     return (mac(frame.src_mac) + mac(frame.dst_mac)
-            + ipaddress.IPv4Address(frame.src_ip).packed
-            + ipaddress.IPv4Address(frame.dst_ip).packed
+            + _pack_ipv4(frame.src_ip) + _pack_ipv4(frame.dst_ip)
             + frame.payload)
 
 
 def decode_frame(data: bytes) -> HostFrame:
     if len(data) < 20:
         raise DataplaneError(f"frame too short: {len(data)}")
-
-    def mac(raw: bytes) -> str:
-        return ":".join(f"{b:02x}" for b in raw)
-
     return HostFrame(
-        src_mac=mac(data[0:6]),
-        dst_mac=mac(data[6:12]),
-        src_ip=str(ipaddress.IPv4Address(data[12:16])),
-        dst_ip=str(ipaddress.IPv4Address(data[16:20])),
+        src_mac=data[0:6].hex(":"),
+        dst_mac=data[6:12].hex(":"),
+        src_ip=socket.inet_ntoa(data[12:16]),
+        dst_ip=socket.inet_ntoa(data[16:20]),
         payload=bytes(data[20:]),
     )
 
@@ -143,9 +145,13 @@ class TokenAuthority:
         return now_ns // self.bucket_ns
 
     def _compute(self, client_ip: str, bucket: int) -> int:
-        net = ipaddress.ip_network(f"{client_ip}/24", strict=False)
-        msg = f"{net.network_address}/{bucket}".encode()
-        digest = hmac.new(self.secret, msg, hashlib.sha256).digest()
+        try:
+            packed = socket.inet_pton(socket.AF_INET, client_ip)
+        except (OSError, TypeError, ValueError):  # IPv6 works, malformed raises
+            prefix = ipaddress.ip_network(f"{client_ip}/24", strict=False).network_address
+        else:
+            prefix = socket.inet_ntoa(packed[:3] + b"\0")
+        digest = hmac.digest(self.secret, f"{prefix}/{bucket}".encode(), "sha256")
         return int.from_bytes(digest[:4], "big")
 
     def mint(self, client_public_ip: str, now_ns: int) -> int:
@@ -402,8 +408,12 @@ class NodeRuntime:
         if not self.alive:
             return
         self._bytes_rx[ss.short] = self._bytes_rx.get(ss.short, 0) + pkt.size
+        payload = pkt.payload
         try:
-            msg, consumed = srou.decode_packet(pkt.payload)
+            if len(payload) > 3 and payload[3] == srou.ProtocolId.OAM:
+                msg, _ = srou.decode_packet(payload)
+            else:
+                msg = srou._layout(payload)  # checked like decode_packet, not decoded
         except srou.BadMagic:
             self.count("drop_bad_magic")
             return
@@ -414,7 +424,7 @@ class NodeRuntime:
         if isinstance(msg, srou.OamMessage):
             self.on_oam(ss, pkt, msg)
         else:
-            self.on_data(ss, pkt, msg, pkt.payload[consumed:])
+            self.on_data(ss, pkt, msg)
 
     def on_oam(self, ss: ServiceSloc, pkt: Datagram, msg: srou.OamMessage) -> None:
         if msg.oam_type == srou.OamType.LINKSTATE:
@@ -430,15 +440,27 @@ class NodeRuntime:
                 if out is not None:
                     self.on_probe_outcome(session)
         elif msg.oam_type == srou.OamType.STUN:
-            if msg.oam_subtype == srou.STUN_RESPONSE and self._stun_exchange:
-                self._stun_exchange.on_response(msg)
+            exchange = self._stun_exchange
+            if msg.oam_subtype == srou.STUN_RESPONSE and exchange:
+                if not exchange.done and not self._usable_public(msg.payload):
+                    self.count("drop_stun_invalid")  # keep waiting for a real one
+                    return
+                exchange.on_response(msg)
             else:
                 self.count("drop_oam_ignored")
         else:
             self.count("drop_oam_ignored")
 
-    def on_data(self, ss: ServiceSloc, pkt: Datagram, hdr: srou.SRoUHeader,
-                inner: bytes) -> None:
+    def _usable_public(self, observed: srou.StunResponseData) -> bool:
+        """Whether a STUN-observed endpoint is a valid public SLoC address."""
+        try:
+            replace(self.slocs[0].sloc, public_ip=observed.observed_address,
+                    public_port=observed.observed_port)
+        except schema.ValidationError:
+            return False
+        return True
+
+    def on_data(self, ss: ServiceSloc, pkt: Datagram, lay: srou.DataLayout) -> None:
         self.count("drop_unexpected_data")
 
     # -- probing --------------------------------------------------------------
@@ -539,35 +561,35 @@ class NodeRuntime:
 
     # -- segment relay (shared by fabric and linecard) -------------------------
 
-    def relay(self, ss: ServiceSloc, pkt: Datagram, hdr: srou.SRoUHeader,
-              inner: bytes) -> None:
-        if (hdr.source_address, hdr.source_port) == ZERO_SOURCE:
-            hdr = replace(hdr, source_address=pkt.src_ip, source_port=pkt.src_port)
+    def relay(self, ss: ServiceSloc, pkt: Datagram, lay: srou.DataLayout) -> None:
+        """Fill a zero source, advance to the active segment and forward to it,
+        or execute it; the header is patched in a copy of the packet bytes."""
+        buf = bytearray(pkt.payload)
+        filled, seg = srou.relay_in_place(buf, lay, (pkt.src_ip, pkt.src_port))
+        if filled:
             self.count("source_fill")
             self.emit("source_fill", filled=f"{pkt.src_ip}:{pkt.src_port}",
-                      flow_id=hdr.flow_id)
-        if hdr.segments_left == 0:
+                      flow_id=lay.flow_id)
+        if seg is None:
             self.count("drop_no_segments_left")
             return
-        if hdr.reserved_rrr:
-            hdr = replace(hdr, reserved_rrr=0)  # ignored on receipt, zero on send
-        seg, hdr = srou.advance_segment(hdr)
         if isinstance(seg, srou.Waypoint):
-            if hdr.t_bit:
-                self.postcards.append(Postcard(self.name, hdr.flow_id,
-                                               self.clock.now, hdr.segments_left,
-                                               "relay"))
-                self.emit("postcard", flow_id=hdr.flow_id, sl=hdr.segments_left)
-            out = srou.encode_header(hdr) + inner
-            self.send_from(ss, (seg.address, seg.port), out)
+            sl = lay.segments_left - 1
+            if lay.t_bit:
+                self.postcards.append(Postcard(self.name, lay.flow_id,
+                                               self.clock.now, sl, "relay"))
+                self.emit("postcard", flow_id=lay.flow_id, sl=sl)
+            self.send_from(ss, (seg.address, seg.port), bytes(buf))
             self.count("relay")
-            self.emit("relay", to=f"{seg.address}:{seg.port}", sl=hdr.segments_left,
-                      flow_id=hdr.flow_id)
+            self.emit("relay", to=f"{seg.address}:{seg.port}", sl=sl,
+                      flow_id=lay.flow_id)
         else:
-            self.execute_function(ss, pkt, hdr, seg, inner)
+            self.execute_function(ss, pkt, lay, seg, pkt.payload[lay.total:])
 
-    def execute_function(self, ss: ServiceSloc, pkt: Datagram, hdr: srou.SRoUHeader,
+    def execute_function(self, ss: ServiceSloc, pkt: Datagram, lay: srou.DataLayout,
                          seg: srou.Function, inner: bytes) -> None:
+        """Run the active function segment; lay is the layout before relay
+        advanced Segments Left."""
         self.count("drop_unknown_function")
         self.emit("unknown_function", code=seg.function)
 
@@ -600,13 +622,13 @@ class FabricRuntime(NodeRuntime):
             return
         self._probe_mesh(peer_name, slocs)
 
-    def on_data(self, ss, pkt, hdr, inner) -> None:
+    def on_data(self, ss, pkt, lay) -> None:
         if self.token is not None:
-            if not self.token.validate(hdr.flow_id, pkt.src_ip, self.clock.now):
+            if not self.token.validate(lay.flow_id, pkt.src_ip, self.clock.now):
                 self.count("token_reject")
                 return
             self.count("token_admit")
-        self.relay(ss, pkt, hdr, inner)
+        self.relay(ss, pkt, lay)
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +676,12 @@ class LinecardRuntime(NodeRuntime):
         self.policy_rules: dict = {}
         self.identity_cache: dict[str, list[int]] = {}
         self.path_cache: dict[str, tuple[ServiceSloc, ComputedPath]] = {}
+        # (header octets, outer destination, SL) per distinct (local SLoC,
+        # waypoints, function, args, flow id, T bit); see _encap
+        self._headers: dict[tuple, tuple] = {}
+        # system -> best probed (local, peer, rec), None when unprobed; valid
+        # until a session to the system is added or records an outcome
+        self._direct: dict[str, Optional[tuple]] = {}
         self._violation: dict[str, bool] = {}
 
     # -- wiring -----------------------------------------------------------
@@ -760,6 +788,7 @@ class LinecardRuntime(NodeRuntime):
 
     def _refresh(self) -> None:
         self.path_cache.clear()
+        self._headers.clear()
         if not self.route_sync.started:
             self.route_sync.start()
         if not self.ls_sync.started:
@@ -782,9 +811,14 @@ class LinecardRuntime(NodeRuntime):
 
     # -- SLA / path selection ---------------------------------------------
 
+    def ensure_session(self, local: ServiceSloc, peer: ServiceSloc) -> None:
+        super().ensure_session(local, peer)
+        self._direct.pop(peer.system_name, None)
+
     def on_probe_outcome(self, session: ProbeSession) -> None:
         super().on_probe_outcome(session)
         system = session.peer.system_name
+        self._direct.pop(system, None)
         try:
             rec = session.metrics(self.clock.now)
         except EmptyWindow:
@@ -801,6 +835,18 @@ class LinecardRuntime(NodeRuntime):
     def _best_direct(self, system: str):
         """Lowest-cost probed (local, peer, rec) for a destination system;
         unprobed, the first local and first announced SLoC with rec None."""
+        if system in self._direct:
+            best = self._direct[system]
+        else:
+            best = self._direct[system] = self._rank_sessions(system)
+        if best is not None:
+            return best
+        slocs = self.service_dir.get(system)
+        if not slocs:
+            raise NoRoute(f"no announced service for {system}")
+        return self.slocs[0], slocs[0], None
+
+    def _rank_sessions(self, system: str) -> Optional[tuple]:
         best = None
         for session in self.sessions_to(system):
             try:
@@ -811,12 +857,7 @@ class LinecardRuntime(NodeRuntime):
             key = (cost, session.local.short, session.peer.short)
             if best is None or key < best[0]:
                 best = (key, session.local, session.peer, rec)
-        if best is not None:
-            return best[1], best[2], best[3]
-        slocs = self.service_dir.get(system)
-        if not slocs:
-            raise NoRoute(f"no announced service for {system}")
-        return self.slocs[0], slocs[0], None
+        return best[1:] if best is not None else None
 
     def _path_for(self, route: ServiceRoute):
         key = route.key()
@@ -918,28 +959,36 @@ class LinecardRuntime(NodeRuntime):
         or End.DT4 (type-5 route) at the far end; returns the wire bytes."""
         local, path = path_pair
         function = srou.FUNC_END_DT2U if route.route_type == 2 else srou.FUNC_END_DT4
-        outer, segments, sl = to_segment_list(path, function, args,
-                                              self.sla.max_segments)
-        hdr = srou.SRoUHeader(
-            protocol_id=srou.ProtocolId.IPV4,
-            source_address=local.sloc.private_ip,
-            source_port=local.sloc.private_port,
-            segment_list=segments,
-            segments_left=sl,
-            flow_id=route.policy_tag & 0xFFFFFFFF,
-            t_bit=t_bit,
-        )
-        wire = srou.encode_header(hdr) + encode_frame(frame)
-        self.send_from(local, outer.public_addr, wire)
+        flow_id = route.policy_tag & 0xFFFFFFFF
+        # keyed by value: the steer path builds a new ComputedPath per frame
+        key = (local.addr, tuple(w.public_addr for w in path.waypoints), function,
+               args, flow_id, t_bit)
+        built = self._headers.get(key)
+        if built is None:
+            outer, segments, sl = to_segment_list(path, function, args,
+                                                  self.sla.max_segments)
+            hdr = srou.SRoUHeader(
+                protocol_id=srou.ProtocolId.IPV4,
+                source_address=local.sloc.private_ip,
+                source_port=local.sloc.private_port,
+                segment_list=segments,
+                segments_left=sl,
+                flow_id=flow_id,
+                t_bit=t_bit,
+            )
+            built = self._headers[key] = (srou.encode_header(hdr), outer.public_addr, sl)
+        header, outer_addr, sl = built
+        wire = header + encode_frame(frame)
+        self.send_from(local, outer_addr, wire)
         self.count("encap")
         if t_bit:
-            self.postcards.append(Postcard(self.name, hdr.flow_id, self.clock.now,
+            self.postcards.append(Postcard(self.name, flow_id, self.clock.now,
                                            sl, "encap"))
-            self.emit("postcard", flow_id=hdr.flow_id, sl=sl)
+            self.emit("postcard", flow_id=flow_id, sl=sl)
         self.emit("encap", dst=route.key(), outer_src=f"{local.sloc.private_ip}:"
                   f"{local.sloc.private_port}",
-                  outer_dst=f"{outer.public_addr[0]}:{outer.public_addr[1]}",
-                  sl=sl, flow_id=hdr.flow_id, path=path.source,
+                  outer_dst=f"{outer_addr[0]}:{outer_addr[1]}",
+                  sl=sl, flow_id=flow_id, path=path.source,
                   function=srou.FUNCTION_NAMES.get(function, hex(function)),
                   args=args)
         return wire
@@ -966,13 +1015,13 @@ class LinecardRuntime(NodeRuntime):
         if host.deliver is not None:
             host.deliver(frame)
 
-    def on_data(self, ss, pkt, hdr, inner) -> None:
-        self.relay(ss, pkt, hdr, inner)
+    def on_data(self, ss, pkt, lay) -> None:
+        self.relay(ss, pkt, lay)
 
-    def execute_function(self, ss, pkt, hdr, seg: srou.Function, inner) -> None:
-        if hdr.t_bit:
-            self.postcards.append(Postcard(self.name, hdr.flow_id, self.clock.now,
-                                           hdr.segments_left, "function"))
+    def execute_function(self, ss, pkt, lay, seg: srou.Function, inner) -> None:
+        if lay.t_bit:
+            self.postcards.append(Postcard(self.name, lay.flow_id, self.clock.now,
+                                           lay.segments_left - 1, "function"))
         if seg.function == srou.FUNC_END_DT2U:
             self._end_dt2u(seg.args, inner)
         elif seg.function == srou.FUNC_END_DT4:

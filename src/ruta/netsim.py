@@ -16,7 +16,8 @@ import heapq
 import ipaddress
 import json
 import random
-from dataclasses import dataclass, replace
+from collections import deque
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 NS_PER_US = 1_000
@@ -156,7 +157,8 @@ class _DirState:
     lost: int = 0
     dropped: int = 0
     busy_until: int = 0
-    queued_bytes: int = 0
+    queued_bytes: int = 0  # bytes whose serialization has not ended
+    backlog: deque = field(default_factory=deque)  # (serialized at, size), FIFO
 
 
 class SimLink:
@@ -453,6 +455,9 @@ class Network:
         if link.bandwidth_bps:
             ser = int(round(pkt.size * 8 * NS_PER_SEC / link.bandwidth_bps))
         if link.queue_limit_bytes is not None:
+            backlog = st.backlog
+            while backlog and backlog[0][0] <= now:  # serialized: left the queue
+                st.queued_bytes -= backlog.popleft()[1]
             if st.queued_bytes + pkt.size > link.queue_limit_bytes:
                 st.dropped += 1
                 self.nodes[from_name].drop("queue_full")
@@ -461,6 +466,7 @@ class Network:
             start = max(now, st.busy_until)
             st.busy_until = start + ser
             depart = st.busy_until
+            backlog.append((depart, pkt.size))
         else:
             depart = now + ser
         jit = 0
@@ -470,8 +476,6 @@ class Network:
         to_name = link.other(from_name)
 
         def deliver():
-            if link.queue_limit_bytes is not None:
-                st.queued_bytes -= pkt.size
             st.delivered += 1
             self._forward(to_name, pkt, arriving=True)
 

@@ -80,6 +80,7 @@ class ProbeSession:
         self.consecutive_losses = 0
         self.sent_total = 0
         self.lost_total = 0
+        self.t1_mismatches = 0  # responses echoing a T1 other than the one sent
         self._last_twd_us: Optional[float] = None
 
     def make_request(self, now: int) -> srou.OamMessage:
@@ -101,8 +102,10 @@ class ProbeSession:
         t1 = self.pending.pop(p.sender_seq, None)
         if t1 is None:
             return None
+        if p.sender_timestamp != t1:
+            self.t1_mismatches += 1  # the sender's own T1 counts, as in TWAMP
         out = ProbeOutcome(seq=p.sender_seq, sent_at=t1, lost=False,
-                           t1=p.sender_timestamp, t2=p.received_timestamp,
+                           t1=t1, t2=p.received_timestamp,
                            t3=p.timestamp, t4=now)
         self.outcomes.append(out)
         self.consecutive_losses = 0

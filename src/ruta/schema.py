@@ -18,6 +18,7 @@ under the slower route lease (class 2).
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import json
 import re
@@ -203,7 +204,7 @@ class ServiceSloc:
     system_name: str
     sloc: Sloc
 
-    @property
+    @functools.cached_property
     def short(self) -> str:
         return sloc_short(self.system_name, self.sloc)
 

@@ -29,15 +29,31 @@ OAM messages reuse the first four octets with Protocol-ID 0x00, then carry
 
 All values are immutable; encode/decode are pure functions and the decoder
 never reads past the length byte it was given.
+
+Fast path.  `_layout` makes every check `decode_header` makes, in the same
+order and with the same exception classes, but decodes only what a node
+needs per packet: it returns a `DataLayout` of offsets and scalar fields
+(SRoU Length, flow id, T bit, source offset, protocol, Segments Left offset
+and value, TLVs).  `decode_header` builds its `SRoUHeader` from that result,
+so each header check is written once.  A node runtime checks every data
+packet with `_layout` and relays it with `relay_in_place`, which patches a
+copy of the packet bytes as a transit node does in RFC 8754 4.3.1: it fills
+a zero IPv4 source with the observed outer source, clears the reserved RRR
+bits, decrements Segments Left and decodes only the now-active segment.  The
+patched octets equal `encode_header` of the `advance_segment` result, so a
+relay never re-encodes.  IPv4 addresses go through `socket.inet_ntoa` and
+`socket.inet_pton`; text that `inet_pton` rejects falls back to `ipaddress`,
+which raises the reference error.
 """
 
 from __future__ import annotations
 
 import ipaddress
+import socket
 import struct
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 MAGIC = 0x00
 FUNCTION_MARKER = 0xFF
@@ -157,6 +173,11 @@ class Tlv:
 
 
 def _pack_ip(address: str, expect_v6: bool) -> bytes:
+    if not expect_v6:
+        try:
+            return socket.inet_pton(socket.AF_INET, address)
+        except (OSError, TypeError, ValueError):
+            pass  # not dotted-quad text: ipaddress gives the reference verdict
     try:
         ip = ipaddress.ip_address(address)
     except ValueError as exc:
@@ -200,7 +221,7 @@ def _decode_segment(raw: bytes) -> Segment:
     if raw[0] == FUNCTION_MARKER:
         return Function(args=int.from_bytes(raw[1:4], "big"),
                         function=int.from_bytes(raw[4:6], "big"))
-    return Waypoint(address=str(ipaddress.IPv4Address(raw[0:4])),
+    return Waypoint(address=socket.inet_ntoa(raw[0:4]),
                     port=int.from_bytes(raw[4:6], "big"))
 
 
@@ -319,6 +340,11 @@ def encode_header(hdr: SRoUHeader) -> bytes:
     return bytes(out)
 
 
+_FLOW_ID_TYPES = {ft.value: ft for ft in FlowIdType}
+_SOURCE_OCTETS = {ProtocolId.IPV4.value: 4, ProtocolId.IPV6.value: 16}
+_ZERO_SLOC = bytes(6)  # IPv4 0.0.0.0, port 0: "fill me in" from a NATed sender
+
+
 def _parse_prefix(data: bytes):
     """Common first-four-octets parse; returns fields plus the bounded view."""
     if len(data) < 4:
@@ -332,48 +358,49 @@ def _parse_prefix(data: bytes):
         raise TruncatedHeader(f"srou_length {total} exceeds available {len(data)}")
     flags = data[2]
     rrr = flags >> 5
-    try:
-        ft = FlowIdType((flags >> 3) & 0x3)
-    except ValueError:
-        raise InvariantViolation(f"flow id type {(flags >> 3) & 0x3:#x} unknown") from None
+    ft = _FLOW_ID_TYPES.get((flags >> 3) & 0x3)
+    if ft is None:
+        raise InvariantViolation(f"flow id type {(flags >> 3) & 0x3:#x} unknown")
     c, f, t = bool(flags & 0x4), bool(flags & 0x2), bool(flags & 0x1)
     proto = data[3]
     return data[:total], total, rrr, ft, c, f, t, proto
 
 
-def decode_header(data: bytes) -> tuple[SRoUHeader, int]:
-    """Decode a data-packet header; returns (header, consumed octets)."""
-    view, total, rrr, ft, c_bit, f_bit, t_bit, proto = _parse_prefix(data)
-    if proto == ProtocolId.OAM:
-        raise InvariantViolation("OAM message; use decode_oam")
-    if proto not in (ProtocolId.IPV4, ProtocolId.IPV6):
+class DataLayout(NamedTuple):
+    """Where the fields of a checked data-packet header sit (see _layout)."""
+
+    total: int          # SRoU Length: header octets; the inner payload follows
+    flow_id: int
+    t_bit: bool
+    src_off: int        # source address; the source port follows it
+    protocol_id: int    # ProtocolId.IPV4 or ProtocolId.IPV6
+    sl_off: int         # Segments Left; the segment list starts one octet later
+    segments_left: int
+    tlvs: tuple
+
+
+def _layout(data: bytes) -> DataLayout:
+    """Check a data-packet header and locate its fields.
+
+    Every check decode_header makes is made here, in the same order and with
+    the same exception classes; addresses and segments are left undecoded.
+    """
+    view, total, _, ft, _, _, t_bit, proto = _parse_prefix(data)
+    src_octets = _SOURCE_OCTETS.get(proto)
+    if src_octets is None:
+        if proto == ProtocolId.OAM:
+            raise InvariantViolation("OAM message; use decode_oam")
         raise InvariantViolation(f"unknown protocol id {proto:#x}")
-    proto = ProtocolId(proto)
-    warnings = ("nonzero reserved bits",) if rrr else ()
-
-    off = 4
-    flow_octets = ft.octets
-    src_octets = 4 if proto == ProtocolId.IPV4 else 16
-    if off + flow_octets + src_octets + 2 + FLAG_QUARTET_OCTETS > total:
+    src_off = 4 + ft.octets
+    quartet = src_off + src_octets + 2
+    if quartet + FLAG_QUARTET_OCTETS > total:
         raise TruncatedHeader("header shorter than fixed fields")
-    flow_id = int.from_bytes(view[off:off + flow_octets], "big")
-    off += flow_octets
-    if proto == ProtocolId.IPV4:
-        source_address = str(ipaddress.IPv4Address(view[off:off + 4]))
-    else:
-        source_address = str(ipaddress.IPv6Address(view[off:off + 16]))
-    off += src_octets
-    source_port = int.from_bytes(view[off:off + 2], "big")
-    off += 2
-
-    sloc_raw, sr_hdr_len, last_entry, segments_left = view[off:off + 4]
+    sloc_raw, sr_hdr_len, last_entry, segments_left = view[quartet:quartet + 4]
     if sloc_raw != SlocType.IPV4_PORT:
         raise UnsupportedSlocType(f"sloc type {sloc_raw:#04x} not supported")
-    if total != off + sr_hdr_len:
+    if total != quartet + sr_hdr_len:
         raise LengthMismatch(
-            f"srou_length {total} != {off} + sr_hdr_len {sr_hdr_len}")
-    off += 4
-
+            f"srou_length {total} != {quartet} + sr_hdr_len {sr_hdr_len}")
     seg_count = last_entry + 1
     seg_bytes = SEGMENT_OCTETS * seg_count
     if FLAG_QUARTET_OCTETS + seg_bytes > sr_hdr_len:
@@ -382,30 +409,70 @@ def decode_header(data: bytes) -> tuple[SRoUHeader, int]:
     if segments_left > seg_count:
         raise InvariantViolation(
             f"segments_left {segments_left} exceeds segment count {seg_count}")
-    segments = tuple(
-        _decode_segment(view[off + i * SEGMENT_OCTETS:off + (i + 1) * SEGMENT_OCTETS])
-        for i in range(seg_count)
-    )
-    off += seg_bytes
-    tlvs = _decode_tlvs(view[off:total])
+    sl_off = quartet + 3
+    tlv_off = sl_off + 1 + seg_bytes
+    tlvs = _decode_tlvs(view[tlv_off:total]) if tlv_off < total else ()
+    return DataLayout._make((total, int.from_bytes(view[4:src_off], "big"), t_bit,
+                             src_off, proto, sl_off, segments_left, tlvs))
 
+
+def decode_header(data: bytes) -> tuple[SRoUHeader, int]:
+    """Decode a data-packet header; returns (header, consumed octets)."""
+    lay = _layout(data)
+    flags = data[2]
+    src, sl_off = lay.src_off, lay.sl_off
+    if lay.protocol_id == ProtocolId.IPV4:
+        proto, port_off = ProtocolId.IPV4, src + 4
+        source_address = socket.inet_ntoa(data[src:port_off])
+    else:
+        proto, port_off = ProtocolId.IPV6, src + 16
+        source_address = str(ipaddress.IPv6Address(data[src:port_off]))
+    seg_end = sl_off + 1 + SEGMENT_OCTETS * (data[sl_off - 1] + 1)
+    segments = tuple(_decode_segment(data[off:off + SEGMENT_OCTETS])
+                     for off in range(sl_off + 1, seg_end, SEGMENT_OCTETS))
     hdr = SRoUHeader(
         protocol_id=proto,
         source_address=source_address,
-        source_port=source_port,
+        source_port=int.from_bytes(data[port_off:port_off + 2], "big"),
         segment_list=segments,
-        segments_left=segments_left,
-        flow_id=flow_id,
-        flow_id_type=ft,
-        c_bit=c_bit,
-        f_bit=f_bit,
-        t_bit=t_bit,
+        segments_left=lay.segments_left,
+        flow_id=lay.flow_id,
+        flow_id_type=_FLOW_ID_TYPES[(flags >> 3) & 0x3],
+        c_bit=bool(flags & 0x4),
+        f_bit=bool(flags & 0x2),
+        t_bit=lay.t_bit,
         sloc_type=SlocType.IPV4_PORT,
-        tlvs=tlvs,
-        reserved_rrr=rrr,
-        warnings=warnings,
+        tlvs=lay.tlvs,
+        reserved_rrr=flags >> 5,
+        warnings=("nonzero reserved bits",) if flags >> 5 else (),
     )
-    return hdr, total
+    return hdr, lay.total
+
+
+def relay_in_place(buf: bytearray, lay: DataLayout,
+                   observed: tuple[str, int]) -> tuple[bool, Optional[Segment]]:
+    """Transit processing of a data packet checked by _layout, patched in buf.
+
+    A zero IPv4 source (0.0.0.0:0) is the sender asking the first hop to fill
+    in its outer source: it becomes `observed`.  Unless Segments Left is 0,
+    the reserved RRR bits are cleared, Segments Left is decremented and the
+    now-active segment is decoded.  Returns (source was zero, active segment,
+    or None when Segments Left was 0 and buf is left as it was).
+    """
+    src = lay.src_off
+    zero_source = lay.protocol_id == ProtocolId.IPV4 and buf[src:src + 6] == _ZERO_SLOC
+    sl = lay.segments_left
+    if sl == 0:
+        return zero_source, None
+    if zero_source:
+        _check_port(observed[1], "source port")
+        buf[src:src + 6] = (_pack_ip(observed[0], expect_v6=False)
+                            + observed[1].to_bytes(2, "big"))
+    sl -= 1
+    buf[2] &= 0x1F  # RRR: ignored on receipt, zero on send
+    buf[lay.sl_off] = sl
+    off = lay.sl_off + 1 + SEGMENT_OCTETS * sl
+    return zero_source, _decode_segment(buf[off:off + SEGMENT_OCTETS])
 
 
 def advance_segment(hdr: SRoUHeader) -> tuple[Segment, SRoUHeader]:
@@ -549,7 +616,7 @@ def decode_oam(data: bytes) -> tuple[OamMessage, int]:
             if len(body) > STUN_RESPONSE_PAYLOAD_OCTETS:
                 raise LengthMismatch("trailing bytes after stun payload")
             payload = StunResponseData(
-                observed_address=str(ipaddress.IPv4Address(body[0:4])),
+                observed_address=socket.inet_ntoa(body[0:4]),
                 observed_port=int.from_bytes(body[4:6], "big"),
             )
         else:

@@ -1,6 +1,10 @@
 """Dataplane: encap/relay/function execution, NAT source fill, tokens, demux."""
 
+import hashlib
+import hmac
+import ipaddress
 import random
+from collections import Counter
 
 import pytest
 
@@ -26,6 +30,8 @@ from ruta.kvstore import KvStore
 from ruta.netsim import Datagram, Network, Trace, VirtualClock, millis, seconds
 from ruta.pathengine import SlaPolicy
 from ruta.schema import PolicyRule, Sloc
+
+import wiregen
 
 
 def make_world(seed=0):
@@ -88,6 +94,21 @@ class TestFrames:
     def test_short_frame(self):
         with pytest.raises(dataplane.DataplaneError):
             decode_frame(b"short")
+
+    def test_codec_matches_ipaddress_reference(self):
+        rng = random.Random(5)
+        for _ in range(1_000):
+            macs = [":".join(f"{b:02x}" for b in rng.randbytes(6)) for _ in range(2)]
+            ips = [wiregen.random_ipv4(rng) for _ in range(2)]
+            frame = HostFrame(*macs, *ips, rng.randbytes(rng.randrange(20)))
+            wire = encode_frame(frame)
+            assert wire[12:20] == (ipaddress.IPv4Address(ips[0]).packed
+                                   + ipaddress.IPv4Address(ips[1]).packed)
+            assert decode_frame(wire) == frame
+        for bad in ("10.0.0", "10.0.0.256", "010.0.0.1", "::1", "10.0.0.1\x00", ""):
+            with pytest.raises(ipaddress.AddressValueError):
+                encode_frame(HostFrame("00:00:00:00:00:01", "00:00:00:00:00:02",
+                                       bad, "10.0.0.2", b""))
 
 
 class TestDirectEncap:
@@ -320,6 +341,50 @@ class TestRelayAndFunctions:
         assert net.delivered
 
 
+class TestFuzzRuntime:
+    def test_packets_never_escape_run_until(self):
+        # seeded headers and OAM messages, half of them mutated, into every
+        # runtime socket of a running world; every malformed one is counted
+        net = SpineLeaf(seed=4)
+        w = net.world
+        w.net.add_node("FZ")
+        w.net.add_link("FZ", "Spine_A", millis(1))
+        w.net.bind("FZ", "172.16.0.9", 4000, lambda pkt: None)
+        expected = {rt.name: Counter() for rt in net.runtimes}
+        for rt in net.runtimes:
+            node = w.net.nodes[rt.name]
+            for key, handler in list(node.bindings.items()):
+                def spy(pkt, handler=handler, name=rt.name):
+                    try:
+                        srou.decode_packet(pkt.payload)
+                    except srou.BadMagic:
+                        expected[name]["drop_bad_magic"] += 1
+                    except srou.CodecError:
+                        expected[name]["drop_malformed"] += 1
+                    handler(pkt)
+                node.bindings[key] = spy
+        targets = [ss.addr for rt in net.runtimes for ss in rt.slocs]
+        rng = random.Random(7)
+        w.clock.run_until(seconds(1))
+        start = w.clock.now
+        for i in range(3_000):
+            if rng.random() < 0.5:
+                wire = srou.encode_oam(wiregen.random_oam(rng))
+            else:
+                wire = (srou.encode_header(wiregen.random_header(rng))
+                        + rng.randbytes(rng.randrange(40)))
+            if i % 2:
+                wire = wiregen.mutate(rng, wire)
+            dst = targets[i % len(targets)]
+            w.clock.call_at(start + i * 100_000, lambda wire=wire, dst=dst: w.net.send(
+                "FZ", Datagram("172.16.0.9", 4000, dst[0], dst[1], wire)))
+        w.clock.run_until(start + seconds(2))
+        for rt in net.runtimes:
+            for what in ("drop_bad_magic", "drop_malformed"):
+                assert rt.counts.get(what, 0) == expected[rt.name][what], (rt.name, what)
+        assert sum(sum(c.values()) for c in expected.values()) > 500
+
+
 class TestProbeMesh:
     def test_linecard_honours_whitelist(self):
         w = make_world()
@@ -393,6 +458,29 @@ class TestStunRole:
                                        srou.StunResponseData("1.2.3.4", 5)),
                        ("9.9.9.9", 9))
 
+    def test_forged_stun_response_dropped(self):
+        # a response observing port 0 arrives while the exchange is pending;
+        # the genuine response that follows still sets the public SLoC
+        w = make_world()
+        w.net.add_node("LC_N")
+        w.net.add_nat("NAT1", "10.9.9.0/24", "198.51.100.7")
+        w.net.add_node("STUN1")
+        w.net.add_link("LC_N", "NAT1", millis(1))
+        w.net.add_link("NAT1", "STUN1", millis(1))
+        stun_rt = StunRuntime(w, "STUN1", [sloc("203.0.113.9", 3478)])
+        lc = LinecardRuntime(w, "LC_N", [sloc("10.9.9.2", 5500)], use_stun=True)
+        stun_rt.start()
+        lc.start()
+        forged = srou.encode_oam(srou.OamMessage(
+            srou.OamType.STUN, srou.STUN_RESPONSE,
+            srou.StunResponseData("198.51.100.7", 0)))
+        w.clock.call_at(millis(1.5), lambda: w.net.send(
+            "STUN1", Datagram("203.0.113.9", 3478, "198.51.100.7", 40000, forged)))
+        w.clock.run_until(seconds(1))
+        assert lc.counts["drop_stun_invalid"] == 1
+        assert lc.slocs[0].sloc.public_ip == "198.51.100.7"
+        assert lc.slocs[0].sloc.public_port == 40000
+
     def test_natted_node_announces_public(self):
         w = make_world()
         w.net.add_node("LC_N")
@@ -431,6 +519,24 @@ class TestToken:
         token = auth.mint("198.51.100.7", 0)
         assert auth.validate(token, "198.51.100.99", 0)
         assert not auth.validate(token, "198.51.101.7", 0)
+
+    def test_token_matches_reference_formula(self):
+        def reference(secret, ip, bucket):
+            net = ipaddress.ip_network(f"{ip}/24", strict=False)
+            msg = f"{net.network_address}/{bucket}".encode()
+            return int.from_bytes(hmac.new(secret, msg, hashlib.sha256).digest()[:4],
+                                  "big")
+
+        auth = TokenAuthority("secret", bucket_s=30)
+        rng = random.Random(6)
+        for _ in range(1_000):
+            ip, bucket = wiregen.random_ipv4(rng), rng.randrange(1 << 20)
+            assert auth.mint(ip, bucket * auth.bucket_ns) == reference(b"secret", ip,
+                                                                       bucket)
+        assert auth.mint("2001:db8::7", 0) == reference(b"secret", "2001:db8::7", 0)
+        for bad in ("198.51.100", "198.51.100.256", "not-an-ip", "198.51.100.7/8"):
+            with pytest.raises(ValueError):
+                auth.mint(bad, 0)
 
     def test_random_flow_ids_rejected(self):
         auth = TokenAuthority("secret")

@@ -129,6 +129,34 @@ class TestLinks:
         # size = 972 + 28 overhead = 1000 bytes -> 1ms serialization + 1ms delay
         assert got == [millis(2)]
 
+    @staticmethod
+    def offer_to_queue(interval_ns: int) -> dict:
+        """100 datagrams of 125 octets (1 ms each at 1 Mb/s) into a 5,000-byte
+        queue in front of a 100 ms link; returns the a->b counters."""
+        clock = VirtualClock()
+        net = Network(clock, seed=0)
+        net.add_node("a")
+        net.add_node("b")
+        link = net.add_link("a", "b", millis(100), bandwidth_bps=1_000_000,
+                            queue_limit_bytes=5_000)
+        net.bind("b", "10.0.0.2", 1, lambda p: None)
+        for i in range(100):
+            clock.call_at(i * interval_ns, lambda: net.send(
+                "a", Datagram("10.0.0.1", 1, "10.0.0.2", 1, bytes(97))))
+        clock.run_until_quiescent()
+        return link.counters()["a->b"]
+
+    def test_queue_holds_only_unserialized_bytes(self):
+        # at 50% load at most one datagram waits, while 50 are in flight
+        c = self.offer_to_queue(millis(2))
+        assert c["dropped"] == 0
+        assert c["delivered"] == 100
+
+    def test_queue_overflows_above_link_rate(self):
+        c = self.offer_to_queue(millis(0.5))  # offered at twice the link rate
+        assert c["dropped"] > 0
+        assert c["sent"] == c["delivered"] + c["dropped"]
+
     def test_asymmetric_delay(self):
         clock = VirtualClock()
         net = Network(clock, seed=0)

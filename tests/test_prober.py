@@ -137,6 +137,28 @@ class TestMetrics:
         rec = h.session.metrics(h.clock.now)
         assert rec.status == "down"
 
+    def test_forged_echo_timestamp_ignored(self):
+        # the sender keeps its own T1 (TWAMP, RFC 5357): a peer that echoes a
+        # later T1 cannot make the link look faster than it is
+        session = ProbeSession(service_sloc("A", "10.0.0.1", 7001),
+                               service_sloc("B", "10.0.0.2", 7002))
+        req = session.make_request(0)
+        forged = srou.OamMessage(srou.OamType.LINKSTATE, srou.LINKSTATE_RESPONSE,
+                                 srou.LinkstateData(
+                                     seq=1, timestamp=millis(20),
+                                     received_timestamp=millis(20),
+                                     sender_seq=req.payload.seq,
+                                     sender_timestamp=millis(30)))
+        out = session.on_response(forged, millis(40))
+        assert out.two_way_delay_us == 40_000.0
+        assert session.metrics(millis(40)).two_way_delay_us == 40_000.0
+        assert session.t1_mismatches == 1
+
+    def test_honest_echo_counts_no_mismatch(self):
+        h = ProbeHarness(delay_ab=millis(20), delay_ba=millis(20))
+        h.run_probes(5)
+        assert h.session.t1_mismatches == 0
+
     def test_jitter_converges_after_transient(self):
         h = ProbeHarness(delay_ab=millis(5), delay_ba=millis(5))
         h.run_probes(5)

@@ -1,6 +1,8 @@
 """SRoU codec: golden packets, round trips, segment advance, error paths."""
 
+import ipaddress
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -319,3 +321,90 @@ class TestProperties:
                 assert consumed <= len(data)
             except srou.CodecError:
                 pass
+
+
+class TestFastPath:
+    """The layout check and the in-place relay against the reference codec."""
+
+    @staticmethod
+    def relay_case(rng: random.Random):
+        hdr = wiregen.random_header(rng)
+        hdr = replace(hdr, segments_left=rng.randrange(1, hdr.last_entry + 2))
+        if hdr.protocol_id == ProtocolId.IPV4 and rng.random() < 0.3:
+            hdr = replace(hdr, source_address="0.0.0.0", source_port=0)
+        wire = bytearray(srou.encode_header(hdr))
+        if rng.random() < 0.3:
+            wire[2] |= rng.randrange(1, 8) << 5
+        return bytes(wire) + rng.randbytes(rng.randrange(0, 40))
+
+    def test_relay_in_place_matches_reference(self):
+        rng = random.Random(11)
+        zero_sources = reserved = 0
+        for _ in range(2_500):
+            data = self.relay_case(rng)
+            observed = (wiregen.random_ipv4(rng), rng.randrange(65536))
+            hdr, consumed = srou.decode_header(data)
+            zero = (hdr.source_address, hdr.source_port) == ("0.0.0.0", 0)
+            ref = replace(hdr, reserved_rrr=0)
+            if zero:
+                ref = replace(ref, source_address=observed[0], source_port=observed[1])
+            seg, advanced = srou.advance_segment(ref)
+
+            buf = bytearray(data)
+            filled, active = srou.relay_in_place(buf, srou._layout(data), observed)
+            assert (filled, active) == (zero, seg)
+            assert bytes(buf) == srou.encode_header(advanced) + data[consumed:]
+            zero_sources += zero
+            reserved += hdr.reserved_rrr != 0
+        assert zero_sources > 200 and reserved > 200
+
+    def test_relay_in_place_leaves_exhausted_packet(self):
+        hdr = replace(direct_header(), source_address="0.0.0.0", source_port=0,
+                      segments_left=0)
+        data = srou.encode_header(hdr) + b"inner"
+        buf = bytearray(data)
+        assert srou.relay_in_place(buf, srou._layout(data), ("1.2.3.4", 5)) == (True, None)
+        assert bytes(buf) == data
+
+    def test_layout_agrees_with_decode_header(self):
+        rng = random.Random(12)
+        rejected = 0
+        for i in range(3_000):
+            if i % 4 == 3:
+                base = srou.encode_oam(wiregen.random_oam(rng))
+            else:
+                base = srou.encode_header(wiregen.random_header(rng))
+            data = wiregen.mutate(rng, base)
+            try:
+                hdr, consumed = srou.decode_header(data)
+            except srou.CodecError as exc:
+                with pytest.raises(type(exc)) as got:
+                    srou._layout(data)
+                assert type(got.value) is type(exc)
+                rejected += 1
+                continue
+            lay = srou._layout(data)
+            assert (lay.total, lay.flow_id, lay.t_bit, lay.segments_left, lay.tlvs) == (
+                consumed, hdr.flow_id, hdr.t_bit, hdr.segments_left, hdr.tlvs)
+        assert 500 < rejected < 3_000
+
+    def test_ipv4_text_accepted_as_by_ipaddress(self):
+        rng = random.Random(13)
+        texts = ["1.2.3.4", "1.2.3", "01.2.3.4", "1.2.3.04", "256.1.1.1", " 1.2.3.4",
+                 "1.2.3.4 ", "1.2.3.4\x00", "0x1.2.3.4", "::1", "", "1..2.3",
+                 "\u0661.2.3.4", 16909060, b"\x01\x02\x03\x04", None]
+        for _ in range(500):
+            texts.append(".".join(str(rng.choice([0, 1, 9, 10, 99, 100, 255, 256, 999]))
+                                  for _ in range(rng.choice([3, 4, 4, 4, 5]))))
+        for text in texts:
+            hdr = replace(direct_header(), source_address=text)
+            try:
+                ip = ipaddress.ip_address(text)
+                expected = ip.packed if ip.version == 4 else None
+            except ValueError:
+                expected = None
+            if expected is None:
+                with pytest.raises(srou.InvariantViolation):
+                    srou.encode_header(hdr)
+            else:
+                assert srou.encode_header(hdr)[8:12] == expected
