@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from . import schema, srou
-from .kvstore import KvStore, StoreHandle, StoreUnavailable
+from .kvstore import DELETE, PUT, KvStore, StoreUnavailable
 from .netsim import Datagram, Network, Trace, VirtualClock, seconds
 from .pathengine import (
     PATH_DIRECT,
@@ -54,14 +54,14 @@ from .prober import (
     StunExchange,
     full_mesh_targets,
 )
-from .schema import (
+from .schema import (  # noqa: F401  bench/layers.py rebinds from_json_bytes here
     NodeRecord,
     PolicyRule,
+    SchemaError,
     ServiceRoute,
     ServiceSloc,
     Sloc,
     from_json_bytes,
-    parse_service_key,
 )
 
 ZERO_SOURCE = ("0.0.0.0", 0)
@@ -235,9 +235,7 @@ class NodeRuntime:
 
     def __init__(self, world: World, name: str, slocs: list[Sloc], site_id: int = 0,
                  location: tuple[float, float] = (0.0, 0.0),
-                 lease1_s: float = DEFAULT_LEASE1_S, lease2_s: float = DEFAULT_LEASE2_S,
-                 probe: Optional[ProbeConfig] = None, use_stun: bool = False,
-                 store_via: Optional[StoreHandle] = None):
+                 probe: Optional[ProbeConfig] = None, use_stun: bool = False):
         self.world = world
         self.clock = world.clock
         self.net = world.net
@@ -246,9 +244,7 @@ class NodeRuntime:
         self.site_id = site_id
         self.location = location
         self.slocs = [ServiceSloc(name, s) for s in slocs]
-        self.handle = world.store.client(name, via=store_via)
-        self.lease1_s = lease1_s
-        self.lease2_s = lease2_s
+        self.handle = world.store.client(name)
         self.probe_cfg = probe or ProbeConfig()
         self.use_stun = use_stun
         self.record: Optional[NodeRecord] = None
@@ -260,9 +256,12 @@ class NodeRuntime:
         self.postcards: list[Postcard] = []
         self.responder = ProbeResponder()
         self.sessions: dict[tuple[str, tuple[str, int]], ProbeSession] = {}
-        self._timers = []
+        self.service_dir: dict[str, list[ServiceSloc]] = {}
+        self.short_index: dict[str, ServiceSloc] = {}
+        self._timers = {}  # pending timers; each leaves when it fires
         self._watches = []
         self._stun_exchange = None
+        self._stun_server = None  # the address STUN requests go to
         self._linkstate_target = None  # (handle, lease) once an LSDB is chosen
         self._reported_state: dict[tuple[str, tuple[str, int]], str] = {}
         self._bytes_tx: dict[str, int] = {}
@@ -277,32 +276,35 @@ class NodeRuntime:
     def emit(self, event: str, **detail) -> None:
         self.trace.emit(self.clock.now, self.name, event, **detail)
 
-    def every(self, interval_ns: int, fn: Callable[[], None], label: str,
-              first_in: Optional[int] = None) -> None:
-        def tick():
-            if not self.alive:
-                return
-            fn()
-            self._timers.append(self.clock.call_later(interval_ns, tick, label))
+    def _later(self, delay_ns: int, fn: Callable[[], None], label: str) -> None:
+        """Run fn after delay_ns unless the runtime is killed first."""
+        key = object()  # not the event: fire -> event -> fire would be a cycle
 
-        self._timers.append(
-            self.clock.call_later(first_in if first_in is not None else interval_ns,
-                                  tick, label))
+        def fire():
+            del self._timers[key]
+            fn()
+
+        self._timers[key] = self.clock.call_later(delay_ns, fire, label)
+
+    def every(self, interval_ns: int, fn: Callable[[], None], label: str) -> None:
+        def tick():
+            if self.alive:
+                fn()
+                self._later(interval_ns, tick, label)
+
+        self._later(interval_ns, tick, label)
 
     def kill(self) -> None:
         self.alive = False
-        for t in self._timers:
+        for t in self._timers.values():
             t.cancel()
         for w in self._watches:
             w.cancel()
         self.net.kill(self.name)
         self.emit("killed")
 
-    def watch(self, prefix: str, on_event, from_revision=None):
-        w = self.handle.watch_prefix(prefix, from_revision=from_revision,
-                                     on_event=on_event)
-        self._watches.append(w)
-        return w
+    def watch(self, prefix: str, on_event) -> None:
+        self._watches.append(self.handle.follow(prefix, on_event))
 
     # -- onboarding ---------------------------------------------------------
 
@@ -311,15 +313,14 @@ class NodeRuntime:
             self.net.bind(self.name, ss.sloc.private_ip, ss.sloc.private_port,
                           lambda pkt, ss=ss: self._on_datagram(ss, pkt))
         try:
-            self.lease1 = self.handle.grant_lease(seconds(self.lease1_s))
-            self.lease2 = self.handle.grant_lease(seconds(self.lease2_s))
+            self.lease1 = self.handle.grant_lease(seconds(DEFAULT_LEASE1_S))
+            self.lease2 = self.handle.grant_lease(seconds(DEFAULT_LEASE2_S))
             schema.register_node(self.handle, self.role, self.name, self.site_id,
                                  self.location, self.lease1, done=self._registered)
         except StoreUnavailable:
             self.headless = True
             self.emit("onboard_deferred")
-            self._timers.append(self.clock.call_later(seconds(5), self.start,
-                                                      "onboard-retry"))
+            self._later(seconds(5), self.start, "onboard-retry")
 
     def _registered(self, record: NodeRecord) -> None:
         self.record = record
@@ -335,13 +336,13 @@ class NodeRuntime:
             self._announce()
             return
         _, slocs = servers[0]
-        target = (slocs[0].public_ip, slocs[0].public_port)
+        self._stun_server = (slocs[0].public_ip, slocs[0].public_port)
         local = self.slocs[0]
 
         def send_request():
             msg = srou.OamMessage(srou.OamType.STUN, srou.STUN_REQUEST,
                                   srou.StunRequestData())
-            self.send_from(local, target, srou.encode_oam(msg))
+            self.send_from(local, self._stun_server, srou.encode_oam(msg))
 
         def on_result(ip, port):
             updated = replace(local.sloc, public_ip=ip, public_port=port)
@@ -360,7 +361,7 @@ class NodeRuntime:
         schema.announce_service(self.handle, self.record,
                                 [ss.sloc for ss in self.slocs], self.lease1)
         self.emit("announced")
-        keepalive_ns = seconds(min(self.lease1_s, self.lease2_s)) // 2
+        keepalive_ns = seconds(min(DEFAULT_LEASE1_S, DEFAULT_LEASE2_S)) // 2
         self.every(keepalive_ns, self._keepalive, "keepalive")
         self.every(self.probe_cfg.report_interval_ns, self._report_linkstate, "report")
         self.role_start()
@@ -441,13 +442,14 @@ class NodeRuntime:
                     self.on_probe_outcome(session)
         elif msg.oam_type == srou.OamType.STUN:
             exchange = self._stun_exchange
-            if msg.oam_subtype == srou.STUN_RESPONSE and exchange:
-                if not exchange.done and not self._usable_public(msg.payload):
-                    self.count("drop_stun_invalid")  # keep waiting for a real one
-                    return
-                exchange.on_response(msg)
-            else:
+            if msg.oam_subtype != srou.STUN_RESPONSE or not exchange:
                 self.count("drop_oam_ignored")
+            elif (pkt.src_ip, pkt.src_port) != self._stun_server:
+                self.count("drop_stun_foreign")
+            elif not exchange.done and not self._usable_public(msg.payload):
+                self.count("drop_stun_invalid")  # keep waiting for a real one
+            else:
+                exchange.on_response(msg)
         else:
             self.count("drop_oam_ignored")
 
@@ -483,6 +485,29 @@ class NodeRuntime:
                                              self_name=self.name):
             self.ensure_session(local, peer)
 
+    def _on_service(self, ev) -> bool:
+        """Mirror /service/ into service_dir and short_index and probe every
+        announced fabric; True when a service was added or replaced."""
+        if ev.kind == DELETE:
+            try:
+                _, name = schema.parse_service_key(ev.entry.key)
+            except SchemaError:
+                return False
+            for ss in self.service_dir.pop(name, []):
+                self.short_index.pop(ss.short, None)
+            return False
+        try:
+            role, name, slocs = schema.parse_service(ev.entry.key, ev.entry.value)
+        except SchemaError:
+            self.emit("service_parse_warning", key=ev.entry.key)
+            return False
+        self.service_dir[name] = [ServiceSloc(name, s) for s in slocs]
+        for ss in self.service_dir[name]:
+            self.short_index[ss.short] = ss
+        if role == "fabric":
+            self._probe_mesh(name, slocs)
+        return True
+
     def _probe_tick(self, session: ProbeSession) -> None:
         req = session.make_request(self.clock.now)
         seq = session.seq
@@ -492,8 +517,7 @@ class NodeRuntime:
             if session.on_timeout(seq):
                 self.on_probe_outcome(session)
 
-        self._timers.append(self.clock.call_later(session.timeout_ns, timeout,
-                                                  "probe-timeout"))
+        self._later(session.timeout_ns, timeout, "probe-timeout")
 
     def sessions_to(self, system_name: str) -> list[ProbeSession]:
         return [s for s in self.sessions.values()
@@ -528,7 +552,7 @@ class NodeRuntime:
         if best is None:
             return self.handle, self.lease2
         cache_handle = best[2].cache.client(self.name)
-        cache_lease = cache_handle.grant_lease(seconds(self.lease2_s))
+        cache_lease = cache_handle.grant_lease(seconds(DEFAULT_LEASE2_S))
         self._linkstate_target = (cache_handle, cache_lease)
         return self._linkstate_target
 
@@ -609,18 +633,7 @@ class FabricRuntime(NodeRuntime):
 
     def role_start(self) -> None:
         # service watch keeps the fabric mesh current as peers onboard
-        self.watch("/service/fabric/", self._on_fabric_service, from_revision=1)
-
-    def _on_fabric_service(self, ev) -> None:
-        if ev.kind != "put":
-            return
-        try:
-            _, peer_name = parse_service_key(ev.entry.key)
-            doc = from_json_bytes(ev.entry.value)
-            slocs = [Sloc.from_doc(d) for d in doc["slocs"]]
-        except Exception:
-            return
-        self._probe_mesh(peer_name, slocs)
+        self.watch("/service/", self._on_service)
 
     def on_data(self, ss, pkt, lay) -> None:
         if self.token is not None:
@@ -654,16 +667,12 @@ class LinecardRuntime(NodeRuntime):
     def __init__(self, *args, imports_l2: Optional[dict[str, int]] = None,
                  imports_l3: Optional[dict[str, int]] = None,
                  l2_services: Optional[dict[int, tuple[str, str]]] = None,
-                 l3_services: Optional[dict[int, tuple[str, str]]] = None,
-                 sla: Optional[SlaPolicy] = None, refresh_ns: int = seconds(10),
-                 **kwargs):
+                 sla: Optional[SlaPolicy] = None, **kwargs):
         super().__init__(*args, **kwargs)
         self.imports_l2 = imports_l2 or {}
         self.imports_l3 = imports_l3 or {}
         self.l2_services = l2_services or {}   # vnid -> (rt, rd)
-        self.l3_services = l3_services or {}   # vrf  -> (rt, rd)
         self.sla = sla or SlaPolicy()
-        self.refresh_ns = refresh_ns
         self.hosts: dict[str, HostPort] = {}
         self.l2_local: dict[tuple[int, str], HostPort] = {}
         self.l3_local: dict[int, dict[str, HostPort]] = {}
@@ -671,8 +680,6 @@ class LinecardRuntime(NodeRuntime):
         self.route_sync = RouteSync(self.handle, self.imports_l2, self.imports_l3,
                                     on_delta=self._on_route_delta)
         self.ls_sync = LinkStateSync(self.handle, on_delta=self._on_ls_delta)
-        self.service_dir: dict[str, list[ServiceSloc]] = {}
-        self.short_index: dict[str, ServiceSloc] = {}
         self.policy_rules: dict = {}
         self.identity_cache: dict[str, list[int]] = {}
         self.path_cache: dict[str, tuple[ServiceSloc, ComputedPath]] = {}
@@ -696,12 +703,12 @@ class LinecardRuntime(NodeRuntime):
     def role_start(self) -> None:
         self.route_sync.start()
         self.ls_sync.start()
-        self.watch("/service/", self._on_service, from_revision=1)
-        self.watch("/control/group/", self._on_policy, from_revision=1)
-        self.watch("/identity/", self._on_identity, from_revision=1)
+        self.watch("/service/", self._on_service)
+        self.watch("/control/group/", self._on_policy)
+        self.watch("/identity/", self._on_identity)
         for host in sorted(self.hosts.values(), key=lambda h: h.name):
             self._learn(host)
-        self.every(self.refresh_ns, self._refresh, "path-refresh")
+        self.every(seconds(10), self._refresh, "path-refresh")
 
     def _learn(self, host: HostPort) -> None:
         """Announce a type-2 route for a locally seen (mac, ip)."""
@@ -731,50 +738,28 @@ class LinecardRuntime(NodeRuntime):
     # -- watch handlers ------------------------------------------------------
 
     def _on_service(self, ev) -> None:
-        try:
-            role, name = parse_service_key(ev.entry.key)
-        except Exception:
-            return
-        if ev.kind == "delete":
-            for ss in self.service_dir.pop(name, []):
-                self.short_index.pop(ss.short, None)
-            return
-        try:
-            doc = from_json_bytes(ev.entry.value)
-            slocs = [ServiceSloc(name, Sloc.from_doc(d)) for d in doc["slocs"]]
-        except Exception:
-            self.emit("service_parse_warning", key=ev.entry.key)
-            return
-        self.service_dir[name] = slocs
-        for ss in slocs:
-            self.short_index[ss.short] = ss
-        if role == "fabric":
-            self._probe_mesh(name, [ss.sloc for ss in slocs])
-        self._probe_destinations()
+        if super()._on_service(ev):
+            self._probe_destinations()
 
     def _on_policy(self, ev) -> None:
         try:
-            pair = schema.parse_group_rule_key(ev.entry.key)
-        except Exception:
-            return
-        if ev.kind == "delete":
-            self.policy_rules.pop(pair, None)
-        else:
-            try:
-                self.policy_rules[pair] = PolicyRule.from_doc(
-                    from_json_bytes(ev.entry.value))
-            except Exception:
-                return
+            if ev.kind == PUT:
+                pair, rule = schema.parse_group_rule(ev.entry.key, ev.entry.value)
+                self.policy_rules[pair] = rule
+            else:
+                self.policy_rules.pop(schema.parse_group_rule_key(ev.entry.key), None)
+        except SchemaError:
+            pass  # a malformed rule leaves the rules as they were
 
     def _on_identity(self, ev) -> None:
-        if ev.kind == "delete":
+        if ev.kind == DELETE:
             self.identity_cache.pop(ev.entry.key, None)
             return
         try:
-            doc = from_json_bytes(ev.entry.value)
-            self.identity_cache[ev.entry.key] = [int(g) for g in doc["groups"]]
-        except Exception:
-            return
+            self.identity_cache[ev.entry.key] = schema.parse_identity(ev.entry.key,
+                                                                      ev.entry.value)
+        except SchemaError:
+            pass  # a malformed record leaves the cached groups as they were
 
     def _on_route_delta(self, kind: str, route: ServiceRoute) -> None:
         self.path_cache.pop(route.key(), None)

@@ -6,6 +6,9 @@ event queue.  The surface is deliberately etcd-shaped so an adapter to a real
 external store could be attached later without touching callers; within the
 simulator this implementation is authoritative.
 
+Clients subscribe with StoreHandle.follow, the etcd idiom: list the prefix at
+revision R, then watch from R + 1, so no follower needs older history.
+
 Partitions are per client name: while a client is partitioned its operations
 raise StoreUnavailable and its watches buffer events, which replay in
 revision order on heal.
@@ -396,10 +399,19 @@ class StoreHandle:
         self._check()
         return self.store.txn(compares, puts, deletes)
 
-    def watch_prefix(self, prefix: str, from_revision: Optional[int] = None,
+    def watch_prefix(self, prefix: str,
                      on_event: Optional[Callable[[WatchEvent], None]] = None) -> Watch:
         self._check()
-        return self.store.watch_prefix(prefix, from_revision, client=self.name,
+        return self.store.watch_prefix(prefix, client=self.name, on_event=on_event)
+
+    def follow(self, prefix: str, on_event: Callable[[WatchEvent], None]) -> Watch:
+        """List then watch: on_event gets a PUT for every live key under the
+        prefix, in key order, then every later change."""
+        self._check()
+        revision = self.store.revision
+        for entry in self.store.get_prefix(prefix):
+            on_event(WatchEvent(PUT, entry, entry.mod_revision))
+        return self.store.watch_prefix(prefix, revision + 1, client=self.name,
                                        on_event=on_event)
 
     def grant_lease(self, ttl_ns: int) -> Lease:

@@ -24,16 +24,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from . import srou
-from .kvstore import DELETE, StoreHandle, StoreUnavailable, WatchEvent
-from .schema import (
+from .kvstore import PUT, StoreHandle, StoreUnavailable, WatchEvent
+from .schema import (  # noqa: F401  bench/layers.py rebinds from_json_bytes here
     LINKSTATE_PREFIX,
     STATUS_DOWN,
     LinkStateRecord,
+    SchemaError,
     ServiceRoute,
     ServiceSloc,
     from_json_bytes,
+    parse_linkstate,
     parse_linkstate_key,
-    parse_route_key,
+    parse_route,
     route_prefix,
 )
 
@@ -281,20 +283,15 @@ class RouteSync:
         self.started = False
 
     def start(self) -> bool:
-        """Seed from a prefix fetch and watch from the next revision.
+        """Follow each imported RT prefix.
 
         Returns False (headless) when the store is unreachable; the caller
         retries later.
         """
         try:
-            prefixes = ([(route_prefix(2, rt), 2) for rt in sorted(self.l2_imports)]
-                        + [(route_prefix(5, rt), 5) for rt in sorted(self.l3_imports)])
-            for prefix, _ in prefixes:
-                rev = self.handle.revision + 1
-                for entry in self.handle.get_prefix(prefix):
-                    self._apply("put", entry.key, entry.value, entry.mod_revision)
-                self.handle.watch_prefix(prefix, from_revision=rev,
-                                         on_event=self._on_event)
+            for prefix in ([route_prefix(2, rt) for rt in sorted(self.l2_imports)]
+                           + [route_prefix(5, rt) for rt in sorted(self.l3_imports)]):
+                self.handle.follow(prefix, self._apply)
         except StoreUnavailable:
             self.table.headless = True
             return False
@@ -302,22 +299,17 @@ class RouteSync:
         self.started = True
         return True
 
-    def _on_event(self, ev: WatchEvent) -> None:
-        self._apply("delete" if ev.kind == DELETE else "put",
-                    ev.entry.key, ev.entry.value, ev.revision)
-
-    def _apply(self, kind: str, key: str, value: bytes, revision: int) -> None:
+    def _apply(self, ev: WatchEvent) -> None:
         try:
-            doc = from_json_bytes(value)
-            route = parse_route_key(key, doc)
-        except Exception:
+            route = parse_route(ev.entry.key, ev.entry.value)
+        except SchemaError:
             return
         if route.route_type == 2:
             vnid = self.l2_imports.get(route.export_rt)
             if vnid is None:
                 return
             tkey = (vnid, route.mac)
-            if kind == "put":
+            if ev.kind == PUT:
                 self.table.type2[tkey] = route
             else:
                 self.table.type2.pop(tkey, None)
@@ -326,14 +318,14 @@ class RouteSync:
             if vrf is None:
                 return
             lpm = self.table.type5.setdefault(vrf, Lpm())
-            if kind == "put":
+            if ev.kind == PUT:
                 lpm.insert(route.prefix, route.mask, route)
             else:
                 lpm.remove(route.prefix, route.mask)
-        self.table.cache_epoch = max(self.table.cache_epoch, revision)
-        self.log.append((revision, kind, key))
+        self.table.cache_epoch = max(self.table.cache_epoch, ev.revision)
+        self.log.append((ev.revision, ev.kind, ev.entry.key))
         if self.on_delta is not None:
-            self.on_delta(kind, route)
+            self.on_delta(ev.kind, route)
 
 
 class LinkStateSync:
@@ -348,32 +340,22 @@ class LinkStateSync:
 
     def start(self) -> bool:
         try:
-            rev = self.handle.revision + 1
-            for entry in self.handle.get_prefix(LINKSTATE_PREFIX):
-                self._apply("put", entry.key, entry.value)
-            self.handle.watch_prefix(LINKSTATE_PREFIX, from_revision=rev,
-                                     on_event=self._on_event)
+            self.handle.follow(LINKSTATE_PREFIX, self._apply)
         except StoreUnavailable:
             return False
         self.started = True
         return True
 
-    def _on_event(self, ev: WatchEvent) -> None:
-        self._apply("delete" if ev.kind == DELETE else "put", ev.entry.key,
-                    ev.entry.value)
-
-    def _apply(self, kind: str, key: str, value: bytes) -> None:
+    def _apply(self, ev: WatchEvent) -> None:
         try:
-            pair = parse_linkstate_key(key)
-        except Exception:
+            if ev.kind == PUT:
+                pair, rec = parse_linkstate(ev.entry.key, ev.entry.value)
+                self.records[pair] = rec
+            else:
+                pair = parse_linkstate_key(ev.entry.key)
+                self.records.pop(pair, None)
+        except SchemaError:
             return
-        if kind == "put":
-            try:
-                self.records[pair] = LinkStateRecord.from_doc(from_json_bytes(value))
-            except Exception:
-                return
-        else:
-            self.records.pop(pair, None)
         if self.on_delta is not None:
             self.on_delta(*pair)
 

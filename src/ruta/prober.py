@@ -78,14 +78,12 @@ class ProbeSession:
         self.outcomes: deque[ProbeOutcome] = deque(maxlen=window)
         self.smoothed_jitter_us = 0.0
         self.consecutive_losses = 0
-        self.sent_total = 0
         self.lost_total = 0
         self.t1_mismatches = 0  # responses echoing a T1 other than the one sent
         self._last_twd_us: Optional[float] = None
 
     def make_request(self, now: int) -> srou.OamMessage:
         self.seq += 1
-        self.sent_total += 1
         self.pending[self.seq] = now
         return srou.OamMessage(
             oam_type=srou.OamType.LINKSTATE,

@@ -14,6 +14,10 @@ Key grammar:
 Values are canonical JSON documents (UTF-8, sorted keys).  /node and /service
 keys are written under the node-keepalive lease (class 1), /route and /stats
 under the slower route lease (class 2).
+
+Service, route, link-state, group-rule and identity values are read only
+through parse_service, parse_route, parse_linkstate, parse_group_rule and
+parse_identity, which raise only SchemaError.
 """
 
 from __future__ import annotations
@@ -76,6 +80,15 @@ def from_json_bytes(raw: bytes):
     return json.loads(raw.decode("utf-8"))
 
 
+def _decode(key: str, value: bytes, build: Callable):
+    """build(decoded value); any malformed value raises ValidationError."""
+    try:
+        return build(from_json_bytes(value))
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
+            RecursionError) as exc:
+        raise ValidationError(f"{key}: unparseable value ({exc!r})") from None
+
+
 def _check_name(name: str, what: str) -> None:
     if not name or not _NAME_RE.match(name):
         raise ValidationError(f"{what} {name!r} must match {_NAME_RE.pattern}")
@@ -83,7 +96,7 @@ def _check_name(name: str, what: str) -> None:
 
 def _check_ipv4(ip: str, what: str) -> None:
     try:
-        ipaddress.IPv4Address(ip)
+        ipaddress.IPv4Address(str(ip))  # an int would pass as an address
     except ValueError as exc:
         raise ValidationError(f"{what} {ip!r}: {exc}") from None
 
@@ -231,6 +244,13 @@ def parse_service_key(key: str) -> tuple[str, str]:
     return parts[2], parts[3]
 
 
+def parse_service(key: str, value: bytes) -> tuple[str, str, list[Sloc]]:
+    """(role, system name, SLoCs) of a /service record."""
+    role, name = parse_service_key(key)
+    return role, name, _decode(key, value,
+                               lambda doc: [Sloc.from_doc(d) for d in doc["slocs"]])
+
+
 # ---------------------------------------------------------------------------
 # EVPN service routes
 
@@ -276,6 +296,7 @@ class ServiceRoute:
         for part in (self.export_rt, self.rd):
             if not part or "/" in part:
                 raise MalformedRoute(f"bad RT/RD component {part!r}")
+        _check_name(self.system_name, "system name")
 
     def key(self) -> str:
         if self.route_type == 2:
@@ -314,6 +335,10 @@ def parse_route_key(key: str, doc: dict) -> ServiceRoute:
     if rtype == "5":
         return ServiceRoute(route_type=5, prefix=parts[5], mask=int(parts[6]), **common)
     raise MalformedRoute(f"route type {rtype!r} unsupported")
+
+
+def parse_route(key: str, value: bytes) -> ServiceRoute:
+    return _decode(key, value, lambda doc: parse_route_key(key, doc))
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +413,11 @@ def parse_linkstate_key(key: str) -> tuple[str, str]:
     return src, dst
 
 
+def parse_linkstate(key: str, value: bytes) -> tuple[tuple[str, str], LinkStateRecord]:
+    """((src, dst) from the key, record) of a /stats/linkstate record."""
+    return parse_linkstate_key(key), _decode(key, value, LinkStateRecord.from_doc)
+
+
 # ---------------------------------------------------------------------------
 # identity and policy
 
@@ -412,11 +442,10 @@ def parse_group_rule_key(key: str) -> tuple[GroupTag, GroupTag]:
     parts = key.split("/")
     if len(parts) != 5 or parts[1] != "control" or parts[2] != "group":
         raise ValidationError(f"bad group rule key {key!r}")
-
-    def tag(s: str) -> GroupTag:
-        return "*" if s == "*" else int(s)
-
-    return tag(parts[3]), tag(parts[4])
+    try:
+        return tuple("*" if s == "*" else int(s) for s in parts[3:])
+    except ValueError:
+        raise ValidationError(f"bad group rule key {key!r}") from None
 
 
 @dataclass(frozen=True)
@@ -433,6 +462,8 @@ class PolicyRule:
             raise ValidationError("steer requires a non-empty SLoC list")
         if self.action != ACTION_STEER and self.slocs:
             raise ValidationError(f"{self.action} forbids a SLoC list")
+        if not all(isinstance(s, str) for s in self.slocs):
+            raise ValidationError(f"SLoC list {self.slocs!r} holds a non-string")
 
     def to_doc(self) -> dict:
         return {"action": self.action, "slocs": list(self.slocs)}
@@ -443,6 +474,24 @@ class PolicyRule:
 
 
 DEFAULT_GROUP = 0
+
+
+def parse_group_rule(key: str, value: bytes) -> tuple[tuple, PolicyRule]:
+    return parse_group_rule_key(key), _decode(key, value, PolicyRule.from_doc)
+
+
+def parse_identity(key: str, value: bytes) -> list[int]:
+    """Group tags of an /identity record; none given means [DEFAULT_GROUP]."""
+    if key.count("/") != 3 or identity_key(*key.split("/")[2:]) != key:
+        raise ValidationError(f"bad identity key {key!r}")
+
+    def groups(doc: dict) -> list[int]:
+        tags = doc.get("groups", [])
+        if not isinstance(tags, list):
+            raise TypeError(f"groups {tags!r} is not a list")
+        return [int(g) for g in tags] or [DEFAULT_GROUP]
+
+    return _decode(key, value, groups)
 
 
 def lookup_policy(rules: dict[tuple[GroupTag, GroupTag], PolicyRule],
@@ -472,10 +521,10 @@ def fetch_group_rules(handle: StoreHandle) -> dict[tuple[GroupTag, GroupTag], Po
     rules = {}
     for entry in handle.get_prefix("/control/group/"):
         try:
-            pair = parse_group_rule_key(entry.key)
-            rules[pair] = PolicyRule.from_doc(from_json_bytes(entry.value))
-        except (ValidationError, ValueError, KeyError):
+            pair, rule = parse_group_rule(entry.key, entry.value)
+        except SchemaError:
             continue
+        rules[pair] = rule
     return rules
 
 
@@ -551,10 +600,8 @@ def hunt(handle: StoreHandle, role: str) -> tuple[list[tuple[str, list[Sloc]]], 
     warnings = []
     for entry in handle.get_prefix(f"/service/{role}/"):
         try:
-            _, system_name = parse_service_key(entry.key)
-            doc = from_json_bytes(entry.value)
-            slocs = [Sloc.from_doc(d) for d in doc["slocs"]]
-        except (SchemaError, ValueError, KeyError, TypeError) as exc:
+            _, system_name, slocs = parse_service(entry.key, entry.value)
+        except SchemaError as exc:
             warnings.append(f"{entry.key}: unparseable service record ({exc})")
             continue
         results.append((system_name, slocs))
@@ -576,9 +623,10 @@ def report_linkstate(target: StoreHandle, rec: LinkStateRecord, lease: Lease) ->
 
 
 def resolve_identity_groups(handle: StoreHandle, userid: str, device_id: str) -> list[int]:
-    entry = handle.get(identity_key(userid, device_id))
-    if entry is None:
+    """Group tags of an endpoint; absent or unparseable means [DEFAULT_GROUP]."""
+    key = identity_key(userid, device_id)
+    entry = handle.get(key)
+    try:
+        return parse_identity(key, entry.value) if entry else [DEFAULT_GROUP]
+    except SchemaError:
         return [DEFAULT_GROUP]
-    doc = from_json_bytes(entry.value)
-    groups = [int(g) for g in doc.get("groups", ())]
-    return groups or [DEFAULT_GROUP]

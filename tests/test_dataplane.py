@@ -31,6 +31,7 @@ from ruta.netsim import Datagram, Network, Trace, VirtualClock, millis, seconds
 from ruta.pathengine import SlaPolicy
 from ruta.schema import PolicyRule, Sloc
 
+import storegen
 import wiregen
 
 
@@ -195,6 +196,20 @@ class TestPolicy:
         assert net.delivered and net.delivered[0].payload == b"steered"
         assert net.spine_a.counts.get("relay") == 1
 
+
+    def test_empty_identity_groups_mean_default_group(self):
+        net = SpineLeaf()
+        w = net.world
+        w.store.put(schema.identity_key("u4", "d4"), schema.to_json_bytes({"groups": []}))
+        net.lc_a.attach_host(HostPort("H4", "0a:00:00:00:00:44", "10.0.0.44",
+                                      vnid=1234, identity=("u4", "d4")))
+        w.clock.run_until(millis(5))
+        net.lc_a.inject_host_frame("H4", HostFrame(
+            "0a:00:00:00:00:44", "0a:00:00:00:00:99", "10.0.0.44", "10.0.0.99", b"untagged"))
+        w.clock.run_until(millis(20))
+        assert [f.payload for f in net.delivered] == [b"untagged"]
+        route = w.store.get("/route/2/100:1/1:1/0a:00:00:00:00:44/10.0.0.44")
+        assert schema.from_json_bytes(route.value)["policy_tag"] == 0
 
 class TestRelayAndFunctions:
     def test_relay_decrements_and_rewrites(self):
@@ -385,6 +400,48 @@ class TestFuzzRuntime:
         assert sum(sum(c.values()) for c in expected.values()) > 500
 
 
+    def test_malformed_store_values_never_escape_run_until(self):
+        # about 500 seeded malformed values under each prefix the runtimes
+        # follow, written while the world runs; forwarding keeps working
+        net = SpineLeaf(seed=5)
+        w = net.world
+        good = [  # (followed prefix, rest of a valid key, valid document)
+            ("/service/", "fabric/X", {"slocs": [sloc("10.200.0.1", 17777).to_doc()]}),
+            ("/route/2/100:1/", "9:9/0a:00:00:00:01:00/10.0.1.0", {
+                "site_id": 9, "system_name": "LC_B", "policy_tag": 0,
+                "optional_tlvs": []}),
+            ("/stats/linkstate/", "X|inet|10.200.0.1:17777 - Y|inet|10.200.0.2:17777", {
+                "src": "X|inet|10.200.0.1:17777", "dst": "Y|inet|10.200.0.2:17777",
+                "two_way_delay_us": 1.0, "jitter_us": 0.0, "loss": 0.0,
+                "utilization_rx": 0.0, "utilization_tx": 0.0, "status": "up",
+                "sampled_at": 0}),
+            ("/control/group/", "900/*", {"action": "steer",
+                                          "slocs": ["X|inet|10.200.0.1:17777"]}),
+            ("/identity/", "u9/d9", {"groups": [900]}),
+        ]
+        rng = random.Random(13)
+        w.clock.run_until(seconds(1))
+        start = w.clock.now
+        writes = 0
+        for n in range(500):
+            for prefix, rest, doc in good:
+                if rng.random() < 0.2:  # a key that is malformed too
+                    rest = rest[:rng.randrange(len(rest))] + rng.choice(["/", "x", "//", ""])
+                key = prefix + rest
+                value = storegen.malformed_value(rng, doc)
+                at = start + n * 2_000_000 + writes
+                w.clock.call_at(at, lambda key=key, value=value: w.store.put(key, value))
+                if rng.random() < 0.1:
+                    w.clock.call_at(at + 1, lambda key=key: w.store.delete(key))
+                writes += 1
+        w.clock.run_until(start + seconds(2))
+        w.clock.call_at(w.clock.now + 1, lambda: net.lc_a.inject_host_frame(
+            "H1", net.frame_h1_to_h2(b"after")))
+        w.clock.run_until(w.clock.now + seconds(1))
+        assert writes == 2_500
+        assert len(w.trace.select("service_parse_warning")) > 100
+        assert [f.payload for f in net.delivered] == [b"after"]
+
 class TestProbeMesh:
     def test_linecard_honours_whitelist(self):
         w = make_world()
@@ -478,6 +535,30 @@ class TestStunRole:
             "STUN1", Datagram("203.0.113.9", 3478, "198.51.100.7", 40000, forged)))
         w.clock.run_until(seconds(1))
         assert lc.counts["drop_stun_invalid"] == 1
+        assert lc.slocs[0].sloc.public_ip == "198.51.100.7"
+        assert lc.slocs[0].sloc.public_port == 40000
+
+    def test_foreign_stun_response_dropped(self):
+        # another host on the NAT's outside sends a well-formed response to
+        # the linecard's mapping while the exchange is pending
+        w = make_world()
+        for name in ("LC_N", "STUN1", "EVIL"):
+            w.net.add_node(name)
+        w.net.add_nat("NAT1", "10.9.9.0/24", "198.51.100.7")
+        w.net.add_link("LC_N", "NAT1", millis(1))
+        w.net.add_link("NAT1", "STUN1", millis(1))
+        w.net.add_link("EVIL", "NAT1", millis(1))
+        stun_rt = StunRuntime(w, "STUN1", [sloc("203.0.113.9", 3478)])
+        lc = LinecardRuntime(w, "LC_N", [sloc("10.9.9.2", 5500)], use_stun=True)
+        stun_rt.start()
+        lc.start()
+        forged = srou.encode_oam(srou.OamMessage(
+            srou.OamType.STUN, srou.STUN_RESPONSE,
+            srou.StunResponseData("6.6.6.6", 6666)))
+        w.clock.call_at(millis(1.5), lambda: w.net.send(
+            "EVIL", Datagram("203.0.113.66", 9, "198.51.100.7", 40000, forged)))
+        w.clock.run_until(seconds(1))
+        assert lc.counts["drop_stun_foreign"] == 1
         assert lc.slocs[0].sloc.public_ip == "198.51.100.7"
         assert lc.slocs[0].sloc.public_port == 40000
 
@@ -673,6 +754,63 @@ class TestHeadlessRuntime:
         w.clock.run_until(seconds(40))
         assert not net.lc_a.headless
 
+
+class TestStoreHistory:
+    def test_runtimes_started_after_compaction_onboard_and_probe(self):
+        net = SpineLeaf()
+        w = net.world
+        w.clock.run_until(seconds(2))
+        w.store.compact(w.store.revision)
+        for name in ("LC_C", "Spine_C"):
+            w.net.add_node(name)
+        w.net.add_link("LC_C", "Spine_A", millis(0.3))
+        w.net.add_link("LC_C", "Spine_B", millis(0.2))
+        w.net.add_link("Spine_C", "LC_A", millis(0.4))
+        w.net.add_link("Spine_C", "LC_B", millis(0.4))
+        got = []
+        lc_c = LinecardRuntime(w, "LC_C", [sloc("192.168.99.79", 5548)], site_id=3,
+                               imports_l2={"100:1": 1234},
+                               l2_services={1234: ("100:1", "3:1")})
+        lc_c.attach_host(HostPort("H5", "0a:00:00:00:00:55", "10.0.0.55", vnid=1234,
+                                  deliver=got.append))
+        spine_c = FabricRuntime(w, "Spine_C", [sloc("192.168.99.74", 17777)])
+        lc_c.start()
+        spine_c.start()
+        w.clock.run_until(seconds(6))
+        assert lc_c.record is not None and spine_c.record is not None
+
+        def probed(rt):
+            return {s.peer.system_name for s in rt.sessions.values() if s.outcomes}
+
+        assert probed(lc_c) >= {"Spine_A", "Spine_B", "LC_A", "LC_B"}
+        assert probed(spine_c) == {"Spine_A", "Spine_B"}
+        assert "Spine_C" in probed(net.lc_a)
+        net.lc_a.inject_host_frame("H1", HostFrame(
+            "0a:00:00:00:00:88", "0a:00:00:00:00:55", "10.0.0.88", "10.0.0.55", b"late"))
+        w.clock.run_until(seconds(7))
+        assert [f.payload for f in got] == [b"late"]
+
+
+class TestTimers:
+    def test_fired_timers_are_released(self):
+        net = SpineLeaf()
+        clock = net.world.clock
+        held = []
+        for at in (30, 60, 120):
+            clock.run_until(seconds(at))
+            held.append(len(net.lc_a._timers))
+            assert held[-1] <= clock.pending()
+        assert held[2] <= held[0], held
+
+    def test_kill_cancels_pending_timers(self):
+        net = SpineLeaf()
+        clock = net.world.clock
+        clock.run_until(seconds(5))
+        net.lc_a.kill()
+        assert all(t.canceled for t in net.lc_a._timers.values())
+        sent = net.world.net.nodes["LC_A"].tx
+        clock.run_until(seconds(30))
+        assert net.world.net.nodes["LC_A"].tx == sent
 
 class TestLsdbTarget:
     def test_reports_go_to_nearest_lsdb(self):

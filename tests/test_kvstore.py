@@ -141,6 +141,53 @@ class TestWatch:
         assert got == expected
 
 
+class TestFollow:
+    def test_seeds_in_key_order_then_streams(self, store):
+        store.put("/f/b", b"2")
+        store.put("/f/a", b"1")
+        store.put("/g/x", b"x")
+        got = []
+        store.client("c").follow("/f/", got.append)
+        assert [(e.kind, e.entry.key, e.revision) for e in got] == [
+            (PUT, "/f/a", 2), (PUT, "/f/b", 1)]
+        store.put("/f/c", b"3")
+        store.delete("/f/a")
+        store.put("/g/y", b"y")
+        assert [(e.kind, e.entry.key, e.revision) for e in got[2:]] == [
+            (PUT, "/f/c", 4), (DELETE, "/f/a", 5)]
+
+    def test_put_made_while_seeding_is_streamed(self, store):
+        store.put("/f/a", b"1")
+        got = []
+
+        def on_event(ev):
+            got.append(ev.entry.key)
+            if ev.entry.key == "/f/a":
+                store.put("/f/b", b"2")
+
+        store.client("c").follow("/f/", on_event)
+        assert got == ["/f/a", "/f/b"]
+
+    def test_partitioned_client_cannot_follow(self, store):
+        store.put("/f/a", b"1")
+        store.set_partitioned("c", True)
+        got = []
+        with pytest.raises(StoreUnavailable):
+            store.client("c").follow("/f/", got.append)
+        assert got == [] and store.watches == []
+
+    def test_follow_after_compaction(self, store):
+        for i in range(5):
+            store.put(f"/f/{i % 2}", bytes([i]))
+        store.delete("/f/1")
+        store.compact(store.revision)
+        got = []
+        store.client("c").follow("/f/", got.append)
+        store.put("/f/2", b"x")
+        assert [(e.entry.key, e.entry.value) for e in got] == [
+            ("/f/0", bytes([4])), ("/f/2", b"x")]
+
+
 class TestLease:
     def test_keepalive_extends(self, clock, store):
         lease = store.grant_lease(seconds(60))

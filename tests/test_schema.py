@@ -16,6 +16,8 @@ from ruta.schema import (
     sloc_short,
 )
 
+import storegen
+
 
 @pytest.fixture
 def clock():
@@ -309,3 +311,81 @@ class TestLeaseClassing:
             assert handle.get(key).lease_id == lease1.lease_id
         assert handle.get(route.key()).lease_id == lease2.lease_id
         assert handle.get(ls.key()).lease_id == lease2.lease_id
+
+
+def _good_records():
+    """(parser, valid key, valid document, bad key) for each value format."""
+    route = ServiceRoute(route_type=2, export_rt="1:1", rd="1:1",
+                         mac="aa:bb:cc:dd:ee:ff", ip="1.2.3.4", site_id=1,
+                         system_name="LC_A", policy_tag=7)
+    ls = LinkStateRecord(src="a|c|1.1.1.1:1", dst="b|c|2.2.2.2:2",
+                         two_way_delay_us=1.0, jitter_us=0.0, loss=0.0,
+                         utilization_rx=0.0, utilization_tx=0.0, status="up",
+                         sampled_at=0)
+    return [
+        (schema.parse_service, schema.service_key("fabric", "F1"),
+         {"slocs": [make_sloc().to_doc()]}, "/service/nosuchrole/F1"),
+        (schema.parse_route, route.key(), route.to_doc(), "/route/2/1:1/1:1/aa:bb"),
+        (schema.parse_linkstate, ls.key(), ls.to_doc(), "/stats/linkstate/a - "),
+        (schema.parse_group_rule, schema.group_rule_key(10, "*"),
+         PolicyRule("steer", ("F|c|1.1.1.1:1",)).to_doc(), "/control/group/ten/*"),
+        (schema.parse_identity, schema.identity_key("u1", "d1"), {"groups": [10, 20]},
+         "/identity/u1/d1/extra"),
+    ]
+
+
+WRONG_TYPES = {
+    "parse_service": [{"slocs": 5}, {"slocs": ["x"]},
+                      {"slocs": [dict(make_sloc().to_doc(), private_ip=5)]}],
+    "parse_route": [{"site_id": "x", "system_name": "LC_A", "policy_tag": 0},
+                    {"site_id": 1, "system_name": ["LC_A"], "policy_tag": 0}],
+    "parse_linkstate": [dict(_good_records()[2][2], loss="high"),
+                        dict(_good_records()[2][2], sampled_at=[])],
+    "parse_group_rule": [{"action": ["deny"]}, {"action": "steer", "slocs": [[1]]}],
+    "parse_identity": [{"groups": "12"}, {"groups": [[1]]}, {"groups": 3}],
+}
+
+REQUIRED = {"parse_service": "slocs", "parse_route": "system_name",
+            "parse_linkstate": "status", "parse_group_rule": "action"}
+
+
+class TestParsers:
+    @pytest.mark.parametrize("parser, key, doc, bad_key", _good_records(),
+                             ids=lambda v: getattr(v, "__name__", ""))
+    def test_each_malformation_raises_schema_error(self, parser, key, doc, bad_key):
+        parser(key, schema.to_json_bytes(doc))
+        bad = [b"\xff\xfe{}", b"not json", b"[1, 2]", b'"text"', b"7", b"1e999",
+               b"[" * 100_000 + b"]" * 100_000]
+        bad += [schema.to_json_bytes(d) for d in WRONG_TYPES[parser.__name__]]
+        if parser.__name__ in REQUIRED:  # a missing "groups" is the default group
+            bad += [schema.to_json_bytes({}), schema.to_json_bytes(
+                {k: v for k, v in doc.items() if k != REQUIRED[parser.__name__]})]
+        for value in bad:
+            with pytest.raises(schema.SchemaError):
+                parser(key, value)
+        with pytest.raises(schema.SchemaError):
+            parser(bad_key, schema.to_json_bytes(doc))
+
+    @pytest.mark.parametrize("parser, key, doc, bad_key", _good_records(),
+                             ids=lambda v: getattr(v, "__name__", ""))
+    def test_mutated_values_parse_or_raise_schema_error(self, parser, key, doc, bad_key):
+        rng = random.Random(11)
+        rejected = 0
+        for _ in range(400):
+            try:
+                parser(key, storegen.malformed_value(rng, doc))
+            except schema.SchemaError:
+                rejected += 1
+        assert rejected > 200
+
+    def test_identity_without_groups_is_default(self):
+        key = schema.identity_key("u1", "d1")
+        for doc in ({}, {"groups": []}):
+            assert schema.parse_identity(key, schema.to_json_bytes(doc)) == [0]
+
+    def test_readers_skip_malformed_values(self, handle):
+        handle.put(schema.identity_key("u1", "d1"), b"[1]")
+        handle.put(schema.group_rule_key(1, 2), b'{"action": 5}')
+        handle.put("/control/group/x/2", schema.to_json_bytes({"action": "deny"}))
+        assert schema.resolve_identity_groups(handle, "u1", "d1") == [0]
+        assert schema.fetch_group_rules(handle) == {}
