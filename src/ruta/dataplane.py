@@ -5,8 +5,8 @@ execute End.DT2U / End.DT4 on arrival, and keep forwarding from cached state
 when the store is unreachable.  Fabrics relay segments, filling a zeroed SRoU
 source from the observed outer source on the first hop (NAT traversal) and
 optionally admitting packets by a time-bucketed token carried in the 32-bit
-flow id.  STUN nodes answer address-discovery OAM; LSDB nodes host a regional
-link-state cache.
+flow id.  STUN nodes answer address-discovery OAM; LSDB nodes mirror the
+store's link state as regional read replicas.
 
 Every runtime is a single-threaded event handler on the shared virtual
 clock: packet arrivals, timers, and watch callbacks.  Runtimes never share
@@ -21,7 +21,7 @@ from __future__ import annotations
 import hmac
 import ipaddress
 import socket
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from . import schema, srou
@@ -55,6 +55,7 @@ from .prober import (
     full_mesh_targets,
 )
 from .schema import (  # noqa: F401  bench/layers.py rebinds from_json_bytes here
+    LinkStateRecord,
     NodeRecord,
     PolicyRule,
     SchemaError,
@@ -208,7 +209,6 @@ class World:
     net: Network
     store: KvStore
     trace: Trace
-    lsdb_nodes: dict[str, "LsdbRuntime"] = field(default_factory=dict)
 
 
 @dataclass
@@ -236,7 +236,6 @@ class NodeRuntime:
     def __init__(self, world: World, name: str, slocs: list[Sloc], site_id: int = 0,
                  location: tuple[float, float] = (0.0, 0.0),
                  probe: Optional[ProbeConfig] = None, use_stun: bool = False):
-        self.world = world
         self.clock = world.clock
         self.net = world.net
         self.trace = world.trace
@@ -262,7 +261,6 @@ class NodeRuntime:
         self._watches = []
         self._stun_exchange = None
         self._stun_server = None  # the address STUN requests go to
-        self._linkstate_target = None  # (handle, lease) once an LSDB is chosen
         self._reported_state: dict[tuple[str, tuple[str, int]], str] = {}
         self._bytes_tx: dict[str, int] = {}
         self._bytes_rx: dict[str, int] = {}
@@ -376,12 +374,6 @@ class NodeRuntime:
             self._mark_store(True)
         except StoreUnavailable:
             self._mark_store(False)
-        if self._linkstate_target is not None:
-            handle, lease = self._linkstate_target
-            try:
-                handle.keepalive(lease.lease_id)
-            except StoreUnavailable:
-                pass
 
     def _mark_store(self, ok: bool) -> None:
         if ok and self.headless:
@@ -501,6 +493,8 @@ class NodeRuntime:
         except SchemaError:
             self.emit("service_parse_warning", key=ev.entry.key)
             return False
+        for ss in self.service_dir.get(name, []):  # a re-announce replaces them
+            self.short_index.pop(ss.short, None)
         self.service_dir[name] = [ServiceSloc(name, s) for s in slocs]
         for ss in self.service_dir[name]:
             self.short_index[ss.short] = ss
@@ -526,35 +520,9 @@ class NodeRuntime:
     def on_probe_outcome(self, session: ProbeSession) -> None:
         key = (session.local.short, session.peer.public_addr)
         state = session.status
-        if self._reported_state.get(key) not in (None, state):
-            self._report_session(session)  # up/down flip: push immediately
-        elif key not in self._reported_state:
-            self._report_session(session)  # first sample bootstraps the graph
+        if self._reported_state.get(key) != state:
+            self._report_session(session)  # first sample or up/down flip: push now
         self._reported_state[key] = state
-
-    def _linkstate_target_pair(self):
-        """(handle, lease) of the nearest live LSDB cache, else the main store."""
-        if self._linkstate_target is not None:
-            return self._linkstate_target
-        try:
-            found, _ = schema.hunt(self.handle, "lsdb")
-        except StoreUnavailable:
-            return self.handle, self.lease2
-        best = None
-        for name, _ in found:
-            lsdb = self.world.lsdb_nodes.get(name)
-            if lsdb is None or not lsdb.alive:
-                continue
-            d = ((lsdb.location[0] - self.location[0]) ** 2
-                 + (lsdb.location[1] - self.location[1]) ** 2)
-            if best is None or (d, name) < best[:2]:
-                best = (d, name, lsdb)
-        if best is None:
-            return self.handle, self.lease2
-        cache_handle = best[2].cache.client(self.name)
-        cache_lease = cache_handle.grant_lease(seconds(DEFAULT_LEASE2_S))
-        self._linkstate_target = (cache_handle, cache_lease)
-        return self._linkstate_target
 
     def _report_session(self, session: ProbeSession,
                         byte_delta: tuple[int, int] = (0, 0)) -> None:
@@ -565,8 +533,7 @@ class NodeRuntime:
         except EmptyWindow:
             return
         try:
-            handle, lease = self._linkstate_target_pair()
-            schema.report_linkstate(handle, rec, lease)
+            schema.report_linkstate(self.handle, rec, self.lease2)
             self._mark_store(True)
         except StoreUnavailable:
             self._mark_store(False)
@@ -1076,16 +1043,20 @@ class StunRuntime(NodeRuntime):
 
 
 class LsdbRuntime(NodeRuntime):
-    """Regional link-state cache: an in-process store other nodes write to."""
+    """Regional read replica: follows the store's link state like every
+    other reader."""
 
     role = "lsdb"
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.cache = KvStore(self.clock)
+        self.ls_sync = LinkStateSync(self.handle)
 
-    def linkstate_records(self):
-        return self.cache.get_prefix(schema.LINKSTATE_PREFIX)
+    def role_start(self) -> None:
+        self.ls_sync.start()
+
+    def linkstate_records(self) -> dict[tuple[str, str], LinkStateRecord]:
+        return self.ls_sync.records
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,6 @@ class _PortMapping:
     inside_ip: str
     inside_port: int
     public_port: int
-    last_used: int
 
 
 class SimNat:
@@ -226,12 +225,10 @@ class SimNat:
     from NAT_PORT_BASE upward.
     """
 
-    def __init__(self, name: str, inside_cidr: str, public_ip: str,
-                 idle_timeout: Optional[int] = None):
+    def __init__(self, name: str, inside_cidr: str, public_ip: str):
         self.name = name
         self.inside_net = ipaddress.ip_network(inside_cidr)
         self.public_ip = public_ip
-        self.idle_timeout = idle_timeout
         self.by_inside: dict[tuple[str, int], _PortMapping] = {}
         self.by_port: dict[int, _PortMapping] = {}
         self.translated_out = 0
@@ -241,37 +238,27 @@ class SimNat:
     def _is_inside(self, ip: str) -> bool:
         return ipaddress.ip_address(ip) in self.inside_net
 
-    def _expired(self, m: _PortMapping, now: int) -> bool:
-        return self.idle_timeout is not None and now - m.last_used > self.idle_timeout
-
-    def _allocate(self, inside_ip: str, inside_port: int, now: int) -> _PortMapping:
+    def _allocate(self, inside_ip: str, inside_port: int) -> _PortMapping:
         port = NAT_PORT_BASE
         while port in self.by_port:
             port += 1
-        m = _PortMapping(inside_ip, inside_port, port, now)
+        m = _PortMapping(inside_ip, inside_port, port)
         self.by_inside[(inside_ip, inside_port)] = m
         self.by_port[port] = m
         return m
 
-    def translate_out(self, pkt: Datagram, now: int) -> Datagram:
-        key = (pkt.src_ip, pkt.src_port)
-        m = self.by_inside.get(key)
-        if m is not None and self._expired(m, now):
-            del self.by_inside[key]
-            del self.by_port[m.public_port]
-            m = None
+    def translate_out(self, pkt: Datagram) -> Datagram:
+        m = self.by_inside.get((pkt.src_ip, pkt.src_port))
         if m is None:
-            m = self._allocate(pkt.src_ip, pkt.src_port, now)
-        m.last_used = now
+            m = self._allocate(pkt.src_ip, pkt.src_port)
         self.translated_out += 1
         return replace(pkt, src_ip=self.public_ip, src_port=m.public_port)
 
-    def translate_in(self, pkt: Datagram, now: int) -> Optional[Datagram]:
+    def translate_in(self, pkt: Datagram) -> Optional[Datagram]:
         m = self.by_port.get(pkt.dst_port)
-        if m is None or self._expired(m, now):
+        if m is None:
             self.dropped_no_mapping += 1
             return None
-        m.last_used = now
         self.translated_in += 1
         return replace(pkt, dst_ip=m.inside_ip, dst_port=m.inside_port)
 
@@ -323,10 +310,9 @@ class Network:
         self._adj[name] = []
         return node
 
-    def add_nat(self, name: str, inside_cidr: str, public_ip: str,
-                idle_timeout: Optional[int] = None) -> SimNode:
+    def add_nat(self, name: str, inside_cidr: str, public_ip: str) -> SimNode:
         node = self.add_node(name)
-        node.nat = SimNat(name, inside_cidr, public_ip, idle_timeout)
+        node.nat = SimNat(name, inside_cidr, public_ip)
         self.add_address(name, public_ip)
         return node
 
@@ -427,9 +413,9 @@ class Network:
 
     def _nat_apply(self, nat: SimNat, pkt: Datagram) -> Optional[Datagram]:
         if pkt.dst_ip == nat.public_ip:
-            return nat.translate_in(pkt, self.clock.now)
+            return nat.translate_in(pkt)
         if nat._is_inside(pkt.src_ip):
-            return nat.translate_out(pkt, self.clock.now)
+            return nat.translate_out(pkt)
         return pkt
 
     def _dispatch(self, node: SimNode, pkt: Datagram) -> None:

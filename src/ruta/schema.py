@@ -15,9 +15,9 @@ Values are canonical JSON documents (UTF-8, sorted keys).  /node and /service
 keys are written under the node-keepalive lease (class 1), /route and /stats
 under the slower route lease (class 2).
 
-Service, route, link-state, group-rule and identity values are read only
-through parse_service, parse_route, parse_linkstate, parse_group_rule and
-parse_identity, which raise only SchemaError.
+Node, service, route, link-state, group-rule and identity values are read
+only through parse_node, parse_service, parse_route, parse_linkstate,
+parse_group_rule and parse_identity, which raise only SchemaError.
 """
 
 from __future__ import annotations
@@ -149,6 +149,12 @@ def parse_node_key(key: str) -> tuple[str, str]:
     if len(parts) != 4 or parts[0] or parts[1] != "node" or parts[2] not in ROLES:
         raise ValidationError(f"bad node key {key!r}")
     return parts[2], parts[3]
+
+
+def parse_node(key: str, value: bytes) -> NodeRecord:
+    """The registration of a /node record."""
+    role, name = parse_node_key(key)
+    return _decode(key, value, lambda doc: NodeRecord.from_doc(role, name, doc))
 
 
 # ---------------------------------------------------------------------------
@@ -552,10 +558,16 @@ def register_node(handle: StoreHandle, role: str, system_name: str, site_id: int
         try:
             used = set()
             for entry in handle.get_prefix("/node/"):
-                r, name = parse_node_key(entry.key)
+                try:
+                    r, name = parse_node_key(entry.key)
+                except SchemaError:
+                    continue  # not a node record: holds neither name nor label
                 if name == system_name:
                     raise DuplicateSystemName(f"{system_name} already registered as {r}")
-                used.add(int(from_json_bytes(entry.value)["system_label"]))
+                try:
+                    used.add(parse_node(entry.key, entry.value).system_label)
+                except SchemaError:
+                    pass  # a malformed value still holds its name, but no label
             label = 0
             while label in used:
                 label += 1
@@ -616,10 +628,10 @@ def withdraw_route(handle: StoreHandle, key: str) -> bool:
     return handle.delete(key)
 
 
-def report_linkstate(target: StoreHandle, rec: LinkStateRecord, lease: Lease) -> int:
-    """Upsert a probe record; `target` is the LSDB cache when one is hunted,
-    otherwise the main store."""
-    return target.put(rec.key(), to_json_bytes(rec.to_doc()), lease.lease_id)
+def report_linkstate(handle: StoreHandle, rec: LinkStateRecord, lease: Lease) -> int:
+    """Upsert a probe record under /stats/linkstate, the one home of link
+    state: path engines and LSDB replicas follow it there."""
+    return handle.put(rec.key(), to_json_bytes(rec.to_doc()), lease.lease_id)
 
 
 def resolve_identity_groups(handle: StoreHandle, userid: str, device_id: str) -> list[int]:

@@ -812,25 +812,117 @@ class TestTimers:
         clock.run_until(seconds(30))
         assert net.world.net.nodes["LC_A"].tx == sent
 
-class TestLsdbTarget:
-    def test_reports_go_to_nearest_lsdb(self):
+class TestLsdbReplica:
+    def test_lsdb_mirrors_the_store_and_te_reads_it(self):
+        net = SpineLeaf()
+        w = net.world
+        w.net.add_node("LS")
+        w.net.add_link("LS", "Spine_A", millis(1))
+        ls = LsdbRuntime(w, "LS", [sloc("10.0.0.31", 6379)])
+        ls.start()
+        w.net.link_between("LC_B", "Spine_B").set_loss(0.5)
+        w.clock.run_until(seconds(30))
+
+        def stored():
+            return dict(schema.parse_linkstate(e.key, e.value)
+                        for e in w.store.get_prefix(schema.LINKSTATE_PREFIX))
+
+        before = stored()
+        assert len(before) == 8  # LC->LC and LC->spine both ways, spine<->spine
+        assert ls.linkstate_records() == before == net.lc_a.ls_sync.records
+        net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2(b"around"))
+        w.clock.run_until(seconds(31))
+        assert [f.payload for f in net.delivered] == [b"around"]
+        assert "sla_unmet_direct" not in net.lc_a.counts
+        chosen = w.trace.select("path_selected", "LC_A")[-1]["detail"]
+        assert chosen["source"] == "engineered"
+        assert chosen["waypoints"][0] == "Spine_A|inet|192.168.99.75:17777"
+        ls.kill()
+        w.clock.run_until(seconds(60))
+        after = stored()
+        assert all(after[pair].sampled_at > rec.sampled_at
+                   for pair, rec in before.items())
+
+
+class TestServiceDirectory:
+    def test_reannounce_drops_replaced_shorts(self):
+        net = SpineLeaf()
+        w = net.world
+        w.store.put(schema.group_rule_key(0, 0), schema.to_json_bytes(
+            PolicyRule("steer", ("Spine_A|inet|192.168.99.75:17777",)).to_doc()))
+        w.clock.run_until(millis(5))
+        spine = net.spine_a
+        schema.announce_service(spine.handle, spine.record,
+                                [sloc("192.168.99.75", 17778)], spine.lease1)
+        w.clock.run_until(millis(10))
+        assert sorted(s for s in net.lc_a.short_index if s.startswith("Spine_A")) == [
+            "Spine_A|inet|192.168.99.75:17778"]
+        assert net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2()) is None
+        assert net.lc_a.counts["drop_steer_unresolved"] == 1
+
+
+class TestRegistration:
+    def test_junk_node_records_do_not_block_onboarding(self):
         w = make_world()
-        for name in ("F1", "F2", "LS_NEAR", "LS_FAR"):
-            w.net.add_node(name)
-        w.net.add_link("F1", "F2", millis(1))
-        w.net.add_link("F1", "LS_NEAR", millis(1))
-        w.net.add_link("F1", "LS_FAR", millis(1))
-        near = LsdbRuntime(w, "LS_NEAR", [sloc("10.0.0.31", 6379)],
-                           location=(1.0, 1.0))
-        far = LsdbRuntime(w, "LS_FAR", [sloc("10.0.0.32", 6379)],
-                          location=(50.0, 50.0))
-        w.lsdb_nodes = {"LS_NEAR": near, "LS_FAR": far}
-        f1 = FabricRuntime(w, "F1", [sloc("10.0.0.1", 17777)], location=(0.0, 0.0))
-        f2 = FabricRuntime(w, "F2", [sloc("10.0.0.2", 17777)], location=(5.0, 5.0))
-        for rt in (near, far, f1, f2):
-            rt.start()
-        w.clock.run_until(seconds(12))
-        assert len(near.linkstate_records()) > 0
-        assert len(far.linkstate_records()) == 0
-        # main store holds no probe records when an LSDB is present
-        assert w.store.get_prefix(schema.LINKSTATE_PREFIX) == []
+        w.net.add_node("F1")
+        w.store.put("/node/fabric/X", b"garbage")
+        w.store.put("/node/bogus/X", schema.to_json_bytes({"system_label": 0}))
+        f1 = FabricRuntime(w, "F1", [sloc("10.0.0.1", 17777)])
+        f1.start()
+        w.clock.run_until(seconds(1))
+        assert f1.record is not None and f1.record.system_label == 0
+        assert w.store.get(schema.service_key("fabric", "F1")) is not None
+
+
+class TestConservation:
+    def test_every_link_direction_conserves_datagrams(self):
+        """sent >= delivered + lost + dropped on every link direction while
+        traffic is in flight, and sent == delivered + lost + dropped once the
+        clock runs dry."""
+        seen = Counter()
+        for seed in range(20):
+            rng = random.Random(seed)
+            net = SpineLeaf(seed=seed)
+            w = net.world
+            for link in w.net.links:
+                link.set_loss(rng.uniform(0.0, 0.2))
+            queued = w.net.link_between("LC_A", "Spine_B")
+            queued.bandwidth_bps, queued.queue_limit_bytes = 2e6, 1_000
+            cut = w.net.link_between("LC_B", "Spine_A")
+            w.clock.call_at(seconds(2) + rng.randrange(seconds(1)),
+                            lambda cut=cut: setattr(cut, "up", False))
+            h2_to_h1 = HostFrame("0a:00:00:00:00:99", "0a:00:00:00:00:88",
+                                 "10.0.0.99", "10.0.0.88", b"back" * 50)
+            for _ in range(30):  # bursts of 5 frames, both ways
+                at = millis(500) + rng.randrange(seconds(3))
+                lc, host, frame = rng.choice([
+                    (net.lc_a, "H1", net.frame_h1_to_h2(b"forth" * 40)),
+                    (net.lc_b, "H2", h2_to_h1)])
+                for _ in range(5):
+                    w.clock.call_at(at, lambda lc=lc, host=host, frame=frame:
+                                    lc.inject_host_frame(host, frame))
+
+            def check():
+                for link in w.net.links:
+                    for st in link.dirs.values():
+                        accounted = st.delivered + st.lost + st.dropped
+                        assert st.sent >= accounted, (seed, link.a, link.b)
+                        seen["in_flight"] += st.sent > accounted
+
+            for ms in range(500, 3600):
+                w.clock.call_at(millis(ms), check)
+            w.clock.run_until(seconds(4))
+            for rt in net.runtimes:
+                rt.kill()
+            w.clock.run_until_quiescent()
+            for link in w.net.links:
+                for st in link.dirs.values():
+                    assert st.sent == st.delivered + st.lost + st.dropped, (
+                        seed, link.a, link.b)
+                    seen["lost"] += st.lost
+                    seen["dropped"] += st.dropped
+            seen["queue_full"] += w.net.nodes["LC_A"].drops.get("queue_full", 0)
+            seen["link_down"] += sum(n.drops.get("link_down", 0)
+                                     for n in w.net.nodes.values())
+        assert all(seen[k] > 0 for k in ("in_flight", "lost", "dropped",
+                                         "queue_full", "link_down")), seen

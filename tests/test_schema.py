@@ -94,6 +94,14 @@ class TestRegistration:
         labels = sorted(r.system_label for r in records)
         assert labels == list(range(50))
 
+    def test_junk_node_records(self, handle, clock):
+        handle.put("/node/fabric/X", b"garbage")  # holds its name, no label
+        handle.put("/node/bogus/Y", schema.to_json_bytes({"system_label": 0}))
+        with pytest.raises(schema.DuplicateSystemName):
+            register(handle, clock, "X")
+        rec, _ = register(handle, clock, "Y")
+        assert rec.system_label == 0
+
     def test_lock_released_on_error(self, handle, clock):
         register(handle, clock, "F1")
         with pytest.raises(schema.DuplicateSystemName):
@@ -322,6 +330,7 @@ def _good_records():
                          two_way_delay_us=1.0, jitter_us=0.0, loss=0.0,
                          utilization_rx=0.0, utilization_tx=0.0, status="up",
                          sampled_at=0)
+    node = NodeRecord("fabric", "F1", 1, (1.5, -2.0), 7)
     return [
         (schema.parse_service, schema.service_key("fabric", "F1"),
          {"slocs": [make_sloc().to_doc()]}, "/service/nosuchrole/F1"),
@@ -331,10 +340,14 @@ def _good_records():
          PolicyRule("steer", ("F|c|1.1.1.1:1",)).to_doc(), "/control/group/ten/*"),
         (schema.parse_identity, schema.identity_key("u1", "d1"), {"groups": [10, 20]},
          "/identity/u1/d1/extra"),
+        (schema.parse_node, node.key(), node.to_doc(), "/node/bogus/F1"),
     ]
 
 
 WRONG_TYPES = {
+    "parse_node": [{"site_id": "x", "location": {"lat": 0, "lon": 0}, "system_label": 1},
+                   {"site_id": 1, "location": [0, 0], "system_label": 1},
+                   {"site_id": 1, "location": {"lat": 0, "lon": 0}, "system_label": None}],
     "parse_service": [{"slocs": 5}, {"slocs": ["x"]},
                       {"slocs": [dict(make_sloc().to_doc(), private_ip=5)]}],
     "parse_route": [{"site_id": "x", "system_name": "LC_A", "policy_tag": 0},
@@ -346,7 +359,8 @@ WRONG_TYPES = {
 }
 
 REQUIRED = {"parse_service": "slocs", "parse_route": "system_name",
-            "parse_linkstate": "status", "parse_group_rule": "action"}
+            "parse_linkstate": "status", "parse_group_rule": "action",
+            "parse_node": "system_label"}
 
 
 class TestParsers:
