@@ -18,6 +18,7 @@ payload), serialized as 6+6+4+4 octets plus payload.
 
 from __future__ import annotations
 
+import functools
 import hmac
 import ipaddress
 import socket
@@ -95,11 +96,14 @@ def _pack_ipv4(ip: str) -> bytes:
         return ipaddress.IPv4Address(ip).packed  # accepts or rejects as before
 
 
-def encode_frame(frame: HostFrame) -> bytes:
-    def mac(m: str) -> bytes:
-        return bytes(int(p, 16) for p in m.split(":"))
+@functools.lru_cache(maxsize=1024)
+def _pack_mac(mac: str) -> bytes:
+    """A host's MACs repeat frame after frame; a rejected MAC is not cached."""
+    return bytes(int(p, 16) for p in mac.split(":"))
 
-    return (mac(frame.src_mac) + mac(frame.dst_mac)
+
+def encode_frame(frame: HostFrame) -> bytes:
+    return (_pack_mac(frame.src_mac) + _pack_mac(frame.dst_mac)
             + _pack_ipv4(frame.src_ip) + _pack_ipv4(frame.dst_ip)
             + frame.payload)
 
@@ -259,6 +263,7 @@ class NodeRuntime:
         self.short_index: dict[str, ServiceSloc] = {}
         self._timers = {}  # pending timers; each leaves when it fires
         self._watches = []
+        self._syncs = ()  # RouteSync / LinkStateSync, whose watches kill cancels
         self._stun_exchange = None
         self._stun_server = None  # the address STUN requests go to
         self._reported_state: dict[tuple[str, tuple[str, int]], str] = {}
@@ -296,7 +301,7 @@ class NodeRuntime:
         self.alive = False
         for t in self._timers.values():
             t.cancel()
-        for w in self._watches:
+        for w in self._watches + [w for sync in self._syncs for w in sync.watches]:
             w.cancel()
         self.net.kill(self.name)
         self.emit("killed")
@@ -647,6 +652,7 @@ class LinecardRuntime(NodeRuntime):
         self.route_sync = RouteSync(self.handle, self.imports_l2, self.imports_l3,
                                     on_delta=self._on_route_delta)
         self.ls_sync = LinkStateSync(self.handle, on_delta=self._on_ls_delta)
+        self._syncs = (self.route_sync, self.ls_sync)
         self.policy_rules: dict = {}
         self.identity_cache: dict[str, list[int]] = {}
         self.path_cache: dict[str, tuple[ServiceSloc, ComputedPath]] = {}
@@ -1051,6 +1057,7 @@ class LsdbRuntime(NodeRuntime):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.ls_sync = LinkStateSync(self.handle)
+        self._syncs = (self.ls_sync,)
 
     def role_start(self) -> None:
         self.ls_sync.start()

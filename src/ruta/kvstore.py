@@ -136,7 +136,9 @@ class Watch:
         return out
 
     def cancel(self) -> None:
-        self.canceled = True
+        if not self.canceled:
+            self.canceled = True
+            self.store.watches.remove(self)
 
 
 class KvStore:
@@ -164,8 +166,8 @@ class KvStore:
     def _emit(self, kind: str, entry: KvEntry) -> None:
         ev = WatchEvent(kind, entry, entry.mod_revision)
         self.history.append(ev)
-        for watch in self.watches:
-            if not watch.canceled and entry.key.startswith(watch.prefix):
+        for watch in tuple(self.watches):  # a callback may cancel a watch
+            if entry.key.startswith(watch.prefix):
                 watch._deliver(ev)
 
     def _live_lease(self, lease_id: Optional[int]) -> Optional[Lease]:
@@ -348,7 +350,7 @@ class KvStore:
             self.partitioned.add(client)
             return
         self.partitioned.discard(client)
-        for watch in self.watches:
+        for watch in tuple(self.watches):
             if watch.client == client:
                 watch._flush()
 

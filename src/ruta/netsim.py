@@ -16,6 +16,7 @@ import heapq
 import ipaddress
 import json
 import random
+import socket
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -228,6 +229,8 @@ class SimNat:
     def __init__(self, name: str, inside_cidr: str, public_ip: str):
         self.name = name
         self.inside_net = ipaddress.ip_network(inside_cidr)
+        self._mask = int(self.inside_net.netmask)
+        self._net = int(self.inside_net.network_address)
         self.public_ip = public_ip
         self.by_inside: dict[tuple[str, int], _PortMapping] = {}
         self.by_port: dict[int, _PortMapping] = {}
@@ -236,7 +239,11 @@ class SimNat:
         self.dropped_no_mapping = 0
 
     def _is_inside(self, ip: str) -> bool:
-        return ipaddress.ip_address(ip) in self.inside_net
+        try:
+            addr = int.from_bytes(socket.inet_pton(socket.AF_INET, ip), "big")
+        except (OSError, TypeError, ValueError):
+            return ipaddress.ip_address(ip) in self.inside_net  # as before
+        return self.inside_net.version == 4 and addr & self._mask == self._net
 
     def _allocate(self, inside_ip: str, inside_port: int) -> _PortMapping:
         port = NAT_PORT_BASE
@@ -300,7 +307,7 @@ class Network:
         self.links: list[SimLink] = []
         self._adj: dict[str, list[SimLink]] = {}
         self._owner: dict[str, str] = {}
-        self._routes: dict[str, dict[str, str]] = {}
+        self._routes: dict[str, dict[str, SimLink]] = {}
 
     def add_node(self, name: str) -> SimNode:
         if name in self.nodes:
@@ -353,8 +360,9 @@ class Network:
 
     # -- underlay routing -------------------------------------------------
 
-    def _routes_from(self, src: str) -> dict[str, str]:
-        """Next-hop table: min (hop count, path delay, node-name path)."""
+    def _routes_from(self, src: str) -> dict[str, SimLink]:
+        """Destination -> link to the next hop on the min (hop count, path
+        delay, node-name path) route."""
         if src in self._routes:
             return self._routes[src]
         best: dict[str, tuple[int, int, tuple[str, ...]]] = {src: (0, 0, (src,))}
@@ -372,7 +380,7 @@ class Network:
         table = {}
         for dst, (hops, _, path) in best.items():
             if hops > 0:
-                table[dst] = path[1]
+                table[dst] = self.link_between(src, path[1])
         self._routes[src] = table
         return table
 
@@ -404,11 +412,10 @@ class Network:
         if owner == at_name:
             self._dispatch(node, pkt)
             return
-        nxt = self._routes_from(at_name).get(owner)
-        if nxt is None:
+        link = self._routes_from(at_name).get(owner)
+        if link is None:
             node.drop("no_route")
             return
-        link = self.link_between(at_name, nxt)
         self._transmit(link, at_name, pkt)
 
     def _nat_apply(self, nat: SimNat, pkt: Datagram) -> Optional[Datagram]:

@@ -13,6 +13,10 @@ relaxation: k rounds of edge relaxation bound the waypoint count to the
 segment budget, with ties broken by (cost, hop count, lexicographic SLoC-short
 sequence) so results are fully deterministic.
 
+Each linecard's edge map follows the link state delta by delta: a put or a
+delete recomputes only the two directions of the changed pair, and
+build_edges, the reference, runs again only when the SLA policy changes.
+
 When the store is unreachable the table freezes and keeps answering from
 cache (headless mode); the watch backlog replays on heal.
 """
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from . import srou
-from .kvstore import PUT, StoreHandle, StoreUnavailable, WatchEvent
+from .kvstore import PUT, StoreHandle, StoreUnavailable, Watch, WatchEvent
 from .schema import (  # noqa: F401  bench/layers.py rebinds from_json_bytes here
     LINKSTATE_PREFIX,
     STATUS_DOWN,
@@ -280,6 +284,7 @@ class RouteSync:
         self.on_delta = on_delta
         self.table = RouteTable()
         self.log: list[tuple[int, str, str]] = []  # (revision, kind, key)
+        self.watches: list[Watch] = []
         self.started = False
 
     def start(self) -> bool:
@@ -291,7 +296,7 @@ class RouteSync:
         try:
             for prefix in ([route_prefix(2, rt) for rt in sorted(self.l2_imports)]
                            + [route_prefix(5, rt) for rt in sorted(self.l3_imports)]):
-                self.handle.follow(prefix, self._apply)
+                self.watches.append(self.handle.follow(prefix, self._apply))
         except StoreUnavailable:
             self.table.headless = True
             return False
@@ -336,11 +341,14 @@ class LinkStateSync:
         self.handle = handle
         self.records: dict[tuple[str, str], LinkStateRecord] = {}
         self.on_delta = on_delta
+        self.watches: list[Watch] = []
         self.started = False
+        self._policy: Optional[SlaPolicy] = None
+        self._edges: dict[tuple[str, str], float] = {}  # build_edges(records, _policy)
 
     def start(self) -> bool:
         try:
-            self.handle.follow(LINKSTATE_PREFIX, self._apply)
+            self.watches.append(self.handle.follow(LINKSTATE_PREFIX, self._apply))
         except StoreUnavailable:
             return False
         self.started = True
@@ -356,8 +364,26 @@ class LinkStateSync:
                 self.records.pop(pair, None)
         except SchemaError:
             return
+        if self._policy is not None:
+            self._edge(pair)
+            self._edge((pair[1], pair[0]))
         if self.on_delta is not None:
             self.on_delta(*pair)
 
+    def _edge(self, pair: tuple[str, str]) -> None:
+        """Set the edge of one direction as build_edges would: its own up
+        record, or else the reverse record when that direction is unmeasured."""
+        rec = self.records.get(pair)
+        if rec is None:
+            rec = self.records.get((pair[1], pair[0]))
+        if rec is None or rec.status == STATUS_DOWN:
+            self._edges.pop(pair, None)
+        else:
+            self._edges[pair] = edge_cost_ms(rec, self._policy)
+
     def edges(self, policy: SlaPolicy) -> dict[tuple[str, str], float]:
-        return build_edges(self.records, policy)
+        """The current edge map; callers must not change it."""
+        if policy != self._policy:
+            self._edges = build_edges(self.records, policy)
+            self._policy = policy
+        return self._edges

@@ -7,6 +7,10 @@ the classic 1/16 smoothed estimator over consecutive delay differences; a
 link is declared down after a run of consecutive losses.  All constants are
 per-session configuration.
 
+Loss rate and mean delay over the window are running sums (a lost count and
+an integer-nanosecond delay sum), updated as an outcome enters the window
+and as one leaves it, so reading them costs the same at any window size.
+
 Sessions hold no timers themselves: the owning node runtime feeds them
 (request generation, responses, timeouts) from its event loop.
 """
@@ -55,8 +59,12 @@ class ProbeOutcome:
     t4: int = 0
 
     @property
+    def two_way_delay_ns(self) -> int:
+        return (self.t4 - self.t1) - (self.t3 - self.t2)
+
+    @property
     def two_way_delay_us(self) -> float:
-        return ((self.t4 - self.t1) - (self.t3 - self.t2)) / NS_PER_US
+        return self.two_way_delay_ns / NS_PER_US
 
 
 class ProbeSession:
@@ -76,6 +84,8 @@ class ProbeSession:
         self.seq = 0
         self.pending: dict[int, int] = {}  # seq -> t1
         self.outcomes: deque[ProbeOutcome] = deque(maxlen=window)
+        self._lost = 0      # lost outcomes in the window
+        self._delay_ns = 0  # sum of the window's delivered two-way delays
         self.smoothed_jitter_us = 0.0
         self.consecutive_losses = 0
         self.lost_total = 0
@@ -105,7 +115,7 @@ class ProbeSession:
         out = ProbeOutcome(seq=p.sender_seq, sent_at=t1, lost=False,
                            t1=t1, t2=p.received_timestamp,
                            t3=p.timestamp, t4=now)
-        self.outcomes.append(out)
+        self._push(out)
         self.consecutive_losses = 0
         twd = out.two_way_delay_us
         if self._last_twd_us is not None:
@@ -119,10 +129,26 @@ class ProbeSession:
         t1 = self.pending.pop(seq, None)
         if t1 is None:
             return False
-        self.outcomes.append(ProbeOutcome(seq=seq, sent_at=t1, lost=True))
+        self._push(ProbeOutcome(seq=seq, sent_at=t1, lost=True))
         self.lost_total += 1
         self.consecutive_losses += 1
         return True
+
+    def _push(self, out: ProbeOutcome) -> None:
+        """Append to the window; the sums follow the outcome that enters it
+        and the one the deque evicts."""
+        if len(self.outcomes) == self.window:
+            if not self.window:
+                return  # a zero window keeps nothing
+            self._count(self.outcomes[0], -1)
+        self._count(out, 1)
+        self.outcomes.append(out)
+
+    def _count(self, o: ProbeOutcome, sign: int) -> None:
+        if o.lost:
+            self._lost += sign
+        else:
+            self._delay_ns += sign * o.two_way_delay_ns
 
     @property
     def status(self) -> str:
@@ -131,13 +157,13 @@ class ProbeSession:
     def loss_rate(self) -> float:
         if not self.outcomes:
             return 0.0
-        return sum(1 for o in self.outcomes if o.lost) / len(self.outcomes)
+        return self._lost / len(self.outcomes)
 
     def two_way_delay_us(self) -> float:
-        delivered = [o for o in self.outcomes if not o.lost]
+        delivered = len(self.outcomes) - self._lost
         if not delivered:
             return 0.0
-        return sum(o.two_way_delay_us for o in delivered) / len(delivered)
+        return self._delay_ns / NS_PER_US / delivered
 
     def metrics(self, now: int, bytes_rx: int = 0, bytes_tx: int = 0,
                 interval_s: float = 10.0) -> LinkStateRecord:

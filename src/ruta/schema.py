@@ -419,8 +419,13 @@ def parse_linkstate_key(key: str) -> tuple[str, str]:
     return src, dst
 
 
+@functools.lru_cache(maxsize=1)
 def parse_linkstate(key: str, value: bytes) -> tuple[tuple[str, str], LinkStateRecord]:
-    """((src, dst) from the key, record) of a /stats/linkstate record."""
+    """((src, dst) from the key, record) of a /stats/linkstate record.
+
+    A put reaches every follower in turn, so remembering the last (key,
+    value) decodes it once; the record is frozen, so followers share it.
+    """
     return parse_linkstate_key(key), _decode(key, value, LinkStateRecord.from_doc)
 
 

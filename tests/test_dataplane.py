@@ -110,6 +110,18 @@ class TestFrames:
             with pytest.raises(ipaddress.AddressValueError):
                 encode_frame(HostFrame("00:00:00:00:00:01", "00:00:00:00:00:02",
                                        bad, "10.0.0.2", b""))
+        odd_macs = ("a:b:c:d:e:f", "0x1f:00:00:00:00:0X2", "1_0:00:00:00:00:01",
+                    "1:2:3", "00:00:00:00:00:100", "ff:ff:ff:ff:ff:-1", "zz:0:0:0:0:0",
+                    "00::00:00:00:01", "", " 1:2:3:4:5:6 ")
+        for mac in odd_macs * 2:  # a second time: a rejected MAC is rejected again
+            frame = HostFrame(mac, "00:00:00:00:00:02", "10.0.0.1", "10.0.0.2", b"")
+            try:
+                want = bytes(int(p, 16) for p in mac.split(":"))
+            except ValueError:
+                with pytest.raises(ValueError):
+                    encode_frame(frame)
+            else:
+                assert encode_frame(frame)[:len(want)] == want
 
 
 class TestDirectEncap:
@@ -812,6 +824,23 @@ class TestTimers:
         clock.run_until(seconds(30))
         assert net.world.net.nodes["LC_A"].tx == sent
 
+class TestKill:
+    def test_kill_stops_every_follow(self):
+        net = SpineLeaf()
+        w = net.world
+        w.clock.run_until(seconds(12))
+        lc = net.lc_a
+        before = dict(lc.ls_sync.records)
+        assert len(before) == 8
+        others = len(w.store.watches) - sum(x.client == "LC_A" for x in w.store.watches)
+        lc.kill()
+        assert len(w.store.watches) == others
+        assert not any(x.canceled or x.client == "LC_A" for x in w.store.watches)
+        w.clock.run_until(seconds(40))
+        assert lc.ls_sync.records == before
+        assert net.lc_b.ls_sync.records != before  # the others kept reporting
+
+
 class TestLsdbReplica:
     def test_lsdb_mirrors_the_store_and_te_reads_it(self):
         net = SpineLeaf()
@@ -837,11 +866,13 @@ class TestLsdbReplica:
         chosen = w.trace.select("path_selected", "LC_A")[-1]["detail"]
         assert chosen["source"] == "engineered"
         assert chosen["waypoints"][0] == "Spine_A|inet|192.168.99.75:17777"
+        mirrored = dict(ls.linkstate_records())
         ls.kill()
         w.clock.run_until(seconds(60))
         after = stored()
         assert all(after[pair].sampled_at > rec.sampled_at
                    for pair, rec in before.items())
+        assert ls.linkstate_records() == mirrored  # a killed replica stops mirroring
 
 
 class TestServiceDirectory:

@@ -121,6 +121,43 @@ class TestWatch:
         store.put("/x/1", b"v")
         assert len(got) == 1
 
+    def test_cancel_inside_a_callback(self, store):
+        got = []
+        victim = None
+
+        def once(ev):
+            got.append("once")
+            w_once.cancel()
+            victim.cancel()
+
+        w_once = store.watch_prefix("/x", on_event=once)
+        w_all = store.watch_prefix("/x", on_event=lambda ev: got.append("all"))
+        victim = store.watch_prefix("/x", on_event=lambda ev: got.append("victim"))
+        store.put("/x/1", b"v")
+        store.put("/x/2", b"v")
+        assert got == ["once", "all", "all"]
+        assert store.watches == [w_all]
+        w_all.cancel()
+        w_all.cancel()
+        assert store.watches == []
+
+    def test_cancel_during_heal_replay(self, store):
+        got = []
+        h = store.client("c")
+
+        def once(ev):
+            got.append("once")
+            w_once.cancel()
+
+        w_once = h.watch_prefix("/x", on_event=once)
+        later = h.watch_prefix("/x", on_event=lambda ev: got.append("later"))
+        store.set_partitioned("c", True)
+        store.put("/x/1", b"v")
+        store.put("/x/2", b"v")
+        store.set_partitioned("c", False)
+        assert got == ["once", "later", "later"]
+        assert store.watches == [later]
+
     def test_watch_completeness(self, store):
         # events under a prefix equal the mutation subsequence, in revision order
         rng = random.Random(5)

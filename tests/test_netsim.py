@@ -1,15 +1,21 @@
 """Simulator: clock ordering, link delivery math, NAT translation, determinism."""
 
+import ipaddress
+import random
+
 import pytest
 
 from ruta.netsim import (
     Datagram,
     Network,
+    SimNat,
     Trace,
     VirtualClock,
     millis,
     seconds,
 )
+
+import wiregen
 
 
 def star(seed=0, **link_kw):
@@ -240,6 +246,31 @@ class TestNat:
         clock.run_until_quiescent()
         nat = net.nodes["nat"].nat
         assert nat.mapping_table() == {"10.9.9.2:6000": 40000, "10.9.9.3:6000": 40001}
+
+    def test_inside_check_matches_ipaddress_reference(self):
+        rng = random.Random(11)
+        nats = [SimNat("n", cidr, "198.51.100.7")
+                for cidr in ("10.9.9.0/24", "0.0.0.0/0", "10.9.9.9/32", "fd00::/8", "::/0")]
+        for _ in range(1_000):
+            kind = rng.randrange(4)
+            if kind == 0:
+                ip = f"10.9.{rng.choice((9, 8))}.{rng.randrange(256)}"
+            elif kind == 1:
+                ip = wiregen.random_ipv4(rng)
+            elif kind == 2:
+                ip = rng.choice(("fd00::1", "::ffff:10.9.9.1")) if rng.random() < 0.3 \
+                    else wiregen.random_ipv6(rng)
+            else:
+                ip = rng.choice(("10.9.9", "10.9.9.256", "010.9.9.1", "10.9.9.1\x00",
+                                 "", " 10.9.9.1", "10.9.9.1/32", "x"))
+            for nat in nats:
+                try:
+                    want = ipaddress.ip_address(ip) in nat.inside_net
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        nat._is_inside(ip)
+                else:
+                    assert nat._is_inside(ip) == want, (ip, nat.inside_net)
 
 
 class TestNodeLifecycle:

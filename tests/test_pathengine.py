@@ -9,6 +9,7 @@ from ruta.kvstore import KvStore, StoreUnavailable
 from ruta.netsim import VirtualClock, seconds
 from ruta.pathengine import (
     ComputedPath,
+    LinkStateSync,
     Lpm,
     RouteSync,
     SlaPolicy,
@@ -17,9 +18,17 @@ from ruta.pathengine import (
     shortest_constrained,
     to_segment_list,
 )
-from ruta.schema import LinkStateRecord, ServiceRoute, ServiceSloc, Sloc, to_json_bytes
+from ruta.schema import (
+    LINKSTATE_PREFIX,
+    LinkStateRecord,
+    ServiceRoute,
+    ServiceSloc,
+    Sloc,
+    to_json_bytes,
+)
 
 import pathoracle
+import storegen
 
 
 def make_rec(src, dst, twd_us, loss=0.0, jitter=0.0, status="up"):
@@ -319,3 +328,40 @@ class TestRouteSync:
         route = self.put_route(store)
         store.delete(route.key())
         assert sync.table.type2 == {}
+
+
+class TestLinkStateSync:
+    @staticmethod
+    def bits(edges):
+        return {pair: cost.hex() for pair, cost in edges.items()}  # NaN equals NaN
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_edge_map_follows_every_delta(self, seed):
+        rng = random.Random(seed)
+        store = KvStore(VirtualClock())
+        sync = LinkStateSync(store.client("LC_A"))
+        assert sync.start()
+        shorts = [f"N{i}|inet|10.0.0.{i}:1" for i in range(5)]
+        policies = [SlaPolicy(), SlaPolicy(loss_penalty_ms=10.0, jitter_weight=0.5)]
+        policy = policies[0]
+        for step in range(400):
+            if step % 97 == 5:
+                policy = rng.choice(policies)
+            src, dst = rng.sample(shorts, 2)
+            rec = make_rec(src, dst, rng.choice((rng.uniform(1e3, 4e5), float("nan"))),
+                           loss=rng.choice((0.0, rng.random())),
+                           jitter=rng.uniform(0, 900),
+                           status="down" if rng.random() < 0.2 else "up")
+            kind = rng.randrange(10)
+            if kind < 6:
+                store.put(rec.key(), to_json_bytes(rec.to_doc()))
+            elif kind < 8:
+                store.delete(rec.key())
+            elif kind == 8:
+                store.put(rec.key(), storegen.malformed_value(rng, rec.to_doc()))
+            else:
+                store.put(LINKSTATE_PREFIX + src, to_json_bytes(rec.to_doc()))
+            if step >= 20:  # the first edges() call builds the map
+                assert self.bits(sync.edges(policy)) == \
+                    self.bits(build_edges(sync.records, policy))
+        assert {r.status for r in sync.records.values()} == {"up", "down"}

@@ -1,5 +1,7 @@
 """Link prober: TWAMP math, loss/jitter estimators, responder, STUN exchange."""
 
+import random
+
 import pytest
 
 from ruta import prober, srou
@@ -183,6 +185,32 @@ class TestMetrics:
         h = ProbeHarness(window=10)
         h.run_probes(25)
         assert len(h.session.outcomes) == 10
+
+    @pytest.mark.parametrize("window", [0, 1, 5, 100])
+    def test_window_sums_match_window_walk(self, window):
+        rng = random.Random(window)
+        h = ProbeHarness(window=window)
+        s, now = h.session, 0
+        for _ in range(3 * window + 50):
+            now += rng.randrange(1, 2_000_000_000)
+            req = s.make_request(now)
+            if rng.random() < 0.3:
+                s.on_timeout(s.seq)
+            else:
+                t2 = now + rng.randrange(1, 90_000_000)
+                t3 = t2 + rng.randrange(0, 5_000)
+                now = t3 + rng.randrange(1, 90_000_000)
+                s.on_response(srou.OamMessage(
+                    srou.OamType.LINKSTATE, srou.LINKSTATE_RESPONSE, srou.LinkstateData(
+                        seq=1, timestamp=t3, received_timestamp=t2,
+                        sender_seq=req.payload.seq,
+                        sender_timestamp=req.payload.timestamp)), now)
+            outcomes = list(s.outcomes)
+            delivered = [o.two_way_delay_us for o in outcomes if not o.lost]
+            assert s.loss_rate() == (sum(o.lost for o in outcomes) / len(outcomes)
+                                     if outcomes else 0.0)
+            assert s.two_way_delay_us() == pytest.approx(
+                sum(delivered) / len(delivered) if delivered else 0.0, rel=1e-12, abs=0)
 
     def test_utilization_from_counters(self):
         h = ProbeHarness()

@@ -392,6 +392,28 @@ class TestParsers:
                 rejected += 1
         assert rejected > 200
 
+    def test_linkstate_memo_follows_key_and_value(self, store):
+        _, key, doc, _ = _good_records()[2]
+        first = schema.to_json_bytes(doc)
+        other = schema.to_json_bytes(dict(doc, loss=0.5))
+        got = schema.parse_linkstate(key, first)
+        assert schema.parse_linkstate(key, other)[1] == LinkStateRecord.from_doc(
+            dict(doc, loss=0.5)) != got[1]
+        assert schema.parse_linkstate(key, first) == got
+        rejected = []
+
+        def follower(ev):
+            try:
+                schema.parse_linkstate(ev.entry.key, ev.entry.value)
+            except schema.SchemaError:
+                rejected.append(ev.entry.value)
+
+        for name in ("LC_A", "LC_B", "LC_C"):
+            store.client(name).follow(schema.LINKSTATE_PREFIX, follower)
+        store.put(key, first)
+        store.put(key, b'{"loss": "high"}')
+        assert rejected == [b'{"loss": "high"}'] * 3
+
     def test_identity_without_groups_is_default(self):
         key = schema.identity_key("u1", "d1")
         for doc in ({}, {"groups": []}):
