@@ -89,13 +89,6 @@ class HostFrame:
     payload: bytes
 
 
-def _pack_ipv4(ip: str) -> bytes:
-    try:
-        return socket.inet_pton(socket.AF_INET, ip)
-    except (OSError, TypeError, ValueError):
-        return ipaddress.IPv4Address(ip).packed  # accepts or rejects as before
-
-
 @functools.lru_cache(maxsize=1024)
 def _pack_mac(mac: str) -> bytes:
     """A host's MACs repeat frame after frame; a rejected MAC is not cached."""
@@ -104,7 +97,7 @@ def _pack_mac(mac: str) -> bytes:
 
 def encode_frame(frame: HostFrame) -> bytes:
     return (_pack_mac(frame.src_mac) + _pack_mac(frame.dst_mac)
-            + _pack_ipv4(frame.src_ip) + _pack_ipv4(frame.dst_ip)
+            + srou._pack_ipv4(frame.src_ip) + srou._pack_ipv4(frame.dst_ip)
             + frame.payload)
 
 
@@ -261,7 +254,6 @@ class NodeRuntime:
         self.sessions: dict[tuple[str, tuple[str, int]], ProbeSession] = {}
         self.service_dir: dict[str, list[ServiceSloc]] = {}
         self.short_index: dict[str, ServiceSloc] = {}
-        self._timers = {}  # pending timers; each leaves when it fires
         self._watches = []
         self._syncs = ()  # RouteSync / LinkStateSync, whose watches kill cancels
         self._stun_exchange = None
@@ -281,13 +273,7 @@ class NodeRuntime:
 
     def _later(self, delay_ns: int, fn: Callable[[], None], label: str) -> None:
         """Run fn after delay_ns unless the runtime is killed first."""
-        key = object()  # not the event: fire -> event -> fire would be a cycle
-
-        def fire():
-            del self._timers[key]
-            fn()
-
-        self._timers[key] = self.clock.call_later(delay_ns, fire, label)
+        self.clock.call_later(delay_ns, fn, label, owner=self)
 
     def every(self, interval_ns: int, fn: Callable[[], None], label: str) -> None:
         def tick():
@@ -299,8 +285,7 @@ class NodeRuntime:
 
     def kill(self) -> None:
         self.alive = False
-        for t in self._timers.values():
-            t.cancel()
+        self.clock.cancel_owned(self)
         for w in self._watches + [w for sync in self._syncs for w in sync.watches]:
             w.cancel()
         self.net.kill(self.name)

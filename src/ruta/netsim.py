@@ -8,6 +8,9 @@ Underlay forwarding between attachment points is hop-count shortest path
 (ties broken by total configured delay, then by node-name sequence), frozen
 when the topology is built.  Datagrams crossing a NAT node are translated;
 nodes only see datagrams addressed to one of their bound (ip, port) sockets.
+
+The trace keeps its records as columns and builds the record dicts only
+when they are read, so what it piles up stays off the cyclic GC's books.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ class ScheduledEvent:
     fn: Callable[[], None]
     label: str = ""
     canceled: bool = False
+    owner: object = None  # what cancel_owned matches
 
     def cancel(self) -> None:
         self.canceled = True
@@ -67,16 +71,24 @@ class VirtualClock:
         self._seq = 0
         self._heap: list[tuple[int, int, ScheduledEvent]] = []
 
-    def call_at(self, at: int, fn: Callable[[], None], label: str = "") -> ScheduledEvent:
+    def call_at(self, at: int, fn: Callable[[], None], label: str = "",
+                owner: object = None) -> ScheduledEvent:
         if at < self.now:
             raise SimError(f"cannot schedule at {at} before now {self.now}")
-        ev = ScheduledEvent(at, self._seq, fn, label)
+        ev = ScheduledEvent(at, self._seq, fn, label, owner=owner)
         self._seq += 1
         heapq.heappush(self._heap, (at, ev.seq, ev))
         return ev
 
-    def call_later(self, delay: int, fn: Callable[[], None], label: str = "") -> ScheduledEvent:
-        return self.call_at(self.now + delay, fn, label)
+    def call_later(self, delay: int, fn: Callable[[], None], label: str = "",
+                   owner: object = None) -> ScheduledEvent:
+        return self.call_at(self.now + delay, fn, label, owner)
+
+    def cancel_owned(self, owner: object) -> None:
+        """Cancel every pending event scheduled with this owner."""
+        for _, _, ev in self._heap:
+            if ev.owner is owner:
+                ev.cancel()
 
     def _pop_due(self, limit: Optional[int]) -> Optional[ScheduledEvent]:
         while self._heap:
@@ -119,20 +131,42 @@ class VirtualClock:
 
 
 class Trace:
-    """Append-only event log; rendered as line-delimited JSON records."""
+    """Append-only event log; rendered as line-delimited JSON records.
+
+    A record is kept as four columns (time, node, event and the `**detail`
+    dict), and its {"time", "node", "event", "detail"} dict is built on
+    read.  CPython never tracks a dict of atomic values, so a record adds
+    no object for the cyclic garbage collector to walk.
+    """
 
     def __init__(self):
-        self.records: list[dict] = []
+        self._time: list[int] = []
+        self._node: list[str] = []
+        self._event: list[str] = []
+        self._detail: list[dict] = []
 
     def emit(self, time: int, node: str, event: str, **detail) -> None:
-        self.records.append({"time": time, "node": node, "event": event, "detail": detail})
+        self._time.append(time)
+        self._node.append(node)
+        self._event.append(event)
+        self._detail.append(detail)
+
+    def _rows(self):
+        return zip(self._time, self._node, self._event, self._detail)
+
+    @staticmethod
+    def _records(rows) -> list[dict]:
+        return [{"time": t, "node": n, "event": e, "detail": d} for t, n, e, d in rows]
+
+    @property
+    def records(self) -> list[dict]:
+        return self._records(self._rows())
 
     def select(self, event: str, node: Optional[str] = None) -> list[dict]:
-        return [
-            r
-            for r in self.records
-            if r["event"] == event and (node is None or r["node"] == node)
-        ]
+        return self._records(
+            row for row in self._rows()
+            if row[2] == event and (node is None or row[1] == node)
+        )
 
     def to_jsonl(self) -> str:
         return "\n".join(json.dumps(r, sort_keys=True) for r in self.records) + "\n"

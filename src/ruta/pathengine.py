@@ -23,7 +23,6 @@ cache (headless mode); the watch backlog replays on heal.
 
 from __future__ import annotations
 
-import ipaddress
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -206,26 +205,31 @@ class Lpm:
     """Longest-prefix-match over IPv4: mask-indexed exact-match maps."""
 
     def __init__(self):
-        self._by_mask: dict[int, dict[int, ServiceRoute]] = {}
+        self._by_mask: dict[int, dict[int, ServiceRoute]] = {}  # longest mask first
 
     @staticmethod
     def _net(ip: str, mask: int) -> int:
-        return int(ipaddress.IPv4Address(ip)) & (0xFFFFFFFF << (32 - mask)
-                                                 if mask else 0)
+        addr = int.from_bytes(srou._pack_ipv4(ip), "big")
+        return addr & (0xFFFFFFFF << (32 - mask) if mask else 0)
 
     def insert(self, prefix: str, mask: int, route: ServiceRoute) -> None:
-        self._by_mask.setdefault(mask, {})[self._net(prefix, mask)] = route
+        net = self._net(prefix, mask)
+        if mask not in self._by_mask:
+            self._by_mask[mask] = {}
+            self._by_mask = dict(sorted(self._by_mask.items(), reverse=True))
+        self._by_mask[mask][net] = route
 
     def remove(self, prefix: str, mask: int) -> None:
         table = self._by_mask.get(mask)
         if table is not None:
             table.pop(self._net(prefix, mask), None)
+            if not table:
+                del self._by_mask[mask]
 
     def lookup(self, ip: str) -> Optional[ServiceRoute]:
-        addr = int(ipaddress.IPv4Address(ip))
-        for mask in sorted(self._by_mask, reverse=True):
-            key = addr & (0xFFFFFFFF << (32 - mask) if mask else 0)
-            route = self._by_mask[mask].get(key)
+        addr = self._net(ip, 32)
+        for mask, table in self._by_mask.items():
+            route = table.get(addr & (0xFFFFFFFF << (32 - mask) if mask else 0))
             if route is not None:
                 return route
         return None
@@ -283,7 +287,6 @@ class RouteSync:
         self.l3_imports = dict(l3_imports)
         self.on_delta = on_delta
         self.table = RouteTable()
-        self.log: list[tuple[int, str, str]] = []  # (revision, kind, key)
         self.watches: list[Watch] = []
         self.started = False
 
@@ -328,7 +331,6 @@ class RouteSync:
             else:
                 lpm.remove(route.prefix, route.mask)
         self.table.cache_epoch = max(self.table.cache_epoch, ev.revision)
-        self.log.append((ev.revision, ev.kind, ev.entry.key))
         if self.on_delta is not None:
             self.on_delta(ev.kind, route)
 

@@ -10,6 +10,9 @@ per-session configuration.
 Loss rate and mean delay over the window are running sums (a lost count and
 an integer-nanosecond delay sum), updated as an outcome enters the window
 and as one leaves it, so reading them costs the same at any window size.
+The window holds each outcome as a plain tuple of `ProbeOutcome`'s seven
+fields, which the cyclic garbage collector stops tracking once it has seen
+it; `ProbeSession.outcomes` builds the `ProbeOutcome` objects on read.
 
 Sessions hold no timers themselves: the owning node runtime feeds them
 (request generation, responses, timeouts) from its event loop.
@@ -48,6 +51,11 @@ class StunTimeout(ProberError):
     pass
 
 
+def _twd_ns(t1: int, t2: int, t3: int, t4: int) -> int:
+    """Two-way delay: the round trip less the responder's turnaround."""
+    return (t4 - t1) - (t3 - t2)
+
+
 @dataclass
 class ProbeOutcome:
     seq: int
@@ -58,9 +66,13 @@ class ProbeOutcome:
     t3: int = 0
     t4: int = 0
 
+    def _row(self) -> tuple:
+        """The fields in declaration order, as `ProbeOutcome(*row)` takes them."""
+        return (self.seq, self.sent_at, self.lost, self.t1, self.t2, self.t3, self.t4)
+
     @property
     def two_way_delay_ns(self) -> int:
-        return (self.t4 - self.t1) - (self.t3 - self.t2)
+        return _twd_ns(self.t1, self.t2, self.t3, self.t4)
 
     @property
     def two_way_delay_us(self) -> float:
@@ -83,7 +95,7 @@ class ProbeSession:
         self.down_after = down_after
         self.seq = 0
         self.pending: dict[int, int] = {}  # seq -> t1
-        self.outcomes: deque[ProbeOutcome] = deque(maxlen=window)
+        self._window: deque[tuple] = deque(maxlen=window)  # ProbeOutcome fields
         self._lost = 0      # lost outcomes in the window
         self._delay_ns = 0  # sum of the window's delivered two-way delays
         self.smoothed_jitter_us = 0.0
@@ -134,33 +146,40 @@ class ProbeSession:
         self.consecutive_losses += 1
         return True
 
+    @property
+    def outcomes(self) -> list[ProbeOutcome]:
+        """The window, oldest first."""
+        return [ProbeOutcome(*row) for row in self._window]
+
     def _push(self, out: ProbeOutcome) -> None:
         """Append to the window; the sums follow the outcome that enters it
         and the one the deque evicts."""
-        if len(self.outcomes) == self.window:
+        if len(self._window) == self.window:
             if not self.window:
                 return  # a zero window keeps nothing
-            self._count(self.outcomes[0], -1)
-        self._count(out, 1)
-        self.outcomes.append(out)
+            self._count(self._window[0], -1)
+        row = out._row()
+        self._count(row, 1)
+        self._window.append(row)
 
-    def _count(self, o: ProbeOutcome, sign: int) -> None:
-        if o.lost:
+    def _count(self, row: tuple, sign: int) -> None:
+        _, _, lost, t1, t2, t3, t4 = row
+        if lost:
             self._lost += sign
         else:
-            self._delay_ns += sign * o.two_way_delay_ns
+            self._delay_ns += sign * _twd_ns(t1, t2, t3, t4)
 
     @property
     def status(self) -> str:
         return STATUS_DOWN if self.consecutive_losses >= self.down_after else STATUS_UP
 
     def loss_rate(self) -> float:
-        if not self.outcomes:
+        if not self._window:
             return 0.0
-        return self._lost / len(self.outcomes)
+        return self._lost / len(self._window)
 
     def two_way_delay_us(self) -> float:
-        delivered = len(self.outcomes) - self._lost
+        delivered = len(self._window) - self._lost
         if not delivered:
             return 0.0
         return self._delay_ns / NS_PER_US / delivered
@@ -169,7 +188,7 @@ class ProbeSession:
                 interval_s: float = 10.0) -> LinkStateRecord:
         """Fold the window into a LinkStateRecord; utilization compares the
         observed byte counters against the local SLoC bandwidths."""
-        if not self.outcomes:
+        if not self._window:
             raise EmptyWindow(f"no probe outcomes for {self.peer.short}")
 
         def util(nbytes: int, bw: float) -> float:

@@ -172,6 +172,15 @@ class Tlv:
     value: bytes
 
 
+def _pack_ipv4(ip) -> bytes:
+    """The 4 bytes of an IPv4 address; accepts and rejects what
+    `ipaddress.IPv4Address` does, with the same exception class."""
+    try:
+        return socket.inet_pton(socket.AF_INET, ip)
+    except (OSError, TypeError, ValueError):
+        return ipaddress.IPv4Address(ip).packed  # accepts or rejects as before
+
+
 def _pack_ip(address: str, expect_v6: bool) -> bytes:
     if not expect_v6:
         try:

@@ -804,22 +804,28 @@ class TestStoreHistory:
 
 
 class TestTimers:
+    @staticmethod
+    def owned(clock, owner):
+        return [ev for _, _, ev in clock._heap if ev.owner is owner]
+
     def test_fired_timers_are_released(self):
         net = SpineLeaf()
         clock = net.world.clock
         held = []
         for at in (30, 60, 120):
             clock.run_until(seconds(at))
-            held.append(len(net.lc_a._timers))
-            assert held[-1] <= clock.pending()
-        assert held[2] <= held[0], held
+            held.append(sum(not ev.canceled for ev in self.owned(clock, net.lc_a)))
+        assert 0 < held[2] <= held[0], held
 
     def test_kill_cancels_pending_timers(self):
         net = SpineLeaf()
         clock = net.world.clock
         clock.run_until(seconds(5))
         net.lc_a.kill()
-        assert all(t.canceled for t in net.lc_a._timers.values())
+        assert self.owned(clock, net.lc_a)
+        assert all(ev.canceled for ev in self.owned(clock, net.lc_a))
+        assert self.owned(clock, net.lc_b)
+        assert not any(ev.canceled for ev in self.owned(clock, net.lc_b))
         sent = net.world.net.nodes["LC_A"].tx
         clock.run_until(seconds(30))
         assert net.world.net.nodes["LC_A"].tx == sent

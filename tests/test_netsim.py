@@ -1,6 +1,8 @@
 """Simulator: clock ordering, link delivery math, NAT translation, determinism."""
 
+import gc
 import ipaddress
+import json
 import random
 
 import pytest
@@ -57,6 +59,20 @@ class TestClock:
         clock.run_until(20)
         assert fired == []
 
+    def test_cancel_owned_cancels_only_that_owners_pending_events(self):
+        clock = VirtualClock()
+        fired = []
+        mine, other = object(), object()
+        clock.call_at(10, lambda: fired.append("mine@10"), owner=mine)
+        clock.call_at(10, lambda: fired.append("other@10"), owner=other)
+        clock.call_later(30, lambda: fired.append("mine@30"), "x", owner=mine)
+        clock.call_at(40, lambda: fired.append("nobody@40"))
+        clock.run_until(20)
+        clock.cancel_owned(mine)
+        assert clock.pending() == 1
+        clock.run_until(50)
+        assert fired == ["mine@10", "other@10", "nobody@40"]
+
     def test_no_scheduling_in_past(self):
         clock = VirtualClock()
         clock.run_until(100)
@@ -73,6 +89,60 @@ class TestClock:
             return trace, [(who, t, p.payload) for who, t, p in inbox]
 
         assert run() == run()
+
+
+class DictTrace:
+    """The trace that kept one dict per record: the reference for Trace."""
+
+    def __init__(self):
+        self.records = []
+
+    def emit(self, time, node, event, **detail):
+        self.records.append({"time": time, "node": node, "event": event, "detail": detail})
+
+    def select(self, event, node=None):
+        return [r for r in self.records
+                if r["event"] == event and (node is None or r["node"] == node)]
+
+    def to_jsonl(self):
+        return "\n".join(json.dumps(r, sort_keys=True) for r in self.records) + "\n"
+
+
+class TestTrace:
+    def test_columns_read_back_as_the_dict_records(self):
+        rng = random.Random(11)
+        nodes, events = ["LC_A", "LC_B", "Spine_A"], ["encap", "relay", "path_selected"]
+        new, ref = Trace(), DictTrace()
+        assert new.records == ref.records and new.to_jsonl() == ref.to_jsonl()
+        for t in range(400):
+            node, event = rng.choice(nodes), rng.choice(events)
+            if event == "path_selected":
+                detail = {"dst": f"2/{t}", "waypoints": [rng.choice(nodes) for _ in range(2)],
+                          "cost_ms": round(rng.random() * 9, 3)}
+            else:
+                detail = {"sl": rng.randrange(3), "flow_id": rng.getrandbits(32),
+                          "to": None if t % 7 else "10.0.0.1:7"}
+            new.emit(t * 1000, node, event, **detail)
+            ref.emit(t * 1000, node, event, **detail)
+        new.emit(400_000, "LC_A", "killed")
+        ref.emit(400_000, "LC_A", "killed")
+        assert new.records == ref.records
+        for event in events + ["killed", "absent"]:
+            assert new.select(event) == ref.select(event)
+            for node in nodes + ["absent"]:
+                assert new.select(event, node) == ref.select(event, node)
+        assert new.to_jsonl() == ref.to_jsonl()
+
+    def test_records_of_atomic_values_are_not_gc_tracked(self):
+        trace = Trace()
+        gc.collect()
+        before = len(gc.get_objects())
+        for i in range(10_000):
+            trace.emit(i, "LC_A", "encap", dst="2/100:1/aa", sl=i % 3, flow_id=i,
+                       cost_ms=i / 7, path="direct", args=None)
+        gc.collect()
+        assert len(gc.get_objects()) - before < 100
+        assert len(trace.records) == 10_000
 
 
 class TestLinks:

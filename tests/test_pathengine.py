@@ -1,11 +1,12 @@
 """Path engine: SLA checks, constrained search vs brute-force oracle, LPM."""
 
+import ipaddress
 import random
 
 import pytest
 
 from ruta import pathengine, srou
-from ruta.kvstore import KvStore, StoreUnavailable
+from ruta.kvstore import PUT, KvStore, StoreUnavailable
 from ruta.netsim import VirtualClock, seconds
 from ruta.pathengine import (
     ComputedPath,
@@ -258,6 +259,71 @@ class TestLpmAndTable:
             got = lpm.lookup(ip)
             assert got is (best[1] if best else None)
 
+    def test_lpm_matches_the_sorting_ipaddress_lpm(self):
+        class RefLpm:  # the Lpm that sorted its masks and parsed with ipaddress
+            def __init__(self):
+                self._by_mask = {}
+
+            @staticmethod
+            def _net(ip, mask):
+                return int(ipaddress.IPv4Address(ip)) & (0xFFFFFFFF << (32 - mask)
+                                                         if mask else 0)
+
+            def insert(self, prefix, mask, route):
+                self._by_mask.setdefault(mask, {})[self._net(prefix, mask)] = route
+
+            def remove(self, prefix, mask):
+                table = self._by_mask.get(mask)
+                if table is not None:
+                    table.pop(self._net(prefix, mask), None)
+
+            def lookup(self, ip):
+                addr = int(ipaddress.IPv4Address(ip))
+                for mask in sorted(self._by_mask, reverse=True):
+                    route = self._by_mask[mask].get(
+                        addr & (0xFFFFFFFF << (32 - mask) if mask else 0))
+                    if route is not None:
+                        return route
+                return None
+
+        malformed = ["", "10.1.2", "10.1.2.3.4", "256.1.1.1", "01.2.3.4", "a.b.c.d",
+                     " 10.1.2.3", "10.1.2.3\n", "10.1.2.3\x00", "::1", "\u0661.2.3.4",
+                     None, -1, 2 ** 32, 167838211, b"\x0a\x01\x02\x03", b"10.1.2.3", 1.5]
+
+        def outcome(fn, *args):
+            try:
+                return "ok", fn(*args)
+            except Exception as exc:  # the class is what must match
+                return "raised", type(exc)
+
+        rng = random.Random(2024)
+
+        def addr():
+            if rng.random() < 0.05:
+                return rng.choice(malformed)
+            return ".".join(str(rng.getrandbits(8) & rng.choice((0x0F, 0xFF))) for _ in range(4))
+
+        new, ref = Lpm(), RefLpm()
+        routes = []
+        for i in range(2000):
+            prefix, mask = addr(), rng.choice((0, 8, 12, 16, 20, 24, 28, 30, 32))
+            route = ServiceRoute(route_type=5, export_rt="1:1", rd="1:1",
+                                 prefix="0.0.0.0", mask=0, site_id=i,
+                                 system_name=f"n{i}", policy_tag=0)
+            if rng.random() < 0.15 and routes:
+                prefix, mask = rng.choice(routes)
+                assert outcome(new.remove, prefix, mask) == outcome(ref.remove, prefix, mask)
+            else:
+                got = outcome(new.insert, prefix, mask, route)
+                assert got == outcome(ref.insert, prefix, mask, route)
+                if got[0] == "ok":
+                    routes.append((prefix, mask))
+            ip = addr()
+            assert outcome(new.lookup, ip) == outcome(ref.lookup, ip), ip
+        assert len(routes) > 1500
+        assert sorted(r.site_id for r in new.routes()) == \
+            sorted(r.site_id for t in ref._by_mask.values() for r in t.values())
+
     def test_resolve_prefers_type2(self):
         table = pathengine.RouteTable()
         t2 = ServiceRoute(route_type=2, export_rt="1:1", rd="1:1",
@@ -274,7 +340,9 @@ class TestRouteSync:
         clock = VirtualClock()
         store = KvStore(clock)
         handle = store.client("LC_A")
-        sync = RouteSync(handle, l2_imports={"100:1": 1234}, l3_imports={})
+        self.deltas = []  # (kind, mac) in the order on_delta saw them
+        sync = RouteSync(handle, l2_imports={"100:1": 1234}, l3_imports={},
+                         on_delta=lambda kind, route: self.deltas.append((kind, route.mac)))
         return clock, store, handle, sync
 
     def put_route(self, store, mac="aa:aa:aa:aa:aa:aa", ip="10.0.0.99"):
@@ -297,8 +365,7 @@ class TestRouteSync:
         assert sync.start()
         self.put_route(store, mac="aa:aa:aa:aa:aa:02")
         assert len(sync.table.type2) == 2
-        revs = [rev for rev, _, _ in sync.log]
-        assert revs == sorted(revs)
+        assert self.deltas == [(PUT, "aa:aa:aa:aa:aa:01"), (PUT, "aa:aa:aa:aa:aa:02")]
 
     def test_headless_freeze_and_heal_replay(self):
         clock, store, handle, sync = self.build()
@@ -313,8 +380,7 @@ class TestRouteSync:
         store.set_partitioned("LC_A", False)
         sync.table.headless = False
         assert (1234, "aa:aa:aa:aa:aa:02") in sync.table.type2
-        revs = [rev for rev, _, _ in sync.log]
-        assert revs == sorted(revs)
+        assert self.deltas == [(PUT, "aa:aa:aa:aa:aa:01"), (PUT, "aa:aa:aa:aa:aa:02")]
 
     def test_start_unavailable_goes_headless(self):
         clock, store, handle, sync = self.build()

@@ -1,12 +1,14 @@
 """Link prober: TWAMP math, loss/jitter estimators, responder, STUN exchange."""
 
+import dataclasses
+import gc
 import random
 
 import pytest
 
 from ruta import prober, srou
 from ruta.netsim import Datagram, Network, Trace, VirtualClock, millis, seconds
-from ruta.prober import ProbeResponder, ProbeSession, StunExchange
+from ruta.prober import ProbeOutcome, ProbeResponder, ProbeSession, StunExchange
 from ruta.schema import ServiceSloc, Sloc
 
 
@@ -185,6 +187,23 @@ class TestMetrics:
         h = ProbeHarness(window=10)
         h.run_probes(25)
         assert len(h.session.outcomes) == 10
+
+    def test_window_entries_are_not_gc_tracked(self):
+        h = ProbeHarness(window=100, loss_ab=0.2, seed=3)
+        h.run_probes(300)
+        gc.collect()
+        assert len(h.session._window) == 100
+        assert not any(gc.is_tracked(row) for row in h.session._window)
+        outcomes = h.session.outcomes
+        seqs = {o.seq for o in outcomes}  # a loss lands when its timeout fires
+        assert len(seqs) == 100 and max(seqs) == 300 and min(seqs) > 190
+        assert 0 < sum(o.lost for o in outcomes) < 100
+        assert {o.two_way_delay_us for o in outcomes if not o.lost} == {40_000.0}
+
+    def test_outcome_row_round_trips_every_field(self):
+        o = ProbeOutcome(seq=7, sent_at=11, lost=False, t1=13, t2=17, t3=19, t4=23)
+        assert len(o._row()) == len(dataclasses.fields(ProbeOutcome))
+        assert ProbeOutcome(*o._row()) == o
 
     @pytest.mark.parametrize("window", [0, 1, 5, 100])
     def test_window_sums_match_window_walk(self, window):
