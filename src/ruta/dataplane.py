@@ -208,6 +208,37 @@ class World:
     trace: Trace
 
 
+# The per-frame records, each rendered from the raw values that key its body.
+_FRAME_DETAIL = {
+    "relay": lambda ip, port, sl, flow_id: {"to": f"{ip}:{port}", "sl": sl,
+                                            "flow_id": flow_id},
+    "source_fill": lambda ip, port, flow_id: {"filled": f"{ip}:{port}",
+                                              "flow_id": flow_id},
+    "deliver": lambda host, dst_ip: {"host": host, "dst_ip": dst_ip},
+    "app_rx": lambda ip, port, nbytes: {"source": f"{ip}:{port}", "nbytes": nbytes},
+}
+
+
+class FrameTrace:
+    """A node's per-frame trace records.  Each appends (time, body id); the
+    body is built and registered only on the first frame of its key, the
+    event and its raw values.  Those are ints and strs, so keys that compare
+    equal render alike."""
+
+    def __init__(self, clock: VirtualClock, trace: Trace, node: str):
+        self.clock = clock
+        self.trace = trace
+        self.node = node
+        self._ids: dict[tuple, int] = {}
+
+    def emit(self, event: str, *raw) -> None:
+        body = self._ids.get((event, raw))
+        if body is None:
+            body = self._ids[event, raw] = self.trace.body(
+                self.node, event, **_FRAME_DETAIL[event](*raw))
+        self.trace.append(self.clock.now, body)
+
+
 @dataclass
 class ProbeConfig:
     interval_ns: int = DEFAULT_INTERVAL_NS
@@ -236,6 +267,7 @@ class NodeRuntime:
         self.clock = world.clock
         self.net = world.net
         self.trace = world.trace
+        self.frame_trace = FrameTrace(world.clock, world.trace, name)
         self.name = name
         self.site_id = site_id
         self.location = location
@@ -549,8 +581,7 @@ class NodeRuntime:
         filled, seg = srou.relay_in_place(buf, lay, (pkt.src_ip, pkt.src_port))
         if filled:
             self.count("source_fill")
-            self.emit("source_fill", filled=f"{pkt.src_ip}:{pkt.src_port}",
-                      flow_id=lay.flow_id)
+            self.frame_trace.emit("source_fill", pkt.src_ip, pkt.src_port, lay.flow_id)
         if seg is None:
             self.count("drop_no_segments_left")
             return
@@ -562,8 +593,7 @@ class NodeRuntime:
                 self.emit("postcard", flow_id=lay.flow_id, sl=sl)
             self.send_from(ss, (seg.address, seg.port), bytes(buf))
             self.count("relay")
-            self.emit("relay", to=f"{seg.address}:{seg.port}", sl=sl,
-                      flow_id=lay.flow_id)
+            self.frame_trace.emit("relay", seg.address, seg.port, sl, lay.flow_id)
         else:
             self.execute_function(ss, pkt, lay, seg, pkt.payload[lay.total:])
 
@@ -821,7 +851,7 @@ class LinecardRuntime(NodeRuntime):
                                           source=PATH_DIRECT))
         self.path_cache[key] = chosen
         self.emit("path_selected", dst=key, source=chosen[1].source,
-                  waypoints=[w.short for w in chosen[1].waypoints],
+                  waypoints=tuple(w.short for w in chosen[1].waypoints),
                   cost_ms=round(chosen[1].cost_ms, 3))
         return chosen
 
@@ -905,7 +935,7 @@ class LinecardRuntime(NodeRuntime):
         flow_id = route.policy_tag & 0xFFFFFFFF
         # keyed by value: the steer path builds a new ComputedPath per frame
         key = (local.addr, tuple(w.public_addr for w in path.waypoints), function,
-               args, flow_id, t_bit)
+               args, flow_id, t_bit, route.key(), path.source)
         built = self._headers.get(key)
         if built is None:
             outer, segments, sl = to_segment_list(path, function, args,
@@ -919,8 +949,15 @@ class LinecardRuntime(NodeRuntime):
                 flow_id=flow_id,
                 t_bit=t_bit,
             )
-            built = self._headers[key] = (srou.encode_header(hdr), outer.public_addr, sl)
-        header, outer_addr, sl = built
+            body = self.trace.body(
+                self.name, "encap", dst=route.key(),
+                outer_src=f"{local.sloc.private_ip}:{local.sloc.private_port}",
+                outer_dst=f"{outer.public_addr[0]}:{outer.public_addr[1]}",
+                sl=sl, flow_id=flow_id, path=path.source,
+                function=srou.FUNCTION_NAMES.get(function, hex(function)), args=args)
+            built = self._headers[key] = (srou.encode_header(hdr), outer.public_addr, sl,
+                                          body)
+        header, outer_addr, sl, body = built
         wire = header + encode_frame(frame)
         self.send_from(local, outer_addr, wire)
         self.count("encap")
@@ -928,12 +965,7 @@ class LinecardRuntime(NodeRuntime):
             self.postcards.append(Postcard(self.name, flow_id, self.clock.now,
                                            sl, "encap"))
             self.emit("postcard", flow_id=flow_id, sl=sl)
-        self.emit("encap", dst=route.key(), outer_src=f"{local.sloc.private_ip}:"
-                  f"{local.sloc.private_port}",
-                  outer_dst=f"{outer_addr[0]}:{outer_addr[1]}",
-                  sl=sl, flow_id=flow_id, path=path.source,
-                  function=srou.FUNCTION_NAMES.get(function, hex(function)),
-                  args=args)
+        self.trace.append(self.clock.now, body)
         return wire
 
     def _steer_path(self, route: ServiceRoute, rule: PolicyRule):
@@ -954,7 +986,7 @@ class LinecardRuntime(NodeRuntime):
 
     def _deliver_local(self, host: HostPort, frame: HostFrame) -> None:
         self.count("deliver_host")
-        self.emit("deliver", host=host.name, dst_ip=frame.dst_ip)
+        self.frame_trace.emit("deliver", host.name, frame.dst_ip)
         if host.deliver is not None:
             host.deliver(frame)
 
@@ -1086,7 +1118,7 @@ class AppEndpoint:
         self.on_app = on_app
         self.echo = echo
         self.reply_via = reply_via or []
-        self.received: list[bytes] = []
+        self.frame_trace = FrameTrace(world.clock, world.trace, name)
         self.counts: dict[str, int] = {}
 
     def count(self, what: str) -> None:
@@ -1164,13 +1196,10 @@ class AppEndpoint:
                            srou_source=(msg.source_address, msg.source_port),
                            flow_id=msg.flow_id)
         self.count("rx_srou")
-        self.trace.emit(self.clock.now, self.name, "app_rx",
-                        source=f"{msg.source_address}:{msg.source_port}",
-                        nbytes=len(inner))
+        self.frame_trace.emit("app_rx", msg.source_address, msg.source_port, len(inner))
         self._deliver(inner, ctx)
 
     def _deliver(self, payload: bytes, ctx: ReplyContext) -> None:
-        self.received.append(payload)
         if self.on_app is not None:
             self.on_app(payload, ctx)
         if self.echo:

@@ -9,8 +9,9 @@ Underlay forwarding between attachment points is hop-count shortest path
 when the topology is built.  Datagrams crossing a NAT node are translated;
 nodes only see datagrams addressed to one of their bound (ip, port) sockets.
 
-The trace keeps its records as columns and builds the record dicts only
-when they are read, so what it piles up stays off the cyclic GC's books.
+The trace keeps each record as (time, body id), where a body (node, event,
+detail) is shared by every record that repeats it, and builds the record
+dicts only when they are read.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import ipaddress
 import json
 import random
 import socket
+from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -133,40 +135,51 @@ class VirtualClock:
 class Trace:
     """Append-only event log; rendered as line-delimited JSON records.
 
-    A record is kept as four columns (time, node, event and the `**detail`
-    dict), and its {"time", "node", "event", "detail"} dict is built on
-    read.  CPython never tracks a dict of atomic values, so a record adds
-    no object for the cyclic garbage collector to walk.
+    A record is (time, body id): an int64 each.  A body (node, event and
+    the `**detail` dict) is held in three columns; `body` registers one for
+    any number of `append`s, and `emit` registers a fresh one per call.
+    The {"time", "node", "event", "detail"} dicts are built on read, each
+    with its own copy of the detail, so no reader can change a shared body.
+    CPython never tracks a dict of atomic values, so nothing a record adds
+    is walked by the cyclic garbage collector.
     """
 
     def __init__(self):
-        self._time: list[int] = []
-        self._node: list[str] = []
+        self._time = array("q")
+        self._body = array("q")  # body id per record
+        self._node: list[str] = []  # body columns, indexed by body id
         self._event: list[str] = []
         self._detail: list[dict] = []
 
-    def emit(self, time: int, node: str, event: str, **detail) -> None:
-        self._time.append(time)
+    def body(self, node: str, event: str, **detail) -> int:
+        """Register a record body; returns its id for `append`."""
         self._node.append(node)
         self._event.append(event)
         self._detail.append(detail)
+        return len(self._detail) - 1
 
-    def _rows(self):
-        return zip(self._time, self._node, self._event, self._detail)
+    def append(self, time: int, body: int) -> None:
+        self._time.append(time)
+        self._body.append(body)
 
-    @staticmethod
-    def _records(rows) -> list[dict]:
-        return [{"time": t, "node": n, "event": e, "detail": d} for t, n, e, d in rows]
+    def emit(self, time: int, node: str, event: str, **detail) -> None:
+        self.append(time, self.body(node, event, **detail))
+
+    def _records(self, wanted: Optional[set[int]] = None) -> list[dict]:
+        node, event, detail = self._node, self._event, self._detail
+        return [{"time": t, "node": node[b], "event": event[b], "detail": dict(detail[b])}
+                for t, b in zip(self._time, self._body)
+                if wanted is None or b in wanted]
 
     @property
     def records(self) -> list[dict]:
-        return self._records(self._rows())
+        return self._records()
 
     def select(self, event: str, node: Optional[str] = None) -> list[dict]:
-        return self._records(
-            row for row in self._rows()
-            if row[2] == event and (node is None or row[1] == node)
-        )
+        return self._records({
+            b for b, (n, e) in enumerate(zip(self._node, self._event))
+            if e == event and (node is None or n == node)
+        })
 
     def to_jsonl(self) -> str:
         return "\n".join(json.dumps(r, sort_keys=True) for r in self.records) + "\n"

@@ -4,7 +4,8 @@ import hashlib
 import hmac
 import ipaddress
 import random
-from collections import Counter
+import tracemalloc
+from collections import Counter, deque
 
 import pytest
 
@@ -693,7 +694,8 @@ class TestNativeSocket:
             native_demux(wire[:10])
 
     def build_nat_path(self):
-        """client -- NAT -- edge fabric -- transit fabric -- server"""
+        """client -- NAT -- edge fabric -- transit fabric -- server; the last
+        item maps each endpoint's name to the payloads its on_app saw."""
         w = make_world()
         w.net.add_node("client")
         w.net.add_nat("NAT1", "10.9.9.0/24", "198.51.100.7")
@@ -707,15 +709,18 @@ class TestNativeSocket:
         transit = FabricRuntime(w, "F_TRANSIT", [sloc("203.0.113.20", 17777)])
         edge.start()
         transit.start()
+        got = {"client": [], "server": []}
         server = AppEndpoint(w, "server", "203.0.113.30", 7443, echo=True,
-                             reply_via=[("203.0.113.10", 17777)])
-        client = AppEndpoint(w, "client", "10.9.9.2", 6000)
+                             reply_via=[("203.0.113.10", 17777)],
+                             on_app=lambda p, ctx: got["server"].append(p))
+        client = AppEndpoint(w, "client", "10.9.9.2", 6000,
+                             on_app=lambda p, ctx: got["client"].append(p))
         server.start()
         client.start()
-        return w, edge, transit, client, server
+        return w, edge, transit, client, server, got
 
     def test_zero_source_filled_with_nat_mapping(self):
-        w, edge, transit, client, server = self.build_nat_path()
+        w, edge, transit, client, server, got = self.build_nat_path()
         client.send_srou(b"hello quic", edge=("203.0.113.10", 17777),
                          server=("203.0.113.30", 7443),
                          transit=("203.0.113.20", 17777), flow_id=42)
@@ -725,27 +730,27 @@ class TestNativeSocket:
         fill = w.trace.select("source_fill", "F_EDGE")[0]["detail"]
         assert fill["filled"] == f"198.51.100.7:{mapped}"
         # server saw the filled source and delivered the inner bytes
-        assert server.received == [b"hello quic"]
+        assert got["server"] == [b"hello quic"]
         rx = w.trace.select("app_rx", "server")[0]["detail"]
         assert rx["source"] == f"198.51.100.7:{mapped}"
 
     def test_reply_reaches_client_via_reversed_segments(self):
-        w, edge, transit, client, server = self.build_nat_path()
+        w, edge, transit, client, server, got = self.build_nat_path()
         client.send_srou(b"ping", edge=("203.0.113.10", 17777),
                          server=("203.0.113.30", 7443),
                          transit=("203.0.113.20", 17777))
         w.clock.run_until(seconds(1))
-        assert client.received == [b"ping"]  # echoed back through the overlay
+        assert got["client"] == [b"ping"]  # echoed back through the overlay
         # reply relayed by transit then edge
         assert transit.counts.get("relay", 0) >= 2  # forward + reply legs
         assert edge.counts.get("relay", 0) >= 2
 
     def test_passthrough_transits_untouched(self):
-        w, edge, transit, client, server = self.build_nat_path()
+        w, edge, transit, client, server, got = self.build_nat_path()
         blob = b"\xc3" + bytes(range(64))
         client.send_raw(blob, ("203.0.113.30", 7443))
         w.clock.run_until(seconds(1))
-        assert server.received == [blob]
+        assert got["server"] == [blob]
         assert server.counts["rx_passthrough"] == 1
 
 
@@ -801,6 +806,38 @@ class TestStoreHistory:
             "0a:00:00:00:00:88", "0a:00:00:00:00:55", "10.0.0.88", "10.0.0.55", b"late"))
         w.clock.run_until(seconds(7))
         assert [f.payload for f in got] == [b"late"]
+
+
+class TestTraceMemory:
+    def test_steady_frames_add_under_32_bytes_per_trace_record(self):
+        """Encap, relay and deliver repeat the same bodies frame after frame,
+        so what a frame leaves behind is its (time, body id) records."""
+        net = SpineLeaf()
+        w = net.world
+        w.store.put(schema.group_rule_key(0, 0), schema.to_json_bytes(
+            PolicyRule("steer", ("Spine_A|inet|192.168.99.75:17777",)).to_doc()))
+        w.clock.run_until(seconds(3))
+        net.delivered = deque(maxlen=1)  # keep no delivered frame
+        frame = net.frame_h1_to_h2(bytes(44))
+
+        def send(frames):
+            for _ in range(frames):
+                net.lc_a.inject_host_frame("H1", frame)
+                w.clock.run_until(w.clock.now + 200_000)  # 5,000 frames/s
+
+        tracemalloc.start()
+        try:
+            send(2_000)
+            records0, traced0 = len(w.trace.records), tracemalloc.get_traced_memory()[0]
+            send(6_000)
+            records1, traced1 = len(w.trace.records), tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        w.clock.run_until(w.clock.now + millis(5))
+        assert net.lc_b.counts["deliver_host"] == 8_000
+        assert net.spine_a.counts["relay"] == 8_000
+        assert records1 - records0 >= 3 * 6_000
+        assert (traced1 - traced0) / (records1 - records0) < 32
 
 
 class TestTimers:

@@ -133,6 +133,45 @@ class TestTrace:
                 assert new.select(event, node) == ref.select(event, node)
         assert new.to_jsonl() == ref.to_jsonl()
 
+    def test_registered_bodies_read_back_as_the_dict_records(self):
+        rng = random.Random(13)
+        nodes, events = ["LC_A", "Spine_A"], ["encap", "relay"]
+        # equal as keys, different in JSON: a body registry must not merge them
+        values = [1, True, 1.0, 0, False, 0.0, -0.0, None, "1"]
+        new, ref = Trace(), DictTrace()
+        bodies = []
+        for t in range(600):
+            node, event = rng.choice(nodes), rng.choice(events)
+            detail = {"v": rng.choice(values), "sl": rng.randrange(2)}
+            if bodies and rng.random() < 0.6:
+                body, node, event, detail = rng.choice(bodies)
+                new.append(t, body)
+            elif rng.random() < 0.5:
+                bodies.append((new.body(node, event, **detail), node, event, detail))
+                new.append(t, bodies[-1][0])
+            else:
+                new.emit(t, node, event, **detail)
+            ref.emit(t, node, event, **detail)
+        assert repr(new.records) == repr(ref.records)
+        for event in events + ["absent"]:
+            assert repr(new.select(event)) == repr(ref.select(event))
+            for node in nodes + ["absent"]:
+                assert repr(new.select(event, node)) == repr(ref.select(event, node))
+        assert new.to_jsonl() == ref.to_jsonl()
+
+    def test_a_read_detail_is_the_readers_own(self):
+        trace = Trace()
+        relay = trace.body("Spine_A", "relay", to="10.0.0.1:7", sl=1)
+        trace.append(5, relay)
+        trace.emit(6, "LC_A", "encap", sl=2)
+        trace.append(7, relay)
+        want = trace.records
+        for rec in trace.select("relay") + trace.select("encap", "LC_A") + trace.records:
+            rec["detail"]["sl"] = 99
+            rec["detail"]["extra"] = True
+        assert trace.records == want
+        assert [r["detail"] for r in trace.select("relay")] == [{"to": "10.0.0.1:7", "sl": 1}] * 2
+
     def test_records_of_atomic_values_are_not_gc_tracked(self):
         trace = Trace()
         gc.collect()
