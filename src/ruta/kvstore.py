@@ -1,13 +1,14 @@
 """In-process deterministic K-V store: the control-plane contract.
 
-Provides get/put/delete, prefix fetch, prefix watch, leases, a distributed
-lock, and a minimal transaction, all serialized through the virtual clock's
-event queue.  The surface is deliberately etcd-shaped so an adapter to a real
-external store could be attached later without touching callers; within the
-simulator this implementation is authoritative.
+Provides get/put/delete, prefix fetch, prefix watch, leases and a
+distributed lock, all serialized through the virtual clock's event queue.  The
+surface is deliberately etcd-shaped so an adapter to a real external store
+could be attached later without touching callers; within the simulator this
+implementation is authoritative.
 
-Clients subscribe with StoreHandle.follow, the etcd idiom: list the prefix at
-revision R, then watch from R + 1, so no follower needs older history.
+Clients subscribe with StoreHandle.follow, the etcd idiom of list then watch:
+the watch is registered before the listing and holds what changes meanwhile,
+so no follower needs older history and the store keeps none.
 
 Partitions are per client name: while a client is partitioned its operations
 raise StoreUnavailable and its watches buffer events, which replay in
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .netsim import VirtualClock
 
@@ -39,10 +40,6 @@ class LeaseExpired(StoreError):
 
 
 class LeaseNotFound(StoreError):
-    pass
-
-
-class CompactedRevision(StoreError):
     pass
 
 
@@ -97,19 +94,21 @@ class _NamedLock:
 class Watch:
     """Single-consumer event stream over one key prefix.
 
-    With an on_event callback, events are pushed as they happen while the
-    owning client is healthy; during a partition they buffer and replay on
-    heal.  Without a callback, drain with take().
+    Events go to on_event as they happen while the owning client is healthy.
+    They wait in the backlog, in revision order, while the client is
+    partitioned (replayed on heal) or while the watch is held (replayed on
+    release, as follow does after its listing).
     """
 
     def __init__(self, store: "KvStore", watch_id: int, prefix: str,
-                 client: Optional[str], on_event: Optional[Callable[[WatchEvent], None]]):
+                 client: Optional[str], on_event: Callable[[WatchEvent], None]):
         self.store = store
         self.watch_id = watch_id
         self.prefix = prefix
         self.client = client
         self.on_event = on_event
         self.backlog: deque[WatchEvent] = deque()
+        self.held = False
         self.canceled = False
 
     def _client_healthy(self) -> bool:
@@ -118,22 +117,20 @@ class Watch:
     def _deliver(self, ev: WatchEvent) -> None:
         if self.canceled:
             return
-        if self.on_event is not None and self._client_healthy():
-            self.on_event(ev)
+        if not (self.held or self.backlog) and self._client_healthy():
+            self.on_event(ev)  # a backlog being replayed goes first
         else:
             self.backlog.append(ev)
 
     def _flush(self) -> None:
-        while self.backlog and self.on_event is not None and not self.canceled:
+        while self.backlog and not (self.held or self.canceled):
             self.on_event(self.backlog.popleft())
 
-    def take(self) -> list[WatchEvent]:
-        """Drain buffered events; raises while the owning client is partitioned."""
-        if not self._client_healthy():
-            raise StoreUnavailable(f"client {self.client} is partitioned")
-        out = list(self.backlog)
-        self.backlog.clear()
-        return out
+    def release(self) -> None:
+        """Stop holding; the backlog replays now, or on heal if partitioned."""
+        self.held = False
+        if self._client_healthy():
+            self._flush()
 
     def cancel(self) -> None:
         if not self.canceled:
@@ -144,28 +141,27 @@ class Watch:
 class KvStore:
     """Deterministic single-process store bound to a virtual clock."""
 
+    history = ()  # the store keeps no history: watchers follow from now on
+
     def __init__(self, clock: VirtualClock):
         self.clock = clock
         self.revision = 0
         self.entries: dict[str, KvEntry] = {}
         self.leases: dict[int, Lease] = {}
         self.watches: list[Watch] = []
-        self.history: list[WatchEvent] = []
-        self.compacted_floor = 0
         self.partitioned: set[str] = set()
         self.locks: dict[str, _NamedLock] = {}
         self._next_lease_id = 1
         self._next_watch_id = 1
         self._next_lock_token = 1
 
-    def client(self, name: str, via: Optional["StoreHandle"] = None) -> "StoreHandle":
-        return StoreHandle(self, name, via)
+    def client(self, name: str) -> "StoreHandle":
+        return StoreHandle(self, name)
 
     # -- core K-V ----------------------------------------------------------
 
     def _emit(self, kind: str, entry: KvEntry) -> None:
         ev = WatchEvent(kind, entry, entry.mod_revision)
-        self.history.append(ev)
         for watch in tuple(self.watches):  # a callback may cancel a watch
             if entry.key.startswith(watch.prefix):
                 watch._deliver(ev)
@@ -215,45 +211,15 @@ class KvStore:
     def get_prefix(self, prefix: str) -> list[KvEntry]:
         return [self.entries[k] for k in sorted(self.entries) if k.startswith(prefix)]
 
-    def txn(self, compares: Iterable[tuple[str, Optional[int]]],
-            puts: Iterable[tuple[str, bytes, Optional[int]]] = (),
-            deletes: Iterable[str] = ()) -> bool:
-        """Atomic compare-then-mutate: compares are (key, expected mod_revision),
-        None meaning the key must be absent."""
-        for key, expected in compares:
-            entry = self.entries.get(key)
-            actual = entry.mod_revision if entry is not None else None
-            if actual != expected:
-                return False
-        for key, value, lease_id in puts:
-            self.put(key, value, lease_id)
-        for key in deletes:
-            self.delete(key)
-        return True
-
     # -- watches ------------------------------------------------------------
 
-    def watch_prefix(self, prefix: str, from_revision: Optional[int] = None,
-                     client: Optional[str] = None,
-                     on_event: Optional[Callable[[WatchEvent], None]] = None) -> Watch:
-        if from_revision is not None:
-            if from_revision <= self.compacted_floor:
-                raise CompactedRevision(
-                    f"revision {from_revision} compacted (floor {self.compacted_floor})")
-            if from_revision > self.revision + 1:
-                raise ValueError(f"from_revision {from_revision} is in the future")
+    def watch_prefix(self, prefix: str, client: Optional[str] = None, *,
+                     on_event: Callable[[WatchEvent], None]) -> Watch:
+        """Watch changes from the next revision on."""
         watch = Watch(self, self._next_watch_id, prefix, client, on_event)
         self._next_watch_id += 1
         self.watches.append(watch)
-        if from_revision is not None:
-            for ev in self.history:
-                if ev.revision >= from_revision and ev.entry.key.startswith(prefix):
-                    watch._deliver(ev)
         return watch
-
-    def compact(self, revision: int) -> None:
-        self.compacted_floor = max(self.compacted_floor, revision)
-        self.history = [ev for ev in self.history if ev.revision > self.compacted_floor]
 
     # -- leases ---------------------------------------------------------------
 
@@ -356,22 +322,16 @@ class KvStore:
 
 
 class StoreHandle:
-    """Per-client view of the store, optionally proxied through another handle.
+    """Per-client view of the store: every operation raises StoreUnavailable
+    while the client is partitioned."""
 
-    Every operation checks the partition state of the whole proxy chain.
-    """
-
-    def __init__(self, store: KvStore, name: str, via: Optional["StoreHandle"] = None):
+    def __init__(self, store: KvStore, name: str):
         self.store = store
         self.name = name
-        self.via = via
 
     def _check(self) -> None:
-        handle: Optional[StoreHandle] = self
-        while handle is not None:
-            if handle.name in self.store.partitioned:
-                raise StoreUnavailable(f"client {handle.name} is partitioned")
-            handle = handle.via
+        if self.name in self.store.partitioned:
+            raise StoreUnavailable(f"client {self.name} is partitioned")
 
     @property
     def available(self) -> bool:
@@ -397,24 +357,20 @@ class StoreHandle:
         self._check()
         return self.store.get_prefix(prefix)
 
-    def txn(self, compares, puts=(), deletes=()) -> bool:
-        self._check()
-        return self.store.txn(compares, puts, deletes)
-
-    def watch_prefix(self, prefix: str,
-                     on_event: Optional[Callable[[WatchEvent], None]] = None) -> Watch:
-        self._check()
-        return self.store.watch_prefix(prefix, client=self.name, on_event=on_event)
-
     def follow(self, prefix: str, on_event: Callable[[WatchEvent], None]) -> Watch:
         """List then watch: on_event gets a PUT for every live key under the
         prefix, in key order, then every later change."""
         self._check()
-        revision = self.store.revision
-        for entry in self.store.get_prefix(prefix):
-            on_event(WatchEvent(PUT, entry, entry.mod_revision))
-        return self.store.watch_prefix(prefix, revision + 1, client=self.name,
-                                       on_event=on_event)
+        watch = self.store.watch_prefix(prefix, self.name, on_event=on_event)
+        watch.held = True  # changes made by on_event during the listing wait
+        try:
+            for entry in self.store.get_prefix(prefix):
+                on_event(WatchEvent(PUT, entry, entry.mod_revision))
+        except BaseException:
+            watch.cancel()  # a failed follow leaves no held watch behind
+            raise
+        watch.release()
+        return watch
 
     def grant_lease(self, ttl_ns: int) -> Lease:
         self._check()

@@ -528,17 +528,6 @@ def lookup_policy(rules: dict[tuple[GroupTag, GroupTag], PolicyRule],
     return PolicyRule(ACTION_PERMIT)
 
 
-def fetch_group_rules(handle: StoreHandle) -> dict[tuple[GroupTag, GroupTag], PolicyRule]:
-    rules = {}
-    for entry in handle.get_prefix("/control/group/"):
-        try:
-            pair, rule = parse_group_rule(entry.key, entry.value)
-        except SchemaError:
-            continue
-        rules[pair] = rule
-    return rules
-
-
 # ---------------------------------------------------------------------------
 # procedures
 
@@ -629,21 +618,7 @@ def announce_route(handle: StoreHandle, route: ServiceRoute, lease: Lease) -> in
     return handle.put(route.key(), to_json_bytes(route.to_doc()), lease.lease_id)
 
 
-def withdraw_route(handle: StoreHandle, key: str) -> bool:
-    return handle.delete(key)
-
-
 def report_linkstate(handle: StoreHandle, rec: LinkStateRecord, lease: Lease) -> int:
     """Upsert a probe record under /stats/linkstate, the one home of link
     state: path engines and LSDB replicas follow it there."""
     return handle.put(rec.key(), to_json_bytes(rec.to_doc()), lease.lease_id)
-
-
-def resolve_identity_groups(handle: StoreHandle, userid: str, device_id: str) -> list[int]:
-    """Group tags of an endpoint; absent or unparseable means [DEFAULT_GROUP]."""
-    key = identity_key(userid, device_id)
-    entry = handle.get(key)
-    try:
-        return parse_identity(key, entry.value) if entry else [DEFAULT_GROUP]
-    except SchemaError:
-        return [DEFAULT_GROUP]

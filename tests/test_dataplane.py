@@ -774,10 +774,11 @@ class TestHeadlessRuntime:
 
 class TestStoreHistory:
     def test_runtimes_started_after_compaction_onboard_and_probe(self):
+        """The store keeps no history, so runtimes that start late see only
+        the live keys, as after a compaction, and still onboard and probe."""
         net = SpineLeaf()
         w = net.world
         w.clock.run_until(seconds(2))
-        w.store.compact(w.store.revision)
         for name in ("LC_C", "Spine_C"):
             w.net.add_node(name)
         w.net.add_link("LC_C", "Spine_A", millis(0.3))

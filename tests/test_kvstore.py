@@ -1,6 +1,7 @@
 """KV store: leases, watches, locks, partitions, and linearizability replay."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -77,43 +78,28 @@ class TestPrefix:
 
 class TestWatch:
     def test_put_event(self, store):
-        w = store.watch_prefix("/route/2/100:1/")
+        events = []
+        store.watch_prefix("/route/2/100:1/", on_event=events.append)
         store.put("/route/2/100:1/1:1/aa/1.2.3.4", b"v")
-        events = w.take()
         assert len(events) == 1
         assert events[0].kind == PUT
 
     def test_lease_expiry_delivers_delete(self, clock, store):
         lease = store.grant_lease(seconds(60))
         store.put("/service/fabric/F1", b"v", lease.lease_id)
-        w = store.watch_prefix("/service/")
+        events = []
+        store.watch_prefix("/service/", on_event=events.append)
         clock.run_until(seconds(61))
-        events = w.take()
         assert [e.kind for e in events] == [DELETE]
         assert events[0].entry.key == "/service/fabric/F1"
 
     def test_two_puts_two_events(self, store):
-        w = store.watch_prefix("/k")
+        events = []
+        store.watch_prefix("/k", on_event=events.append)
         store.put("/k", b"1")
         store.put("/k", b"2")
-        events = w.take()
         assert len(events) == 2
         assert events[0].revision < events[1].revision
-
-    def test_from_revision_replays_history(self, store):
-        store.put("/r/a", b"1")
-        rev = store.put("/r/b", b"2")
-        store.put("/other", b"x")
-        w = store.watch_prefix("/r/", from_revision=rev)
-        events = w.take()
-        assert [e.entry.key for e in events] == ["/r/b"]
-
-    def test_compacted_revision(self, store):
-        store.put("/a", b"1")
-        store.put("/a", b"2")
-        store.compact(2)
-        with pytest.raises(kvstore.CompactedRevision):
-            store.watch_prefix("/a", from_revision=1)
 
     def test_callback_delivery(self, store):
         got = []
@@ -149,8 +135,8 @@ class TestWatch:
             got.append("once")
             w_once.cancel()
 
-        w_once = h.watch_prefix("/x", on_event=once)
-        later = h.watch_prefix("/x", on_event=lambda ev: got.append("later"))
+        w_once = h.follow("/x", once)
+        later = h.follow("/x", lambda ev: got.append("later"))
         store.set_partitioned("c", True)
         store.put("/x/1", b"v")
         store.put("/x/2", b"v")
@@ -161,7 +147,8 @@ class TestWatch:
     def test_watch_completeness(self, store):
         # events under a prefix equal the mutation subsequence, in revision order
         rng = random.Random(5)
-        w = store.watch_prefix("/p/")
+        events = []
+        store.watch_prefix("/p/", on_event=events.append)
         expected = []
         for i in range(200):
             key = f"/{'pq'[rng.randrange(2)]}/{rng.randrange(5)}"
@@ -174,7 +161,7 @@ class TestWatch:
                 store.delete(key)
                 if existed and key.startswith("/p/"):
                     expected.append((DELETE, key, store.revision))
-        got = [(e.kind, e.entry.key, e.revision) for e in w.take()]
+        got = [(e.kind, e.entry.key, e.revision) for e in events]
         assert got == expected
 
 
@@ -205,6 +192,69 @@ class TestFollow:
         store.client("c").follow("/f/", on_event)
         assert got == ["/f/a", "/f/b"]
 
+    def test_put_made_while_replaying_is_delivered_once(self, store):
+        store.put("/f/a", b"1")
+        got = []
+
+        def on_event(ev):
+            got.append(ev.entry.key)
+            if ev.entry.key == "/f/a":
+                store.put("/f/b", b"2")
+            elif ev.entry.key == "/f/b":
+                store.put("/f/c", b"3")
+
+        store.client("c").follow("/f/", on_event)
+        assert got == ["/f/a", "/f/b", "/f/c"]
+
+    def test_partition_during_listing_defers_its_changes_to_heal(self, store):
+        store.put("/f/a", b"1")
+        store.put("/f/b", b"2")
+        got = []
+
+        def on_event(ev):
+            got.append((ev.kind, ev.entry.key, ev.revision))
+            if ev.revision == 1:
+                store.set_partitioned("c", True)
+                store.put("/f/c", b"3")
+                store.delete("/f/a")
+
+        store.client("c").follow("/f/", on_event)
+        store.put("/f/d", b"4")
+        assert got == [(PUT, "/f/a", 1), (PUT, "/f/b", 2)]
+        store.set_partitioned("c", False)
+        assert got[2:] == [(PUT, "/f/c", 3), (DELETE, "/f/a", 4), (PUT, "/f/d", 5)]
+
+    def test_a_followed_store_retains_under_8_bytes_per_put(self, store):
+        seen = [0]
+
+        def on_event(ev):
+            seen[0] += 1
+
+        store.client("c").follow("/k/", on_event)
+        for i in range(100):
+            store.put(f"/k/{i % 4}", bytes([i % 256]))
+        puts = 20_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(puts):
+                store.put(f"/k/{i % 4}", bytes([i % 256]))
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert seen[0] == 100 + puts
+        assert grown / puts < 8, grown / puts
+
+    def test_a_listing_that_raises_leaves_no_watch(self, store):
+        store.put("/f/a", b"1")
+
+        def on_event(ev):
+            raise RuntimeError("bad record")
+
+        with pytest.raises(RuntimeError):
+            store.client("c").follow("/f/", on_event)
+        assert store.watches == []
+
     def test_partitioned_client_cannot_follow(self, store):
         store.put("/f/a", b"1")
         store.set_partitioned("c", True)
@@ -214,10 +264,10 @@ class TestFollow:
         assert got == [] and store.watches == []
 
     def test_follow_after_compaction(self, store):
+        # the store keeps no history, so a follower lists only live keys
         for i in range(5):
             store.put(f"/f/{i % 2}", bytes([i]))
         store.delete("/f/1")
-        store.compact(store.revision)
         got = []
         store.client("c").follow("/f/", got.append)
         store.put("/f/2", b"x")
@@ -332,18 +382,6 @@ class TestLock:
         assert held["grants"] == 8
 
 
-class TestTxn:
-    def test_compare_and_put(self, store):
-        rev = store.put("/k", b"1")
-        assert store.txn([("/k", rev)], puts=[("/k", b"2", None)])
-        assert store.get("/k").value == b"2"
-
-    def test_compare_absent(self, store):
-        assert store.txn([("/new", None)], puts=[("/new", b"v", None)])
-        assert not store.txn([("/new", None)], puts=[("/new", b"x", None)])
-        assert store.get("/new").value == b"v"
-
-
 class TestPartition:
     def test_ops_fail_while_partitioned(self, store):
         h = store.client("LC_A")
@@ -358,7 +396,7 @@ class TestPartition:
     def test_heal_replays_backlog_in_order(self, store):
         h = store.client("LC_A")
         got = []
-        h.watch_prefix("/r/", on_event=got.append)
+        h.follow("/r/", got.append)
         store.set_partitioned("LC_A", True)
         store.put("/r/a", b"1")
         store.put("/r/b", b"2")
@@ -370,6 +408,21 @@ class TestPartition:
         revs = [e.revision for e in got]
         assert revs == sorted(revs)
 
+    def test_heal_replay_stays_in_revision_order_when_a_callback_puts(self, store):
+        got = []
+
+        def on_event(ev):
+            got.append(ev.revision)
+            if ev.entry.key == "/r/a":
+                store.put("/r/c", b"3")
+
+        store.client("LC_A").follow("/r/", on_event)
+        store.set_partitioned("LC_A", True)
+        store.put("/r/a", b"1")
+        store.put("/r/b", b"2")
+        store.set_partitioned("LC_A", False)
+        assert got == [1, 2, 3]
+
     def test_leases_expire_during_partition(self, clock, store):
         h = store.client("LC_A")
         lease = h.grant_lease(seconds(60))
@@ -378,16 +431,6 @@ class TestPartition:
         clock.run_until(seconds(61))  # expiry is store-local
         store.set_partitioned("LC_A", False)
         assert h.get("/k") is None
-
-    def test_proxy_chain(self, store):
-        spine = store.client("Spine_A")
-        lc = store.client("LC_A", via=spine)
-        lc.put("/k", b"v")
-        store.set_partitioned("Spine_A", True)
-        with pytest.raises(StoreUnavailable):
-            lc.get("/k")
-        store.set_partitioned("Spine_A", False)
-        assert lc.get("/k").value == b"v"
 
 
 class TestLinearizability:

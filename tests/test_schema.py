@@ -5,8 +5,9 @@ import random
 import pytest
 
 from ruta import schema
+from ruta.dataplane import LinecardRuntime, World
 from ruta.kvstore import KvStore
-from ruta.netsim import VirtualClock, seconds
+from ruta.netsim import Network, Trace, VirtualClock, seconds
 from ruta.schema import (
     LinkStateRecord,
     NodeRecord,
@@ -32,6 +33,18 @@ def store(clock):
 @pytest.fixture
 def handle(store):
     return store.client("test")
+
+
+@pytest.fixture
+def linecard(clock, store):
+    """A started linecard: it reads /identity/ and /control/group/ records
+    only through its follows of those prefixes."""
+    trace = Trace()
+    world = World(clock=clock, net=Network(clock, trace), store=store, trace=trace)
+    world.net.add_node("LC_A")
+    lc = LinecardRuntime(world, "LC_A", [make_sloc()])
+    lc.start()
+    return lc
 
 
 def make_sloc(ip="10.0.0.1", port=17777, color="inet", bw=1e9):
@@ -178,15 +191,6 @@ class TestRoutes:
                          prefix="10.0.0.0", mask=33,
                          site_id=1, system_name="X", policy_tag=0)
 
-    def test_withdraw(self, handle, clock):
-        route = ServiceRoute(route_type=2, export_rt="1:1", rd="1:1",
-                             mac="aa:bb:cc:dd:ee:ff", ip="1.2.3.4",
-                             site_id=1, system_name="X", policy_tag=0)
-        lease = handle.grant_lease(seconds(600))
-        schema.announce_route(handle, route, lease)
-        assert schema.withdraw_route(handle, route.key()) is True
-        assert schema.withdraw_route(handle, route.key()) is False
-
     def test_key_round_trip_fuzz(self):
         rng = random.Random(9)
         for _ in range(300):
@@ -282,19 +286,20 @@ class TestPolicy:
         with pytest.raises(schema.ValidationError):
             PolicyRule("permit", ("x|c|1.1.1.1:1",))
 
-    def test_identity_groups(self, handle):
+    def test_identity_groups(self, handle, linecard):
         handle.put(schema.identity_key("u1", "d1"),
                    schema.to_json_bytes({"groups": [10, 20]}))
-        assert schema.resolve_identity_groups(handle, "u1", "d1") == [10, 20]
-        assert schema.resolve_identity_groups(handle, "u2", "d1") == [0]
+        groups = linecard.identity_cache
+        assert groups[schema.identity_key("u1", "d1")] == [10, 20]
+        assert groups.get(schema.identity_key("u2", "d1"), [schema.DEFAULT_GROUP]) == [0]
 
-    def test_fetch_group_rules(self, handle):
+    def test_fetch_group_rules(self, handle, linecard):
         handle.put(schema.group_rule_key(10, 20),
                    schema.to_json_bytes(PolicyRule("deny").to_doc()))
         handle.put(schema.group_rule_key(10, "*"),
                    schema.to_json_bytes(
                        PolicyRule("steer", ("F|c|1.1.1.1:1",)).to_doc()))
-        rules = schema.fetch_group_rules(handle)
+        rules = linecard.policy_rules
         assert rules[(10, 20)].action == "deny"
         assert rules[(10, "*")].action == "steer"
 
@@ -419,9 +424,10 @@ class TestParsers:
         for doc in ({}, {"groups": []}):
             assert schema.parse_identity(key, schema.to_json_bytes(doc)) == [0]
 
-    def test_readers_skip_malformed_values(self, handle):
+    def test_readers_skip_malformed_values(self, handle, linecard):
         handle.put(schema.identity_key("u1", "d1"), b"[1]")
         handle.put(schema.group_rule_key(1, 2), b'{"action": 5}')
         handle.put("/control/group/x/2", schema.to_json_bytes({"action": "deny"}))
-        assert schema.resolve_identity_groups(handle, "u1", "d1") == [0]
-        assert schema.fetch_group_rules(handle) == {}
+        assert linecard.identity_cache.get(schema.identity_key("u1", "d1"),
+                                           [schema.DEFAULT_GROUP]) == [0]
+        assert linecard.policy_rules == {}
