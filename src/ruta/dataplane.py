@@ -1,16 +1,23 @@
 """Node runtimes and the forwarding state machine.
 
-Linecards encapsulate host frames after policy lookup and path selection,
-execute End.DT2U / End.DT4 on arrival, and keep forwarding from cached state
-when the store is unreachable.  Fabrics relay segments, filling a zeroed SRoU
-source from the observed outer source on the first hop (NAT traversal) and
-optionally admitting packets by a time-bucketed token carried in the 32-bit
-flow id.  STUN nodes answer address-discovery OAM; LSDB nodes mirror the
-store's link state as regional read replicas.
+Linecards encapsulate host frames after policy lookup and path selection
+and execute End.DT2U / End.DT4 on arrival.  Fabrics relay segments, filling
+a zeroed SRoU source from the observed outer source on the first hop (NAT
+traversal) and optionally admitting packets by a time-bucketed token carried
+in the 32-bit flow id.  STUN nodes answer address-discovery OAM; LSDB nodes
+mirror the store's link state as regional read replicas.
 
 Every runtime is a single-threaded event handler on the shared virtual
 clock: packet arrivals, timers, and watch callbacks.  Runtimes never share
 mutable state; they interact only through simulated packets and the store.
+
+Each runtime owns its store session: every subscription goes through
+`NodeRuntime.watch`, and every store call it makes from the event loop
+(onboarding, the service announce, keepalive, the link-state report and the
+route announce) goes through one guard.  Any failed store call makes the
+node headless: it keeps forwarding from cached state, and its watches buffer
+until heal and then replay.  Onboarding and the service announce retry every
+5 s; only a keepalive of both leases ends headless mode.
 
 Host frames are the minimal tuple (src_mac, dst_mac, src_ip, dst_ip,
 payload), serialized as 6+6+4+4 octets plus payload.
@@ -26,7 +33,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from . import schema, srou
-from .kvstore import DELETE, PUT, KvStore, StoreUnavailable
+from .kvstore import DELETE, PUT, KvStore, StoreError
 from .netsim import Datagram, Network, Trace, VirtualClock, seconds
 from .pathengine import (
     PATH_DIRECT,
@@ -111,15 +118,6 @@ def decode_frame(data: bytes) -> HostFrame:
         dst_ip=socket.inet_ntoa(data[16:20]),
         payload=bytes(data[20:]),
     )
-
-
-@dataclass(frozen=True)
-class Postcard:
-    node: str
-    flow_id: int
-    timestamp: int
-    segments_left: int
-    action: str
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +214,12 @@ _FRAME_DETAIL = {
                                               "flow_id": flow_id},
     "deliver": lambda host, dst_ip: {"host": host, "dst_ip": dst_ip},
     "app_rx": lambda ip, port, nbytes: {"source": f"{ip}:{port}", "nbytes": nbytes},
+    "postcard": lambda action, flow_id, sl: {"flow_id": flow_id, "sl": sl,
+                                             "action": action},
+    "malformed": lambda error: {"error": error},
+    "unknown_function": lambda code: {"code": code},
+    "policy_deny": lambda dst: {"dst": dst},
+    "passthrough": lambda nbytes: {"nbytes": nbytes},
 }
 
 
@@ -281,13 +285,11 @@ class NodeRuntime:
         self.alive = True
         self.headless = False
         self.counts: dict[str, int] = {}
-        self.postcards: list[Postcard] = []
         self.responder = ProbeResponder()
         self.sessions: dict[tuple[str, tuple[str, int]], ProbeSession] = {}
         self.service_dir: dict[str, list[ServiceSloc]] = {}
         self.short_index: dict[str, ServiceSloc] = {}
         self._watches = []
-        self._syncs = ()  # RouteSync / LinkStateSync, whose watches kill cancels
         self._stun_exchange = None
         self._stun_server = None  # the address STUN requests go to
         self._reported_state: dict[tuple[str, tuple[str, int]], str] = {}
@@ -318,13 +320,27 @@ class NodeRuntime:
     def kill(self) -> None:
         self.alive = False
         self.clock.cancel_owned(self)
-        for w in self._watches + [w for sync in self._syncs for w in sync.watches]:
+        for w in self._watches:
             w.cancel()
         self.net.kill(self.name)
         self.emit("killed")
 
+    # -- store session ------------------------------------------------------
+
     def watch(self, prefix: str, on_event) -> None:
         self._watches.append(self.handle.follow(prefix, on_event))
+
+    def _store_call(self, call: Callable, *args) -> bool:
+        """Make one store call; a failure makes the node headless instead of
+        raising out of the event loop."""
+        try:
+            call(*args)
+        except (StoreError, schema.NotRegistered):
+            if not self.headless:
+                self.headless = True
+                self.emit("headless_enter")
+            return False
+        return True
 
     # -- onboarding ---------------------------------------------------------
 
@@ -332,15 +348,17 @@ class NodeRuntime:
         for ss in self.slocs:
             self.net.bind(self.name, ss.sloc.private_ip, ss.sloc.private_port,
                           lambda pkt, ss=ss: self._on_datagram(ss, pkt))
-        try:
-            self.lease1 = self.handle.grant_lease(seconds(DEFAULT_LEASE1_S))
-            self.lease2 = self.handle.grant_lease(seconds(DEFAULT_LEASE2_S))
-            schema.register_node(self.handle, self.role, self.name, self.site_id,
-                                 self.location, self.lease1, done=self._registered)
-        except StoreUnavailable:
-            self.headless = True
-            self.emit("onboard_deferred")
-            self._later(seconds(5), self.start, "onboard-retry")
+        self._onboard()
+
+    def _onboard(self) -> None:
+        if not self._store_call(self._register):
+            self._later(seconds(5), self._onboard, "onboard-retry")
+
+    def _register(self) -> None:
+        self.lease1 = self.handle.grant_lease(seconds(DEFAULT_LEASE1_S))
+        self.lease2 = self.handle.grant_lease(seconds(DEFAULT_LEASE2_S))
+        schema.register_node(self.handle, self.role, self.name, self.site_id,
+                             self.location, self.lease1, done=self._registered)
 
     def _registered(self, record: NodeRecord) -> None:
         self.record = record
@@ -378,8 +396,10 @@ class NodeRuntime:
         self._stun_exchange.start()
 
     def _announce(self) -> None:
-        schema.announce_service(self.handle, self.record,
-                                [ss.sloc for ss in self.slocs], self.lease1)
+        if not self._store_call(schema.announce_service, self.handle, self.record,
+                                [ss.sloc for ss in self.slocs], self.lease1):
+            self._later(seconds(5), self._announce, "announce-retry")
+            return
         self.emit("announced")
         keepalive_ns = seconds(min(DEFAULT_LEASE1_S, DEFAULT_LEASE2_S)) // 2
         self.every(keepalive_ns, self._keepalive, "keepalive")
@@ -390,24 +410,13 @@ class NodeRuntime:
         pass
 
     def _keepalive(self) -> None:
-        try:
-            self.handle.keepalive(self.lease1.lease_id)
-            self.handle.keepalive(self.lease2.lease_id)
-            self._mark_store(True)
-        except StoreUnavailable:
-            self._mark_store(False)
-
-    def _mark_store(self, ok: bool) -> None:
-        if ok and self.headless:
+        if self._store_call(self._renew_leases) and self.headless:
             self.headless = False
             self.emit("headless_exit")
-            self.on_store_recovered()
-        elif not ok and not self.headless:
-            self.headless = True
-            self.emit("headless_enter")
 
-    def on_store_recovered(self) -> None:
-        pass
+    def _renew_leases(self) -> None:
+        self.handle.keepalive(self.lease1.lease_id)
+        self.handle.keepalive(self.lease2.lease_id)
 
     # -- sending ------------------------------------------------------------
 
@@ -434,7 +443,7 @@ class NodeRuntime:
             return
         except srou.CodecError as exc:
             self.count("drop_malformed")
-            self.emit("malformed", error=type(exc).__name__)
+            self.frame_trace.emit("malformed", type(exc).__name__)
             return
         if isinstance(msg, srou.OamMessage):
             self.on_oam(ss, pkt, msg)
@@ -554,11 +563,7 @@ class NodeRuntime:
                                   interval_s=self.probe_cfg.report_interval_ns / 1e9)
         except EmptyWindow:
             return
-        try:
-            schema.report_linkstate(self.handle, rec, self.lease2)
-            self._mark_store(True)
-        except StoreUnavailable:
-            self._mark_store(False)
+        self._store_call(schema.report_linkstate, self.handle, rec, self.lease2)
 
     def _report_linkstate(self) -> None:
         deltas = {}
@@ -588,9 +593,7 @@ class NodeRuntime:
         if isinstance(seg, srou.Waypoint):
             sl = lay.segments_left - 1
             if lay.t_bit:
-                self.postcards.append(Postcard(self.name, lay.flow_id,
-                                               self.clock.now, sl, "relay"))
-                self.emit("postcard", flow_id=lay.flow_id, sl=sl)
+                self.frame_trace.emit("postcard", "relay", lay.flow_id, sl)
             self.send_from(ss, (seg.address, seg.port), bytes(buf))
             self.count("relay")
             self.frame_trace.emit("relay", seg.address, seg.port, sl, lay.flow_id)
@@ -602,7 +605,7 @@ class NodeRuntime:
         """Run the active function segment; lay is the layout before relay
         advanced Segments Left."""
         self.count("drop_unknown_function")
-        self.emit("unknown_function", code=seg.function)
+        self.frame_trace.emit("unknown_function", seg.function)
 
 
 # ---------------------------------------------------------------------------
@@ -664,10 +667,9 @@ class LinecardRuntime(NodeRuntime):
         self.l2_local: dict[tuple[int, str], HostPort] = {}
         self.l3_local: dict[int, dict[str, HostPort]] = {}
         self.announced: set[str] = set()
-        self.route_sync = RouteSync(self.handle, self.imports_l2, self.imports_l3,
+        self.route_sync = RouteSync(self.imports_l2, self.imports_l3,
                                     on_delta=self._on_route_delta)
-        self.ls_sync = LinkStateSync(self.handle, on_delta=self._on_ls_delta)
-        self._syncs = (self.route_sync, self.ls_sync)
+        self.ls_sync = LinkStateSync(on_delta=self._on_ls_delta)
         self.policy_rules: dict = {}
         self.identity_cache: dict[str, list[int]] = {}
         self.path_cache: dict[str, tuple[ServiceSloc, ComputedPath]] = {}
@@ -689,8 +691,8 @@ class LinecardRuntime(NodeRuntime):
             self.l3_local.setdefault(host.vrf, {})[host.ip] = host
 
     def role_start(self) -> None:
-        self.route_sync.start()
-        self.ls_sync.start()
+        self.route_sync.start(self.watch)
+        self.ls_sync.start(self.watch)
         self.watch("/service/", self._on_service)
         self.watch("/control/group/", self._on_policy)
         self.watch("/identity/", self._on_identity)
@@ -710,12 +712,9 @@ class LinecardRuntime(NodeRuntime):
                              ip=host.ip, site_id=self.site_id,
                              system_name=self.name,
                              policy_tag=self._host_groups(host)[0])
-        try:
-            schema.announce_route(self.handle, route, self.lease2)
+        if self._store_call(schema.announce_route, self.handle, route, self.lease2):
             self.announced.add(host.name)
             self.emit("type2_announced", key=route.key())
-        except StoreUnavailable:
-            self._mark_store(False)
 
     def _host_groups(self, host: HostPort) -> list[int]:
         if host.identity is None:
@@ -762,13 +761,6 @@ class LinecardRuntime(NodeRuntime):
     def _refresh(self) -> None:
         self.path_cache.clear()
         self._headers.clear()
-        if not self.route_sync.started:
-            self.route_sync.start()
-        if not self.ls_sync.started:
-            self.ls_sync.start()
-
-    def on_store_recovered(self) -> None:
-        self.route_sync.table.headless = False
 
     def _probe_destinations(self) -> None:
         """Linecards actively probe each destination service node."""
@@ -909,7 +901,7 @@ class LinecardRuntime(NodeRuntime):
                                     [route.policy_tag])
         if rule.action == schema.ACTION_DENY:
             self.count("drop_policy_deny")
-            self.emit("policy_deny", dst=route.key())
+            self.frame_trace.emit("policy_deny", route.key())
             return None
 
         if rule.action == schema.ACTION_STEER:
@@ -962,9 +954,7 @@ class LinecardRuntime(NodeRuntime):
         self.send_from(local, outer_addr, wire)
         self.count("encap")
         if t_bit:
-            self.postcards.append(Postcard(self.name, flow_id, self.clock.now,
-                                           sl, "encap"))
-            self.emit("postcard", flow_id=flow_id, sl=sl)
+            self.frame_trace.emit("postcard", "encap", flow_id, sl)
         self.trace.append(self.clock.now, body)
         return wire
 
@@ -995,15 +985,15 @@ class LinecardRuntime(NodeRuntime):
 
     def execute_function(self, ss, pkt, lay, seg: srou.Function, inner) -> None:
         if lay.t_bit:
-            self.postcards.append(Postcard(self.name, lay.flow_id, self.clock.now,
-                                           lay.segments_left - 1, "function"))
+            self.frame_trace.emit("postcard", "function", lay.flow_id,
+                                  lay.segments_left - 1)
         if seg.function == srou.FUNC_END_DT2U:
             self._end_dt2u(seg.args, inner)
         elif seg.function == srou.FUNC_END_DT4:
             self._end_dt4(seg.args, inner)
         else:
             self.count("drop_unknown_function")
-            self.emit("unknown_function", code=seg.function)
+            self.frame_trace.emit("unknown_function", seg.function)
 
     def _end_dt2u(self, vnid: int, inner: bytes) -> None:
         try:
@@ -1073,11 +1063,10 @@ class LsdbRuntime(NodeRuntime):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.ls_sync = LinkStateSync(self.handle)
-        self._syncs = (self.ls_sync,)
+        self.ls_sync = LinkStateSync()
 
     def role_start(self) -> None:
-        self.ls_sync.start()
+        self.ls_sync.start(self.watch)
 
     def linkstate_records(self) -> dict[tuple[str, str], LinkStateRecord]:
         return self.ls_sync.records
@@ -1172,8 +1161,7 @@ class AppEndpoint:
             verdict = native_demux(pkt.payload)
         except srou.CodecError as exc:
             self.count("drop_malformed")
-            self.trace.emit(self.clock.now, self.name, "malformed",
-                            error=type(exc).__name__)
+            self.frame_trace.emit("malformed", type(exc).__name__)
             return
         if verdict[0] == "drop":
             self.count("drop_empty")
@@ -1184,8 +1172,7 @@ class AppEndpoint:
                                srou_source=(pkt.src_ip, pkt.src_port),
                                flow_id=0, raw=True)
             self.count("rx_passthrough")
-            self.trace.emit(self.clock.now, self.name, "passthrough",
-                            nbytes=len(payload))
+            self.frame_trace.emit("passthrough", len(payload))
             self._deliver(payload, ctx)
             return
         msg, inner = verdict[1], verdict[2]

@@ -17,8 +17,8 @@ Each linecard's edge map follows the link state delta by delta: a put or a
 delete recomputes only the two directions of the changed pair, and
 build_edges, the reference, runs again only when the SLA policy changes.
 
-When the store is unreachable the table freezes and keeps answering from
-cache (headless mode); the watch backlog replays on heal.
+The syncs are pure mirrors: each subscribes through the `follow` its owner
+hands to `start` and holds no store session of its own.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from . import srou
-from .kvstore import PUT, StoreHandle, StoreUnavailable, Watch, WatchEvent
+from .kvstore import PUT, WatchEvent
 from .schema import (  # noqa: F401  bench/layers.py rebinds from_json_bytes here
     LINKSTATE_PREFIX,
     STATUS_DOWN,
@@ -61,6 +61,10 @@ class NoFeasiblePath(PathError):
 
 class TooManySegments(PathError):
     pass
+
+
+# follow(prefix, on_event): list the prefix, then watch it
+Follow = Callable[[str, Callable[[WatchEvent], None]], None]
 
 
 @dataclass(frozen=True)
@@ -246,8 +250,6 @@ class Lpm:
 class RouteTable:
     type2: dict[tuple[int, str], ServiceRoute] = field(default_factory=dict)
     type5: dict[int, Lpm] = field(default_factory=dict)
-    cache_epoch: int = 0
-    headless: bool = False
 
     def resolve_l2(self, vnid: int, mac: str) -> ServiceRoute:
         route = self.type2.get((vnid, mac))
@@ -277,35 +279,20 @@ class RouteTable:
 
 
 class RouteSync:
-    """Mirror of the watched /route prefixes, one watch per imported RT."""
+    """Mirror of the watched /route prefixes, one follow per imported RT."""
 
-    def __init__(self, handle: StoreHandle, l2_imports: dict[str, int],
-                 l3_imports: dict[str, int],
+    def __init__(self, l2_imports: dict[str, int], l3_imports: dict[str, int],
                  on_delta: Optional[Callable[[str, ServiceRoute], None]] = None):
-        self.handle = handle
         self.l2_imports = dict(l2_imports)
         self.l3_imports = dict(l3_imports)
         self.on_delta = on_delta
         self.table = RouteTable()
-        self.watches: list[Watch] = []
-        self.started = False
 
-    def start(self) -> bool:
-        """Follow each imported RT prefix.
-
-        Returns False (headless) when the store is unreachable; the caller
-        retries later.
-        """
-        try:
-            for prefix in ([route_prefix(2, rt) for rt in sorted(self.l2_imports)]
-                           + [route_prefix(5, rt) for rt in sorted(self.l3_imports)]):
-                self.watches.append(self.handle.follow(prefix, self._apply))
-        except StoreUnavailable:
-            self.table.headless = True
-            return False
-        self.table.headless = False
-        self.started = True
-        return True
+    def start(self, follow: Follow) -> None:
+        """Follow each imported RT prefix."""
+        for prefix in ([route_prefix(2, rt) for rt in sorted(self.l2_imports)]
+                       + [route_prefix(5, rt) for rt in sorted(self.l3_imports)]):
+            follow(prefix, self._apply)
 
     def _apply(self, ev: WatchEvent) -> None:
         try:
@@ -330,7 +317,6 @@ class RouteSync:
                 lpm.insert(route.prefix, route.mask, route)
             else:
                 lpm.remove(route.prefix, route.mask)
-        self.table.cache_epoch = max(self.table.cache_epoch, ev.revision)
         if self.on_delta is not None:
             self.on_delta(ev.kind, route)
 
@@ -338,23 +324,14 @@ class RouteSync:
 class LinkStateSync:
     """Mirror of /stats/linkstate into an in-memory record map."""
 
-    def __init__(self, handle: StoreHandle,
-                 on_delta: Optional[Callable[[str, str], None]] = None):
-        self.handle = handle
+    def __init__(self, on_delta: Optional[Callable[[str, str], None]] = None):
         self.records: dict[tuple[str, str], LinkStateRecord] = {}
         self.on_delta = on_delta
-        self.watches: list[Watch] = []
-        self.started = False
         self._policy: Optional[SlaPolicy] = None
         self._edges: dict[tuple[str, str], float] = {}  # build_edges(records, _policy)
 
-    def start(self) -> bool:
-        try:
-            self.watches.append(self.handle.follow(LINKSTATE_PREFIX, self._apply))
-        except StoreUnavailable:
-            return False
-        self.started = True
-        return True
+    def start(self, follow: Follow) -> None:
+        follow(LINKSTATE_PREFIX, self._apply)
 
     def _apply(self, ev: WatchEvent) -> None:
         try:

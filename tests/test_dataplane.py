@@ -363,9 +363,13 @@ class TestRelayAndFunctions:
         net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2(), t_bit=True)
         w.clock.run_until(millis(20))
         # three processing hops: encap at LC_A, relay at Spine_A, function at LC_B
-        assert len(net.lc_a.postcards) == 1
-        assert len(net.spine_a.postcards) == 1
-        assert len(net.lc_b.postcards) == 1
+        cards = {node: [r["detail"] for r in w.trace.select("postcard", node)]
+                 for node in ("LC_A", "Spine_A", "LC_B")}
+        assert cards == {
+            "LC_A": [{"flow_id": 0, "sl": 2, "action": "encap"}],
+            "Spine_A": [{"flow_id": 0, "sl": 1, "action": "relay"}],
+            "LC_B": [{"flow_id": 0, "sl": 0, "action": "function"}],
+        }
         assert net.delivered
 
 
@@ -486,8 +490,16 @@ class TestEndDt4:
                                     system_name="LC_B", policy_tag=0)
         w.store.put(route.key(), schema.to_json_bytes(route.to_doc()))
         net.lc_a.hosts["H1"].vrf = 77
-        # resync after manual import tweak
-        net.lc_a.route_sync.start()
+        # follow only the prefix the new import adds; the others are followed already
+        added = schema.route_prefix(5, "200:1")
+
+        def follow_added(prefix, on_event):
+            if prefix == added:
+                net.lc_a.watch(prefix, on_event)
+
+        net.lc_a.route_sync.start(follow_added)
+        followed = [x.prefix for x in w.store.watches if x.client == "LC_A"]
+        assert added in followed and len(followed) == len(set(followed))
         return net
 
     def test_lpm_forward_and_deliver(self):
@@ -771,6 +783,56 @@ class TestHeadlessRuntime:
         w.clock.run_until(seconds(40))
         assert not net.lc_a.headless
 
+    @staticmethod
+    def natted_linecard(heal_s):
+        """A linecard behind a NAT whose store client is partitioned while
+        its STUN exchange is pending, then healed at heal_s."""
+        w = make_world()
+        w.net.add_node("LC_N")
+        w.net.add_nat("NAT1", "10.9.9.0/24", "198.51.100.7")
+        w.net.add_node("STUN1")
+        w.net.add_link("LC_N", "NAT1", millis(1))
+        w.net.add_link("NAT1", "STUN1", millis(1))
+        stun_rt = StunRuntime(w, "STUN1", [sloc("203.0.113.9", 3478)])
+        lc = LinecardRuntime(w, "LC_N", [sloc("10.9.9.2", 5500)], use_stun=True)
+        stun_rt.start()
+        lc.start()
+        w.clock.call_at(millis(1), lambda: w.store.set_partitioned("LC_N", True))
+        w.clock.call_at(seconds(heal_s), lambda: w.store.set_partitioned("LC_N", False))
+        return w, lc
+
+    def test_announce_after_stun_waits_out_a_partition(self):
+        w, lc = self.natted_linecard(heal_s=20)
+        w.clock.run_until(seconds(19))
+        assert lc.headless and w.store.get("/service/linecard/LC_N") is None
+        w.clock.run_until(seconds(60))
+        doc = schema.from_json_bytes(w.store.get("/service/linecard/LC_N").value)
+        assert (doc["slocs"][0]["public_ip"], doc["slocs"][0]["public_port"]) == (
+            "198.51.100.7", 40000)
+        assert not lc.headless  # the first keepalive after the announce
+        assert [r["event"] for r in w.trace.select("headless_enter", "LC_N")
+                + w.trace.select("headless_exit", "LC_N")] == [
+            "headless_enter", "headless_exit"]
+
+    def test_stun_partition_past_the_lease_leaves_the_node_headless(self):
+        w, lc = self.natted_linecard(heal_s=90)
+        w.clock.run_until(seconds(150))
+        assert lc.headless
+        assert w.store.get("/node/linecard/LC_N") is None  # the lease expired
+        assert len(w.trace.select("headless_enter", "LC_N")) == 1
+
+    def test_partition_past_the_lease_keeps_forwarding(self):
+        net = SpineLeaf()
+        w = net.world
+        w.clock.call_at(seconds(5), lambda: w.store.set_partitioned("Spine_B", True))
+        w.clock.call_at(seconds(100), lambda: w.store.set_partitioned("Spine_B", False))
+        w.clock.run_until(seconds(200))
+        assert [r["node"] for r in w.trace.select("headless_enter")] == ["Spine_B"]
+        assert net.spine_b.headless
+        net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2(b"after-heal"))
+        w.clock.run_until(seconds(201))
+        assert [f.payload for f in net.delivered] == [b"after-heal"]
+
 
 class TestStoreHistory:
     def test_runtimes_started_after_compaction_onboard_and_probe(self):
@@ -812,33 +874,66 @@ class TestStoreHistory:
 class TestTraceMemory:
     def test_steady_frames_add_under_32_bytes_per_trace_record(self):
         """Encap, relay and deliver repeat the same bodies frame after frame,
-        so what a frame leaves behind is its (time, body id) records."""
+        and so do the postcards of a T-bit frame, so what a frame leaves
+        behind is its (time, body id) records."""
+        for t_bit in (False, True):
+            net = SpineLeaf()
+            w = net.world
+            w.store.put(schema.group_rule_key(0, 0), schema.to_json_bytes(
+                PolicyRule("steer", ("Spine_A|inet|192.168.99.75:17777",)).to_doc()))
+            w.clock.run_until(seconds(3))
+            net.delivered = deque(maxlen=1)  # keep no delivered frame
+            frame = net.frame_h1_to_h2(bytes(44))
+
+            def send(frames):
+                for _ in range(frames):
+                    net.lc_a.inject_host_frame("H1", frame, t_bit=t_bit)
+                    w.clock.run_until(w.clock.now + 200_000)  # 5,000 frames/s
+
+            tracemalloc.start()
+            try:
+                send(2_000)
+                records0, traced0 = len(w.trace.records), tracemalloc.get_traced_memory()[0]
+                send(6_000)
+                records1, traced1 = len(w.trace.records), tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            w.clock.run_until(w.clock.now + millis(5))
+            assert net.lc_b.counts["deliver_host"] == 8_000
+            assert net.spine_a.counts["relay"] == 8_000
+            assert records1 - records0 >= (6 if t_bit else 3) * 6_000
+            per_record = (traced1 - traced0) / (records1 - records0)
+            assert per_record < 32, (t_bit, per_record)
+
+    def test_junk_datagrams_add_under_32_bytes_each(self):
+        """A malformed datagram from a peer leaves a count and a (time, body
+        id) record, not a trace body of its own."""
         net = SpineLeaf()
         w = net.world
-        w.store.put(schema.group_rule_key(0, 0), schema.to_json_bytes(
-            PolicyRule("steer", ("Spine_A|inet|192.168.99.75:17777",)).to_doc()))
         w.clock.run_until(seconds(3))
-        net.delivered = deque(maxlen=1)  # keep no delivered frame
-        frame = net.frame_h1_to_h2(bytes(44))
+        hdr = srou.SRoUHeader(
+            protocol_id=srou.ProtocolId.IPV4, source_address="192.168.99.77",
+            source_port=5547, segment_list=(srou.Function(1234, srou.FUNC_END_DT2U),),
+            segments_left=1)
+        junk = srou.encode_header(hdr)[:-2]  # its SRoU Length exceeds the packet
 
-        def send(frames):
-            for _ in range(frames):
-                net.lc_a.inject_host_frame("H1", frame)
-                w.clock.run_until(w.clock.now + 200_000)  # 5,000 frames/s
+        def send(datagrams):
+            for _ in range(datagrams):
+                w.net.send("LC_A", Datagram("192.168.99.77", 5547,
+                                            "192.168.99.75", 17777, junk))
+                w.clock.run_until(w.clock.now + 200_000)
 
         tracemalloc.start()
         try:
-            send(2_000)
-            records0, traced0 = len(w.trace.records), tracemalloc.get_traced_memory()[0]
-            send(6_000)
-            records1, traced1 = len(w.trace.records), tracemalloc.get_traced_memory()[0]
+            send(1_000)
+            traced0 = tracemalloc.get_traced_memory()[0]
+            send(5_000)
+            traced1 = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         w.clock.run_until(w.clock.now + millis(5))
-        assert net.lc_b.counts["deliver_host"] == 8_000
-        assert net.spine_a.counts["relay"] == 8_000
-        assert records1 - records0 >= 3 * 6_000
-        assert (traced1 - traced0) / (records1 - records0) < 32
+        assert net.spine_a.counts["drop_malformed"] == 6_000
+        assert (traced1 - traced0) / 5_000 <= 32, (traced1 - traced0) / 5_000
 
 
 class TestTimers:

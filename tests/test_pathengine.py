@@ -6,7 +6,7 @@ import random
 import pytest
 
 from ruta import pathengine, srou
-from ruta.kvstore import PUT, KvStore, StoreUnavailable
+from ruta.kvstore import PUT, KvStore
 from ruta.netsim import VirtualClock, seconds
 from ruta.pathengine import (
     ComputedPath,
@@ -341,7 +341,7 @@ class TestRouteSync:
         store = KvStore(clock)
         handle = store.client("LC_A")
         self.deltas = []  # (kind, mac) in the order on_delta saw them
-        sync = RouteSync(handle, l2_imports={"100:1": 1234}, l3_imports={},
+        sync = RouteSync(l2_imports={"100:1": 1234}, l3_imports={},
                          on_delta=lambda kind, route: self.deltas.append((kind, route.mac)))
         return clock, store, handle, sync
 
@@ -354,43 +354,34 @@ class TestRouteSync:
 
     def test_watch_updates_table(self):
         clock, store, handle, sync = self.build()
-        assert sync.start()
+        sync.start(handle.follow)
         self.put_route(store)
         assert (1234, "aa:aa:aa:aa:aa:aa") in sync.table.type2
-        assert sync.table.cache_epoch == store.revision
 
     def test_seed_then_watch_no_gap(self):
         clock, store, handle, sync = self.build()
         self.put_route(store, mac="aa:aa:aa:aa:aa:01")
-        assert sync.start()
+        sync.start(handle.follow)
         self.put_route(store, mac="aa:aa:aa:aa:aa:02")
         assert len(sync.table.type2) == 2
         assert self.deltas == [(PUT, "aa:aa:aa:aa:aa:01"), (PUT, "aa:aa:aa:aa:aa:02")]
 
     def test_headless_freeze_and_heal_replay(self):
         clock, store, handle, sync = self.build()
-        assert sync.start()
+        sync.start(handle.follow)
         route = self.put_route(store, mac="aa:aa:aa:aa:aa:01")
         store.set_partitioned("LC_A", True)
-        sync.table.headless = True
         self.put_route(store, mac="aa:aa:aa:aa:aa:02")
         # frozen cache still answers
         assert sync.table.resolve_l2(1234, "aa:aa:aa:aa:aa:01") == route
         assert (1234, "aa:aa:aa:aa:aa:02") not in sync.table.type2
         store.set_partitioned("LC_A", False)
-        sync.table.headless = False
         assert (1234, "aa:aa:aa:aa:aa:02") in sync.table.type2
         assert self.deltas == [(PUT, "aa:aa:aa:aa:aa:01"), (PUT, "aa:aa:aa:aa:aa:02")]
 
-    def test_start_unavailable_goes_headless(self):
-        clock, store, handle, sync = self.build()
-        store.set_partitioned("LC_A", True)
-        assert not sync.start()
-        assert sync.table.headless
-
     def test_withdraw_removes(self):
         clock, store, handle, sync = self.build()
-        sync.start()
+        sync.start(handle.follow)
         route = self.put_route(store)
         store.delete(route.key())
         assert sync.table.type2 == {}
@@ -405,8 +396,8 @@ class TestLinkStateSync:
     def test_edge_map_follows_every_delta(self, seed):
         rng = random.Random(seed)
         store = KvStore(VirtualClock())
-        sync = LinkStateSync(store.client("LC_A"))
-        assert sync.start()
+        sync = LinkStateSync()
+        sync.start(store.client("LC_A").follow)
         shorts = [f"N{i}|inet|10.0.0.{i}:1" for i in range(5)]
         policies = [SlaPolicy(), SlaPolicy(loss_penalty_ms=10.0, jitter_weight=0.5)]
         policy = policies[0]
