@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 from . import schema, srou
 from .kvstore import DELETE, PUT, KvStore, StoreError
-from .netsim import Datagram, Network, Trace, VirtualClock, seconds
+from .netsim import Datagram, Network, ScheduledEvent, Trace, VirtualClock, seconds
 from .pathengine import (
     PATH_DIRECT,
     PATH_ENGINEERED,
@@ -305,9 +305,9 @@ class NodeRuntime:
     def emit(self, event: str, **detail) -> None:
         self.trace.emit(self.clock.now, self.name, event, **detail)
 
-    def _later(self, delay_ns: int, fn: Callable[[], None], label: str) -> None:
+    def _later(self, delay_ns: int, fn: Callable[[], None], label: str) -> ScheduledEvent:
         """Run fn after delay_ns unless the runtime is killed first."""
-        self.clock.call_later(delay_ns, fn, label, owner=self)
+        return self.clock.call_later(delay_ns, fn, label, owner=self)
 
     def every(self, interval_ns: int, fn: Callable[[], None], label: str) -> None:
         def tick():
@@ -392,7 +392,7 @@ class NodeRuntime:
             self.emit("stun_failed", error=str(exc))
             self._announce()
 
-        self._stun_exchange = StunExchange(self.clock, send_request, on_result, on_error)
+        self._stun_exchange = StunExchange(self._later, send_request, on_result, on_error)
         self._stun_exchange.start()
 
     def _announce(self) -> None:
@@ -460,8 +460,7 @@ class NodeRuntime:
                 if session is None:
                     self.count("probe_unmatched")
                     return
-                out = session.on_response(msg, self.clock.now)
-                if out is not None:
+                if session.on_response(msg, self.clock.now):
                     self.on_probe_outcome(session)
         elif msg.oam_type == srou.OamType.STUN:
             exchange = self._stun_exchange
@@ -534,15 +533,10 @@ class NodeRuntime:
         return True
 
     def _probe_tick(self, session: ProbeSession) -> None:
+        if session.expire(self.clock.now):
+            self.on_probe_outcome(session)
         req = session.make_request(self.clock.now)
-        seq = session.seq
         self.send_from(session.local, session.peer.public_addr, srou.encode_oam(req))
-
-        def timeout():
-            if session.on_timeout(seq):
-                self.on_probe_outcome(session)
-
-        self._later(session.timeout_ns, timeout, "probe-timeout")
 
     def sessions_to(self, system_name: str) -> list[ProbeSession]:
         return [s for s in self.sessions.values()

@@ -2,30 +2,32 @@
 
 Each probe carries four timestamps (t1 requester send, t2 responder receive,
 t3 responder send, t4 requester receive); two-way delay is
-(t4 - t1) - (t3 - t2), which cancels responder processing time.  Jitter uses
+(t4 - t1) - (t3 - t2), which cancels responder processing time.  A
+turnaround t3 - t2 outside [0, t4 - t1] is not the responder's, so the delay
+falls back to the round trip t4 - t1 and is never negative.  Jitter uses
 the classic 1/16 smoothed estimator over consecutive delay differences; a
 link is declared down after a run of consecutive losses.  All constants are
 per-session configuration.
 
-Loss rate and mean delay over the window are running sums (a lost count and
-an integer-nanosecond delay sum), updated as an outcome enters the window
-and as one leaves it, so reading them costs the same at any window size.
-The window holds each outcome as a plain tuple of `ProbeOutcome`'s seven
-fields, which the cyclic garbage collector stops tracking once it has seen
-it; `ProbeSession.outcomes` builds the `ProbeOutcome` objects on read.
+The window holds one int per probe: its two-way delay in ns, or LOST.  Loss
+rate and mean delay over the window are running sums (a lost count and an
+integer-nanosecond delay sum), updated as a sample enters the window and as
+one leaves it, so reading them costs the same at any window size.
 
-Sessions hold no timers themselves: the owning node runtime feeds them
-(request generation, responses, timeouts) from its event loop.
+Sessions hold no timers: on each tick the owning node runtime calls `expire`
+and then `make_request`, and it hands every response to `on_response`.  A
+probe is lost when the first tick at least `timeout_ns` after it finds it
+unanswered; with a timeout that is a multiple of the interval (the default
+is two), that tick comes exactly `timeout_ns` after the probe.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import srou
-from .netsim import NS_PER_US, VirtualClock, seconds
+from .netsim import NS_PER_US, ScheduledEvent, seconds
 from .schema import STATUS_DOWN, STATUS_UP, LinkStateRecord, ServiceSloc
 
 DEFAULT_INTERVAL_NS = seconds(1)
@@ -33,6 +35,7 @@ DEFAULT_WINDOW = 100
 DEFAULT_TIMEOUT_NS = seconds(2)
 DEFAULT_DOWN_AFTER = 3
 JITTER_GAIN = 16
+LOST = -1  # the window sample of a lost probe
 
 
 class ProberError(Exception):
@@ -52,31 +55,11 @@ class StunTimeout(ProberError):
 
 
 def _twd_ns(t1: int, t2: int, t3: int, t4: int) -> int:
-    """Two-way delay: the round trip less the responder's turnaround."""
-    return (t4 - t1) - (t3 - t2)
-
-
-@dataclass
-class ProbeOutcome:
-    seq: int
-    sent_at: int
-    lost: bool
-    t1: int = 0
-    t2: int = 0
-    t3: int = 0
-    t4: int = 0
-
-    def _row(self) -> tuple:
-        """The fields in declaration order, as `ProbeOutcome(*row)` takes them."""
-        return (self.seq, self.sent_at, self.lost, self.t1, self.t2, self.t3, self.t4)
-
-    @property
-    def two_way_delay_ns(self) -> int:
-        return _twd_ns(self.t1, self.t2, self.t3, self.t4)
-
-    @property
-    def two_way_delay_us(self) -> float:
-        return self.two_way_delay_ns / NS_PER_US
+    """Two-way delay: the round trip less the responder's turnaround, or the
+    round trip alone when the peer reports a turnaround it cannot have had."""
+    rtt = t4 - t1
+    turnaround = t3 - t2
+    return rtt - turnaround if 0 <= turnaround <= rtt else rtt
 
 
 class ProbeSession:
@@ -94,9 +77,9 @@ class ProbeSession:
         self.timeout_ns = timeout_ns
         self.down_after = down_after
         self.seq = 0
-        self.pending: dict[int, int] = {}  # seq -> t1
-        self._window: deque[tuple] = deque(maxlen=window)  # ProbeOutcome fields
-        self._lost = 0      # lost outcomes in the window
+        self.pending: dict[int, int] = {}  # seq -> t1, oldest first
+        self._window: deque[int] = deque(maxlen=window)  # two-way delay ns or LOST
+        self._lost = 0      # lost probes in the window
         self._delay_ns = 0  # sum of the window's delivered two-way delays
         self.smoothed_jitter_us = 0.0
         self.consecutive_losses = 0
@@ -113,61 +96,58 @@ class ProbeSession:
             payload=srou.LinkstateData(seq=self.seq, timestamp=now),
         )
 
-    def on_response(self, msg: srou.OamMessage, now: int) -> Optional[ProbeOutcome]:
-        """Record a response; returns the outcome, or None for late/unknown."""
+    def on_response(self, msg: srou.OamMessage, now: int) -> bool:
+        """Record a response; False for a late or unknown one."""
         if msg.oam_type != srou.OamType.LINKSTATE or \
                 msg.oam_subtype != srou.LINKSTATE_RESPONSE:
             raise MalformedOam(f"unexpected {msg.oam_type}/{msg.oam_subtype}")
         p = msg.payload
         t1 = self.pending.pop(p.sender_seq, None)
         if t1 is None:
-            return None
+            return False
         if p.sender_timestamp != t1:
             self.t1_mismatches += 1  # the sender's own T1 counts, as in TWAMP
-        out = ProbeOutcome(seq=p.sender_seq, sent_at=t1, lost=False,
-                           t1=t1, t2=p.received_timestamp,
-                           t3=p.timestamp, t4=now)
-        self._push(out)
+        twd_ns = _twd_ns(t1, p.received_timestamp, p.timestamp, now)
+        self._push(twd_ns)
         self.consecutive_losses = 0
-        twd = out.two_way_delay_us
+        twd = twd_ns / NS_PER_US
         if self._last_twd_us is not None:
             diff = abs(twd - self._last_twd_us)
             self.smoothed_jitter_us += (diff - self.smoothed_jitter_us) / JITTER_GAIN
         self._last_twd_us = twd
-        return out
-
-    def on_timeout(self, seq: int) -> bool:
-        """Declare a probe lost if it is still outstanding."""
-        t1 = self.pending.pop(seq, None)
-        if t1 is None:
-            return False
-        self._push(ProbeOutcome(seq=seq, sent_at=t1, lost=True))
-        self.lost_total += 1
-        self.consecutive_losses += 1
         return True
 
-    @property
-    def outcomes(self) -> list[ProbeOutcome]:
-        """The window, oldest first."""
-        return [ProbeOutcome(*row) for row in self._window]
+    def expire(self, now: int) -> bool:
+        """Declare lost every probe unanswered for at least timeout_ns;
+        True when any was."""
+        lost = [seq for seq, t1 in self.pending.items() if now - t1 >= self.timeout_ns]
+        for seq in lost:  # oldest first
+            del self.pending[seq]
+            self._push(LOST)
+        self.lost_total += len(lost)
+        self.consecutive_losses += len(lost)
+        return bool(lost)
 
-    def _push(self, out: ProbeOutcome) -> None:
-        """Append to the window; the sums follow the outcome that enters it
+    @property
+    def outcomes(self) -> tuple[int, ...]:
+        """The window, oldest first: each probe's two-way delay in ns, or LOST."""
+        return tuple(self._window)
+
+    def _push(self, sample: int) -> None:
+        """Append to the window; the sums follow the sample that enters it
         and the one the deque evicts."""
         if len(self._window) == self.window:
             if not self.window:
                 return  # a zero window keeps nothing
             self._count(self._window[0], -1)
-        row = out._row()
-        self._count(row, 1)
-        self._window.append(row)
+        self._count(sample, 1)
+        self._window.append(sample)
 
-    def _count(self, row: tuple, sign: int) -> None:
-        _, _, lost, t1, t2, t3, t4 = row
-        if lost:
+    def _count(self, sample: int, sign: int) -> None:
+        if sample == LOST:
             self._lost += sign
         else:
-            self._delay_ns += sign * _twd_ns(t1, t2, t3, t4)
+            self._delay_ns += sign * sample
 
     @property
     def status(self) -> str:
@@ -262,16 +242,18 @@ def full_mesh_targets(local_slocs: list[ServiceSloc],
 class StunExchange:
     """Public-address discovery: send, await, retry with 1s/2s/4s backoff.
 
-    The runtime supplies send_request() and routes STUN responses back via
-    on_response(); on_result / on_error fire exactly once.
+    The runtime supplies call_later(delay_ns, fn, label), so that the retry
+    timer is its own and dies with it, and send_request(); it routes STUN
+    responses back via on_response().  on_result / on_error fire exactly once.
     """
 
     BACKOFF_NS = (seconds(1), seconds(2), seconds(4))
 
-    def __init__(self, clock: VirtualClock, send_request: Callable[[], None],
+    def __init__(self, call_later: Callable[[int, Callable[[], None], str], ScheduledEvent],
+                 send_request: Callable[[], None],
                  on_result: Callable[[str, int], None],
                  on_error: Callable[[Exception], None]):
-        self.clock = clock
+        self.call_later = call_later
         self.send_request = send_request
         self.on_result = on_result
         self.on_error = on_error
@@ -292,7 +274,7 @@ class StunExchange:
         backoff = self.BACKOFF_NS[self.attempt]
         self.attempt += 1
         self.send_request()
-        self._timer = self.clock.call_later(backoff, self._try, label="stun-retry")
+        self._timer = self.call_later(backoff, self._try, "stun-retry")
 
     def on_response(self, msg: srou.OamMessage) -> None:
         if self.done:

@@ -368,6 +368,10 @@ class LinkStateRecord:
                            ("utilization_tx", self.utilization_tx)):
             if not 0.0 <= frac <= 1.0:
                 raise ValidationError(f"{name}={frac} outside [0,1]")
+        for name, us in (("two_way_delay_us", self.two_way_delay_us),
+                         ("jitter_us", self.jitter_us)):
+            if not us >= 0.0:  # NaN fails too
+                raise ValidationError(f"{name}={us} is negative or NaN")
         if self.status not in (STATUS_UP, STATUS_DOWN):
             raise ValidationError(f"bad status {self.status!r}")
 

@@ -979,6 +979,26 @@ class TestKill:
         assert lc.ls_sync.records == before
         assert net.lc_b.ls_sync.records != before  # the others kept reporting
 
+    def test_kill_stops_a_pending_stun_exchange(self):
+        # STUN never gets through, and the linecard is killed while its
+        # exchange is still retrying: nothing of it may run afterwards
+        w = make_world()
+        w.net.add_node("LC_N")
+        w.net.add_nat("NAT1", "10.9.9.0/24", "198.51.100.7")
+        w.net.add_node("STUN1")
+        uplink = w.net.add_link("LC_N", "NAT1", millis(1))
+        w.net.add_link("NAT1", "STUN1", millis(1))
+        StunRuntime(w, "STUN1", [sloc("203.0.113.9", 3478)]).start()
+        lc = LinecardRuntime(w, "LC_N", [sloc("10.9.9.2", 5500)], use_stun=True)
+        lc.start()
+        w.clock.call_at(millis(1), lambda: setattr(uplink, "up", False))
+        w.clock.call_at(millis(500), lc.kill)
+        w.clock.run_until(seconds(30))
+        events = [r["event"] for r in w.trace.records if r["node"] == "LC_N"]
+        assert events[events.index("killed"):] == ["killed"]
+        assert w.store.get("/service/linecard/LC_N") is None
+        assert not any(x.client == "LC_N" for x in w.store.watches)
+
 
 class TestLsdbReplica:
     def test_lsdb_mirrors_the_store_and_te_reads_it(self):

@@ -27,13 +27,13 @@ SIM_NS = 2_000_000_000
 GOLDEN = {
     "steer_2x2": (partial(worlds.steer_2x2, rate=200), "a2cad4354f310f41",
                   "c13bc81a0c4a8fa382391d7858f180284408dc328039ec1ca729a1e6c9e9547f",
-                  1282),
+                  1274),
     "mesh_4x32": (partial(worlds.mesh_4x32, spines=2, leaves=8, rate=10), "2f6ceff6568c502d",
                   "2a6fefc5c42f49c260fdc35adbf588903bc5e90a3dd86ab289f3fb8e0fdc1672",
-                  1876),
+                  1654),
     "nat_echo": (partial(worlds.nat_echo, boxes=2, clients=2, rate=20), "dd86e42de75c1d64",
                  "dda6fae44fece2d37209b2898f74352bba0513b8acf4cb4b9c641c7246f98aa1",
-                 1268),
+                 1256),
 }
 
 

@@ -405,19 +405,21 @@ class TestLinkStateSync:
             if step % 97 == 5:
                 policy = rng.choice(policies)
             src, dst = rng.sample(shorts, 2)
-            rec = make_rec(src, dst, rng.choice((rng.uniform(1e3, 4e5), float("nan"))),
+            delay = rng.choice((rng.uniform(1e3, 4e5), float("nan")))
+            rec = make_rec(src, dst, 0.0 if delay != delay else delay,
                            loss=rng.choice((0.0, rng.random())),
                            jitter=rng.uniform(0, 900),
                            status="down" if rng.random() < 0.2 else "up")
+            doc = dict(rec.to_doc(), two_way_delay_us=delay)  # NaN: a rejected put
             kind = rng.randrange(10)
             if kind < 6:
-                store.put(rec.key(), to_json_bytes(rec.to_doc()))
+                store.put(rec.key(), to_json_bytes(doc))
             elif kind < 8:
                 store.delete(rec.key())
             elif kind == 8:
                 store.put(rec.key(), storegen.malformed_value(rng, rec.to_doc()))
             else:
-                store.put(LINKSTATE_PREFIX + src, to_json_bytes(rec.to_doc()))
+                store.put(LINKSTATE_PREFIX + src, to_json_bytes(doc))
             if step >= 20:  # the first edges() call builds the map
                 assert self.bits(sync.edges(policy)) == \
                     self.bits(build_edges(sync.records, policy))

@@ -1,6 +1,5 @@
 """Link prober: TWAMP math, loss/jitter estimators, responder, STUN exchange."""
 
-import dataclasses
 import gc
 import random
 
@@ -8,7 +7,7 @@ import pytest
 
 from ruta import prober, srou
 from ruta.netsim import Datagram, Network, Trace, VirtualClock, millis, seconds
-from ruta.prober import ProbeOutcome, ProbeResponder, ProbeSession, StunExchange
+from ruta.prober import LOST, ProbeResponder, ProbeSession, StunExchange
 from ruta.schema import ServiceSloc, Sloc
 
 
@@ -18,7 +17,8 @@ def service_sloc(name, ip, port, color="inet", bw=1e9):
 
 
 class ProbeHarness:
-    """Two endpoints exchanging linkstate OAM over one simulated link."""
+    """Two endpoints exchanging linkstate OAM over one simulated link; A
+    ticks the way a node runtime does: expire, then send a request."""
 
     def __init__(self, delay_ab=millis(20), delay_ba=millis(20), seed=0,
                  loss_ab=0.0, loss_ba=0.0, window=100,
@@ -47,19 +47,21 @@ class ProbeHarness:
         self.net.send("B", Datagram("10.0.0.2", 7002, pkt.src_ip, pkt.src_port,
                                     srou.encode_oam(resp)))
 
-    def send_probe(self):
+    def tick(self):
+        self.session.expire(self.clock.now)
         req = self.session.make_request(self.clock.now)
-        seq = self.session.seq
         self.net.send("A", Datagram("10.0.0.1", 7001, "10.0.0.2", 7002,
                                     srou.encode_oam(req)))
-        self.clock.call_later(self.session.timeout_ns,
-                              lambda: self.session.on_timeout(seq))
 
     def run_probes(self, n):
+        """n ticks, then settle the last probes once their timeout is over."""
+        last = self.clock.now + n * self.session.interval_ns
         for i in range(n):
             self.clock.call_at(self.clock.now + (i + 1) * self.session.interval_ns,
-                               self.send_probe)
+                               self.tick)
         self.clock.run_until_quiescent()
+        self.clock.run_until(last + self.session.timeout_ns)
+        self.session.expire(self.clock.now)
 
 
 class TestResponder:
@@ -153,10 +155,27 @@ class TestMetrics:
                                      received_timestamp=millis(20),
                                      sender_seq=req.payload.seq,
                                      sender_timestamp=millis(30)))
-        out = session.on_response(forged, millis(40))
-        assert out.two_way_delay_us == 40_000.0
+        assert session.on_response(forged, millis(40)) is True
+        assert session.outcomes == (millis(40),)
         assert session.metrics(millis(40)).two_way_delay_us == 40_000.0
         assert session.t1_mismatches == 1
+
+    @pytest.mark.parametrize("t2, t3", [(0, millis(500)), (millis(500), 0),
+                                        (millis(1), millis(42))])
+    def test_forged_turnaround_falls_back_to_round_trip(self, t2, t3):
+        # a turnaround t3 - t2 outside [0, t4 - t1] cannot be the responder's:
+        # the session keeps the round trip instead of a delay it would make
+        # negative or larger than the round trip
+        session = ProbeSession(service_sloc("A", "10.0.0.1", 7001),
+                               service_sloc("B", "10.0.0.2", 7002))
+        req = session.make_request(0)
+        forged = srou.OamMessage(srou.OamType.LINKSTATE, srou.LINKSTATE_RESPONSE,
+                                 srou.LinkstateData(
+                                     seq=1, timestamp=t3, received_timestamp=t2,
+                                     sender_seq=req.payload.seq,
+                                     sender_timestamp=req.payload.timestamp))
+        assert session.on_response(forged, millis(40))
+        assert session.metrics(millis(40)).two_way_delay_us == 40_000.0
 
     def test_honest_echo_counts_no_mismatch(self):
         h = ProbeHarness(delay_ab=millis(20), delay_ba=millis(20))
@@ -192,18 +211,22 @@ class TestMetrics:
         h = ProbeHarness(window=100, loss_ab=0.2, seed=3)
         h.run_probes(300)
         gc.collect()
-        assert len(h.session._window) == 100
-        assert not any(gc.is_tracked(row) for row in h.session._window)
-        outcomes = h.session.outcomes
-        seqs = {o.seq for o in outcomes}  # a loss lands when its timeout fires
-        assert len(seqs) == 100 and max(seqs) == 300 and min(seqs) > 190
-        assert 0 < sum(o.lost for o in outcomes) < 100
-        assert {o.two_way_delay_us for o in outcomes if not o.lost} == {40_000.0}
+        window = h.session.outcomes
+        assert len(window) == 100 and not h.session.pending
+        assert all(type(sample) is int for sample in window)
+        assert not any(gc.is_tracked(sample) for sample in h.session._window)
+        assert 0 < window.count(LOST) < 100
+        assert h.session.loss_rate() == window.count(LOST) / 100
+        assert set(window) - {LOST} == {millis(40)}
 
-    def test_outcome_row_round_trips_every_field(self):
-        o = ProbeOutcome(seq=7, sent_at=11, lost=False, t1=13, t2=17, t3=19, t4=23)
-        assert len(o._row()) == len(dataclasses.fields(ProbeOutcome))
-        assert ProbeOutcome(*o._row()) == o
+    def test_loss_lands_at_the_first_tick_past_the_timeout(self):
+        # a timeout of 1.5 intervals: the probe sent at one tick is still
+        # pending at the next and lost at the second
+        s = ProbeHarness(interval=seconds(1), timeout=millis(1500)).session
+        s.make_request(seconds(1))
+        assert s.expire(seconds(2)) is False and list(s.pending) == [1]
+        assert s.expire(seconds(3)) is True
+        assert (s.pending, s.lost_total, s.outcomes) == ({}, 1, (LOST,))
 
     @pytest.mark.parametrize("window", [0, 1, 5, 100])
     def test_window_sums_match_window_walk(self, window):
@@ -214,20 +237,20 @@ class TestMetrics:
             now += rng.randrange(1, 2_000_000_000)
             req = s.make_request(now)
             if rng.random() < 0.3:
-                s.on_timeout(s.seq)
+                now += s.timeout_ns
+                assert s.expire(now)
             else:
                 t2 = now + rng.randrange(1, 90_000_000)
                 t3 = t2 + rng.randrange(0, 5_000)
                 now = t3 + rng.randrange(1, 90_000_000)
-                s.on_response(srou.OamMessage(
+                assert s.on_response(srou.OamMessage(
                     srou.OamType.LINKSTATE, srou.LINKSTATE_RESPONSE, srou.LinkstateData(
                         seq=1, timestamp=t3, received_timestamp=t2,
                         sender_seq=req.payload.seq,
                         sender_timestamp=req.payload.timestamp)), now)
-            outcomes = list(s.outcomes)
-            delivered = [o.two_way_delay_us for o in outcomes if not o.lost]
-            assert s.loss_rate() == (sum(o.lost for o in outcomes) / len(outcomes)
-                                     if outcomes else 0.0)
+            window = s.outcomes
+            delivered = [sample / 1000 for sample in window if sample != LOST]
+            assert s.loss_rate() == (window.count(LOST) / len(window) if window else 0.0)
             assert s.two_way_delay_us() == pytest.approx(
                 sum(delivered) / len(delivered) if delivered else 0.0, rel=1e-12, abs=0)
 
@@ -240,10 +263,10 @@ class TestMetrics:
         assert rec.utilization_tx == pytest.approx(1.0)  # clamped
 
     def test_seq_strictly_increases(self):
+        # expire walks pending oldest first: seq order is send order
         h = ProbeHarness()
-        h.run_probes(10)
-        seqs = [o.seq for o in h.session.outcomes]
-        assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
+        seqs = [h.session.make_request(seconds(t)).payload.seq for t in range(10)]
+        assert seqs == list(range(1, 11)) and list(h.session.pending) == seqs
 
 
 class TestFullMesh:
@@ -300,7 +323,7 @@ class TestStunExchange:
             net.send("client", Datagram("10.9.9.2", 6000, "203.0.113.99", 3478,
                                         srou.encode_oam(req)))
 
-        ex = StunExchange(clock, send_request,
+        ex = StunExchange(clock.call_later, send_request,
                           on_result=lambda ip, port: results.append((ip, port)),
                           on_error=errors.append)
         net.bind("client", "10.9.9.2", 6000,
@@ -338,7 +361,8 @@ class TestStunExchange:
             net.send("client", Datagram("192.0.2.5", 6000, "203.0.113.99", 3478,
                                         srou.encode_oam(req)))
 
-        ex = StunExchange(clock, send_request, lambda ip, port: results.append((ip, port)),
+        ex = StunExchange(clock.call_later, send_request,
+                          lambda ip, port: results.append((ip, port)),
                           on_error=lambda e: None)
         net.bind("client", "192.0.2.5", 6000,
                  lambda pkt: ex.on_response(srou.decode_oam(pkt.payload)[0]))

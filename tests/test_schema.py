@@ -231,6 +231,21 @@ class TestLinkstate:
                             loss=1.01, utilization_rx=0.0, utilization_tx=0.0,
                             status="up", sampled_at=0)
 
+    @pytest.mark.parametrize("field", ["two_way_delay_us", "jitter_us"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan")])
+    def test_negative_or_nan_timing_rejected(self, field, value):
+        # a stored record comes from another node: a negative delay would
+        # give the path search a negative edge cost
+        doc = dict(src="a|c|1.1.1.1:1", dst="b|c|2.2.2.2:2", two_way_delay_us=1.0,
+                   jitter_us=0.0, loss=0.0, utilization_rx=0.0, utilization_tx=0.0,
+                   status="up", sampled_at=0)
+        doc[field] = value
+        with pytest.raises(schema.ValidationError):
+            LinkStateRecord(**doc)
+        with pytest.raises(schema.SchemaError):
+            schema.parse_linkstate(schema.linkstate_key(doc["src"], doc["dst"]),
+                                   schema.to_json_bytes(doc))
+
     def test_down_record_written_not_deleted(self, handle, clock):
         rec = LinkStateRecord(src="a|c|1.1.1.1:1", dst="b|c|2.2.2.2:2",
                               two_way_delay_us=0.0, jitter_us=0.0, loss=1.0,
