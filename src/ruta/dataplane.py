@@ -435,9 +435,9 @@ class NodeRuntime:
         payload = pkt.payload
         try:
             if len(payload) > 3 and payload[3] == srou.ProtocolId.OAM:
-                msg, _ = srou.decode_packet(payload)
+                lay = srou._oam_layout(payload)  # checked like decode_packet
             else:
-                msg = srou._layout(payload)  # checked like decode_packet, not decoded
+                lay = srou._layout(payload)  # checked like decode_packet, not decoded
         except srou.BadMagic:
             self.count("drop_bad_magic")
             return
@@ -445,35 +445,37 @@ class NodeRuntime:
             self.count("drop_malformed")
             self.frame_trace.emit("malformed", type(exc).__name__)
             return
-        if isinstance(msg, srou.OamMessage):
-            self.on_oam(ss, pkt, msg)
+        if type(lay) is srou.DataLayout:
+            self.on_data(ss, pkt, lay)
+        elif lay.oam_type == srou.OamType.LINKSTATE:
+            self.on_linkstate(ss, pkt, lay)
         else:
-            self.on_data(ss, pkt, msg)
+            self.on_oam(ss, pkt, srou.decode_oam(payload)[0])
+
+    def on_linkstate(self, ss: ServiceSloc, pkt: Datagram, lay: srou.OamLayout) -> None:
+        """Answer a probe request, or hand a response to its session."""
+        if lay.subtype == srou.LINKSTATE_REQUEST:
+            self.send_from(ss, (pkt.src_ip, pkt.src_port),
+                           self.responder.on_probe_request(lay, self.clock.now))
+            return
+        session = self.sessions.get((ss.short, (pkt.src_ip, pkt.src_port)))
+        if session is None:
+            self.count("probe_unmatched")
+            return
+        if session.on_response(lay, self.clock.now):
+            self.on_probe_outcome(session)
 
     def on_oam(self, ss: ServiceSloc, pkt: Datagram, msg: srou.OamMessage) -> None:
-        if msg.oam_type == srou.OamType.LINKSTATE:
-            if msg.oam_subtype == srou.LINKSTATE_REQUEST:
-                resp = self.responder.on_probe_request(msg, self.clock.now)
-                self.send_from(ss, (pkt.src_ip, pkt.src_port), srou.encode_oam(resp))
-            else:
-                session = self.sessions.get((ss.short, (pkt.src_ip, pkt.src_port)))
-                if session is None:
-                    self.count("probe_unmatched")
-                    return
-                if session.on_response(msg, self.clock.now):
-                    self.on_probe_outcome(session)
-        elif msg.oam_type == srou.OamType.STUN:
-            exchange = self._stun_exchange
-            if msg.oam_subtype != srou.STUN_RESPONSE or not exchange:
-                self.count("drop_oam_ignored")
-            elif (pkt.src_ip, pkt.src_port) != self._stun_server:
-                self.count("drop_stun_foreign")
-            elif not exchange.done and not self._usable_public(msg.payload):
-                self.count("drop_stun_invalid")  # keep waiting for a real one
-            else:
-                exchange.on_response(msg)
-        else:
+        """Any OAM message but Linkstate: STUN."""
+        exchange = self._stun_exchange
+        if msg.oam_subtype != srou.STUN_RESPONSE or not exchange:
             self.count("drop_oam_ignored")
+        elif (pkt.src_ip, pkt.src_port) != self._stun_server:
+            self.count("drop_stun_foreign")
+        elif not exchange.done and not self._usable_public(msg.payload):
+            self.count("drop_stun_invalid")  # keep waiting for a real one
+        else:
+            exchange.on_response(msg)
 
     def _usable_public(self, observed: srou.StunResponseData) -> bool:
         """Whether a STUN-observed endpoint is a valid public SLoC address."""
@@ -535,8 +537,8 @@ class NodeRuntime:
     def _probe_tick(self, session: ProbeSession) -> None:
         if session.expire(self.clock.now):
             self.on_probe_outcome(session)
-        req = session.make_request(self.clock.now)
-        self.send_from(session.local, session.peer.public_addr, srou.encode_oam(req))
+        self.send_from(session.local, session.peer.public_addr,
+                       session.make_request(self.clock.now))
 
     def sessions_to(self, system_name: str) -> list[ProbeSession]:
         return [s for s in self.sessions.values()
@@ -1145,9 +1147,13 @@ class AppEndpoint:
             segments_left=len(segments),
             flow_id=ctx.flow_id,
         )
+        try:
+            wire = srou.encode_header(hdr)
+        except srou.CodecError:  # a source no waypoint can hold
+            self.count("drop_reply_unencodable")
+            return
         self.net.send(self.name, Datagram(self.ip, self.port, ctx.outer[0],
-                                          ctx.outer[1],
-                                          srou.encode_header(hdr) + payload))
+                                          ctx.outer[1], wire + payload))
         self.count("tx_reply")
 
     def _on_datagram(self, pkt: Datagram) -> None:

@@ -6,7 +6,11 @@ so a (topology, seed) pair fully determines every packet's fate.
 
 Underlay forwarding between attachment points is hop-count shortest path
 (ties broken by total configured delay, then by node-name sequence), frozen
-when the topology is built.  Datagrams crossing a NAT node are translated;
+when the topology is built.  The route table maps (node, destination node)
+to the out-direction state of the first link on the chosen path, so a hop
+reads that direction's counters and the link's current loss and delay
+without a lookup, and of parallel links the one the search chose carries
+the datagram.  Datagrams crossing a NAT node are translated;
 nodes only see datagrams addressed to one of their bound (ip, port) sockets.
 
 The trace keeps each record as (time, body id), where a body (node, event,
@@ -23,7 +27,7 @@ import random
 import socket
 from array import array
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 NS_PER_US = 1_000
@@ -49,7 +53,7 @@ class SimError(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class ScheduledEvent:
     time: int
     seq: int
@@ -92,39 +96,32 @@ class VirtualClock:
             if ev.owner is owner:
                 ev.cancel()
 
-    def _pop_due(self, limit: Optional[int]) -> Optional[ScheduledEvent]:
-        while self._heap:
-            at, _, ev = self._heap[0]
-            if limit is not None and at > limit:
-                return None
-            heapq.heappop(self._heap)
-            if not ev.canceled:
-                return ev
-        return None
-
     def run_until(self, until: int) -> list[tuple[int, int, str]]:
         """Execute every event with time <= until; returns the executed trace."""
         executed = []
-        while True:
-            ev = self._pop_due(until)
-            if ev is None:
-                break
-            self.now = max(self.now, ev.time)
-            executed.append((ev.time, ev.seq, ev.label))
+        heap, pop = self._heap, heapq.heappop
+        while heap and heap[0][0] <= until:
+            at, seq, ev = pop(heap)
+            if ev.canceled:
+                continue
+            self.now = at  # the heap never holds a time before now
+            executed.append((at, seq, ev.label))
             ev.fn()
-        self.now = max(self.now, until)
+        if until > self.now:
+            self.now = until
         return executed
 
     def run_until_quiescent(self, max_events: int = 10_000_000) -> list[tuple[int, int, str]]:
         executed = []
-        while True:
-            ev = self._pop_due(None)
-            if ev is None:
-                break
+        heap, pop = self._heap, heapq.heappop
+        while heap:
+            at, seq, ev = pop(heap)
+            if ev.canceled:
+                continue
             if len(executed) >= max_events:
                 raise SimError(f"exceeded {max_events} events; runaway simulation?")
-            self.now = max(self.now, ev.time)
-            executed.append((ev.time, ev.seq, ev.label))
+            self.now = at
+            executed.append((at, seq, ev.label))
             ev.fn()
         return executed
 
@@ -198,15 +195,28 @@ class Datagram:
         return UDP_OVERHEAD_BYTES + len(self.payload)
 
 
-@dataclass
 class _DirState:
-    sent: int = 0
-    delivered: int = 0
-    lost: int = 0
-    dropped: int = 0
-    busy_until: int = 0
-    queued_bytes: int = 0  # bytes whose serialization has not ended
-    backlog: deque = field(default_factory=deque)  # (serialized at, size), FIFO
+    """One direction of a link: its ends, its event label and its counters.
+
+    Loss and delay are the link's, read per send, so a change made to the
+    link at run time applies to the next datagram.
+    """
+
+    __slots__ = ("link", "src", "dst", "label", "sent", "delivered", "lost",
+                 "dropped", "busy_until", "queued_bytes", "backlog")
+
+    def __init__(self, link: SimLink, src: str, dst: str):
+        self.link = link
+        self.src = src
+        self.dst = dst
+        self.label = f"link:{src}->{dst}"
+        self.sent = 0
+        self.delivered = 0
+        self.lost = 0
+        self.dropped = 0
+        self.busy_until = 0
+        self.queued_bytes = 0  # bytes whose serialization has not ended
+        self.backlog: deque = deque()  # (serialized at, size), FIFO
 
 
 class SimLink:
@@ -232,7 +242,7 @@ class SimLink:
         self.queue_limit_bytes = queue_limit_bytes
         self.up = True
         self.rng = rng or random.Random(0)
-        self.dirs = {(a, b): _DirState(), (b, a): _DirState()}
+        self.dirs = {(a, b): _DirState(self, a, b), (b, a): _DirState(self, b, a)}
 
     def other(self, name: str) -> str:
         return self.b if name == self.a else self.a
@@ -354,7 +364,7 @@ class Network:
         self.links: list[SimLink] = []
         self._adj: dict[str, list[SimLink]] = {}
         self._owner: dict[str, str] = {}
-        self._routes: dict[str, dict[str, SimLink]] = {}
+        self._routes: dict[str, dict[str, _DirState]] = {}
 
     def add_node(self, name: str) -> SimNode:
         if name in self.nodes:
@@ -402,34 +412,28 @@ class Network:
         self.add_address(name, ip)
         self.nodes[name].bindings[(ip, port)] = handler
 
-    def owner_of(self, ip: str) -> Optional[str]:
-        return self._owner.get(ip)
-
     # -- underlay routing -------------------------------------------------
 
-    def _routes_from(self, src: str) -> dict[str, SimLink]:
-        """Destination -> link to the next hop on the min (hop count, path
-        delay, node-name path) route."""
-        if src in self._routes:
-            return self._routes[src]
+    def _routes_from(self, src: str) -> dict[str, _DirState]:
+        """Destination -> the out-direction of the first link on the min
+        (hop count, path delay, node-name path) route.  Of parallel links
+        with equal delays, the one added first carries the route."""
         best: dict[str, tuple[int, int, tuple[str, ...]]] = {src: (0, 0, (src,))}
+        first: dict[str, _DirState] = {}
         frontier = [(0, 0, (src,), src)]
         while frontier:
             hops, delay, path, at = heapq.heappop(frontier)
-            if best.get(at) != (hops, delay, path):
+            if best[at] != (hops, delay, path):
                 continue
             for link in self._adj[at]:
                 nxt = link.other(at)
                 cand = (hops + 1, delay + link.delay(at), path + (nxt,))
                 if nxt not in best or cand < best[nxt]:
                     best[nxt] = cand
+                    first[nxt] = link.dirs[(at, nxt)] if at == src else first[at]
                     heapq.heappush(frontier, cand + (nxt,))
-        table = {}
-        for dst, (hops, _, path) in best.items():
-            if hops > 0:
-                table[dst] = self.link_between(src, path[1])
-        self._routes[src] = table
-        return table
+        self._routes[src] = first
+        return first
 
     # -- datagram movement ------------------------------------------------
 
@@ -452,18 +456,21 @@ class Network:
                 node.drop("no_mapping")
                 return
             pkt = pkt2
-        owner = self.owner_of(pkt.dst_ip)
+        owner = self._owner.get(pkt.dst_ip)
         if owner is None:
             node.drop("no_route")
             return
         if owner == at_name:
             self._dispatch(node, pkt)
             return
-        link = self._routes_from(at_name).get(owner)
-        if link is None:
+        routes = self._routes.get(at_name)
+        if routes is None:
+            routes = self._routes_from(at_name)
+        st = routes.get(owner)
+        if st is None:
             node.drop("no_route")
             return
-        self._transmit(link, at_name, pkt)
+        self._transmit(st, pkt)
 
     def _nat_apply(self, nat: SimNat, pkt: Datagram) -> Optional[Datagram]:
         if pkt.dst_ip == nat.public_ip:
@@ -480,14 +487,14 @@ class Network:
         node.rx += 1
         handler(pkt)
 
-    def _transmit(self, link: SimLink, from_name: str, pkt: Datagram) -> None:
-        st = link.dirs[(from_name, link.other(from_name))]
+    def _transmit(self, st: _DirState, pkt: Datagram) -> None:
+        link, src = st.link, st.src
         st.sent += 1
         if not link.up:
             st.dropped += 1
-            self.nodes[from_name].drop("link_down")
+            self.nodes[src].drop("link_down")
             return
-        if link.rng.random() < link.loss(from_name):
+        if link.rng.random() < link.loss(src):
             st.lost += 1
             return
         now = self.clock.now
@@ -500,7 +507,7 @@ class Network:
                 st.queued_bytes -= backlog.popleft()[1]
             if st.queued_bytes + pkt.size > link.queue_limit_bytes:
                 st.dropped += 1
-                self.nodes[from_name].drop("queue_full")
+                self.nodes[src].drop("queue_full")
                 return
             st.queued_bytes += pkt.size
             start = max(now, st.busy_until)
@@ -512,14 +519,12 @@ class Network:
         jit = 0
         if link.jitter:
             jit = max(0, int(round(link.rng.gauss(0.0, link.jitter))))
-        arrival = depart + link.delay(from_name) + jit
-        to_name = link.other(from_name)
 
         def deliver():
             st.delivered += 1
-            self._forward(to_name, pkt, arriving=True)
+            self._forward(st.dst, pkt, arriving=True)
 
-        self.clock.call_at(arrival, deliver, label=f"link:{from_name}->{to_name}")
+        self.clock.call_at(depart + link.delay(src) + jit, deliver, st.label)
 
     def kill(self, name: str) -> None:
         self.nodes[name].alive = False

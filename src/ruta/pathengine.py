@@ -13,6 +13,15 @@ relaxation: k rounds of edge relaxation bound the waypoint count to the
 segment budget, with ties broken by (cost, hop count, lexicographic SLoC-short
 sequence) so results are fully deterministic.
 
+Each round relaxes only the frontier: the nodes whose best walk improved in
+the round before (the sources, in the first).  That gives what relaxing
+every edge gives.  Candidates compare as whole (cost, hops, path) tuples,
+and two candidates for one node differ in their path, so the winner does not
+depend on the order edges or nodes are visited in.  A node that did not
+improve offers the same candidates it offered a round earlier, and each of
+those already lost to, or is, the best walk of its target.  So the frontier
+can be an unordered set, and no sort is needed.
+
 Each linecard's edge map follows the link state delta by delta: a put or a
 delete recomputes only the two directions of the changed pair, and
 build_edges, the reference, runs again only when the SLA policy changes.
@@ -142,31 +151,33 @@ def shortest_constrained(edges: dict[tuple[str, str], float],
     Each round extends best-known walks by one edge, so after k rounds the
     table holds minima over walks of at most k edges; with positive costs the
     winner is a simple path.  Ties break on (cost, hops, lexicographic path).
+    Only the frontier, the nodes that improved in the last round, is relaxed:
+    see the module docstring for why that equals relaxing every edge.
     """
-    best: dict[str, tuple[float, int, tuple[str, ...]]] = {}
-    for s in sorted(srcs):
-        best[s] = (0.0, 0, (s,))
-    edge_items = sorted(edges.items())
+    adj: dict[str, list[tuple[str, float]]] = {}
+    for (u, v), w in edges.items():
+        adj.setdefault(u, []).append((v, w))
+    best: dict[str, tuple[float, int, tuple[str, ...]]] = {
+        s: (0.0, 0, (s,)) for s in srcs}
+    frontier = set(srcs)
     for _ in range(max_hops):
-        nxt = dict(best)
-        for (u, v), w in edge_items:
-            cur = best.get(u)
-            if cur is None:
-                continue
-            cand = (cur[0] + w, cur[1] + 1, cur[2] + (v,))
-            if v not in nxt or cand < nxt[v]:
-                nxt[v] = cand
-        best = nxt
-    winner = None
-    for d in sorted(dsts):
-        cand = best.get(d)
-        if cand is None or cand[1] == 0:
-            continue
-        if winner is None or cand < winner:
-            winner = cand
-    if winner is None:
+        if not frontier:
+            break
+        # the walks of the last round: a node updated below extends next round
+        layer = [(best[u], adj[u]) for u in frontier if u in adj]
+        frontier = set()
+        for (cost, hops, path), out in layer:
+            for v, w in out:
+                cand = (cost + w, hops + 1, path + (v,))
+                cur = best.get(v)
+                if cur is None or cand < cur:
+                    best[v] = cand
+                    frontier.add(v)
+    found = [best[d] for d in dsts if d in best and best[d][1]]
+    if not found:
         raise NoFeasiblePath(f"no path within {max_hops} hops")
-    return winner[0], winner[2]
+    cost, _, path = min(found)
+    return cost, path
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,12 @@ and then `make_request`, and it hands every response to `on_response`.  A
 probe is lost when the first tick at least `timeout_ns` after it finds it
 unanswered; with a timeout that is a multiple of the interval (the default
 is two), that tick comes exactly `timeout_ns` after the probe.
+
+Sessions and the responder speak wire bytes: `make_request` and
+`ProbeResponder.on_probe_request` return the message as `srou.encode_linkstate`
+packs it, and `on_response` and `on_probe_request` take the fields of
+`srou._oam_layout`, so a probe round trip builds no message objects.  The
+STUN exchange keeps `srou.OamMessage`.
 """
 
 from __future__ import annotations
@@ -87,27 +93,25 @@ class ProbeSession:
         self.t1_mismatches = 0  # responses echoing a T1 other than the one sent
         self._last_twd_us: Optional[float] = None
 
-    def make_request(self, now: int) -> srou.OamMessage:
+    def make_request(self, now: int) -> bytes:
+        """Start a probe; returns the request's wire bytes."""
         self.seq += 1
         self.pending[self.seq] = now
-        return srou.OamMessage(
-            oam_type=srou.OamType.LINKSTATE,
-            oam_subtype=srou.LINKSTATE_REQUEST,
-            payload=srou.LinkstateData(seq=self.seq, timestamp=now),
-        )
+        return srou.encode_linkstate(srou.LINKSTATE_REQUEST, 0, srou.FlowIdType.FT32,
+                                     self.seq, now)
 
-    def on_response(self, msg: srou.OamMessage, now: int) -> bool:
-        """Record a response; False for a late or unknown one."""
+    def on_response(self, msg: srou.OamLayout, now: int) -> bool:
+        """Record a checked response; False for a late or unknown one."""
         if msg.oam_type != srou.OamType.LINKSTATE or \
-                msg.oam_subtype != srou.LINKSTATE_RESPONSE:
-            raise MalformedOam(f"unexpected {msg.oam_type}/{msg.oam_subtype}")
-        p = msg.payload
-        t1 = self.pending.pop(p.sender_seq, None)
+                msg.subtype != srou.LINKSTATE_RESPONSE:
+            raise MalformedOam(f"unexpected {msg.oam_type}/{msg.subtype}")
+        _, t3, t2, sender_seq, sender_t1 = msg.payload
+        t1 = self.pending.pop(sender_seq, None)
         if t1 is None:
             return False
-        if p.sender_timestamp != t1:
+        if sender_t1 != t1:
             self.t1_mismatches += 1  # the sender's own T1 counts, as in TWAMP
-        twd_ns = _twd_ns(t1, p.received_timestamp, p.timestamp, now)
+        twd_ns = _twd_ns(t1, t2, t3, now)
         self._push(twd_ns)
         self.consecutive_losses = 0
         twd = twd_ns / NS_PER_US
@@ -195,25 +199,19 @@ class ProbeResponder:
     def __init__(self):
         self.seq = 0
 
-    def on_probe_request(self, req: srou.OamMessage, now: int) -> srou.OamMessage:
+    def on_probe_request(self, req: srou.OamLayout, now: int) -> bytes:
+        """The wire bytes of the response to a checked request: its flow id
+        echoed, C/F/T clear."""
         if req.oam_type != srou.OamType.LINKSTATE or \
-                req.oam_subtype != srou.LINKSTATE_REQUEST or \
-                not isinstance(req.payload, srou.LinkstateData):
+                req.subtype != srou.LINKSTATE_REQUEST:
             raise MalformedOam("not a linkstate request")
         self.seq += 1
-        return srou.OamMessage(
-            oam_type=srou.OamType.LINKSTATE,
-            oam_subtype=srou.LINKSTATE_RESPONSE,
-            payload=srou.LinkstateData(
-                seq=self.seq,
-                timestamp=now,                       # t3: sent immediately
-                received_timestamp=now,              # t2 == t3 with zero processing
-                sender_seq=req.payload.seq,
-                sender_timestamp=req.payload.timestamp,
-            ),
-            flow_id=req.flow_id,
-            flow_id_type=req.flow_id_type,
-        )
+        seq, t1 = req.payload[0], req.payload[1]
+        return srou.encode_linkstate(srou.LINKSTATE_RESPONSE, req.flow_id,
+                                     req.flow_id_type, self.seq,
+                                     now,   # t3: sent immediately
+                                     now,   # t2 == t3 with zero processing
+                                     seq, t1)
 
 
 def full_mesh_targets(local_slocs: list[ServiceSloc],

@@ -44,6 +44,13 @@ patched octets equal `encode_header` of the `advance_segment` result, so a
 relay never re-encodes.  IPv4 addresses go through `socket.inet_ntoa` and
 `socket.inet_pton`; text that `inet_pton` rejects falls back to `ipaddress`,
 which raises the reference error.
+
+OAM has the same split.  `_oam_layout` makes every check `decode_oam` makes
+and returns an `OamLayout` of raw fields, a Linkstate payload as five ints;
+`decode_oam` builds its `OamMessage` from it.  `encode_linkstate` packs a
+Linkstate message with the payload struct `encode_oam` uses, to the bytes
+`encode_oam` gives when C, F and T are clear, so a probe is written and read
+without message objects.
 """
 
 from __future__ import annotations
@@ -139,6 +146,7 @@ STUN_REQUEST = 0x0
 STUN_RESPONSE = 0x1
 
 LINKSTATE_PAYLOAD_OCTETS = 32  # seq(4) ts(8) rx_ts(8) sender_seq(4) sender_ts(8)
+_LINKSTATE = struct.Struct(">IQQIQ")  # the Linkstate payload, packed and read
 STUN_RESPONSE_PAYLOAD_OCTETS = 6
 
 # Well-known network function codes (registry-driven; args carry VNID / VRF)
@@ -550,8 +558,8 @@ def _encode_oam_payload(msg: OamMessage) -> bytes:
                 p.received_timestamp or p.sender_seq or p.sender_timestamp):
             raise InvariantViolation("linkstate request must zero echo fields")
         try:
-            return struct.pack(">IQQIQ", p.seq, p.timestamp, p.received_timestamp,
-                               p.sender_seq, p.sender_timestamp)
+            return _LINKSTATE.pack(p.seq, p.timestamp, p.received_timestamp,
+                                   p.sender_seq, p.sender_timestamp)
         except struct.error as exc:
             raise InvariantViolation(f"linkstate field out of range: {exc}") from None
     if msg.oam_type == OamType.STUN:
@@ -589,65 +597,103 @@ def encode_oam(msg: OamMessage) -> bytes:
     return bytes(out)
 
 
-def decode_oam(data: bytes) -> tuple[OamMessage, int]:
-    view, total, rrr, ft, c_bit, f_bit, t_bit, proto = _parse_prefix(data)
+class OamLayout(NamedTuple):
+    """The fields of a checked OAM message (see _oam_layout)."""
+
+    total: int          # SRoU Length: the whole message
+    flow_id_type: FlowIdType
+    flow_id: int
+    oam_type: int       # OamType.LINKSTATE or OamType.STUN
+    subtype: int
+    payload: tuple      # Linkstate: (seq, timestamp, received_timestamp,
+                        # sender_seq, sender_timestamp); STUN response:
+                        # (observed address, observed port); STUN request: ()
+
+
+def _oam_layout(data: bytes) -> OamLayout:
+    """Check an OAM message and return its raw fields.
+
+    This is every check decode_oam makes, in its order and with its
+    exception classes; decode_oam builds its OamMessage from the result.  A
+    Linkstate payload stays five ints, so a probe is read without objects.
+    """
+    view, total, _, ft, _, _, _, proto = _parse_prefix(data)
     if proto != ProtocolId.OAM:
         raise InvariantViolation(f"protocol id {proto:#x} is not OAM")
-    warnings = ("nonzero reserved bits",) if rrr else ()
-    off = 4
-    flow_octets = ft.octets
-    if off + flow_octets + 2 > total:
+    off = 4 + ft.octets
+    if off + 2 > total:
         raise TruncatedHeader("OAM message shorter than fixed fields")
-    flow_id = int.from_bytes(view[off:off + flow_octets], "big")
-    off += flow_octets
-    oam_type_raw, subtype = view[off], view[off + 1]
-    off += 2
-    body = view[off:total]
+    oam_type, subtype = view[off], view[off + 1]
+    body = total - off - 2
 
-    if oam_type_raw == OamType.LINKSTATE:
+    if oam_type == OamType.LINKSTATE:
         if subtype not in (LINKSTATE_REQUEST, LINKSTATE_RESPONSE):
             raise UnknownOamType(f"linkstate subtype {subtype:#x}")
-        if len(body) < LINKSTATE_PAYLOAD_OCTETS:
+        if body < LINKSTATE_PAYLOAD_OCTETS:
             raise TruncatedPayload(
-                f"linkstate payload {len(body)} < {LINKSTATE_PAYLOAD_OCTETS}")
-        if len(body) > LINKSTATE_PAYLOAD_OCTETS:
+                f"linkstate payload {body} < {LINKSTATE_PAYLOAD_OCTETS}")
+        if body > LINKSTATE_PAYLOAD_OCTETS:
             raise LengthMismatch("trailing bytes after linkstate payload")
-        seq, ts, rx_ts, s_seq, s_ts = struct.unpack(">IQQIQ", body)
-        payload: OamPayload = LinkstateData(seq, ts, rx_ts, s_seq, s_ts)
-    elif oam_type_raw == OamType.STUN:
+        payload = _LINKSTATE.unpack_from(view, off + 2)
+    elif oam_type == OamType.STUN:
         if subtype == STUN_REQUEST:
             if body:
                 raise LengthMismatch("stun request carries no payload")
-            payload = StunRequestData()
+            payload = ()
         elif subtype == STUN_RESPONSE:
-            if len(body) < STUN_RESPONSE_PAYLOAD_OCTETS:
-                raise TruncatedPayload(f"stun response payload {len(body)} < 6")
-            if len(body) > STUN_RESPONSE_PAYLOAD_OCTETS:
+            if body < STUN_RESPONSE_PAYLOAD_OCTETS:
+                raise TruncatedPayload(f"stun response payload {body} < 6")
+            if body > STUN_RESPONSE_PAYLOAD_OCTETS:
                 raise LengthMismatch("trailing bytes after stun payload")
-            payload = StunResponseData(
-                observed_address=socket.inet_ntoa(body[0:4]),
-                observed_port=int.from_bytes(body[4:6], "big"),
-            )
+            payload = (socket.inet_ntoa(view[off + 2:off + 6]),
+                       int.from_bytes(view[off + 6:off + 8], "big"))
         else:
             raise UnknownOamType(f"stun subtype {subtype:#x}")
-    elif oam_type_raw == OamType.TRACEROUTE:
+    elif oam_type == OamType.TRACEROUTE:
         raise UnknownOamType("oam type 0x1 (traceroute) is reserved")
     else:
-        raise UnknownOamType(f"oam type {oam_type_raw:#x}")
+        raise UnknownOamType(f"oam type {oam_type:#x}")
+    return OamLayout._make((total, ft, int.from_bytes(view[4:off], "big"),
+                            oam_type, subtype, payload))
 
+
+def decode_oam(data: bytes) -> tuple[OamMessage, int]:
+    lay = _oam_layout(data)
+    if lay.oam_type == OamType.LINKSTATE:
+        payload: OamPayload = LinkstateData(*lay.payload)
+    elif lay.subtype == STUN_REQUEST:
+        payload = StunRequestData()
+    else:
+        payload = StunResponseData(*lay.payload)
+    flags = data[2]
     msg = OamMessage(
-        oam_type=OamType(oam_type_raw),
-        oam_subtype=subtype,
+        oam_type=OamType(lay.oam_type),
+        oam_subtype=lay.subtype,
         payload=payload,
-        flow_id=flow_id,
-        flow_id_type=ft,
-        c_bit=c_bit,
-        f_bit=f_bit,
-        t_bit=t_bit,
-        reserved_rrr=rrr,
-        warnings=warnings,
+        flow_id=lay.flow_id,
+        flow_id_type=lay.flow_id_type,
+        c_bit=bool(flags & 0x4),
+        f_bit=bool(flags & 0x2),
+        t_bit=bool(flags & 0x1),
+        reserved_rrr=flags >> 5,
+        warnings=("nonzero reserved bits",) if flags >> 5 else (),
     )
-    return msg, total
+    return msg, lay.total
+
+
+def encode_linkstate(subtype: int, flow_id: int, flow_id_type: int, seq: int,
+                     timestamp: int, received_timestamp: int = 0,
+                     sender_seq: int = 0, sender_timestamp: int = 0) -> bytes:
+    """Wire bytes of a Linkstate OAM message with C, F, T and RRR clear:
+    encode_oam of the matching OamMessage, without building it.  The caller
+    passes fields encode_oam accepts (a request zeroes the echo fields)."""
+    octets = 4 * (flow_id_type + 1)
+    return (bytes((MAGIC, 6 + octets + LINKSTATE_PAYLOAD_OCTETS, flow_id_type << 3,
+                   ProtocolId.OAM))
+            + flow_id.to_bytes(octets, "big")
+            + bytes((OamType.LINKSTATE, subtype))
+            + _LINKSTATE.pack(seq, timestamp, received_timestamp, sender_seq,
+                              sender_timestamp))
 
 
 def decode_packet(data: bytes) -> tuple[Union[SRoUHeader, OamMessage], int]:

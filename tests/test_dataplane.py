@@ -757,6 +757,25 @@ class TestNativeSocket:
         assert transit.counts.get("relay", 0) >= 2  # forward + reply legs
         assert edge.counts.get("relay", 0) >= 2
 
+    @pytest.mark.parametrize("proto, source", [(srou.ProtocolId.IPV4, "255.1.2.3"),
+                                               (srou.ProtocolId.IPV6, "2001:db8::1")],
+                             ids=["ipv4_0xff", "ipv6"])
+    def test_unencodable_reply_source_is_a_counted_drop(self, proto, source):
+        # a reply waypoint can hold neither an address starting 0xFF (the
+        # function marker) nor an IPv6 one: the echo is dropped and counted,
+        # and the event loop keeps running
+        w, edge, transit, client, server, got = self.build_nat_path()
+        hdr = srou.SRoUHeader(protocol_id=proto, source_address=source,
+                              source_port=9,
+                              segment_list=(srou.Waypoint("203.0.113.30", 7443),),
+                              segments_left=0)
+        w.net.send("F_TRANSIT", Datagram("203.0.113.20", 17777, "203.0.113.30", 7443,
+                                         srou.encode_header(hdr) + b"echo me"))
+        w.clock.run_until(seconds(1))
+        assert got["server"] == [b"echo me"]
+        assert server.counts["drop_reply_unencodable"] == 1
+        assert "tx_reply" not in server.counts
+
     def test_passthrough_transits_untouched(self):
         w, edge, transit, client, server, got = self.build_nat_path()
         blob = b"\xc3" + bytes(range(64))

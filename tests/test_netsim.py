@@ -305,6 +305,38 @@ class TestUnderlayRouting:
         clock.run_until_quiescent()
         assert got == [millis(4)]  # via sb (cheaper), not sa
 
+    @pytest.mark.parametrize("delays, arrival, carrier", [
+        ((10, 1), 1, 1),   # the faster link carries, though added second
+        ((1, 10), 1, 0),
+        ((5, 5), 5, 0),    # equal delays: the link added first
+    ])
+    def test_parallel_links_forward_on_the_chosen_link(self, delays, arrival, carrier):
+        clock = VirtualClock()
+        net = Network(clock, seed=0)
+        net.add_node("a")
+        net.add_node("b")
+        links = [net.add_link("a", "b", millis(d)) for d in delays]
+        got = []
+        net.bind("b", "10.0.0.2", 1, lambda p: got.append(clock.now))
+        net.add_address("a", "10.0.0.1")
+        net.send("a", Datagram("10.0.0.1", 1, "10.0.0.2", 1, b"x"))
+        clock.run_until_quiescent()
+        assert got == [millis(arrival)]
+        assert [link.counters()["a->b"]["sent"] for link in links] == [
+            int(i == carrier) for i in range(2)]
+
+    def test_runtime_loss_change_applies_on_the_routed_direction(self):
+        clock, net, inbox = star()
+        net.send("client", Datagram("10.0.0.1", 1000, "10.0.0.2", 2000, b"x"))
+        clock.run_until_quiescent()
+        net.link_between("hub", "server").loss_ab = 1.0
+        net.send("client", Datagram("10.0.0.1", 1000, "10.0.0.2", 2000, b"y"))
+        net.send("server", Datagram("10.0.0.2", 2000, "10.0.0.1", 1000, b"z"))
+        clock.run_until_quiescent()
+        assert [(who, p.payload) for who, _, p in inbox] == [
+            ("server", b"x"), ("client", b"z")]
+        assert net.link_between("hub", "server").counters()["hub->server"]["lost"] == 1
+
 
 class TestNat:
     def build(self):

@@ -150,6 +150,60 @@ class TestSearch:
             assert cost == pytest.approx(expect[0])
             assert path == expect[1]
 
+    @staticmethod
+    def tie_graph(rng):
+        """A seeded graph whose costs tie in floating point (0.1 + 0.2 !=
+        0.3, 0.1 + 0.2 + 0.1 == 0.3 + 0.1), with disjoint sources and
+        destinations."""
+        n = rng.randrange(3, 9)
+        names = [f"n{i}" for i in range(n)]
+        edges = {(u, v): rng.choice((0.1, 0.2, 0.3))
+                 for u in names for v in names if u != v and rng.random() < 0.45}
+        ends = rng.sample(names, rng.randrange(2, min(n, 5) + 1))
+        cut = rng.randrange(1, len(ends))
+        return edges, set(ends[:cut]), set(ends[cut:])
+
+    def test_oracle_equivalence_float_ties_many_ends_all_budgets(self):
+        for seed in range(300):
+            edges, srcs, dsts = self.tie_graph(random.Random(seed))
+            for max_hops in range(1, 6):
+                expect = pathoracle.best_path(edges, srcs, dsts, max_hops)
+                if expect is None:
+                    with pytest.raises(pathengine.NoFeasiblePath):
+                        shortest_constrained(edges, srcs, dsts, max_hops)
+                    continue
+                assert shortest_constrained(edges, srcs, dsts, max_hops) == expect
+
+    def test_a_round_extends_only_the_walks_of_the_round_before(self):
+        # b improves a in round 2; a must still extend its 1-edge walk in that
+        # round, or a 3-edge walk slips under a 2-hop budget.  The frontier is
+        # a set, so the gadget is repeated under many names to meet both
+        # visiting orders
+        for i in range(32):
+            a, b = f"a{i}", f"b{i}"
+            edges = {("s", a): 10.0, ("s", b): 1.0, (b, a): 1.0, (a, "d"): 1.0}
+            assert shortest_constrained(edges, {"s"}, {"d"}, 2) == (11.0, ("s", a, "d"))
+            assert shortest_constrained(edges, {"s"}, {"d"}, 3) == (3.0, ("s", b, a, "d"))
+
+    def test_insertion_order_does_not_matter(self):
+        # the search relaxes no sorted edge list, so the map's order must not
+        # reach the result
+        for seed in range(40):
+            rng = random.Random(seed)
+            edges, srcs, dsts = self.tie_graph(rng)
+            items = list(edges.items())
+            try:
+                want = shortest_constrained(edges, srcs, dsts, 4)
+            except pathengine.NoFeasiblePath:
+                want = None
+            for _ in range(20):
+                rng.shuffle(items)
+                try:
+                    got = shortest_constrained(dict(items), set(srcs), set(dsts), 4)
+                except pathengine.NoFeasiblePath:
+                    got = None
+                assert got == want
+
     def test_monotonicity(self):
         # raising an edge cost never lowers the chosen path cost
         rng = random.Random(77)

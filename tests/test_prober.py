@@ -16,6 +16,30 @@ def service_sloc(name, ip, port, color="inet", bw=1e9):
                                   public_ip=ip, public_port=port, rx_bw=bw, tx_bw=bw))
 
 
+def fields(msg):
+    """What a runtime hands a session or the responder: the checked wire
+    fields of an encoded message."""
+    return srou._oam_layout(srou.encode_oam(msg))
+
+
+def request(seq, timestamp):
+    return fields(srou.OamMessage(srou.OamType.LINKSTATE, srou.LINKSTATE_REQUEST,
+                                  srou.LinkstateData(seq=seq, timestamp=timestamp)))
+
+
+def response(t2, t3, sender_seq, sender_timestamp, seq=1):
+    return fields(srou.OamMessage(srou.OamType.LINKSTATE, srou.LINKSTATE_RESPONSE,
+                                  srou.LinkstateData(seq=seq, timestamp=t3,
+                                                     received_timestamp=t2,
+                                                     sender_seq=sender_seq,
+                                                     sender_timestamp=sender_timestamp)))
+
+
+def sent(wire):
+    """The Linkstate payload of a request or response on the wire."""
+    return srou.decode_oam(wire)[0].payload
+
+
 class ProbeHarness:
     """Two endpoints exchanging linkstate OAM over one simulated link; A
     ticks the way a node runtime does: expire, then send a request."""
@@ -38,20 +62,17 @@ class ProbeHarness:
         self.net.bind("B", "10.0.0.2", 7002, self._on_b)
 
     def _on_a(self, pkt):
-        msg, _ = srou.decode_oam(pkt.payload)
-        self.session.on_response(msg, self.clock.now)
+        self.session.on_response(srou._oam_layout(pkt.payload), self.clock.now)
 
     def _on_b(self, pkt):
-        req, _ = srou.decode_oam(pkt.payload)
-        resp = self.responder.on_probe_request(req, self.clock.now)
-        self.net.send("B", Datagram("10.0.0.2", 7002, pkt.src_ip, pkt.src_port,
-                                    srou.encode_oam(resp)))
+        resp = self.responder.on_probe_request(srou._oam_layout(pkt.payload),
+                                               self.clock.now)
+        self.net.send("B", Datagram("10.0.0.2", 7002, pkt.src_ip, pkt.src_port, resp))
 
     def tick(self):
         self.session.expire(self.clock.now)
         req = self.session.make_request(self.clock.now)
-        self.net.send("A", Datagram("10.0.0.1", 7001, "10.0.0.2", 7002,
-                                    srou.encode_oam(req)))
+        self.net.send("A", Datagram("10.0.0.1", 7001, "10.0.0.2", 7002, req))
 
     def run_probes(self, n):
         """n ticks, then settle the last probes once their timeout is over."""
@@ -67,9 +88,7 @@ class ProbeHarness:
 class TestResponder:
     def test_echo_fields(self):
         r = ProbeResponder()
-        req = srou.OamMessage(srou.OamType.LINKSTATE, srou.LINKSTATE_REQUEST,
-                              srou.LinkstateData(seq=7, timestamp=12345))
-        resp = r.on_probe_request(req, now=99999)
+        resp, _ = srou.decode_oam(r.on_probe_request(request(7, 12345), now=99999))
         assert resp.payload.sender_seq == 7
         assert resp.payload.sender_timestamp == 12345
         assert resp.payload.received_timestamp == 99999
@@ -77,27 +96,50 @@ class TestResponder:
 
     def test_responder_seq_increments(self):
         r = ProbeResponder()
-        req = srou.OamMessage(srou.OamType.LINKSTATE, srou.LINKSTATE_REQUEST,
-                              srou.LinkstateData(seq=1, timestamp=1))
-        assert r.on_probe_request(req, 1).payload.seq == 1
-        assert r.on_probe_request(req, 2).payload.seq == 2
+        req = request(1, 1)
+        assert sent(r.on_probe_request(req, 1)).seq == 1
+        assert sent(r.on_probe_request(req, 2)).seq == 2
 
     def test_malformed(self):
         r = ProbeResponder()
-        stun = srou.OamMessage(srou.OamType.STUN, srou.STUN_REQUEST,
-                               srou.StunRequestData())
+        stun = fields(srou.OamMessage(srou.OamType.STUN, srou.STUN_REQUEST,
+                                      srou.StunRequestData()))
         with pytest.raises(prober.MalformedOam):
             r.on_probe_request(stun, 0)
 
     def test_stateless_under_reorder(self):
         # responses computed purely from each request's own fields
         r = ProbeResponder()
-        reqs = [srou.OamMessage(srou.OamType.LINKSTATE, srou.LINKSTATE_REQUEST,
-                                srou.LinkstateData(seq=s, timestamp=s * 10))
-                for s in (5, 3, 9)]
-        resps = [r.on_probe_request(q, 100 + i) for i, q in enumerate(reqs)]
-        assert [p.payload.sender_seq for p in resps] == [5, 3, 9]
-        assert [p.payload.sender_timestamp for p in resps] == [50, 30, 90]
+        reqs = [request(s, s * 10) for s in (5, 3, 9)]
+        resps = [sent(r.on_probe_request(q, 100 + i)) for i, q in enumerate(reqs)]
+        assert [p.sender_seq for p in resps] == [5, 3, 9]
+        assert [p.sender_timestamp for p in resps] == [50, 30, 90]
+
+    @pytest.mark.parametrize("ft, flow_id", [(srou.FlowIdType.FT32, 0),
+                                             (srou.FlowIdType.FT32, 0xDEADBEEF),
+                                             (srou.FlowIdType.FT64, 1 << 63 | 5),
+                                             (srou.FlowIdType.FT96, (1 << 96) - 1)])
+    def test_response_bytes_are_encode_oam_of_the_echo(self, ft, flow_id):
+        # the flow id and its type are echoed; C/F/T and RRR go out clear
+        r = ProbeResponder()
+        r.seq = 41
+        req = fields(srou.OamMessage(srou.OamType.LINKSTATE, srou.LINKSTATE_REQUEST,
+                                     srou.LinkstateData(seq=0xFFFFFFFF, timestamp=1 << 62),
+                                     flow_id=flow_id, flow_id_type=ft,
+                                     c_bit=True, f_bit=True, t_bit=True))
+        assert r.on_probe_request(req, 12345) == srou.encode_oam(srou.OamMessage(
+            srou.OamType.LINKSTATE, srou.LINKSTATE_RESPONSE,
+            srou.LinkstateData(seq=42, timestamp=12345, received_timestamp=12345,
+                               sender_seq=0xFFFFFFFF, sender_timestamp=1 << 62),
+            flow_id=flow_id, flow_id_type=ft))
+
+    def test_request_bytes_are_encode_oam_of_the_request(self):
+        s = ProbeSession(service_sloc("A", "10.0.0.1", 7001),
+                         service_sloc("B", "10.0.0.2", 7002))
+        for seq, now in enumerate((0, seconds(1), (1 << 64) - 1), start=1):
+            assert s.make_request(now) == srou.encode_oam(srou.OamMessage(
+                srou.OamType.LINKSTATE, srou.LINKSTATE_REQUEST,
+                srou.LinkstateData(seq=seq, timestamp=now)))
 
 
 class TestMetrics:
@@ -148,13 +190,9 @@ class TestMetrics:
         # later T1 cannot make the link look faster than it is
         session = ProbeSession(service_sloc("A", "10.0.0.1", 7001),
                                service_sloc("B", "10.0.0.2", 7002))
-        req = session.make_request(0)
-        forged = srou.OamMessage(srou.OamType.LINKSTATE, srou.LINKSTATE_RESPONSE,
-                                 srou.LinkstateData(
-                                     seq=1, timestamp=millis(20),
-                                     received_timestamp=millis(20),
-                                     sender_seq=req.payload.seq,
-                                     sender_timestamp=millis(30)))
+        req = sent(session.make_request(0))
+        forged = response(t2=millis(20), t3=millis(20), sender_seq=req.seq,
+                          sender_timestamp=millis(30))
         assert session.on_response(forged, millis(40)) is True
         assert session.outcomes == (millis(40),)
         assert session.metrics(millis(40)).two_way_delay_us == 40_000.0
@@ -168,12 +206,8 @@ class TestMetrics:
         # negative or larger than the round trip
         session = ProbeSession(service_sloc("A", "10.0.0.1", 7001),
                                service_sloc("B", "10.0.0.2", 7002))
-        req = session.make_request(0)
-        forged = srou.OamMessage(srou.OamType.LINKSTATE, srou.LINKSTATE_RESPONSE,
-                                 srou.LinkstateData(
-                                     seq=1, timestamp=t3, received_timestamp=t2,
-                                     sender_seq=req.payload.seq,
-                                     sender_timestamp=req.payload.timestamp))
+        req = sent(session.make_request(0))
+        forged = response(t2, t3, sender_seq=req.seq, sender_timestamp=req.timestamp)
         assert session.on_response(forged, millis(40))
         assert session.metrics(millis(40)).two_way_delay_us == 40_000.0
 
@@ -235,7 +269,7 @@ class TestMetrics:
         s, now = h.session, 0
         for _ in range(3 * window + 50):
             now += rng.randrange(1, 2_000_000_000)
-            req = s.make_request(now)
+            req = sent(s.make_request(now))
             if rng.random() < 0.3:
                 now += s.timeout_ns
                 assert s.expire(now)
@@ -243,11 +277,8 @@ class TestMetrics:
                 t2 = now + rng.randrange(1, 90_000_000)
                 t3 = t2 + rng.randrange(0, 5_000)
                 now = t3 + rng.randrange(1, 90_000_000)
-                assert s.on_response(srou.OamMessage(
-                    srou.OamType.LINKSTATE, srou.LINKSTATE_RESPONSE, srou.LinkstateData(
-                        seq=1, timestamp=t3, received_timestamp=t2,
-                        sender_seq=req.payload.seq,
-                        sender_timestamp=req.payload.timestamp)), now)
+                assert s.on_response(response(t2, t3, sender_seq=req.seq,
+                                              sender_timestamp=req.timestamp), now)
             window = s.outcomes
             delivered = [sample / 1000 for sample in window if sample != LOST]
             assert s.loss_rate() == (window.count(LOST) / len(window) if window else 0.0)
@@ -265,7 +296,7 @@ class TestMetrics:
     def test_seq_strictly_increases(self):
         # expire walks pending oldest first: seq order is send order
         h = ProbeHarness()
-        seqs = [h.session.make_request(seconds(t)).payload.seq for t in range(10)]
+        seqs = [sent(h.session.make_request(seconds(t))).seq for t in range(10)]
         assert seqs == list(range(1, 11)) and list(h.session.pending) == seqs
 
 

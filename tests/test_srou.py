@@ -2,7 +2,7 @@
 
 import ipaddress
 import random
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
@@ -266,6 +266,13 @@ class TestOam:
         with pytest.raises(srou.UnknownOamType):
             srou.decode_oam(bytes(data))
 
+    def test_unknown_linkstate_subtype(self):
+        data = bytearray(srou.encode_oam(OamMessage(
+            OamType.LINKSTATE, srou.LINKSTATE_REQUEST, LinkstateData(seq=1, timestamp=1))))
+        data[9] = 0x02
+        with pytest.raises(srou.UnknownOamType):
+            srou.decode_oam(bytes(data))
+
     def test_traceroute_reserved(self):
         data = bytearray(srou.encode_oam(
             OamMessage(OamType.STUN, srou.STUN_REQUEST, StunRequestData())))
@@ -387,6 +394,42 @@ class TestFastPath:
             assert (lay.total, lay.flow_id, lay.t_bit, lay.segments_left, lay.tlvs) == (
                 consumed, hdr.flow_id, hdr.t_bit, hdr.segments_left, hdr.tlvs)
         assert 500 < rejected < 3_000
+
+    def test_linkstate_layout_agrees_with_decode_oam(self):
+        rng = random.Random(14)
+        rejected = linkstate = 0
+        for i in range(3_000):
+            if i % 4 == 3:
+                base = srou.encode_header(wiregen.random_header(rng))
+            else:
+                base = srou.encode_oam(wiregen.random_oam(rng))
+            data = wiregen.mutate(rng, base)
+            try:
+                msg, consumed = srou.decode_oam(data)
+            except srou.CodecError as exc:
+                with pytest.raises(type(exc)) as got:
+                    srou._oam_layout(data)
+                assert type(got.value) is type(exc)
+                rejected += 1
+                continue
+            lay = srou._oam_layout(data)
+            assert (lay.total, lay.flow_id_type, lay.flow_id, lay.oam_type, lay.subtype) == (
+                consumed, msg.flow_id_type, msg.flow_id, msg.oam_type, msg.oam_subtype)
+            assert lay.payload == astuple(msg.payload)
+            linkstate += msg.oam_type == OamType.LINKSTATE
+        assert 500 < rejected < 3_000 and linkstate > 300
+
+    def test_encode_linkstate_is_encode_oam(self):
+        rng = random.Random(15)
+        for _ in range(2_000):
+            msg = wiregen.random_oam(rng)
+            if msg.oam_type != OamType.LINKSTATE:
+                continue
+            msg = replace(msg, c_bit=False, f_bit=False, t_bit=False)
+            p = msg.payload
+            assert srou.encode_linkstate(
+                msg.oam_subtype, msg.flow_id, msg.flow_id_type, p.seq, p.timestamp,
+                p.received_timestamp, p.sender_seq, p.sender_timestamp) == srou.encode_oam(msg)
 
     def test_ipv4_text_accepted_as_by_ipaddress(self):
         rng = random.Random(13)
