@@ -19,6 +19,17 @@ node headless: it keeps forwarding from cached state, and its watches buffer
 until heal and then replay.  Onboarding and the service announce retry every
 5 s; only a keepalive of both leases ends headless mode.
 
+Probing has one opener, `NodeRuntime._probe(system)`: a session from every
+local SLoC to every announced SLoC of another system.  Fabrics and
+linecards open one to each fabric the whitelist admits; linecards also open
+one to each destination system of their routes, whitelisted or not.  Each
+session has one verdict: its status at a fabric, and (status, SLA violated)
+at a linecard, judged on the record the outcome builds.  The first outcome
+and every change of the verdict put the session's record once; the report
+timer puts every session's record with its byte counts.  At a linecard, a
+change of the SLA part also drops the paths cached to the peer's system and
+writes an `sla_change` record.
+
 Host frames are the minimal tuple (src_mac, dst_mac, src_ip, dst_ip,
 payload), serialized as 6+6+4+4 octets plus payload.
 """
@@ -60,7 +71,6 @@ from .prober import (
     ProbeResponder,
     ProbeSession,
     StunExchange,
-    full_mesh_targets,
 )
 from .schema import (  # noqa: F401  bench/layers.py rebinds from_json_bytes here
     LinkStateRecord,
@@ -164,24 +174,13 @@ class TokenAuthority:
 
 
 # ---------------------------------------------------------------------------
-# native-socket demux
+# STUN
 
 
-def native_demux(payload: bytes):
-    """Classify one UDP payload: ("srou", header, inner) when the first octet
-    is the all-zero magic, ("passthrough", payload) otherwise, ("drop",
-    reason) for empty or malformed input."""
-    if not payload:
-        return ("drop", "empty")
-    if payload[0] != srou.MAGIC:
-        return ("passthrough", payload)
-    msg, consumed = srou.decode_packet(payload)
-    return ("srou", msg, payload[consumed:])
-
-
-def stun_serve(req: srou.OamMessage, observed_src: tuple[str, int]) -> srou.OamMessage:
-    """Answer a STUN request with the source address as this node saw it."""
-    if req.oam_type != srou.OamType.STUN or req.oam_subtype != srou.STUN_REQUEST:
+def stun_serve(req: srou.OamLayout, observed_src: tuple[str, int]) -> srou.OamMessage:
+    """Answer a checked STUN request with the source address as this node
+    saw it."""
+    if req.oam_type != srou.OamType.STUN or req.subtype != srou.STUN_REQUEST:
         raise MalformedOam("not a STUN request")
     return srou.OamMessage(
         oam_type=srou.OamType.STUN,
@@ -292,7 +291,8 @@ class NodeRuntime:
         self._watches = []
         self._stun_exchange = None
         self._stun_server = None  # the address STUN requests go to
-        self._reported_state: dict[tuple[str, tuple[str, int]], str] = {}
+        # (local short, peer address) -> the verdict last reported for the session
+        self._verdicts: dict[tuple[str, tuple[str, int]], object] = {}
         self._bytes_tx: dict[str, int] = {}
         self._bytes_rx: dict[str, int] = {}
         self._bytes_reported: dict[str, tuple[int, int]] = {}
@@ -432,12 +432,8 @@ class NodeRuntime:
         if not self.alive:
             return
         self._bytes_rx[ss.short] = self._bytes_rx.get(ss.short, 0) + pkt.size
-        payload = pkt.payload
         try:
-            if len(payload) > 3 and payload[3] == srou.ProtocolId.OAM:
-                lay = srou._oam_layout(payload)  # checked like decode_packet
-            else:
-                lay = srou._layout(payload)  # checked like decode_packet, not decoded
+            lay = srou._parse(pkt.payload)  # checked like decode_packet, not decoded
         except srou.BadMagic:
             self.count("drop_bad_magic")
             return
@@ -450,7 +446,7 @@ class NodeRuntime:
         elif lay.oam_type == srou.OamType.LINKSTATE:
             self.on_linkstate(ss, pkt, lay)
         else:
-            self.on_oam(ss, pkt, srou.decode_oam(payload)[0])
+            self.on_oam(ss, pkt, lay)
 
     def on_linkstate(self, ss: ServiceSloc, pkt: Datagram, lay: srou.OamLayout) -> None:
         """Answer a probe request, or hand a response to its session."""
@@ -465,23 +461,22 @@ class NodeRuntime:
         if session.on_response(lay, self.clock.now):
             self.on_probe_outcome(session)
 
-    def on_oam(self, ss: ServiceSloc, pkt: Datagram, msg: srou.OamMessage) -> None:
+    def on_oam(self, ss: ServiceSloc, pkt: Datagram, lay: srou.OamLayout) -> None:
         """Any OAM message but Linkstate: STUN."""
         exchange = self._stun_exchange
-        if msg.oam_subtype != srou.STUN_RESPONSE or not exchange:
+        if lay.subtype != srou.STUN_RESPONSE or not exchange:
             self.count("drop_oam_ignored")
         elif (pkt.src_ip, pkt.src_port) != self._stun_server:
             self.count("drop_stun_foreign")
-        elif not exchange.done and not self._usable_public(msg.payload):
+        elif not exchange.done and not self._usable_public(*lay.payload):
             self.count("drop_stun_invalid")  # keep waiting for a real one
         else:
-            exchange.on_response(msg)
+            exchange.on_response(*lay.payload)
 
-    def _usable_public(self, observed: srou.StunResponseData) -> bool:
+    def _usable_public(self, ip: str, port: int) -> bool:
         """Whether a STUN-observed endpoint is a valid public SLoC address."""
         try:
-            replace(self.slocs[0].sloc, public_ip=observed.observed_address,
-                    public_port=observed.observed_port)
+            replace(self.slocs[0].sloc, public_ip=ip, public_port=port)
         except schema.ValidationError:
             return False
         return True
@@ -496,22 +491,25 @@ class NodeRuntime:
         if key in self.sessions:
             return
         cfg = self.probe_cfg
-        session = ProbeSession(local, peer, interval_ns=cfg.interval_ns,
-                               window=cfg.window, timeout_ns=cfg.timeout_ns,
-                               down_after=cfg.down_after)
+        session = ProbeSession(local, peer, window=cfg.window,
+                               timeout_ns=cfg.timeout_ns, down_after=cfg.down_after)
         self.sessions[key] = session
         self.every(cfg.interval_ns, lambda: self._probe_tick(session),
                    f"probe:{peer.short}")
 
-    def _probe_mesh(self, peer_name: str, slocs: list[Sloc]) -> None:
-        for local, peer in full_mesh_targets(self.slocs, [(peer_name, slocs)],
-                                             whitelist=self.probe_cfg.whitelist,
-                                             self_name=self.name):
-            self.ensure_session(local, peer)
+    def _probe(self, system: str) -> None:
+        """Open a session from every local SLoC to every announced SLoC of
+        another system."""
+        if system == self.name:
+            return
+        for peer in self.service_dir.get(system, []):
+            for local in self.slocs:
+                self.ensure_session(local, peer)
 
     def _on_service(self, ev) -> bool:
         """Mirror /service/ into service_dir and short_index and probe every
-        announced fabric; True when a service was added or replaced."""
+        announced fabric the whitelist admits; True when a service was added
+        or replaced."""
         if ev.kind == DELETE:
             try:
                 _, name = schema.parse_service_key(ev.entry.key)
@@ -530,8 +528,9 @@ class NodeRuntime:
         self.service_dir[name] = [ServiceSloc(name, s) for s in slocs]
         for ss in self.service_dir[name]:
             self.short_index[ss.short] = ss
-        if role == "fabric":
-            self._probe_mesh(name, slocs)
+        whitelist = self.probe_cfg.whitelist
+        if role == "fabric" and (whitelist is None or name in whitelist):
+            self._probe(name)
         return True
 
     def _probe_tick(self, session: ProbeSession) -> None:
@@ -545,11 +544,12 @@ class NodeRuntime:
                 if s.peer.system_name == system_name]
 
     def on_probe_outcome(self, session: ProbeSession) -> None:
+        """A fabric's verdict on a session is its status: the first outcome
+        and every flip put the session's record."""
         key = (session.local.short, session.peer.public_addr)
-        state = session.status
-        if self._reported_state.get(key) != state:
-            self._report_session(session)  # first sample or up/down flip: push now
-        self._reported_state[key] = state
+        if self._verdicts.get(key) != session.status:
+            self._verdicts[key] = session.status
+            self._report_session(session)
 
     def _report_session(self, session: ProbeSession,
                         byte_delta: tuple[int, int] = (0, 0)) -> None:
@@ -559,6 +559,9 @@ class NodeRuntime:
                                   interval_s=self.probe_cfg.report_interval_ns / 1e9)
         except EmptyWindow:
             return
+        self._report(rec)
+
+    def _report(self, rec: LinkStateRecord) -> None:
         self._store_call(schema.report_linkstate, self.handle, rec, self.lease2)
 
     def _report_linkstate(self) -> None:
@@ -675,7 +678,6 @@ class LinecardRuntime(NodeRuntime):
         # system -> best probed (local, peer, rec), None when unprobed; valid
         # until a session to the system is added or records an outcome
         self._direct: dict[str, Optional[tuple]] = {}
-        self._violation: dict[str, bool] = {}
 
     # -- wiring -----------------------------------------------------------
 
@@ -764,11 +766,7 @@ class LinecardRuntime(NodeRuntime):
         for lpm in self.route_sync.table.type5.values():
             systems.update(r.system_name for r in lpm.routes())
         for system in sorted(systems):
-            if system == self.name:
-                continue
-            for peer in self.service_dir.get(system, []):
-                for local in self.slocs:
-                    self.ensure_session(local, peer)
+            self._probe(system)
 
     # -- SLA / path selection ---------------------------------------------
 
@@ -777,7 +775,9 @@ class LinecardRuntime(NodeRuntime):
         self._direct.pop(peer.system_name, None)
 
     def on_probe_outcome(self, session: ProbeSession) -> None:
-        super().on_probe_outcome(session)
+        """A linecard's verdict on a session is (status, SLA violated), judged
+        on the one record the outcome builds; a change puts that record, and a
+        change of the SLA part also drops the paths cached to the system."""
         system = session.peer.system_name
         self._direct.pop(system, None)
         try:
@@ -785,13 +785,18 @@ class LinecardRuntime(NodeRuntime):
         except EmptyWindow:
             return
         violated = not evaluate_sla(rec, self.sla).ok
-        if self._violation.get(system) != violated:
-            self._violation[system] = violated
-            self._report_session(session)
-            for key, (_, path) in list(self.path_cache.items()):
-                if path.waypoints and path.waypoints[-1].system_name == system:
-                    self.path_cache.pop(key, None)
-            self.emit("sla_change", system=system, violated=violated)
+        key = (session.local.short, session.peer.public_addr)
+        last = self._verdicts.get(key)
+        if last == (rec.status, violated):
+            return
+        self._verdicts[key] = (rec.status, violated)
+        self._report(rec)
+        if last is not None and last[1] == violated:
+            return
+        for dst, (_, path) in list(self.path_cache.items()):
+            if path.waypoints and path.waypoints[-1].system_name == system:
+                self.path_cache.pop(dst, None)
+        self.emit("sla_change", system=system, violated=violated)
 
     def _best_direct(self, system: str):
         """Lowest-cost probed (local, peer, rec) for a destination system;
@@ -1042,13 +1047,13 @@ class LinecardRuntime(NodeRuntime):
 class StunRuntime(NodeRuntime):
     role = "stun"
 
-    def on_oam(self, ss, pkt, msg) -> None:
-        if msg.oam_type == srou.OamType.STUN and msg.oam_subtype == srou.STUN_REQUEST:
-            resp = stun_serve(msg, (pkt.src_ip, pkt.src_port))
+    def on_oam(self, ss, pkt, lay) -> None:
+        if lay.subtype == srou.STUN_REQUEST:  # every OAM message here is STUN
+            resp = stun_serve(lay, (pkt.src_ip, pkt.src_port))
             self.count("stun_served")
             self.send_from(ss, (pkt.src_ip, pkt.src_port), srou.encode_oam(resp))
         else:
-            super().on_oam(ss, pkt, msg)
+            super().on_oam(ss, pkt, lay)
 
 
 class LsdbRuntime(NodeRuntime):
@@ -1070,6 +1075,16 @@ class LsdbRuntime(NodeRuntime):
 
 # ---------------------------------------------------------------------------
 # native-socket application endpoints
+
+
+def _app_header(source: tuple[str, int], visit, flow_id: int) -> bytes:
+    """An app socket's IPv4 SRoU header: the waypoints in visit order, all
+    of them left to visit."""
+    segments = tuple(srou.Waypoint(*addr) for addr in reversed(visit))
+    return srou.encode_header(srou.SRoUHeader(
+        protocol_id=srou.ProtocolId.IPV4, source_address=source[0],
+        source_port=source[1], segment_list=segments,
+        segments_left=len(segments), flow_id=flow_id))
 
 
 @dataclass
@@ -1117,16 +1132,9 @@ class AppEndpoint:
                   flow_id: int = 0) -> None:
         """Client-mode send: zeroed source, segment list [server, transit],
         outer destination the edge fabric."""
-        hdr = srou.SRoUHeader(
-            protocol_id=srou.ProtocolId.IPV4,
-            source_address=ZERO_SOURCE[0],
-            source_port=ZERO_SOURCE[1],
-            segment_list=(srou.Waypoint(*server), srou.Waypoint(*transit)),
-            segments_left=2,
-            flow_id=flow_id,
-        )
+        wire = _app_header(ZERO_SOURCE, (transit, server), flow_id)
         self.net.send(self.name, Datagram(self.ip, self.port, edge[0], edge[1],
-                                          srou.encode_header(hdr) + payload))
+                                          wire + payload))
         self.count("tx_srou")
 
     def send_raw(self, payload: bytes, dst: tuple[str, int]) -> None:
@@ -1138,17 +1146,8 @@ class AppEndpoint:
             self.send_raw(payload, ctx.outer)
             return
         visit = list(self.reply_via) + [ctx.srou_source]
-        segments = tuple(srou.Waypoint(*addr) for addr in reversed(visit))
-        hdr = srou.SRoUHeader(
-            protocol_id=srou.ProtocolId.IPV4,
-            source_address=self.ip,
-            source_port=self.port,
-            segment_list=segments,
-            segments_left=len(segments),
-            flow_id=ctx.flow_id,
-        )
         try:
-            wire = srou.encode_header(hdr)
+            wire = _app_header((self.ip, self.port), visit, ctx.flow_id)
         except srou.CodecError:  # a source no waypoint can hold
             self.count("drop_reply_unencodable")
             return
@@ -1157,17 +1156,11 @@ class AppEndpoint:
         self.count("tx_reply")
 
     def _on_datagram(self, pkt: Datagram) -> None:
-        try:
-            verdict = native_demux(pkt.payload)
-        except srou.CodecError as exc:
-            self.count("drop_malformed")
-            self.frame_trace.emit("malformed", type(exc).__name__)
-            return
-        if verdict[0] == "drop":
+        payload = pkt.payload
+        if not payload:
             self.count("drop_empty")
             return
-        if verdict[0] == "passthrough":
-            payload = verdict[1]
+        if payload[0] != srou.MAGIC:
             ctx = ReplyContext(outer=(pkt.src_ip, pkt.src_port),
                                srou_source=(pkt.src_ip, pkt.src_port),
                                flow_id=0, raw=True)
@@ -1175,16 +1168,21 @@ class AppEndpoint:
             self.frame_trace.emit("passthrough", len(payload))
             self._deliver(payload, ctx)
             return
-        msg, inner = verdict[1], verdict[2]
-        if isinstance(msg, srou.OamMessage):
+        try:
+            lay = srou._parse(payload)
+        except srou.CodecError as exc:
+            self.count("drop_malformed")
+            self.frame_trace.emit("malformed", type(exc).__name__)
+            return
+        if type(lay) is srou.OamLayout:
             self.count("drop_oam")
             return
-        ctx = ReplyContext(outer=(pkt.src_ip, pkt.src_port),
-                           srou_source=(msg.source_address, msg.source_port),
-                           flow_id=msg.flow_id)
+        source = srou._source(payload, lay)
+        ctx = ReplyContext(outer=(pkt.src_ip, pkt.src_port), srou_source=source,
+                           flow_id=lay.flow_id)
         self.count("rx_srou")
-        self.frame_trace.emit("app_rx", msg.source_address, msg.source_port, len(inner))
-        self._deliver(inner, ctx)
+        self.frame_trace.emit("app_rx", *source, len(payload) - lay.total)
+        self._deliver(payload[lay.total:], ctx)
 
     def _deliver(self, payload: bytes, ctx: ReplyContext) -> None:
         if self.on_app is not None:

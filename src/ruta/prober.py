@@ -14,7 +14,9 @@ rate and mean delay over the window are running sums (a lost count and an
 integer-nanosecond delay sum), updated as a sample enters the window and as
 one leaves it, so reading them costs the same at any window size.
 
-Sessions hold no timers: on each tick the owning node runtime calls `expire`
+The node runtime opens the sessions, one per (local SLoC, peer SLoC) pair
+of each system it probes, and decides when a session's record goes to the
+store.  Sessions hold no timers: on each tick the runtime calls `expire`
 and then `make_request`, and it hands every response to `on_response`.  A
 probe is lost when the first tick at least `timeout_ns` after it finds it
 unanswered; with a timeout that is a multiple of the interval (the default
@@ -24,7 +26,8 @@ Sessions and the responder speak wire bytes: `make_request` and
 `ProbeResponder.on_probe_request` return the message as `srou.encode_linkstate`
 packs it, and `on_response` and `on_probe_request` take the fields of
 `srou._oam_layout`, so a probe round trip builds no message objects.  The
-STUN exchange keeps `srou.OamMessage`.
+STUN exchange takes layout fields too: `StunExchange.on_response` gets the
+observed address and port of a response the runtime has already checked.
 """
 
 from __future__ import annotations
@@ -72,13 +75,11 @@ class ProbeSession:
     """Measurement state for one ordered (local SLoC, peer SLoC) pair."""
 
     def __init__(self, local: ServiceSloc, peer: ServiceSloc,
-                 interval_ns: int = DEFAULT_INTERVAL_NS,
                  window: int = DEFAULT_WINDOW,
                  timeout_ns: int = DEFAULT_TIMEOUT_NS,
                  down_after: int = DEFAULT_DOWN_AFTER):
         self.local = local
         self.peer = peer
-        self.interval_ns = interval_ns
         self.window = window
         self.timeout_ns = timeout_ns
         self.down_after = down_after
@@ -214,29 +215,6 @@ class ProbeResponder:
                                      seq, t1)
 
 
-def full_mesh_targets(local_slocs: list[ServiceSloc],
-                      peers: list[tuple[str, list]],
-                      whitelist: Optional[set[str]] = None,
-                      self_name: Optional[str] = None
-                      ) -> list[tuple[ServiceSloc, ServiceSloc]]:
-    """Ordered (local, peer) SLoC pairs for the probe mesh.
-
-    One session per local SLoC x peer SLoC; the whitelist (when given)
-    restricts peers by system name.
-    """
-    pairs = []
-    for name, slocs in sorted(peers):
-        if name == self_name:
-            continue
-        if whitelist is not None and name not in whitelist:
-            continue
-        for sloc in slocs:
-            peer = ServiceSloc(name, sloc)
-            for local in local_slocs:
-                pairs.append((local, peer))
-    return pairs
-
-
 class StunExchange:
     """Public-address discovery: send, await, retry with 1s/2s/4s backoff.
 
@@ -274,12 +252,11 @@ class StunExchange:
         self.send_request()
         self._timer = self.call_later(backoff, self._try, "stun-retry")
 
-    def on_response(self, msg: srou.OamMessage) -> None:
+    def on_response(self, ip: str, port: int) -> None:
+        """The observed address and port of a checked STUN response."""
         if self.done:
             return
-        if msg.oam_type != srou.OamType.STUN or msg.oam_subtype != srou.STUN_RESPONSE:
-            raise MalformedOam("not a STUN response")
         self.done = True
         if self._timer is not None:
             self._timer.cancel()
-        self.on_result(msg.payload.observed_address, msg.payload.observed_port)
+        self.on_result(ip, port)

@@ -51,6 +51,10 @@ and returns an `OamLayout` of raw fields, a Linkstate payload as five ints;
 Linkstate message with the payload struct `encode_oam` uses, to the bytes
 `encode_oam` gives when C, F and T are clear, so a probe is written and read
 without message objects.
+
+Receivers read a packet of either kind with `_parse`, which dispatches on the
+protocol octet as `decode_packet` does and returns the layout, and read a
+data packet's source with `_source`, as `decode_header` does.
 """
 
 from __future__ import annotations
@@ -433,24 +437,31 @@ def _layout(data: bytes) -> DataLayout:
                              src_off, proto, sl_off, segments_left, tlvs))
 
 
+def _source(data: bytes, lay: DataLayout) -> tuple[str, int]:
+    """The source address and port of a data-packet header checked by _layout."""
+    src = lay.src_off
+    if lay.protocol_id == ProtocolId.IPV4:
+        port_off = src + 4
+        address = socket.inet_ntoa(data[src:port_off])
+    else:
+        port_off = src + 16
+        address = str(ipaddress.IPv6Address(data[src:port_off]))
+    return address, int.from_bytes(data[port_off:port_off + 2], "big")
+
+
 def decode_header(data: bytes) -> tuple[SRoUHeader, int]:
     """Decode a data-packet header; returns (header, consumed octets)."""
     lay = _layout(data)
     flags = data[2]
-    src, sl_off = lay.src_off, lay.sl_off
-    if lay.protocol_id == ProtocolId.IPV4:
-        proto, port_off = ProtocolId.IPV4, src + 4
-        source_address = socket.inet_ntoa(data[src:port_off])
-    else:
-        proto, port_off = ProtocolId.IPV6, src + 16
-        source_address = str(ipaddress.IPv6Address(data[src:port_off]))
+    sl_off = lay.sl_off
+    source_address, source_port = _source(data, lay)
     seg_end = sl_off + 1 + SEGMENT_OCTETS * (data[sl_off - 1] + 1)
     segments = tuple(_decode_segment(data[off:off + SEGMENT_OCTETS])
                      for off in range(sl_off + 1, seg_end, SEGMENT_OCTETS))
     hdr = SRoUHeader(
-        protocol_id=proto,
+        protocol_id=ProtocolId(lay.protocol_id),
         source_address=source_address,
-        source_port=int.from_bytes(data[port_off:port_off + 2], "big"),
+        source_port=source_port,
         segment_list=segments,
         segments_left=lay.segments_left,
         flow_id=lay.flow_id,
@@ -696,10 +707,16 @@ def encode_linkstate(subtype: int, flow_id: int, flow_id_type: int, seq: int,
                               sender_timestamp))
 
 
+def _parse(data: bytes) -> Union[DataLayout, OamLayout]:
+    """Check a message of either kind, dispatching on the protocol octet as
+    decode_packet does; raises what decode_packet raises."""
+    if len(data) > 3 and data[3] == ProtocolId.OAM:
+        return _oam_layout(data)
+    return _layout(data)  # shorter than 4 octets: TruncatedHeader
+
+
 def decode_packet(data: bytes) -> tuple[Union[SRoUHeader, OamMessage], int]:
     """Decode either kind of SRoU message, dispatching on the protocol octet."""
-    if len(data) < 4:
-        raise TruncatedHeader(f"need at least 4 octets, have {len(data)}")
-    if data[3] == ProtocolId.OAM:
+    if len(data) > 3 and data[3] == ProtocolId.OAM:
         return decode_oam(data)
     return decode_header(data)

@@ -24,7 +24,6 @@ from ruta.dataplane import (
     World,
     decode_frame,
     encode_frame,
-    native_demux,
     stun_serve,
 )
 from ruta.kvstore import KvStore
@@ -52,7 +51,7 @@ def sloc(ip, port, color="inet", bw=1e9):
 class SpineLeaf:
     """Hand-wired miniature of the two-leaf / two-spine deployment."""
 
-    def __init__(self, seed=0, probe=None, sla=None):
+    def __init__(self, seed=0, probe=None, sla=None, lc_b_slocs=None):
         self.world = make_world(seed)
         w = self.world
         for name in ("LC_A", "LC_B", "Spine_A", "Spine_B"):
@@ -67,7 +66,7 @@ class SpineLeaf:
         self.lc_a = LinecardRuntime(w, "LC_A", [sloc("192.168.99.77", 5547)],
                                     site_id=1, **{**lc_kw,
                                                   "l2_services": {1234: ("100:1", "1:1")}})
-        self.lc_b = LinecardRuntime(w, "LC_B", [sloc("192.168.99.78", 5546)],
+        self.lc_b = LinecardRuntime(w, "LC_B", lc_b_slocs or [sloc("192.168.99.78", 5546)],
                                     site_id=2, **{**lc_kw,
                                                   "l2_services": {1234: ("100:1", "2:1")}})
         self.spine_a = FabricRuntime(w, "Spine_A", [sloc("192.168.99.75", 17777)], **kw)
@@ -416,6 +415,48 @@ class TestFuzzRuntime:
                 assert rt.counts.get(what, 0) == expected[rt.name][what], (rt.name, what)
         assert sum(sum(c.values()) for c in expected.values()) > 500
 
+    def test_app_socket_packets_never_escape_run_until(self):
+        # the same seeded traffic into an echo and a sink app socket; the
+        # SRoU datagrams decode_packet rejects are the malformed ones
+        w = make_world(seed=6)
+        for name in ("FZ", "echo", "sink"):
+            w.net.add_node(name)
+        w.net.add_link("FZ", "echo", millis(1))
+        w.net.add_link("FZ", "sink", millis(1))
+        w.net.bind("FZ", "172.16.0.9", 4000, lambda pkt: None)
+        apps = [AppEndpoint(w, "echo", "203.0.113.30", 7443, echo=True),
+                AppEndpoint(w, "sink", "203.0.113.31", 7443)]
+        expected = Counter()
+        for app in apps:
+            app.start()
+            node = w.net.nodes[app.name]
+            key = (app.ip, app.port)
+
+            def spy(pkt, handler=node.bindings[key], name=app.name):
+                if pkt.payload[:1] == bytes([srou.MAGIC]):
+                    try:
+                        srou.decode_packet(pkt.payload)
+                    except srou.CodecError:
+                        expected[name] += 1
+                handler(pkt)
+            node.bindings[key] = spy
+        rng = random.Random(11)
+        for i in range(2_000):
+            if rng.random() < 0.5:
+                wire = srou.encode_oam(wiregen.random_oam(rng))
+            else:
+                wire = (srou.encode_header(wiregen.random_header(rng))
+                        + rng.randbytes(rng.randrange(40)))
+            if i % 2:
+                wire = wiregen.mutate(rng, wire)
+            app = apps[i // 2 % 2]  # each gets intact and mutated datagrams
+            w.clock.call_at(i * 100_000, lambda wire=wire, app=app: w.net.send(
+                "FZ", Datagram("172.16.0.9", 4000, app.ip, app.port, wire)))
+        w.clock.run_until(seconds(1))
+        for app in apps:
+            assert app.counts.get("drop_malformed", 0) == expected[app.name] > 100
+        assert apps[0].counts["tx_reply"] > 50 and apps[1].counts["rx_srou"] > 100
+
 
     def test_malformed_store_values_never_escape_run_until(self):
         # about 500 seeded malformed values under each prefix the runtimes
@@ -475,6 +516,97 @@ class TestProbeMesh:
         w.clock.run_until(seconds(3))
         assert {s.peer.system_name for s in lc.sessions.values()} == {"F1"}
 
+    def mesh(self, whitelist=None):
+        """F1 (two SLoCs), F2 (two SLoCs) and F3 on one switch, plus a
+        linecard LC that imports a route of a second linecard LC2."""
+        w = make_world()
+        for name in ("SW", "F1", "F2", "F3", "LC", "LC2"):
+            w.net.add_node(name)
+            if name != "SW":
+                w.net.add_link(name, "SW", millis(1))
+        probe = ProbeConfig(whitelist=whitelist)
+        f1 = FabricRuntime(w, "F1", [sloc("10.0.0.1", 17777),
+                                     sloc("10.0.1.1", 17777, color="mpls")], probe=probe)
+        f2 = FabricRuntime(w, "F2", [sloc("10.0.0.2", 17777),
+                                     sloc("10.0.1.2", 17777, color="mpls")])
+        f3 = FabricRuntime(w, "F3", [sloc("10.0.0.3", 17777)])
+        lc = LinecardRuntime(w, "LC", [sloc("10.0.0.10", 5500)], probe=probe,
+                             imports_l2={"100:1": 1234})
+        lc2 = LinecardRuntime(w, "LC2", [sloc("10.0.0.20", 5500)],
+                              imports_l2={"100:1": 1234}, l2_services={1234: ("100:1", "2:1")})
+        lc2.attach_host(HostPort("H2", "0a:00:00:00:00:99", "10.0.0.99", vnid=1234))
+        for rt in (f1, f2, f3, lc, lc2):
+            rt.start()
+        w.clock.run_until(seconds(3))
+        return f1, lc
+
+    @staticmethod
+    def pairs(rt):
+        return {(s.local.short, s.peer.short) for s in rt.sessions.values()}
+
+    def test_fabric_probes_every_sloc_pair_of_every_other_fabric(self):
+        f1, _ = self.mesh()
+        peers = [ss for name in ("F2", "F3") for ss in f1.service_dir[name]]
+        assert len(peers) == 3  # F1 itself is skipped
+        assert self.pairs(f1) == {(local.short, peer.short)
+                                  for local in f1.slocs for peer in peers}
+
+    def test_whitelist_restricts_only_the_fabric_mesh(self):
+        f1, lc = self.mesh(whitelist={"F2"})
+        assert {s.peer.system_name for s in f1.sessions.values()} == {"F2"}
+        assert len(f1.sessions) == 4  # two local SLoCs x two of F2's
+        # a linecard's destinations are probed whatever the whitelist says
+        assert {s.peer.system_name for s in lc.sessions.values()} == {"F2", "LC2"}
+
+
+class TestVerdict:
+    @staticmethod
+    def linkstate_puts(store):
+        """Record every link-state put as (time, key, value)."""
+        puts, put = [], store.put
+
+        def spy(key, value, lease_id=None):
+            if key.startswith(schema.LINKSTATE_PREFIX):
+                puts.append((store.clock.now, key, bytes(value)))
+            return put(key, value, lease_id)
+
+        store.put = spy
+        return puts
+
+    def test_unreachable_second_sloc_keeps_each_session_verdict(self):
+        # LC_B announces a second SLoC that no probe reaches: LC_A's session
+        # to it fails the SLA while the one to the first SLoC meets it.  Each
+        # session keeps its own verdict, so sla_change and the record put
+        # follow a change of one session's verdict, not every probe
+        dead = Sloc(color="mpls", private_ip="192.168.99.79", private_port=5546,
+                    public_ip="198.18.0.1", public_port=5546, rx_bw=1e9, tx_bw=1e9)
+        net = SpineLeaf(lc_b_slocs=[sloc("192.168.99.78", 5546), dead])
+        w = net.world
+        puts = self.linkstate_puts(w.store)
+        w.clock.run_until(seconds(60))
+        sessions = net.lc_a.sessions_to("LC_B")
+        assert sorted(s.status for s in sessions) == ["down", "up"]
+        changes = [r["detail"]["violated"] for r in w.trace.select("sla_change", "LC_A")
+                   if r["detail"]["system"] == "LC_B"]
+        assert sorted(changes) == [False, True]  # each session's first verdict
+        to_b = [p for p in puts if p[1].startswith(
+            schema.linkstate_key(net.lc_a.slocs[0].short, "LC_B"))]
+        # both sessions at each 10 s report, plus the three verdict changes:
+        # each session's first, and the unreachable session going down
+        assert len(to_b) == 2 * 6 + 3
+
+    def test_no_linkstate_key_is_put_twice_at_one_instant(self):
+        net = SpineLeaf(seed=2)
+        w = net.world
+        w.net.links[0].set_loss(0.2)  # LC_A -- Spine_A: verdicts flip
+        puts = self.linkstate_puts(w.store)
+        for i in range(200):
+            w.clock.call_at(seconds(1) + i * millis(50), lambda: net.lc_a.inject_host_frame(
+                "H1", net.frame_h1_to_h2()))
+        w.clock.run_until(seconds(30))
+        assert len(puts) > 20
+        assert len(puts) == len(set(puts))
+
 
 class TestEndDt4:
     def build(self):
@@ -526,18 +658,23 @@ class TestEndDt4:
         assert net.lc_b.counts["drop_no_vrf_route"] == 1
 
 
+def oam_fields(msg):
+    """What a runtime hands its OAM handlers: the checked wire fields."""
+    return srou._oam_layout(srou.encode_oam(msg))
+
+
 class TestStunRole:
     def test_serve_mirrors_observed(self):
-        req = srou.OamMessage(srou.OamType.STUN, srou.STUN_REQUEST,
-                              srou.StunRequestData(), flow_id=7)
+        req = oam_fields(srou.OamMessage(srou.OamType.STUN, srou.STUN_REQUEST,
+                                         srou.StunRequestData(), flow_id=7))
         resp = stun_serve(req, ("198.51.100.7", 40001))
         assert resp.payload == srou.StunResponseData("198.51.100.7", 40001)
         assert resp.flow_id == 7
 
     def test_serve_rejects_other(self):
         with pytest.raises(Exception):
-            stun_serve(srou.OamMessage(srou.OamType.STUN, srou.STUN_RESPONSE,
-                                       srou.StunResponseData("1.2.3.4", 5)),
+            stun_serve(oam_fields(srou.OamMessage(srou.OamType.STUN, srou.STUN_RESPONSE,
+                                                  srou.StunResponseData("1.2.3.4", 5))),
                        ("9.9.9.9", 9))
 
     def test_forged_stun_response_dropped(self):
@@ -684,26 +821,42 @@ class TestToken:
 
 
 class TestNativeSocket:
-    def test_demux_classification(self):
-        hdr = srou.SRoUHeader(
-            protocol_id=srou.ProtocolId.IPV4, source_address="1.2.3.4",
-            source_port=9, segment_list=(srou.Waypoint("5.6.7.8", 1),),
-            segments_left=1)
-        wire = srou.encode_header(hdr) + b"inner"
-        kind, msg, inner = native_demux(wire)
-        assert kind == "srou" and inner == b"inner"
-        kind, payload = native_demux(b"\xc3quic-like")
-        assert kind == "passthrough" and payload == b"\xc3quic-like"
-        assert native_demux(b"")[0] == "drop"
+    DATA = srou.encode_header(srou.SRoUHeader(
+        protocol_id=srou.ProtocolId.IPV4, source_address="1.2.3.4",
+        source_port=9, segment_list=(srou.Waypoint("5.6.7.8", 1),),
+        segments_left=1, flow_id=5))
+    DEMUX = {  # datagram -> (the count it adds, the payload on_app sees)
+        "data": (DATA + b"inner", "rx_srou", b"inner"),
+        "passthrough": (b"\xc3quic-like", "rx_passthrough", b"\xc3quic-like"),
+        "empty": (b"", "drop_empty", None),
+        "truncated": (DATA[:10], "drop_malformed", None),
+        "oam": (srou.encode_oam(srou.OamMessage(srou.OamType.STUN, srou.STUN_REQUEST,
+                                                srou.StunRequestData())), "drop_oam", None),
+    }
 
-    def test_demux_truncated_raises(self):
-        hdr = srou.SRoUHeader(
-            protocol_id=srou.ProtocolId.IPV4, source_address="1.2.3.4",
-            source_port=9, segment_list=(srou.Waypoint("5.6.7.8", 1),),
-            segments_left=1)
-        wire = srou.encode_header(hdr)
-        with pytest.raises(srou.TruncatedHeader):
-            native_demux(wire[:10])
+    @pytest.mark.parametrize("case", sorted(DEMUX))
+    def test_app_socket_demux(self, case):
+        # one port carries SRoU and plain datagrams, told apart by the magic
+        # octet; what is neither reaches the app as nothing but a count
+        wire, counted, delivered = self.DEMUX[case]
+        w = make_world()
+        for name in ("peer", "app"):
+            w.net.add_node(name)
+        w.net.add_link("peer", "app", millis(1))
+        got = []
+        app = AppEndpoint(w, "app", "203.0.113.30", 7443,
+                          on_app=lambda p, ctx: got.append((p, ctx)))
+        app.start()
+        w.net.send("peer", Datagram("203.0.113.40", 6000, "203.0.113.30", 7443, wire))
+        w.clock.run_until(seconds(1))
+        assert app.counts == {counted: 1}
+        assert [p for p, _ in got] == ([delivered] if delivered is not None else [])
+        if case == "data":
+            ctx = got[0][1]
+            assert (ctx.srou_source, ctx.flow_id, ctx.raw) == (("1.2.3.4", 9), 5, False)
+        if case == "truncated":
+            assert w.trace.select("malformed", "app")[0]["detail"] == {
+                "error": "TruncatedHeader"}
 
     def build_nat_path(self):
         """client -- NAT -- edge fabric -- transit fabric -- server; the last

@@ -55,8 +55,8 @@ class ProbeHarness:
                                       loss_ab=loss_ab, loss_ba=loss_ba)
         self.a = service_sloc("A", "10.0.0.1", 7001)
         self.b = service_sloc("B", "10.0.0.2", 7002)
-        self.session = ProbeSession(self.a, self.b, interval_ns=interval,
-                                    window=window, timeout_ns=timeout)
+        self.interval = interval
+        self.session = ProbeSession(self.a, self.b, window=window, timeout_ns=timeout)
         self.responder = ProbeResponder()
         self.net.bind("A", "10.0.0.1", 7001, self._on_a)
         self.net.bind("B", "10.0.0.2", 7002, self._on_b)
@@ -76,9 +76,9 @@ class ProbeHarness:
 
     def run_probes(self, n):
         """n ticks, then settle the last probes once their timeout is over."""
-        last = self.clock.now + n * self.session.interval_ns
+        last = self.clock.now + n * self.interval
         for i in range(n):
-            self.clock.call_at(self.clock.now + (i + 1) * self.session.interval_ns,
+            self.clock.call_at(self.clock.now + (i + 1) * self.interval,
                                self.tick)
         self.clock.run_until_quiescent()
         self.clock.run_until(last + self.session.timeout_ns)
@@ -300,30 +300,6 @@ class TestMetrics:
         assert seqs == list(range(1, 11)) and list(h.session.pending) == seqs
 
 
-class TestFullMesh:
-    def test_n_minus_one_sessions(self):
-        locals_ = [service_sloc("F1", "10.0.0.1", 1)]
-        peers = [(f"F{i}", [service_sloc(f"F{i}", f"10.0.0.{i}", 1).sloc])
-                 for i in range(1, 5)]
-        pairs = prober.full_mesh_targets(locals_, peers, self_name="F1")
-        assert len(pairs) == 3
-
-    def test_whitelist(self):
-        locals_ = [service_sloc("F1", "10.0.0.1", 1)]
-        peers = [("F2", [service_sloc("F2", "10.0.0.2", 1).sloc]),
-                 ("F3", [service_sloc("F3", "10.0.0.3", 1).sloc])]
-        pairs = prober.full_mesh_targets(locals_, peers, whitelist={"F2"},
-                                         self_name="F1")
-        assert [p.system_name for _, p in pairs] == ["F2"]
-
-    def test_multi_sloc_peer(self):
-        locals_ = [service_sloc("F1", "10.0.0.1", 1)]
-        two = [service_sloc("F2", "10.0.0.2", 1).sloc,
-               service_sloc("F2", "10.0.0.3", 1, color="mpls").sloc]
-        pairs = prober.full_mesh_targets(locals_, [("F2", two)], self_name="F1")
-        assert len(pairs) == 2
-
-
 class TestStunExchange:
     def build(self, with_server=True):
         clock = VirtualClock()
@@ -358,7 +334,7 @@ class TestStunExchange:
                           on_result=lambda ip, port: results.append((ip, port)),
                           on_error=errors.append)
         net.bind("client", "10.9.9.2", 6000,
-                 lambda pkt: ex.on_response(srou.decode_oam(pkt.payload)[0]))
+                 lambda pkt: ex.on_response(*srou._oam_layout(pkt.payload).payload))
         return clock, net, ex, results, errors
 
     def test_observes_nat_mapping(self):
@@ -396,7 +372,7 @@ class TestStunExchange:
                           lambda ip, port: results.append((ip, port)),
                           on_error=lambda e: None)
         net.bind("client", "192.0.2.5", 6000,
-                 lambda pkt: ex.on_response(srou.decode_oam(pkt.payload)[0]))
+                 lambda pkt: ex.on_response(*srou._oam_layout(pkt.payload).payload))
         ex.start()
         clock.run_until_quiescent()
         assert results == [("192.0.2.5", 6000)]
