@@ -6,6 +6,8 @@ import random
 import pytest
 
 from ruta import prober, srou
+from ruta.dataplane import FabricRuntime, ProbeConfig, World
+from ruta.kvstore import KvStore
 from ruta.netsim import Datagram, Network, Trace, VirtualClock, millis, seconds
 from ruta.prober import LOST, ProbeResponder, ProbeSession, StunExchange
 from ruta.schema import ServiceSloc, Sloc
@@ -298,6 +300,43 @@ class TestMetrics:
         h = ProbeHarness()
         seqs = [sent(h.session.make_request(seconds(t))).seq for t in range(10)]
         assert seqs == list(range(1, 11)) and list(h.session.pending) == seqs
+
+
+class TestFullMesh:
+    """A fabric's one session opener: every local SLoC to every announced
+    SLoC of every other fabric the whitelist admits."""
+
+    @staticmethod
+    def fabrics(peers, whitelist=None):
+        clock = VirtualClock()
+        trace = Trace()
+        world = World(clock=clock, net=Network(clock, trace, seed=0),
+                      store=KvStore(clock), trace=trace)
+        world.net.add_node("SW")
+        runtimes = []
+        for name, slocs in [("F1", [service_sloc("F1", "10.0.0.1", 17777).sloc])] + peers:
+            world.net.add_node(name)
+            world.net.add_link(name, "SW", millis(1))
+            probe = ProbeConfig(whitelist=whitelist) if name == "F1" else None
+            runtimes.append(FabricRuntime(world, name, slocs, probe=probe))
+        for rt in runtimes:
+            rt.start()
+        clock.run_until(seconds(3))
+        return runtimes[0]
+
+    def test_whitelist(self):
+        f1 = self.fabrics([("F2", [service_sloc("F2", "10.0.0.2", 17777).sloc]),
+                           ("F3", [service_sloc("F3", "10.0.0.3", 17777).sloc])],
+                          whitelist={"F2"})
+        assert [s.peer.system_name for s in f1.sessions.values()] == ["F2"]
+
+    def test_multi_sloc_peer(self):
+        two = [service_sloc("F2", "10.0.0.2", 17777).sloc,
+               service_sloc("F2", "10.0.1.2", 17777, color="mpls").sloc]
+        f1 = self.fabrics([("F2", two)])
+        assert sorted(s.peer.short for s in f1.sessions.values()) == \
+            sorted(ss.short for ss in f1.service_dir["F2"])
+        assert len(f1.sessions) == 2
 
 
 class TestStunExchange:
