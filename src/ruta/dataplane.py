@@ -24,11 +24,13 @@ local SLoC to every announced SLoC of another system.  Fabrics and
 linecards open one to each fabric the whitelist admits; linecards also open
 one to each destination system of their routes, whitelisted or not.  Each
 session has one verdict: its status at a fabric, and (status, SLA violated)
-at a linecard, judged on the record the outcome builds.  The first outcome
-and every change of the verdict put the session's record once; the report
-timer puts every session's record with its byte counts.  At a linecard, a
-change of the SLA part also drops the paths cached to the peer's system and
-writes an `sla_change` record.
+at a linecard, judged on the session's running sums.  The first outcome and
+every change of the verdict put the session's record once.  The report timer
+puts each local SLoC's utilization under /stats/sloc, which no runtime
+follows, and the record of each session whose figures (delay, jitter, loss,
+status) differ from the ones last put for its key; a record is built only
+for a put.  At a linecard, a change of the SLA part also drops the paths
+cached to the peer's system and writes an `sla_change` record.
 
 Host frames are the minimal tuple (src_mac, dst_mac, src_ip, dst_ip,
 payload), serialized as 6+6+4+4 octets plus payload.
@@ -59,6 +61,7 @@ from .pathengine import (
     edge_cost_ms,
     evaluate_sla,
     shortest_constrained,
+    sla_breach,
     to_segment_list,
 )
 from .prober import (
@@ -293,6 +296,8 @@ class NodeRuntime:
         self._stun_server = None  # the address STUN requests go to
         # (local short, peer address) -> the verdict last reported for the session
         self._verdicts: dict[tuple[str, tuple[str, int]], object] = {}
+        # (src short, dst short) -> the figures last put under lease2
+        self._put_figures: dict[tuple[str, str], tuple] = {}
         self._bytes_tx: dict[str, int] = {}
         self._bytes_rx: dict[str, int] = {}
         self._bytes_reported: dict[str, tuple[int, int]] = {}
@@ -357,6 +362,7 @@ class NodeRuntime:
     def _register(self) -> None:
         self.lease1 = self.handle.grant_lease(seconds(DEFAULT_LEASE1_S))
         self.lease2 = self.handle.grant_lease(seconds(DEFAULT_LEASE2_S))
+        self._put_figures = {}  # records put under a new lease are new
         schema.register_node(self.handle, self.role, self.name, self.site_id,
                              self.location, self.lease1, done=self._registered)
 
@@ -551,30 +557,31 @@ class NodeRuntime:
             self._verdicts[key] = session.status
             self._report_session(session)
 
-    def _report_session(self, session: ProbeSession,
-                        byte_delta: tuple[int, int] = (0, 0)) -> None:
-        try:
-            rec = session.metrics(self.clock.now, bytes_rx=byte_delta[0],
-                                  bytes_tx=byte_delta[1],
-                                  interval_s=self.probe_cfg.report_interval_ns / 1e9)
-        except EmptyWindow:
+    def _report_session(self, session: ProbeSession) -> None:
+        """Put a session's record unless the store holds its figures already."""
+        figures = session.figures()
+        pair = (session.local.short, session.peer.short)
+        if figures is None or self._put_figures.get(pair) == figures:
             return
-        self._report(rec)
-
-    def _report(self, rec: LinkStateRecord) -> None:
-        self._store_call(schema.report_linkstate, self.handle, rec, self.lease2)
+        if self._store_call(schema.report_linkstate, self.handle,
+                            session.metrics(self.clock.now), self.lease2):
+            self._put_figures[pair] = figures
 
     def _report_linkstate(self) -> None:
-        deltas = {}
-        for short in {k[0] for k in self.sessions}:
-            rx = self._bytes_rx.get(short, 0)
-            tx = self._bytes_tx.get(short, 0)
-            last_rx, last_tx = self._bytes_reported.get(short, (0, 0))
-            deltas[short] = (rx - last_rx, tx - last_tx)
-            self._bytes_reported[short] = (rx, tx)
+        """Put each local SLoC's load, then each session's record that
+        changed.  The load put is the tick's guarded store call, so a
+        partitioned node turns headless here even when no record changed."""
+        interval_s = self.probe_cfg.report_interval_ns / 1e9
+        for ss in self.slocs:
+            rx = self._bytes_rx.get(ss.short, 0)
+            tx = self._bytes_tx.get(ss.short, 0)
+            last_rx, last_tx = self._bytes_reported.get(ss.short, (0, 0))
+            self._bytes_reported[ss.short] = (rx, tx)
+            load = schema.SlocLoadRecord.from_counters(ss, rx - last_rx, tx - last_tx,
+                                                       interval_s, self.clock.now)
+            self._store_call(schema.report_sloc_load, self.handle, load, self.lease2)
         for key in sorted(self.sessions):
-            session = self.sessions[key]
-            self._report_session(session, deltas.get(key[0], (0, 0)))
+            self._report_session(self.sessions[key])
 
     # -- segment relay (shared by fabric and linecard) -------------------------
 
@@ -776,21 +783,22 @@ class LinecardRuntime(NodeRuntime):
 
     def on_probe_outcome(self, session: ProbeSession) -> None:
         """A linecard's verdict on a session is (status, SLA violated), judged
-        on the one record the outcome builds; a change puts that record, and a
-        change of the SLA part also drops the paths cached to the system."""
+        on the session's running sums by evaluate_sla's rule; a change puts
+        the session's record, and a change of the SLA part also drops the
+        paths cached to the system."""
         system = session.peer.system_name
         self._direct.pop(system, None)
-        try:
-            rec = session.metrics(self.clock.now)
-        except EmptyWindow:
+        figures = session.figures()
+        if figures is None:
             return
-        violated = not evaluate_sla(rec, self.sla).ok
+        delay_us, _, loss, status = figures
+        violated = sla_breach(status, delay_us, loss, self.sla) is not None
         key = (session.local.short, session.peer.public_addr)
         last = self._verdicts.get(key)
-        if last == (rec.status, violated):
+        if last == (status, violated):
             return
-        self._verdicts[key] = (rec.status, violated)
-        self._report(rec)
+        self._verdicts[key] = (status, violated)
+        self._report_session(session)
         if last is not None and last[1] == violated:
             return
         for dst, (_, path) in list(self.path_cache.items()):
@@ -1077,14 +1085,15 @@ class LsdbRuntime(NodeRuntime):
 # native-socket application endpoints
 
 
-def _app_header(source: tuple[str, int], visit, flow_id: int) -> bytes:
+def _app_header(source: tuple[str, int], visit, flow_id: int,
+                flow_id_type: srou.FlowIdType = srou.FlowIdType.FT32) -> bytes:
     """An app socket's IPv4 SRoU header: the waypoints in visit order, all
     of them left to visit."""
     segments = tuple(srou.Waypoint(*addr) for addr in reversed(visit))
     return srou.encode_header(srou.SRoUHeader(
         protocol_id=srou.ProtocolId.IPV4, source_address=source[0],
         source_port=source[1], segment_list=segments,
-        segments_left=len(segments), flow_id=flow_id))
+        segments_left=len(segments), flow_id=flow_id, flow_id_type=flow_id_type))
 
 
 @dataclass
@@ -1093,6 +1102,7 @@ class ReplyContext:
     srou_source: tuple[str, int]
     flow_id: int
     raw: bool = False
+    flow_id_type: srou.FlowIdType = srou.FlowIdType.FT32
 
 
 class AppEndpoint:
@@ -1147,7 +1157,7 @@ class AppEndpoint:
             return
         visit = list(self.reply_via) + [ctx.srou_source]
         try:
-            wire = _app_header((self.ip, self.port), visit, ctx.flow_id)
+            wire = _app_header((self.ip, self.port), visit, ctx.flow_id, ctx.flow_id_type)
         except srou.CodecError:  # a source no waypoint can hold
             self.count("drop_reply_unencodable")
             return
@@ -1179,7 +1189,7 @@ class AppEndpoint:
             return
         source = srou._source(payload, lay)
         ctx = ReplyContext(outer=(pkt.src_ip, pkt.src_port), srou_source=source,
-                           flow_id=lay.flow_id)
+                           flow_id=lay.flow_id, flow_id_type=lay.flow_id_type)
         self.count("rx_srou")
         self.frame_trace.emit("app_rx", *source, len(payload) - lay.total)
         self._deliver(payload[lay.total:], ctx)

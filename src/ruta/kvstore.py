@@ -13,12 +13,21 @@ so no follower needs older history and the store keeps none.
 Partitions are per client name: while a client is partitioned its operations
 raise StoreUnavailable and its watches buffer events, which replay in
 revision order on heal.
+
+Watches are indexed by prefix, as etcd's watcher_group does it: a change
+looks up the watches on each `/`-ancestor of its key (a prefix that ends in
+`/`), plus a short list of watches whose prefix ends otherwise, so a put costs
+the watches it reaches and the depth of its key, not the number of watches.
+The hits are collected before any is delivered and go out in watch_id
+order: a watch added during delivery does not see the change, and one that
+a callback cancels gets nothing more.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .netsim import VirtualClock
@@ -135,7 +144,10 @@ class Watch:
     def cancel(self) -> None:
         if not self.canceled:
             self.canceled = True
-            self.store.watches.remove(self)
+            self.store._unwatch(self)
+
+
+_WATCH_ID = attrgetter("watch_id")
 
 
 class KvStore:
@@ -148,7 +160,9 @@ class KvStore:
         self.revision = 0
         self.entries: dict[str, KvEntry] = {}
         self.leases: dict[int, Lease] = {}
-        self.watches: list[Watch] = []
+        self.watches: list[Watch] = []  # every live watch, in watch_id order
+        self._by_prefix: dict[str, list[Watch]] = {}  # prefixes ending in "/"
+        self._unindexed: list[Watch] = []  # every other prefix
         self.partitioned: set[str] = set()
         self.locks: dict[str, _NamedLock] = {}
         self._next_lease_id = 1
@@ -161,10 +175,26 @@ class KvStore:
     # -- core K-V ----------------------------------------------------------
 
     def _emit(self, kind: str, entry: KvEntry) -> None:
+        key = entry.key
+        groups = []
+        cut = key.find("/")
+        while cut >= 0:
+            group = self._by_prefix.get(key[:cut + 1])
+            if group:
+                groups.append(group)
+            cut = key.find("/", cut + 1)
+        if self._unindexed:
+            slow = [w for w in self._unindexed if key.startswith(w.prefix)]
+            if slow:
+                groups.append(slow)
+        if not groups:
+            return
+        # a copy: a callback may add or cancel a watch
+        hits = (tuple(groups[0]) if len(groups) == 1
+                else sorted((w for g in groups for w in g), key=_WATCH_ID))
         ev = WatchEvent(kind, entry, entry.mod_revision)
-        for watch in tuple(self.watches):  # a callback may cancel a watch
-            if entry.key.startswith(watch.prefix):
-                watch._deliver(ev)
+        for watch in hits:
+            watch._deliver(ev)
 
     def _live_lease(self, lease_id: Optional[int]) -> Optional[Lease]:
         if lease_id is None:
@@ -219,7 +249,20 @@ class KvStore:
         watch = Watch(self, self._next_watch_id, prefix, client, on_event)
         self._next_watch_id += 1
         self.watches.append(watch)
+        self._group(prefix).append(watch)
         return watch
+
+    def _group(self, prefix: str) -> list[Watch]:
+        if prefix.endswith("/"):
+            return self._by_prefix.setdefault(prefix, [])
+        return self._unindexed
+
+    def _unwatch(self, watch: Watch) -> None:
+        self.watches.remove(watch)
+        group = self._group(watch.prefix)
+        group.remove(watch)
+        if not group and watch.prefix in self._by_prefix:
+            del self._by_prefix[watch.prefix]
 
     # -- leases ---------------------------------------------------------------
 

@@ -25,6 +25,8 @@ can be an unordered set, and no sort is needed.
 Each linecard's edge map follows the link state delta by delta: a put or a
 delete recomputes only the two directions of the changed pair, and
 build_edges, the reference, runs again only when the SLA policy changes.
+The map is an EdgeMap, which keeps the out-adjacency the search walks
+beside the edges and updates both together, so a search builds none.
 
 The syncs are pure mirrors: each subscribes through the `follow` its owner
 hands to `start` and holds no store session of its own.
@@ -99,17 +101,25 @@ def one_way_delay_ms(rec: LinkStateRecord) -> float:
     return rec.two_way_delay_us / 2.0 / 1000.0
 
 
+def sla_breach(status: str, two_way_delay_us: float, loss: float,
+               policy: SlaPolicy) -> Optional[str]:
+    """The first bound a link breaks, in evaluate_sla's order (down, delay,
+    loss), or None; takes the figures a record would hold."""
+    if status == STATUS_DOWN:
+        return "down"
+    if two_way_delay_us / 2.0 / 1000.0 > policy.max_delay_ms:
+        return "delay"
+    if loss > policy.max_loss:
+        return "loss"
+    return None
+
+
 def evaluate_sla(rec: Optional[LinkStateRecord], policy: SlaPolicy) -> SlaVerdict:
     """Missing probe data counts as violated so a relay search is attempted."""
     if rec is None:
         return SlaVerdict(False, "unknown")
-    if rec.status == STATUS_DOWN:
-        return SlaVerdict(False, "down")
-    if one_way_delay_ms(rec) > policy.max_delay_ms:
-        return SlaVerdict(False, "delay")
-    if rec.loss > policy.max_loss:
-        return SlaVerdict(False, "loss")
-    return SlaVerdict(True)
+    reason = sla_breach(rec.status, rec.two_way_delay_us, rec.loss, policy)
+    return SlaVerdict(reason is None, reason)
 
 
 def edge_cost_ms(rec: LinkStateRecord, policy: SlaPolicy) -> float:
@@ -143,6 +153,34 @@ def build_edges(records: dict[tuple[str, str], LinkStateRecord],
     return edges
 
 
+def _adjacency(edges: dict[tuple[str, str], float]) -> dict[str, dict[str, float]]:
+    out: dict[str, dict[str, float]] = {}
+    for (u, v), w in edges.items():
+        out.setdefault(u, {})[v] = w
+    return out
+
+
+class EdgeMap(dict):
+    """A directed cost map that keeps its out-adjacency beside it, so that
+    `out[u][v] == self[(u, v)]`.  Change it only through `set` and `drop`."""
+
+    def __init__(self, edges: dict[tuple[str, str], float]):
+        super().__init__(edges)
+        self.out = _adjacency(edges)
+
+    def set(self, pair: tuple[str, str], cost: float) -> None:
+        self[pair] = cost
+        self.out.setdefault(pair[0], {})[pair[1]] = cost
+
+    def drop(self, pair: tuple[str, str]) -> None:
+        if pair in self:
+            del self[pair]
+            out = self.out[pair[0]]
+            del out[pair[1]]
+            if not out:
+                del self.out[pair[0]]
+
+
 def shortest_constrained(edges: dict[tuple[str, str], float],
                          srcs: set[str], dsts: set[str],
                          max_hops: int) -> tuple[float, tuple[str, ...]]:
@@ -152,11 +190,12 @@ def shortest_constrained(edges: dict[tuple[str, str], float],
     table holds minima over walks of at most k edges; with positive costs the
     winner is a simple path.  Ties break on (cost, hops, lexicographic path).
     Only the frontier, the nodes that improved in the last round, is relaxed:
-    see the module docstring for why that equals relaxing every edge.
+    see the module docstring for why that equals relaxing every edge.  An
+    EdgeMap lends its kept adjacency; any other map has one built per call.
+    A candidate's path is built only when its cost does not exceed the best
+    one's, since a dearer candidate loses on cost alone.
     """
-    adj: dict[str, list[tuple[str, float]]] = {}
-    for (u, v), w in edges.items():
-        adj.setdefault(u, []).append((v, w))
+    adj = edges.out if isinstance(edges, EdgeMap) else _adjacency(edges)
     best: dict[str, tuple[float, int, tuple[str, ...]]] = {
         s: (0.0, 0, (s,)) for s in srcs}
     frontier = set(srcs)
@@ -167,9 +206,12 @@ def shortest_constrained(edges: dict[tuple[str, str], float],
         layer = [(best[u], adj[u]) for u in frontier if u in adj]
         frontier = set()
         for (cost, hops, path), out in layer:
-            for v, w in out:
-                cand = (cost + w, hops + 1, path + (v,))
+            for v, w in out.items():
+                c = cost + w
                 cur = best.get(v)
+                if cur is not None and c > cur[0]:
+                    continue
+                cand = (c, hops + 1, path + (v,))
                 if cur is None or cand < cur:
                     best[v] = cand
                     frontier.add(v)
@@ -339,7 +381,7 @@ class LinkStateSync:
         self.records: dict[tuple[str, str], LinkStateRecord] = {}
         self.on_delta = on_delta
         self._policy: Optional[SlaPolicy] = None
-        self._edges: dict[tuple[str, str], float] = {}  # build_edges(records, _policy)
+        self._edges = EdgeMap({})  # build_edges(records, _policy)
 
     def start(self, follow: Follow) -> None:
         follow(LINKSTATE_PREFIX, self._apply)
@@ -367,13 +409,13 @@ class LinkStateSync:
         if rec is None:
             rec = self.records.get((pair[1], pair[0]))
         if rec is None or rec.status == STATUS_DOWN:
-            self._edges.pop(pair, None)
+            self._edges.drop(pair)
         else:
-            self._edges[pair] = edge_cost_ms(rec, self._policy)
+            self._edges.set(pair, edge_cost_ms(rec, self._policy))
 
-    def edges(self, policy: SlaPolicy) -> dict[tuple[str, str], float]:
-        """The current edge map; callers must not change it."""
+    def edges(self, policy: SlaPolicy) -> EdgeMap:
+        """The current edge map, its adjacency kept; callers must not change it."""
         if policy != self._policy:
-            self._edges = build_edges(self.records, policy)
+            self._edges = EdgeMap(build_edges(self.records, policy))
             self._policy = policy
         return self._edges

@@ -13,6 +13,9 @@ The window holds one int per probe: its two-way delay in ns, or LOST.  Loss
 rate and mean delay over the window are running sums (a lost count and an
 integer-nanosecond delay sum), updated as a sample enters the window and as
 one leaves it, so reading them costs the same at any window size.
+`figures` reads what a record would carry without building one, and
+`metrics` builds the record.  A record holds link figures only: a SLoC's
+utilization is the node runtime's own per-SLoC record, not a session's.
 
 The node runtime opens the sessions, one per (local SLoC, peer SLoC) pair
 of each system it probes, and decides when a session's record goes to the
@@ -169,29 +172,23 @@ class ProbeSession:
             return 0.0
         return self._delay_ns / NS_PER_US / delivered
 
-    def metrics(self, now: int, bytes_rx: int = 0, bytes_tx: int = 0,
-                interval_s: float = 10.0) -> LinkStateRecord:
-        """Fold the window into a LinkStateRecord; utilization compares the
-        observed byte counters against the local SLoC bandwidths."""
+    def figures(self) -> Optional[tuple[float, float, float, str]]:
+        """What a record of the window carries, read from the running sums:
+        (two-way delay us, jitter us, loss, status); None for an empty window."""
         if not self._window:
+            return None
+        return (self.two_way_delay_us(), self.smoothed_jitter_us, self.loss_rate(),
+                self.status)
+
+    def metrics(self, now: int) -> LinkStateRecord:
+        """Fold the window into a LinkStateRecord sampled at now."""
+        figures = self.figures()
+        if figures is None:
             raise EmptyWindow(f"no probe outcomes for {self.peer.short}")
-
-        def util(nbytes: int, bw: float) -> float:
-            if bw <= 0 or interval_s <= 0:
-                return 0.0
-            return min(1.0, nbytes * 8 / interval_s / bw)
-
-        return LinkStateRecord(
-            src=self.local.short,
-            dst=self.peer.short,
-            two_way_delay_us=self.two_way_delay_us(),
-            jitter_us=self.smoothed_jitter_us,
-            loss=self.loss_rate(),
-            utilization_rx=util(bytes_rx, self.local.sloc.rx_bw),
-            utilization_tx=util(bytes_tx, self.local.sloc.tx_bw),
-            status=self.status,
-            sampled_at=now,
-        )
+        delay_us, jitter_us, loss, status = figures
+        return LinkStateRecord(src=self.local.short, dst=self.peer.short,
+                               two_way_delay_us=delay_us, jitter_us=jitter_us, loss=loss,
+                               status=status, sampled_at=now)
 
 
 class ProbeResponder:

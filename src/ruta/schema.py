@@ -8,6 +8,7 @@ Key grammar:
     /route/2/<RT>/<RD>/<MAC>/<IP>              EVPN type-2 host route
     /route/5/<RT>/<RD>/<IPPrefix>/<Mask>       EVPN type-5 prefix route
     /stats/linkstate/<SLoC_src - SLoC_dst>     probe results
+    /stats/sloc/<SLoC>                         a local SLoC's utilization
     /identity/<userid>/<device-id>             endpoint group tags
     /control/group/<srcGroup>/<dstGroup>       group policy rule
 
@@ -26,7 +27,7 @@ import functools
 import ipaddress
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional, Union
 
 from .kvstore import Lease, StoreHandle
@@ -358,16 +359,12 @@ class LinkStateRecord:
     two_way_delay_us: float
     jitter_us: float
     loss: float
-    utilization_rx: float
-    utilization_tx: float
     status: str
     sampled_at: int
 
     def __post_init__(self):
-        for name, frac in (("loss", self.loss), ("utilization_rx", self.utilization_rx),
-                           ("utilization_tx", self.utilization_tx)):
-            if not 0.0 <= frac <= 1.0:
-                raise ValidationError(f"{name}={frac} outside [0,1]")
+        if not 0.0 <= self.loss <= 1.0:
+            raise ValidationError(f"loss={self.loss} outside [0,1]")
         for name, us in (("two_way_delay_us", self.two_way_delay_us),
                          ("jitter_us", self.jitter_us)):
             if not us >= 0.0:  # NaN fails too
@@ -385,8 +382,6 @@ class LinkStateRecord:
             "two_way_delay_us": self.two_way_delay_us,
             "jitter_us": self.jitter_us,
             "loss": self.loss,
-            "utilization_rx": self.utilization_rx,
-            "utilization_tx": self.utilization_tx,
             "status": self.status,
             "sampled_at": self.sampled_at,
         }
@@ -398,8 +393,6 @@ class LinkStateRecord:
             two_way_delay_us=float(doc["two_way_delay_us"]),
             jitter_us=float(doc["jitter_us"]),
             loss=float(doc["loss"]),
-            utilization_rx=float(doc["utilization_rx"]),
-            utilization_tx=float(doc["utilization_tx"]),
             status=doc["status"],
             sampled_at=int(doc["sampled_at"]),
         )
@@ -431,6 +424,40 @@ def parse_linkstate(key: str, value: bytes) -> tuple[tuple[str, str], LinkStateR
     value) decodes it once; the record is frozen, so followers share it.
     """
     return parse_linkstate_key(key), _decode(key, value, LinkStateRecord.from_doc)
+
+
+@dataclass(frozen=True)
+class SlocLoadRecord:
+    """One local SLoC's utilization over a report interval: the bytes it
+    received and sent against its bandwidths, each in [0, 1]."""
+
+    sloc: str  # SLoC-short
+    utilization_rx: float
+    utilization_tx: float
+    sampled_at: int
+
+    @classmethod
+    def from_counters(cls, ss: ServiceSloc, bytes_rx: int, bytes_tx: int,
+                      interval_s: float, sampled_at: int) -> "SlocLoadRecord":
+        """Utilization of the bytes counted over interval_s, clamped to 1; a
+        SLoC without a bandwidth reads 0."""
+
+        def util(nbytes: int, bw: float) -> float:
+            if bw <= 0 or interval_s <= 0:
+                return 0.0
+            return min(1.0, nbytes * 8 / interval_s / bw)
+
+        return cls(ss.short, util(bytes_rx, ss.sloc.rx_bw), util(bytes_tx, ss.sloc.tx_bw),
+                   sampled_at)
+
+    def key(self) -> str:
+        return f"{SLOC_LOAD_PREFIX}{self.sloc}"
+
+    def to_doc(self) -> dict:
+        return asdict(self)
+
+
+SLOC_LOAD_PREFIX = "/stats/sloc/"
 
 
 # ---------------------------------------------------------------------------
@@ -625,4 +652,10 @@ def announce_route(handle: StoreHandle, route: ServiceRoute, lease: Lease) -> in
 def report_linkstate(handle: StoreHandle, rec: LinkStateRecord, lease: Lease) -> int:
     """Upsert a probe record under /stats/linkstate, the one home of link
     state: path engines and LSDB replicas follow it there."""
+    return handle.put(rec.key(), to_json_bytes(rec.to_doc()), lease.lease_id)
+
+
+def report_sloc_load(handle: StoreHandle, rec: SlocLoadRecord, lease: Lease) -> int:
+    """Upsert a SLoC's utilization under /stats/sloc, which no runtime
+    follows, so the put reaches no watch."""
     return handle.put(rec.key(), to_json_bytes(rec.to_doc()), lease.lease_id)

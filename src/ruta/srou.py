@@ -392,6 +392,7 @@ class DataLayout(NamedTuple):
 
     total: int          # SRoU Length: header octets; the inner payload follows
     flow_id: int
+    flow_id_type: FlowIdType
     t_bit: bool
     src_off: int        # source address; the source port follows it
     protocol_id: int    # ProtocolId.IPV4 or ProtocolId.IPV6
@@ -433,8 +434,8 @@ def _layout(data: bytes) -> DataLayout:
     sl_off = quartet + 3
     tlv_off = sl_off + 1 + seg_bytes
     tlvs = _decode_tlvs(view[tlv_off:total]) if tlv_off < total else ()
-    return DataLayout._make((total, int.from_bytes(view[4:src_off], "big"), t_bit,
-                             src_off, proto, sl_off, segments_left, tlvs))
+    return DataLayout._make((total, int.from_bytes(view[4:src_off], "big"), ft,
+                             t_bit, src_off, proto, sl_off, segments_left, tlvs))
 
 
 def _source(data: bytes, lay: DataLayout) -> tuple[str, int]:

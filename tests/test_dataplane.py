@@ -427,6 +427,18 @@ class TestFuzzRuntime:
         apps = [AppEndpoint(w, "echo", "203.0.113.30", 7443, echo=True),
                 AppEndpoint(w, "sink", "203.0.113.31", 7443)]
         expected = Counter()
+        unholdable = Counter()  # SRoU sources that no reply waypoint can hold
+
+        def holds(hdr):
+            try:
+                srou.encode_header(srou.SRoUHeader(
+                    protocol_id=srou.ProtocolId.IPV4, source_address="203.0.113.30",
+                    source_port=7443, segments_left=1, segment_list=(
+                        srou.Waypoint(hdr.source_address, hdr.source_port),)))
+            except srou.CodecError:
+                return False
+            return True
+
         for app in apps:
             app.start()
             node = w.net.nodes[app.name]
@@ -435,9 +447,12 @@ class TestFuzzRuntime:
             def spy(pkt, handler=node.bindings[key], name=app.name):
                 if pkt.payload[:1] == bytes([srou.MAGIC]):
                     try:
-                        srou.decode_packet(pkt.payload)
+                        msg, _ = srou.decode_packet(pkt.payload)
                     except srou.CodecError:
                         expected[name] += 1
+                    else:
+                        if isinstance(msg, srou.SRoUHeader) and not holds(msg):
+                            unholdable[name] += 1
                 handler(pkt)
             node.bindings[key] = spy
         rng = random.Random(11)
@@ -456,6 +471,9 @@ class TestFuzzRuntime:
         for app in apps:
             assert app.counts.get("drop_malformed", 0) == expected[app.name] > 100
         assert apps[0].counts["tx_reply"] > 50 and apps[1].counts["rx_srou"] > 100
+        # every other echo goes out, whatever its flow id's type and width
+        assert apps[0].counts.get("drop_reply_unencodable", 0) == unholdable["echo"]
+        assert apps[0].counts["tx_reply"] + unholdable["echo"] == apps[0].counts["rx_srou"]
 
 
     def test_malformed_store_values_never_escape_run_until(self):
@@ -471,8 +489,7 @@ class TestFuzzRuntime:
             ("/stats/linkstate/", "X|inet|10.200.0.1:17777 - Y|inet|10.200.0.2:17777", {
                 "src": "X|inet|10.200.0.1:17777", "dst": "Y|inet|10.200.0.2:17777",
                 "two_way_delay_us": 1.0, "jitter_us": 0.0, "loss": 0.0,
-                "utilization_rx": 0.0, "utilization_tx": 0.0, "status": "up",
-                "sampled_at": 0}),
+                "status": "up", "sampled_at": 0}),
             ("/control/group/", "900/*", {"action": "steer",
                                           "slocs": ["X|inet|10.200.0.1:17777"]}),
             ("/identity/", "u9/d9", {"groups": [900]}),
@@ -561,12 +578,12 @@ class TestProbeMesh:
 
 class TestVerdict:
     @staticmethod
-    def linkstate_puts(store):
-        """Record every link-state put as (time, key, value)."""
+    def puts_under(store, prefix=schema.LINKSTATE_PREFIX):
+        """Record every put under prefix as (time, key, value)."""
         puts, put = [], store.put
 
         def spy(key, value, lease_id=None):
-            if key.startswith(schema.LINKSTATE_PREFIX):
+            if key.startswith(prefix):
                 puts.append((store.clock.now, key, bytes(value)))
             return put(key, value, lease_id)
 
@@ -582,7 +599,8 @@ class TestVerdict:
                     public_ip="198.18.0.1", public_port=5546, rx_bw=1e9, tx_bw=1e9)
         net = SpineLeaf(lc_b_slocs=[sloc("192.168.99.78", 5546), dead])
         w = net.world
-        puts = self.linkstate_puts(w.store)
+        puts = self.puts_under(w.store)
+        loads = self.puts_under(w.store, schema.SLOC_LOAD_PREFIX)
         w.clock.run_until(seconds(60))
         sessions = net.lc_a.sessions_to("LC_B")
         assert sorted(s.status for s in sessions) == ["down", "up"]
@@ -591,15 +609,19 @@ class TestVerdict:
         assert sorted(changes) == [False, True]  # each session's first verdict
         to_b = [p for p in puts if p[1].startswith(
             schema.linkstate_key(net.lc_a.slocs[0].short, "LC_B"))]
-        # both sessions at each 10 s report, plus the three verdict changes:
-        # each session's first, and the unreachable session going down
-        assert len(to_b) == 2 * 6 + 3
+        # the three verdict changes: each session's first, and the
+        # unreachable session going down.  Neither session's figures move
+        # after that, so no 10 s report puts its record again; each report
+        # puts LC_A's one SLoC load instead
+        assert len(to_b) == 3
+        assert [t for t, key, _ in loads if "LC_A" in key] == [
+            seconds(10) * i for i in range(1, 7)]
 
     def test_no_linkstate_key_is_put_twice_at_one_instant(self):
         net = SpineLeaf(seed=2)
         w = net.world
         w.net.links[0].set_loss(0.2)  # LC_A -- Spine_A: verdicts flip
-        puts = self.linkstate_puts(w.store)
+        puts = self.puts_under(w.store)
         for i in range(200):
             w.clock.call_at(seconds(1) + i * millis(50), lambda: net.lc_a.inject_host_frame(
                 "H1", net.frame_h1_to_h2()))
@@ -929,6 +951,32 @@ class TestNativeSocket:
         assert server.counts["drop_reply_unencodable"] == 1
         assert "tx_reply" not in server.counts
 
+    @pytest.mark.parametrize("ft, flow_id", [(srou.FlowIdType.FT64, 0x1_2345_6789),
+                                             (srou.FlowIdType.FT96, 1 << 95)],
+                             ids=["ft64", "ft96"])
+    def test_reply_echoes_the_flow_id_type_and_value(self, ft, flow_id):
+        # a flow id wider than 32 bits comes back in its own type, not
+        # dropped as a reply that FT32 cannot encode
+        w = make_world()
+        for name in ("peer", "app"):
+            w.net.add_node(name)
+        w.net.add_link("peer", "app", millis(1))
+        replies = []
+        w.net.bind("peer", "203.0.113.40", 6000, replies.append)
+        app = AppEndpoint(w, "app", "203.0.113.30", 7443, echo=True)
+        app.start()
+        hdr = srou.SRoUHeader(protocol_id=srou.ProtocolId.IPV4,
+                              source_address="203.0.113.40", source_port=6000,
+                              segment_list=(srou.Waypoint("203.0.113.30", 7443),),
+                              segments_left=0, flow_id=flow_id, flow_id_type=ft)
+        w.net.send("peer", Datagram("203.0.113.40", 6000, "203.0.113.30", 7443,
+                                    srou.encode_header(hdr) + b"echo me"))
+        w.clock.run_until(seconds(1))
+        assert app.counts == {"rx_srou": 1, "tx_reply": 1}
+        reply, consumed = srou.decode_header(replies[0].payload)
+        assert (reply.flow_id_type, reply.flow_id) == (ft, flow_id)
+        assert replies[0].payload[consumed:] == b"echo me"
+
     def test_passthrough_transits_untouched(self):
         w, edge, transit, client, server, got = self.build_nat_path()
         blob = b"\xc3" + bytes(range(64))
@@ -1199,10 +1247,14 @@ class TestLsdbReplica:
         assert chosen["waypoints"][0] == "Spine_A|inet|192.168.99.75:17777"
         mirrored = dict(ls.linkstate_records())
         ls.kill()
+        # a record is put again only when its figures change: make some change
+        w.net.link_between("LC_A", "Spine_A").set_loss(0.5)
         w.clock.run_until(seconds(60))
         after = stored()
-        assert all(after[pair].sampled_at > rec.sampled_at
-                   for pair, rec in before.items())
+        a_spine_a = {pair for pair in before
+                     if {p.split("|")[0] for p in pair} == {"LC_A", "Spine_A"}}
+        assert a_spine_a and all(after[pair] != before[pair] for pair in a_spine_a)
+        assert net.lc_a.ls_sync.records == after
         assert ls.linkstate_records() == mirrored  # a killed replica stops mirroring
 
 

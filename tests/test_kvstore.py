@@ -165,6 +165,126 @@ class TestWatch:
         assert got == expected
 
 
+class TestPrefixDispatch:
+    """Watches are found through the key's `/`-ancestors, or the short list of
+    prefixes that do not end in `/`, and each change goes out in watch_id
+    order whichever group found the watch."""
+
+    @staticmethod
+    def recorder(got, name):
+        return lambda ev: got.append((name, ev.entry.key))
+
+    def test_nested_prefixes_each_get_their_keys(self, store):
+        got = []
+        store.watch_prefix("/a/", on_event=self.recorder(got, "a"))
+        store.watch_prefix("/a/b/", on_event=self.recorder(got, "ab"))
+        store.put("/a/b/k", b"v")
+        store.put("/a/x", b"v")
+        store.put("/a/b", b"v")  # no "/" after b: under /a/ only
+        store.put("/b/a/k", b"v")
+        assert got == [("a", "/a/b/k"), ("ab", "/a/b/k"), ("a", "/a/x"), ("a", "/a/b")]
+
+    def test_a_prefix_not_ending_in_a_slash_matches_as_a_string_prefix(self, store):
+        got = []
+        store.watch_prefix("/a/b", on_event=self.recorder(got, "ab"))
+        store.watch_prefix("", on_event=self.recorder(got, "all"))
+        for key in ("/a/b", "/a/bc", "/a/b/k", "/a/c", "b"):
+            store.put(key, b"v")
+        assert got == [("ab", "/a/b"), ("all", "/a/b"), ("ab", "/a/bc"), ("all", "/a/bc"),
+                       ("ab", "/a/b/k"), ("all", "/a/b/k"), ("all", "/a/c"), ("all", "b")]
+
+    def test_delivery_is_in_watch_id_order_across_groups(self, store):
+        got = []
+        for name, prefix in (("1", "/a/b/"), ("2", "/a"), ("3", "/a/"), ("4", "/"),
+                             ("5", "/a/b/"), ("6", "/a/b/k")):
+            store.watch_prefix(prefix, on_event=self.recorder(got, name))
+        store.put("/a/b/k", b"v")
+        assert [name for name, _ in got] == ["1", "2", "3", "4", "5", "6"]
+        got.clear()
+        store.delete("/a/b/k")
+        assert [name for name, _ in got] == ["1", "2", "3", "4", "5", "6"]
+
+    def test_a_watch_canceled_by_a_callback_gets_nothing(self, store):
+        got = []
+        victims = []
+
+        def first(ev):
+            got.append(("first", ev.entry.key))
+            for w in victims:
+                w.cancel()
+
+        store.watch_prefix("/a/b/", on_event=first)
+        victims.append(store.watch_prefix("/a/", on_event=self.recorder(got, "a")))
+        victims.append(store.watch_prefix("/a/b/", on_event=self.recorder(got, "ab")))
+        victims.append(store.watch_prefix("/a", on_event=self.recorder(got, "slow")))
+        store.put("/a/b/k", b"v")
+        store.put("/a/b/k", b"w")
+        assert got == [("first", "/a/b/k"), ("first", "/a/b/k")]
+        assert [w.prefix for w in store.watches] == ["/a/b/"]
+
+    def test_a_watch_added_during_delivery_gets_the_next_change_only(self, store):
+        got = []
+        added = []
+
+        def adder(ev):
+            got.append(("adder", ev.revision))
+            if not added:
+                for prefix in ("/a/", "/a/b/", "/a"):
+                    added.append(store.watch_prefix(
+                        prefix, on_event=lambda ev, p=prefix: got.append((p, ev.revision))))
+
+        store.watch_prefix("/a/", on_event=adder)
+        first = store.put("/a/b/k", b"v")
+        second = store.put("/a/b/k", b"w")
+        assert got == [("adder", first), ("adder", second), ("/a/", second),
+                       ("/a/b/", second), ("/a", second)]
+
+    def test_partition_backlog_replays_through_every_group(self, store):
+        h = store.client("c")
+        got = []
+        for prefix in ("/a/", "/a/b/", "/a"):
+            h.follow(prefix, lambda ev, p=prefix: got.append((p, ev.kind, ev.revision)))
+        store.set_partitioned("c", True)
+        r1 = store.put("/a/b/k", b"1")
+        r2 = store.put("/a/x", b"2")
+        store.delete("/a/b/k")
+        r3 = store.revision
+        assert got == []
+        store.set_partitioned("c", False)
+        # each watch replays its own backlog in revision order, watch by watch
+        assert got == [("/a/", PUT, r1), ("/a/", PUT, r2), ("/a/", DELETE, r3),
+                       ("/a/b/", PUT, r1), ("/a/b/", DELETE, r3),
+                       ("/a", PUT, r1), ("/a", PUT, r2), ("/a", DELETE, r3)]
+
+    def test_dispatch_equals_a_scan_of_every_watch(self, store):
+        # seeded prefixes, cancels and mutations: each change reaches the
+        # watches a startswith scan in watch_id order would pick
+        rng = random.Random(23)
+        parts = ("a", "b", "ab")
+        got, watches = [], []
+        for step in range(600):
+            if rng.random() < 0.1 or not watches:
+                depth = rng.randrange(4)
+                prefix = "/" + "/".join(rng.choice(parts) for _ in range(depth))
+                prefix = prefix if depth == 0 else prefix + rng.choice(("", "/"))
+                w = store.watch_prefix(prefix, on_event=lambda ev, i=len(watches): got.append(
+                    (i, ev.revision)))
+                watches.append(w)
+            elif rng.random() < 0.05:
+                rng.choice(watches).cancel()
+            key = "/" + "/".join(rng.choice(parts) for _ in range(rng.randrange(1, 5)))
+            live = [i for i, w in enumerate(watches)
+                    if not w.canceled and key.startswith(w.prefix)]
+            got.clear()
+            if rng.random() < 0.8:
+                rev = store.put(key, b"v")
+            elif not store.delete(key):
+                continue
+            else:
+                rev = store.revision
+            assert got == [(i, rev) for i in live]
+
+
 class TestFollow:
     def test_seeds_in_key_order_then_streams(self, store):
         store.put("/f/b", b"2")

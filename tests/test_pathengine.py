@@ -10,6 +10,7 @@ from ruta.kvstore import PUT, KvStore
 from ruta.netsim import VirtualClock, seconds
 from ruta.pathengine import (
     ComputedPath,
+    EdgeMap,
     LinkStateSync,
     Lpm,
     RouteSync,
@@ -34,8 +35,7 @@ import storegen
 
 def make_rec(src, dst, twd_us, loss=0.0, jitter=0.0, status="up"):
     return LinkStateRecord(src=src, dst=dst, two_way_delay_us=twd_us,
-                           jitter_us=jitter, loss=loss, utilization_rx=0.0,
-                           utilization_tx=0.0, status=status, sampled_at=0)
+                           jitter_us=jitter, loss=loss, status=status, sampled_at=0)
 
 
 def make_ssloc(name, ip, port=17777):
@@ -173,6 +173,32 @@ class TestSearch:
                         shortest_constrained(edges, srcs, dsts, max_hops)
                     continue
                 assert shortest_constrained(edges, srcs, dsts, max_hops) == expect
+
+    def test_kept_adjacency_search_equals_the_oracle_on_float_ties(self):
+        # the same tie graphs through an EdgeMap that was built and then
+        # changed edge by edge: the kept adjacency, the path built only for
+        # a candidate no dearer than the best, and the oracle agree
+        for seed in range(300):
+            rng = random.Random(seed)
+            edges, srcs, dsts = self.tie_graph(rng)
+            pairs = sorted(edges)
+            kept = EdgeMap({p: edges[p] for p in pairs[::2]})
+            for pair in pairs[1::2]:
+                kept.set(pair, 9.9)
+                kept.set(pair, edges[pair])
+            extra = ("n0", "zz")
+            kept.set(extra, 0.1)
+            kept.drop(extra)
+            assert kept == edges
+            assert kept.out == {u: {v: edges[(u, v)] for (x, v) in pairs if x == u}
+                                for u in {u for u, _ in pairs}}
+            for max_hops in range(1, 6):
+                expect = pathoracle.best_path(edges, srcs, dsts, max_hops)
+                if expect is None:
+                    with pytest.raises(pathengine.NoFeasiblePath):
+                        shortest_constrained(kept, srcs, dsts, max_hops)
+                    continue
+                assert shortest_constrained(kept, srcs, dsts, max_hops) == expect
 
     def test_a_round_extends_only_the_walks_of_the_round_before(self):
         # b improves a in round 2; a must still extend its 1-edge walk in that
@@ -478,3 +504,42 @@ class TestLinkStateSync:
                 assert self.bits(sync.edges(policy)) == \
                     self.bits(build_edges(sync.records, policy))
         assert {r.status for r in sync.records.values()} == {"up", "down"}
+
+    @staticmethod
+    def search(edges, srcs, dsts, max_hops):
+        try:
+            return shortest_constrained(edges, srcs, dsts, max_hops)
+        except pathengine.NoFeasiblePath:
+            return None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_search_over_the_kept_adjacency_follows_every_delta(self, seed):
+        # after every delta, the search over the sync's map and its kept
+        # adjacency equals a search over a map built afresh from the records
+        rng = random.Random(100 + seed)
+        store = KvStore(VirtualClock())
+        sync = LinkStateSync()
+        sync.start(store.client("LC_A").follow)
+        shorts = [f"N{i}|inet|10.0.0.{i}:1" for i in range(7)]
+        policy = SlaPolicy(jitter_weight=0.5)
+        sync.edges(policy)  # from here on the map follows delta by delta
+        for _ in range(300):
+            src, dst = rng.sample(shorts, 2)
+            if rng.random() < 0.75:
+                rec = make_rec(src, dst, rng.choice((2e3, 4e3, rng.uniform(1e3, 4e5))),
+                               loss=rng.choice((0.0, 0.0, rng.random())),
+                               jitter=rng.choice((0.0, 200.0)),
+                               status="down" if rng.random() < 0.15 else "up")
+                store.put(rec.key(), to_json_bytes(rec.to_doc()))
+            else:
+                store.delete(make_rec(src, dst, 0.0).key())
+            kept = sync.edges(policy)
+            fresh = build_edges(sync.records, policy)
+            assert kept == fresh
+            assert kept.out == {u: {v: w for (x, v), w in fresh.items() if x == u}
+                                for u in {u for u, _ in fresh}}
+            ends = rng.sample(shorts, 4)
+            for srcs, dsts in (({ends[0]}, {ends[1]}), (set(ends[:2]), set(ends[2:]))):
+                for max_hops in (1, 2, 4):
+                    assert self.search(kept, srcs, dsts, max_hops) == \
+                        self.search(fresh, srcs, dsts, max_hops)

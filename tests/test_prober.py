@@ -10,7 +10,7 @@ from ruta.dataplane import FabricRuntime, ProbeConfig, World
 from ruta.kvstore import KvStore
 from ruta.netsim import Datagram, Network, Trace, VirtualClock, millis, seconds
 from ruta.prober import LOST, ProbeResponder, ProbeSession, StunExchange
-from ruta.schema import ServiceSloc, Sloc
+from ruta.schema import ServiceSloc, Sloc, SlocLoadRecord
 
 
 def service_sloc(name, ip, port, color="inet", bw=1e9):
@@ -288,12 +288,16 @@ class TestMetrics:
                 sum(delivered) / len(delivered) if delivered else 0.0, rel=1e-12, abs=0)
 
     def test_utilization_from_counters(self):
+        # utilization is the probing SLoC's own load record, not the session's
         h = ProbeHarness()
         h.run_probes(1)
-        rec = h.session.metrics(h.clock.now, bytes_rx=12_500_000,
-                                bytes_tx=125_000_000, interval_s=1.0)
+        rec = SlocLoadRecord.from_counters(h.session.local, bytes_rx=12_500_000,
+                                           bytes_tx=125_000_000, interval_s=1.0,
+                                           sampled_at=h.clock.now)
+        assert rec.sloc == h.session.local.short
         assert rec.utilization_rx == pytest.approx(0.1)
         assert rec.utilization_tx == pytest.approx(1.0)  # clamped
+        assert not hasattr(h.session.metrics(h.clock.now), "utilization_rx")
 
     def test_seq_strictly_increases(self):
         # expire walks pending oldest first: seq order is send order

@@ -218,8 +218,7 @@ class TestLinkstate:
     def test_key_shape(self):
         rec = LinkStateRecord(
             src="F1|inet|10.0.0.1:17777", dst="F2|inet|10.0.0.2:17777",
-            two_way_delay_us=40000.0, jitter_us=0.0, loss=0.0,
-            utilization_rx=0.0, utilization_tx=0.0, status="up", sampled_at=0)
+            two_way_delay_us=40000.0, jitter_us=0.0, loss=0.0, status="up", sampled_at=0)
         assert rec.key() == ("/stats/linkstate/F1|inet|10.0.0.1:17777"
                              " - F2|inet|10.0.0.2:17777")
         src, dst = schema.parse_linkstate_key(rec.key())
@@ -228,8 +227,7 @@ class TestLinkstate:
     def test_out_of_range_rejected(self):
         with pytest.raises(schema.ValidationError):
             LinkStateRecord(src="a", dst="b", two_way_delay_us=1.0, jitter_us=0.0,
-                            loss=1.01, utilization_rx=0.0, utilization_tx=0.0,
-                            status="up", sampled_at=0)
+                            loss=1.01, status="up", sampled_at=0)
 
     @pytest.mark.parametrize("field", ["two_way_delay_us", "jitter_us"])
     @pytest.mark.parametrize("value", [-1.0, float("nan")])
@@ -237,8 +235,7 @@ class TestLinkstate:
         # a stored record comes from another node: a negative delay would
         # give the path search a negative edge cost
         doc = dict(src="a|c|1.1.1.1:1", dst="b|c|2.2.2.2:2", two_way_delay_us=1.0,
-                   jitter_us=0.0, loss=0.0, utilization_rx=0.0, utilization_tx=0.0,
-                   status="up", sampled_at=0)
+                   jitter_us=0.0, loss=0.0, status="up", sampled_at=0)
         doc[field] = value
         with pytest.raises(schema.ValidationError):
             LinkStateRecord(**doc)
@@ -249,7 +246,6 @@ class TestLinkstate:
     def test_down_record_written_not_deleted(self, handle, clock):
         rec = LinkStateRecord(src="a|c|1.1.1.1:1", dst="b|c|2.2.2.2:2",
                               two_way_delay_us=0.0, jitter_us=0.0, loss=1.0,
-                              utilization_rx=0.0, utilization_tx=0.0,
                               status="down", sampled_at=5)
         lease = handle.grant_lease(seconds(600))
         schema.report_linkstate(handle, rec, lease)
@@ -331,14 +327,18 @@ class TestLeaseClassing:
         schema.announce_route(handle, route, lease2)
         ls = LinkStateRecord(src="a|c|1.1.1.1:1", dst="b|c|2.2.2.2:2",
                              two_way_delay_us=1.0, jitter_us=0.0, loss=0.0,
-                             utilization_rx=0.0, utilization_tx=0.0,
                              status="up", sampled_at=0)
         schema.report_linkstate(handle, ls, lease2)
+        load = schema.SlocLoadRecord("a|c|1.1.1.1:1", 0.5, 0.25, 0)
+        schema.report_sloc_load(handle, load, lease2)
 
         for key in ("/node/linecard/LC_A", "/service/linecard/LC_A"):
             assert handle.get(key).lease_id == lease1.lease_id
         assert handle.get(route.key()).lease_id == lease2.lease_id
         assert handle.get(ls.key()).lease_id == lease2.lease_id
+        stored = handle.get("/stats/sloc/a|c|1.1.1.1:1")
+        assert stored.lease_id == lease2.lease_id
+        assert schema.from_json_bytes(stored.value) == load.to_doc()
 
 
 def _good_records():
@@ -347,8 +347,7 @@ def _good_records():
                          mac="aa:bb:cc:dd:ee:ff", ip="1.2.3.4", site_id=1,
                          system_name="LC_A", policy_tag=7)
     ls = LinkStateRecord(src="a|c|1.1.1.1:1", dst="b|c|2.2.2.2:2",
-                         two_way_delay_us=1.0, jitter_us=0.0, loss=0.0,
-                         utilization_rx=0.0, utilization_tx=0.0, status="up",
+                         two_way_delay_us=1.0, jitter_us=0.0, loss=0.0, status="up",
                          sampled_at=0)
     node = NodeRecord("fabric", "F1", 1, (1.5, -2.0), 7)
     return [
