@@ -59,7 +59,6 @@ from .pathengine import (
     RouteSync,
     SlaPolicy,
     edge_cost_ms,
-    evaluate_sla,
     shortest_constrained,
     sla_breach,
     to_segment_list,
@@ -69,7 +68,6 @@ from .prober import (
     DEFAULT_INTERVAL_NS,
     DEFAULT_TIMEOUT_NS,
     DEFAULT_WINDOW,
-    EmptyWindow,
     MalformedOam,
     ProbeResponder,
     ProbeSession,
@@ -117,7 +115,7 @@ def _pack_mac(mac: str) -> bytes:
 
 def encode_frame(frame: HostFrame) -> bytes:
     return (_pack_mac(frame.src_mac) + _pack_mac(frame.dst_mac)
-            + srou._pack_ipv4(frame.src_ip) + srou._pack_ipv4(frame.dst_ip)
+            + srou.pack_ipv4(frame.src_ip) + srou.pack_ipv4(frame.dst_ip)
             + frame.payload)
 
 
@@ -439,7 +437,7 @@ class NodeRuntime:
             return
         self._bytes_rx[ss.short] = self._bytes_rx.get(ss.short, 0) + pkt.size
         try:
-            lay = srou._parse(pkt.payload)  # checked like decode_packet, not decoded
+            lay = srou.parse(pkt.payload)  # checked, not decoded
         except srou.BadMagic:
             self.count("drop_bad_magic")
             return
@@ -807,8 +805,9 @@ class LinecardRuntime(NodeRuntime):
         self.emit("sla_change", system=system, violated=violated)
 
     def _best_direct(self, system: str):
-        """Lowest-cost probed (local, peer, rec) for a destination system;
-        unprobed, the first local and first announced SLoC with rec None."""
+        """Lowest-cost probed (local, peer, figures) for a destination system,
+        with the session's figures (see ProbeSession.figures); unprobed, the
+        first local and first announced SLoC with figures None."""
         if system in self._direct:
             best = self._direct[system]
         else:
@@ -823,14 +822,11 @@ class LinecardRuntime(NodeRuntime):
     def _rank_sessions(self, system: str) -> Optional[tuple]:
         best = None
         for session in self.sessions_to(system):
-            try:
-                rec = session.metrics(self.clock.now)
-                cost = edge_cost_ms(rec, self.sla)
-            except EmptyWindow:
-                rec, cost = None, float("inf")
+            figures = session.figures()
+            cost = float("inf") if figures is None else edge_cost_ms(*figures[:3], self.sla)
             key = (cost, session.local.short, session.peer.short)
             if best is None or key < best[0]:
-                best = (key, session.local, session.peer, rec)
+                best = (key, session.local, session.peer, figures)
         return best[1:] if best is not None else None
 
     def _path_for(self, route: ServiceRoute):
@@ -839,14 +835,19 @@ class LinecardRuntime(NodeRuntime):
         if cached is not None:
             return cached
         system = route.system_name
-        local, peer, rec = self._best_direct(system)
+        local, peer, figures = self._best_direct(system)
         chosen = None
-        if not evaluate_sla(rec, self.sla).ok:
+        if figures is None:  # unprobed counts as violated, as in evaluate_sla
+            cost, met = 0.0, False
+        else:
+            delay_us, jitter_us, loss, status = figures
+            cost = edge_cost_ms(delay_us, jitter_us, loss, self.sla)
+            met = sla_breach(status, delay_us, loss, self.sla) is None
+        if not met:
             chosen = self._engineer(system)
             if chosen is None:
                 self.count("sla_unmet_direct")
         if chosen is None:
-            cost = edge_cost_ms(rec, self.sla) if rec is not None else 0.0
             chosen = (local, ComputedPath(waypoints=(peer,), cost_ms=cost,
                                           computed_at=self.clock.now,
                                           source=PATH_DIRECT))
@@ -1179,7 +1180,7 @@ class AppEndpoint:
             self._deliver(payload, ctx)
             return
         try:
-            lay = srou._parse(payload)
+            lay = srou.parse(payload)
         except srou.CodecError as exc:
             self.count("drop_malformed")
             self.frame_trace.emit("malformed", type(exc).__name__)
@@ -1187,7 +1188,7 @@ class AppEndpoint:
         if type(lay) is srou.OamLayout:
             self.count("drop_oam")
             return
-        source = srou._source(payload, lay)
+        source = srou.data_source(payload, lay)
         ctx = ReplyContext(outer=(pkt.src_ip, pkt.src_port), srou_source=source,
                            flow_id=lay.flow_id, flow_id_type=lay.flow_id_type)
         self.count("rx_srou")

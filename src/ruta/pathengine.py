@@ -97,10 +97,6 @@ class SlaVerdict:
     reason: Optional[str] = None  # delay | loss | down | unknown
 
 
-def one_way_delay_ms(rec: LinkStateRecord) -> float:
-    return rec.two_way_delay_us / 2.0 / 1000.0
-
-
 def sla_breach(status: str, two_way_delay_us: float, loss: float,
                policy: SlaPolicy) -> Optional[str]:
     """The first bound a link breaks, in evaluate_sla's order (down, delay,
@@ -122,10 +118,13 @@ def evaluate_sla(rec: Optional[LinkStateRecord], policy: SlaPolicy) -> SlaVerdic
     return SlaVerdict(reason is None, reason)
 
 
-def edge_cost_ms(rec: LinkStateRecord, policy: SlaPolicy) -> float:
-    return (one_way_delay_ms(rec)
-            + policy.loss_penalty_ms * rec.loss
-            + policy.jitter_weight * rec.jitter_us / 1000.0)
+def edge_cost_ms(two_way_delay_us: float, jitter_us: float, loss: float,
+                 policy: SlaPolicy) -> float:
+    """A link's edge cost (see the module docstring); takes the figures a
+    record would hold, as sla_breach does."""
+    return (two_way_delay_us / 2.0 / 1000.0
+            + policy.loss_penalty_ms * loss
+            + policy.jitter_weight * jitter_us / 1000.0)
 
 
 def build_edges(records: dict[tuple[str, str], LinkStateRecord],
@@ -142,14 +141,15 @@ def build_edges(records: dict[tuple[str, str], LinkStateRecord],
         rec = records[pair]
         if rec.status == STATUS_DOWN:
             continue
-        edges[pair] = edge_cost_ms(rec, policy)
+        edges[pair] = edge_cost_ms(rec.two_way_delay_us, rec.jitter_us, rec.loss, policy)
     for pair in sorted(records):
         rec = records[pair]
         if rec.status == STATUS_DOWN:
             continue
         rev = (pair[1], pair[0])
         if rev not in edges and rev not in down:
-            edges[rev] = edge_cost_ms(rec, policy)
+            edges[rev] = edge_cost_ms(rec.two_way_delay_us, rec.jitter_us, rec.loss,
+                                      policy)
     return edges
 
 
@@ -266,7 +266,7 @@ class Lpm:
 
     @staticmethod
     def _net(ip: str, mask: int) -> int:
-        addr = int.from_bytes(srou._pack_ipv4(ip), "big")
+        addr = int.from_bytes(srou.pack_ipv4(ip), "big")
         return addr & (0xFFFFFFFF << (32 - mask) if mask else 0)
 
     def insert(self, prefix: str, mask: int, route: ServiceRoute) -> None:
@@ -411,7 +411,8 @@ class LinkStateSync:
         if rec is None or rec.status == STATUS_DOWN:
             self._edges.drop(pair)
         else:
-            self._edges.set(pair, edge_cost_ms(rec, self._policy))
+            self._edges.set(pair, edge_cost_ms(rec.two_way_delay_us, rec.jitter_us,
+                                               rec.loss, self._policy))
 
     def edges(self, policy: SlaPolicy) -> EdgeMap:
         """The current edge map, its adjacency kept; callers must not change it."""

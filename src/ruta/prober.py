@@ -28,7 +28,7 @@ is two), that tick comes exactly `timeout_ns` after the probe.
 Sessions and the responder speak wire bytes: `make_request` and
 `ProbeResponder.on_probe_request` return the message as `srou.encode_linkstate`
 packs it, and `on_response` and `on_probe_request` take the fields of
-`srou._oam_layout`, so a probe round trip builds no message objects.  The
+`srou.parse_oam`, so a probe round trip builds no message objects.  The
 STUN exchange takes layout fields too: `StunExchange.on_response` gets the
 observed address and port of a response the runtime has already checked.
 """

@@ -27,34 +27,41 @@ the whole header.  Segments are 48 bits: either an IPv4 waypoint
 OAM messages reuse the first four octets with Protocol-ID 0x00, then carry
 (flow id, OAM type, OAM subtype, payload) instead of source/segment fields.
 
-All values are immutable; encode/decode are pure functions and the decoder
-never reads past the length byte it was given.
+All values are immutable; encoders are pure functions, and the receive
+functions never read past the length byte they were given.
 
-Fast path.  `_layout` makes every check `decode_header` makes, in the same
-order and with the same exception classes, but decodes only what a node
-needs per packet: it returns a `DataLayout` of offsets and scalar fields
-(SRoU Length, flow id, T bit, source offset, protocol, Segments Left offset
-and value, TLVs).  `decode_header` builds its `SRoUHeader` from that result,
-so each header check is written once.  A node runtime checks every data
-packet with `_layout` and relays it with `relay_in_place`, which patches a
-copy of the packet bytes as a transit node does in RFC 8754 4.3.1: it fills
-a zero IPv4 source with the observed outer source, clears the reserved RRR
-bits, decrements Segments Left and decodes only the now-active segment.  The
-patched octets equal `encode_header` of the `advance_segment` result, so a
-relay never re-encodes.  IPv4 addresses go through `socket.inet_ntoa` and
-`socket.inet_pton`; text that `inet_pton` rejects falls back to `ipaddress`,
-which raises the reference error.
+Receive surface.  A node reads every message through four functions:
 
-OAM has the same split.  `_oam_layout` makes every check `decode_oam` makes
-and returns an `OamLayout` of raw fields, a Linkstate payload as five ints;
-`decode_oam` builds its `OamMessage` from it.  `encode_linkstate` packs a
-Linkstate message with the payload struct `encode_oam` uses, to the bytes
-`encode_oam` gives when C, F and T are clear, so a probe is written and read
-without message objects.
+- `parse(data)` checks a message of either kind, dispatching on the
+  protocol octet, and returns a `DataLayout` or an `OamLayout`;
+- `parse_data(data)` checks a data-packet header and returns a `DataLayout`
+  of offsets and scalar fields (SRoU Length, flow id and type, T bit, source
+  offset, protocol, Segments Left offset and value, TLVs);
+- `parse_oam(data)` checks an OAM message and returns an `OamLayout` of raw
+  fields, a Linkstate payload as five ints;
+- `data_source(data, lay)` reads the source address and port of a header
+  `parse_data` checked.
 
-Receivers read a packet of either kind with `_parse`, which dispatches on the
-protocol octet as `decode_packet` does and returns the layout, and read a
-data packet's source with `_source`, as `decode_header` does.
+Each check is made once, in the order of the fields on the wire, and a
+rejected message raises a `CodecError` subclass that names the fault.  The
+reserved RRR bits are ignored on receipt.  A transit node relays a checked
+data packet with `relay_in_place`, which patches a copy of the packet bytes
+as RFC 8754 4.3.1 does: it fills a zero IPv4 source with the observed outer
+source, clears the RRR bits, decrements Segments Left and decodes only the
+now-active segment, so a relay never re-encodes.
+
+The send side builds value objects (`SRoUHeader`, `OamMessage`) and encodes
+them with `encode_header` and `encode_oam`.  `encode_linkstate` packs a
+Linkstate message from plain fields, to the bytes `encode_oam` gives when C,
+F and T are clear, so a probe is written and read without message objects.
+`pack_ipv4` gives the four octets of an IPv4 address: text that
+`socket.inet_pton` rejects falls back to `ipaddress`, which raises the
+reference error.
+
+No object decoder lives here.  The reference decoder is `tests/srouref.py`,
+written from the diagram above into `SRoUHeader` and `OamMessage` values;
+the tests check every receive function and `relay_in_place` against it on
+seeded clean and mutated messages.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ from __future__ import annotations
 import ipaddress
 import socket
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple, Optional, Union
 
@@ -105,10 +112,6 @@ class UnknownOamType(CodecError):
     pass
 
 
-class NoSegmentsLeft(CodecError):
-    pass
-
-
 class FlowIdType(IntEnum):
     FT32 = 0x0
     FT64 = 0x1
@@ -140,7 +143,7 @@ class TlvType(IntEnum):
 
 class OamType(IntEnum):
     LINKSTATE = 0x0
-    TRACEROUTE = 0x1  # reserved, rejected at decode
+    TRACEROUTE = 0x1  # reserved, rejected on receipt
     STUN = 0x2
 
 
@@ -184,7 +187,7 @@ class Tlv:
     value: bytes
 
 
-def _pack_ipv4(ip) -> bytes:
+def pack_ipv4(ip) -> bytes:
     """The 4 bytes of an IPv4 address; accepts and rejects what
     `ipaddress.IPv4Address` does, with the same exception class."""
     try:
@@ -213,8 +216,9 @@ def _check_port(port: int, what: str) -> None:
         raise InvariantViolation(f"{what} {port} out of range")
 
 
-def _pack_flags(rrr: int, ft: FlowIdType, c: bool, f: bool, t: bool) -> int:
-    return (rrr & 0x7) << 5 | (ft & 0x3) << 3 | int(c) << 2 | int(f) << 1 | int(t)
+def _pack_flags(ft: FlowIdType, c: bool, f: bool, t: bool) -> int:
+    """The flags octet; the reserved RRR bits are zero on send."""
+    return (ft & 0x3) << 3 | int(c) << 2 | int(f) << 1 | int(t)
 
 
 def _pack_flow_id(flow_id: int, ft: FlowIdType) -> bytes:
@@ -295,8 +299,6 @@ class SRoUHeader:
     t_bit: bool = False
     sloc_type: SlocType = SlocType.IPV4_PORT
     tlvs: tuple[Tlv, ...] = ()
-    reserved_rrr: int = 0
-    warnings: tuple[str, ...] = field(default=(), compare=False)
 
     @property
     def last_entry(self) -> int:
@@ -321,8 +323,6 @@ def encode_header(hdr: SRoUHeader) -> bytes:
         raise InvariantViolation(f"unknown protocol id {hdr.protocol_id}")
     if hdr.sloc_type != SlocType.IPV4_PORT:
         raise UnsupportedSlocType(f"sloc type {int(hdr.sloc_type):#x} not supported")
-    if hdr.reserved_rrr != 0:
-        raise InvariantViolation("reserved RRR bits must be zero on encode")
     if not hdr.segment_list:
         raise InvariantViolation("segment list may not be empty")
     if len(hdr.segment_list) > 256:
@@ -346,7 +346,7 @@ def encode_header(hdr: SRoUHeader) -> bytes:
     out = bytearray()
     out.append(MAGIC)
     out.append(total)
-    out.append(_pack_flags(0, hdr.flow_id_type, hdr.c_bit, hdr.f_bit, hdr.t_bit))
+    out.append(_pack_flags(hdr.flow_id_type, hdr.c_bit, hdr.f_bit, hdr.t_bit))
     out.append(hdr.protocol_id)
     out.extend(flow)
     out.extend(source)
@@ -367,7 +367,8 @@ _ZERO_SLOC = bytes(6)  # IPv4 0.0.0.0, port 0: "fill me in" from a NATed sender
 
 
 def _parse_prefix(data: bytes):
-    """Common first-four-octets parse; returns fields plus the bounded view."""
+    """Check the first four octets; returns the view bounded by SRoU Length,
+    that length, the flow id type, the T bit and the protocol octet."""
     if len(data) < 4:
         raise TruncatedHeader(f"need at least 4 octets, have {len(data)}")
     if data[0] != MAGIC:
@@ -377,18 +378,15 @@ def _parse_prefix(data: bytes):
         raise LengthMismatch(f"srou_length {total} below minimum")
     if total > len(data):
         raise TruncatedHeader(f"srou_length {total} exceeds available {len(data)}")
-    flags = data[2]
-    rrr = flags >> 5
+    flags = data[2]  # RRR, C and F are not read on receipt
     ft = _FLOW_ID_TYPES.get((flags >> 3) & 0x3)
     if ft is None:
         raise InvariantViolation(f"flow id type {(flags >> 3) & 0x3:#x} unknown")
-    c, f, t = bool(flags & 0x4), bool(flags & 0x2), bool(flags & 0x1)
-    proto = data[3]
-    return data[:total], total, rrr, ft, c, f, t, proto
+    return data[:total], total, ft, bool(flags & 0x1), data[3]
 
 
 class DataLayout(NamedTuple):
-    """Where the fields of a checked data-packet header sit (see _layout)."""
+    """Where the fields of a data-packet header checked by parse_data sit."""
 
     total: int          # SRoU Length: header octets; the inner payload follows
     flow_id: int
@@ -401,17 +399,14 @@ class DataLayout(NamedTuple):
     tlvs: tuple
 
 
-def _layout(data: bytes) -> DataLayout:
-    """Check a data-packet header and locate its fields.
-
-    Every check decode_header makes is made here, in the same order and with
-    the same exception classes; addresses and segments are left undecoded.
-    """
-    view, total, _, ft, _, _, t_bit, proto = _parse_prefix(data)
+def parse_data(data: bytes) -> DataLayout:
+    """Check a data-packet header and locate its fields; addresses and
+    segments are left undecoded (see data_source and relay_in_place)."""
+    view, total, ft, t_bit, proto = _parse_prefix(data)
     src_octets = _SOURCE_OCTETS.get(proto)
     if src_octets is None:
         if proto == ProtocolId.OAM:
-            raise InvariantViolation("OAM message; use decode_oam")
+            raise InvariantViolation("OAM message; use parse_oam")
         raise InvariantViolation(f"unknown protocol id {proto:#x}")
     src_off = 4 + ft.octets
     quartet = src_off + src_octets + 2
@@ -438,8 +433,8 @@ def _layout(data: bytes) -> DataLayout:
                              t_bit, src_off, proto, sl_off, segments_left, tlvs))
 
 
-def _source(data: bytes, lay: DataLayout) -> tuple[str, int]:
-    """The source address and port of a data-packet header checked by _layout."""
+def data_source(data: bytes, lay: DataLayout) -> tuple[str, int]:
+    """The source address and port of a data-packet header checked by parse_data."""
     src = lay.src_off
     if lay.protocol_id == ProtocolId.IPV4:
         port_off = src + 4
@@ -450,43 +445,17 @@ def _source(data: bytes, lay: DataLayout) -> tuple[str, int]:
     return address, int.from_bytes(data[port_off:port_off + 2], "big")
 
 
-def decode_header(data: bytes) -> tuple[SRoUHeader, int]:
-    """Decode a data-packet header; returns (header, consumed octets)."""
-    lay = _layout(data)
-    flags = data[2]
-    sl_off = lay.sl_off
-    source_address, source_port = _source(data, lay)
-    seg_end = sl_off + 1 + SEGMENT_OCTETS * (data[sl_off - 1] + 1)
-    segments = tuple(_decode_segment(data[off:off + SEGMENT_OCTETS])
-                     for off in range(sl_off + 1, seg_end, SEGMENT_OCTETS))
-    hdr = SRoUHeader(
-        protocol_id=ProtocolId(lay.protocol_id),
-        source_address=source_address,
-        source_port=source_port,
-        segment_list=segments,
-        segments_left=lay.segments_left,
-        flow_id=lay.flow_id,
-        flow_id_type=_FLOW_ID_TYPES[(flags >> 3) & 0x3],
-        c_bit=bool(flags & 0x4),
-        f_bit=bool(flags & 0x2),
-        t_bit=lay.t_bit,
-        sloc_type=SlocType.IPV4_PORT,
-        tlvs=lay.tlvs,
-        reserved_rrr=flags >> 5,
-        warnings=("nonzero reserved bits",) if flags >> 5 else (),
-    )
-    return hdr, lay.total
-
-
 def relay_in_place(buf: bytearray, lay: DataLayout,
                    observed: tuple[str, int]) -> tuple[bool, Optional[Segment]]:
-    """Transit processing of a data packet checked by _layout, patched in buf.
+    """Transit processing of a data packet checked by parse_data, patched in buf.
 
     A zero IPv4 source (0.0.0.0:0) is the sender asking the first hop to fill
     in its outer source: it becomes `observed`.  Unless Segments Left is 0,
     the reserved RRR bits are cleared, Segments Left is decremented and the
-    now-active segment is decoded.  Returns (source was zero, active segment,
-    or None when Segments Left was 0 and buf is left as it was).
+    now-active segment is decoded, so the header octets become those
+    encode_header gives for the advanced header.  Returns (source was zero,
+    active segment, or None when Segments Left was 0 and buf is left as it
+    was).
     """
     src = lay.src_off
     zero_source = lay.protocol_id == ProtocolId.IPV4 and buf[src:src + 6] == _ZERO_SLOC
@@ -502,18 +471,6 @@ def relay_in_place(buf: bytearray, lay: DataLayout,
     buf[lay.sl_off] = sl
     off = lay.sl_off + 1 + SEGMENT_OCTETS * sl
     return zero_source, _decode_segment(buf[off:off + SEGMENT_OCTETS])
-
-
-def advance_segment(hdr: SRoUHeader) -> tuple[Segment, SRoUHeader]:
-    """Decrement segments_left and return the now-active segment.
-
-    The list is reverse-ordered, so successive calls visit segments from the
-    highest index down to index 0 (the final segment).
-    """
-    if hdr.segments_left < 1:
-        raise NoSegmentsLeft("segments_left is 0")
-    sl = hdr.segments_left - 1
-    return hdr.segment_list[sl], replace(hdr, segments_left=sl)
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +512,6 @@ class OamMessage:
     c_bit: bool = False
     f_bit: bool = False
     t_bit: bool = False
-    reserved_rrr: int = 0
-    warnings: tuple[str, ...] = field(default=(), compare=False)
 
 
 def _encode_oam_payload(msg: OamMessage) -> bytes:
@@ -590,8 +545,6 @@ def _encode_oam_payload(msg: OamMessage) -> bytes:
 
 
 def encode_oam(msg: OamMessage) -> bytes:
-    if msg.reserved_rrr != 0:
-        raise InvariantViolation("reserved RRR bits must be zero on encode")
     payload = _encode_oam_payload(msg)
     flow = _pack_flow_id(msg.flow_id, msg.flow_id_type)
     total = 4 + len(flow) + 2 + len(payload)
@@ -600,7 +553,7 @@ def encode_oam(msg: OamMessage) -> bytes:
     out = bytearray()
     out.append(MAGIC)
     out.append(total)
-    out.append(_pack_flags(0, msg.flow_id_type, msg.c_bit, msg.f_bit, msg.t_bit))
+    out.append(_pack_flags(msg.flow_id_type, msg.c_bit, msg.f_bit, msg.t_bit))
     out.append(ProtocolId.OAM)
     out.extend(flow)
     out.append(msg.oam_type)
@@ -610,7 +563,7 @@ def encode_oam(msg: OamMessage) -> bytes:
 
 
 class OamLayout(NamedTuple):
-    """The fields of a checked OAM message (see _oam_layout)."""
+    """The fields of an OAM message checked by parse_oam."""
 
     total: int          # SRoU Length: the whole message
     flow_id_type: FlowIdType
@@ -622,14 +575,10 @@ class OamLayout(NamedTuple):
                         # (observed address, observed port); STUN request: ()
 
 
-def _oam_layout(data: bytes) -> OamLayout:
-    """Check an OAM message and return its raw fields.
-
-    This is every check decode_oam makes, in its order and with its
-    exception classes; decode_oam builds its OamMessage from the result.  A
-    Linkstate payload stays five ints, so a probe is read without objects.
-    """
-    view, total, _, ft, _, _, _, proto = _parse_prefix(data)
+def parse_oam(data: bytes) -> OamLayout:
+    """Check an OAM message and return its raw fields.  A Linkstate payload
+    stays five ints, so a probe is read without objects."""
+    view, total, ft, _, proto = _parse_prefix(data)
     if proto != ProtocolId.OAM:
         raise InvariantViolation(f"protocol id {proto:#x} is not OAM")
     off = 4 + ft.octets
@@ -669,30 +618,6 @@ def _oam_layout(data: bytes) -> OamLayout:
                             oam_type, subtype, payload))
 
 
-def decode_oam(data: bytes) -> tuple[OamMessage, int]:
-    lay = _oam_layout(data)
-    if lay.oam_type == OamType.LINKSTATE:
-        payload: OamPayload = LinkstateData(*lay.payload)
-    elif lay.subtype == STUN_REQUEST:
-        payload = StunRequestData()
-    else:
-        payload = StunResponseData(*lay.payload)
-    flags = data[2]
-    msg = OamMessage(
-        oam_type=OamType(lay.oam_type),
-        oam_subtype=lay.subtype,
-        payload=payload,
-        flow_id=lay.flow_id,
-        flow_id_type=lay.flow_id_type,
-        c_bit=bool(flags & 0x4),
-        f_bit=bool(flags & 0x2),
-        t_bit=bool(flags & 0x1),
-        reserved_rrr=flags >> 5,
-        warnings=("nonzero reserved bits",) if flags >> 5 else (),
-    )
-    return msg, lay.total
-
-
 def encode_linkstate(subtype: int, flow_id: int, flow_id_type: int, seq: int,
                      timestamp: int, received_timestamp: int = 0,
                      sender_seq: int = 0, sender_timestamp: int = 0) -> bytes:
@@ -708,16 +633,8 @@ def encode_linkstate(subtype: int, flow_id: int, flow_id_type: int, seq: int,
                               sender_timestamp))
 
 
-def _parse(data: bytes) -> Union[DataLayout, OamLayout]:
-    """Check a message of either kind, dispatching on the protocol octet as
-    decode_packet does; raises what decode_packet raises."""
+def parse(data: bytes) -> Union[DataLayout, OamLayout]:
+    """Check a message of either kind, dispatching on the protocol octet."""
     if len(data) > 3 and data[3] == ProtocolId.OAM:
-        return _oam_layout(data)
-    return _layout(data)  # shorter than 4 octets: TruncatedHeader
-
-
-def decode_packet(data: bytes) -> tuple[Union[SRoUHeader, OamMessage], int]:
-    """Decode either kind of SRoU message, dispatching on the protocol octet."""
-    if len(data) > 3 and data[3] == ProtocolId.OAM:
-        return decode_oam(data)
-    return decode_header(data)
+        return parse_oam(data)
+    return parse_data(data)  # shorter than 4 octets: TruncatedHeader

@@ -31,6 +31,7 @@ from ruta.netsim import Datagram, Network, Trace, VirtualClock, millis, seconds
 from ruta.pathengine import SlaPolicy
 from ruta.schema import PolicyRule, Sloc
 
+import srouref
 import storegen
 import wiregen
 
@@ -132,7 +133,7 @@ class TestDirectEncap:
         w.clock.call_at(millis(10), lambda: wire.update(
             bytes=net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2())))
         w.clock.run_until(millis(50))
-        hdr, consumed = srou.decode_header(wire["bytes"])
+        hdr, consumed, _ = srouref.decode_header(wire["bytes"])
         assert len(wire["bytes"][:consumed]) == 24
         assert hdr.segments_left == 1
         assert hdr.segment_list == (srou.Function(1234, srou.FUNC_END_DT2U),)
@@ -198,7 +199,7 @@ class TestPolicy:
             PolicyRule("steer", ("Spine_A|inet|192.168.99.75:17777",)).to_doc()))
         w.clock.run_until(millis(5))
         wire = net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2(b"steered"))
-        hdr, _ = srou.decode_header(wire)
+        hdr, _, _ = srouref.decode_header(wire)
         assert hdr.segments_left == 2
         assert hdr.segment_list[1] == srou.Waypoint("192.168.99.78", 5546)
         encap = w.trace.select("encap", "LC_A")[-1]["detail"]
@@ -244,7 +245,7 @@ class TestRelayAndFunctions:
             PolicyRule("steer", ("Spine_A|inet|192.168.99.75:17777",)).to_doc()))
         w.clock.run_until(millis(5))
         sent = net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2(b"inner-bytes"))
-        hdr0, consumed0 = srou.decode_header(sent)
+        hdr0, consumed0, _ = srouref.decode_header(sent)
         captured = []
         orig = net.lc_b._on_datagram
 
@@ -257,7 +258,7 @@ class TestRelayAndFunctions:
         net.world.net.nodes["LC_B"].bindings[("192.168.99.78", 5546)] = \
             lambda pkt: spy(net.lc_b.slocs[0], pkt)
         w.clock.run_until(millis(20))
-        hdr1, consumed1 = srou.decode_header(captured[0])
+        hdr1, consumed1, _ = srouref.decode_header(captured[0])
         assert captured[0][consumed1:] == sent[consumed0:]
         assert hdr1.flow_id == hdr0.flow_id
         assert hdr1.segments_left == hdr0.segments_left - 1
@@ -387,7 +388,7 @@ class TestFuzzRuntime:
             for key, handler in list(node.bindings.items()):
                 def spy(pkt, handler=handler, name=rt.name):
                     try:
-                        srou.decode_packet(pkt.payload)
+                        srouref.decode_packet(pkt.payload)
                     except srou.BadMagic:
                         expected[name]["drop_bad_magic"] += 1
                     except srou.CodecError:
@@ -417,7 +418,7 @@ class TestFuzzRuntime:
 
     def test_app_socket_packets_never_escape_run_until(self):
         # the same seeded traffic into an echo and a sink app socket; the
-        # SRoU datagrams decode_packet rejects are the malformed ones
+        # SRoU datagrams the reference decoder rejects are the malformed ones
         w = make_world(seed=6)
         for name in ("FZ", "echo", "sink"):
             w.net.add_node(name)
@@ -447,7 +448,7 @@ class TestFuzzRuntime:
             def spy(pkt, handler=node.bindings[key], name=app.name):
                 if pkt.payload[:1] == bytes([srou.MAGIC]):
                     try:
-                        msg, _ = srou.decode_packet(pkt.payload)
+                        msg = srouref.decode_packet(pkt.payload).message
                     except srou.CodecError:
                         expected[name] += 1
                     else:
@@ -682,7 +683,7 @@ class TestEndDt4:
 
 def oam_fields(msg):
     """What a runtime hands its OAM handlers: the checked wire fields."""
-    return srou._oam_layout(srou.encode_oam(msg))
+    return srou.parse_oam(srou.encode_oam(msg))
 
 
 class TestStunRole:
@@ -973,7 +974,7 @@ class TestNativeSocket:
                                     srou.encode_header(hdr) + b"echo me"))
         w.clock.run_until(seconds(1))
         assert app.counts == {"rx_srou": 1, "tx_reply": 1}
-        reply, consumed = srou.decode_header(replies[0].payload)
+        reply, consumed, _ = srouref.decode_header(replies[0].payload)
         assert (reply.flow_id_type, reply.flow_id) == (ft, flow_id)
         assert replies[0].payload[consumed:] == b"echo me"
 

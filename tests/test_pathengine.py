@@ -30,6 +30,7 @@ from ruta.schema import (
 )
 
 import pathoracle
+import srouref
 import storegen
 
 
@@ -72,7 +73,8 @@ class TestEdges:
     def test_cost_formula(self):
         rec = make_rec("a", "b", 80_000.0, loss=0.01, jitter=2_000.0)
         policy = SlaPolicy(loss_penalty_ms=1000.0, jitter_weight=0.5)
-        assert pathengine.edge_cost_ms(rec, policy) == pytest.approx(40 + 10 + 1)
+        assert pathengine.edge_cost_ms(rec.two_way_delay_us, rec.jitter_us, rec.loss,
+                                       policy) == pytest.approx(40 + 10 + 1)
 
     def test_reverse_edges_derived(self):
         edges = build_edges({("a", "b"): make_rec("a", "b", 20_000.0)}, SlaPolicy())
@@ -292,7 +294,7 @@ class TestSegmentList:
             source_port=1, segment_list=segments, segments_left=sl)
         visited = [outer.public_addr]
         while hdr.segments_left:
-            seg, hdr = srou.advance_segment(hdr)
+            seg, hdr = srouref.advance_segment(hdr)
             if isinstance(seg, srou.Waypoint):
                 visited.append((seg.address, seg.port))
             else:

@@ -12,6 +12,8 @@ from ruta.netsim import Datagram, Network, Trace, VirtualClock, millis, seconds
 from ruta.prober import LOST, ProbeResponder, ProbeSession, StunExchange
 from ruta.schema import ServiceSloc, Sloc, SlocLoadRecord
 
+import srouref
+
 
 def service_sloc(name, ip, port, color="inet", bw=1e9):
     return ServiceSloc(name, Sloc(color=color, private_ip=ip, private_port=port,
@@ -21,7 +23,7 @@ def service_sloc(name, ip, port, color="inet", bw=1e9):
 def fields(msg):
     """What a runtime hands a session or the responder: the checked wire
     fields of an encoded message."""
-    return srou._oam_layout(srou.encode_oam(msg))
+    return srou.parse_oam(srou.encode_oam(msg))
 
 
 def request(seq, timestamp):
@@ -39,7 +41,7 @@ def response(t2, t3, sender_seq, sender_timestamp, seq=1):
 
 def sent(wire):
     """The Linkstate payload of a request or response on the wire."""
-    return srou.decode_oam(wire)[0].payload
+    return srouref.decode_oam(wire).message.payload
 
 
 class ProbeHarness:
@@ -64,10 +66,10 @@ class ProbeHarness:
         self.net.bind("B", "10.0.0.2", 7002, self._on_b)
 
     def _on_a(self, pkt):
-        self.session.on_response(srou._oam_layout(pkt.payload), self.clock.now)
+        self.session.on_response(srou.parse_oam(pkt.payload), self.clock.now)
 
     def _on_b(self, pkt):
-        resp = self.responder.on_probe_request(srou._oam_layout(pkt.payload),
+        resp = self.responder.on_probe_request(srou.parse_oam(pkt.payload),
                                                self.clock.now)
         self.net.send("B", Datagram("10.0.0.2", 7002, pkt.src_ip, pkt.src_port, resp))
 
@@ -90,7 +92,7 @@ class ProbeHarness:
 class TestResponder:
     def test_echo_fields(self):
         r = ProbeResponder()
-        resp, _ = srou.decode_oam(r.on_probe_request(request(7, 12345), now=99999))
+        resp, _, _ = srouref.decode_oam(r.on_probe_request(request(7, 12345), now=99999))
         assert resp.payload.sender_seq == 7
         assert resp.payload.sender_timestamp == 12345
         assert resp.payload.received_timestamp == 99999
@@ -355,7 +357,7 @@ class TestStunExchange:
         results, errors = [], []
 
         def on_stun(pkt):
-            req, _ = srou.decode_oam(pkt.payload)
+            req, _, _ = srouref.decode_oam(pkt.payload)
             assert req.oam_type == srou.OamType.STUN
             resp = srou.OamMessage(srou.OamType.STUN, srou.STUN_RESPONSE,
                                    srou.StunResponseData(pkt.src_ip, pkt.src_port))
@@ -377,7 +379,7 @@ class TestStunExchange:
                           on_result=lambda ip, port: results.append((ip, port)),
                           on_error=errors.append)
         net.bind("client", "10.9.9.2", 6000,
-                 lambda pkt: ex.on_response(*srou._oam_layout(pkt.payload).payload))
+                 lambda pkt: ex.on_response(*srou.parse_oam(pkt.payload).payload))
         return clock, net, ex, results, errors
 
     def test_observes_nat_mapping(self):
@@ -415,7 +417,7 @@ class TestStunExchange:
                           lambda ip, port: results.append((ip, port)),
                           on_error=lambda e: None)
         net.bind("client", "192.0.2.5", 6000,
-                 lambda pkt: ex.on_response(*srou._oam_layout(pkt.payload).payload))
+                 lambda pkt: ex.on_response(*srou.parse_oam(pkt.payload).payload))
         ex.start()
         clock.run_until_quiescent()
         assert results == [("192.0.2.5", 6000)]

@@ -97,3 +97,13 @@ def mutate(rng: random.Random, data: bytes) -> bytes:
     else:
         buf = buf[:rng.randrange(len(buf) + 1)]
     return bytes(buf)
+
+
+def nudge(rng: random.Random, data: bytes) -> bytes:
+    """Move one header octet (before SRoU Length) up or down by one or two:
+    the edits that cross a length or count bound by one, which mutate's bit
+    flips seldom make.  Append spare octets so a grown length still fits."""
+    buf = bytearray(data)
+    at = rng.randrange(max(4, min(buf[1], len(buf))))
+    buf[at] = (buf[at] + rng.choice((-2, -1, 1, 2))) % 256
+    return bytes(buf)
