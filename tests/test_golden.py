@@ -1,4 +1,4 @@
-"""Determinism golden: the benchmark's tiny worlds give pinned outcomes.
+"""Determinism golden: the benchmark's worlds give pinned outcomes.
 
 The same (world, seed, simulated duration) must give the same simulated
 outcome, a byte-identical trace and the same event count on every run,
@@ -6,6 +6,10 @@ whatever PYTHONHASHSEED is.  The three are pinned apart, so a change that
 only moves the event count (the bookkeeping events a run executes) shows
 that the outcome and the trace held.  A change that alters a pin on
 purpose updates it and says why.
+
+The tiny worlds of bench/test_bench.py are pinned at seed 3.  The worlds
+bench/run.py measures are pinned at its held-out seed, 1 simulated second
+each, by the digest the bench prints and the store revision as well.
 """
 
 import hashlib
@@ -21,6 +25,8 @@ import worlds  # noqa: E402  (bench/ is not a package)
 
 SEED = 3
 SIM_NS = 2_000_000_000
+HELD_OUT_SEED = 7919  # bench/run.py's HELD_OUT_SEED
+BENCH_SIM_NS = 1_000_000_000
 
 # the smoke-test sizes of bench/test_bench.py ->
 # (outcome hash, sha256 of to_jsonl(), events executed)
@@ -57,3 +63,31 @@ def test_tiny_world_digest_and_trace_are_pinned(name):
     assert outcome_hash(wl) == outcome
     assert hashlib.sha256(wl.world.trace.to_jsonl().encode()).hexdigest() == trace_sha
     assert wl.events == events
+
+
+# bench/run.py's full-size worlds ->
+# (Workload.digest(), sha256 of to_jsonl(), events executed, store revision)
+BENCH_GOLDEN = {
+    "steer_2x2": ("196f785e1ad9146a",
+                  "4a2fb23de3ca9306677aa266a91a70a5a8107e11cd0bd87c8408692c0a74913f",
+                  14793, 19),
+    "mesh_4x32": ("f730e7604b6dfb3c",
+                  "fff1b388b770be15d82419406a5552808ec26a3757cb28132d405d5d80b63e48",
+                  18217, 1332),
+    "nat_echo": ("c369700518844394",
+                 "9ad6d93db064f12c85dd1e7137a1f76e754c6cafb020754e90b9f49413feb761",
+                 8282, 29),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_GOLDEN))
+def test_bench_world_at_the_held_out_seed_is_pinned(name):
+    digest, trace_sha, events, revision = BENCH_GOLDEN[name]
+    wl = worlds.WORKLOADS[name](HELD_OUT_SEED)
+    wl.converge()
+    _, stop = wl.schedule(BENCH_SIM_NS)
+    wl.run_until(stop)
+    assert wl.digest() == digest
+    assert hashlib.sha256(wl.world.trace.to_jsonl().encode()).hexdigest() == trace_sha
+    assert wl.events == events
+    assert wl.world.store.revision == revision
