@@ -20,9 +20,11 @@ until heal and then replay.  Onboarding and the service announce retry every
 5 s; only a keepalive of both leases ends headless mode.
 
 Probing has one opener, `NodeRuntime._probe(system)`: a session from every
-local SLoC to every announced SLoC of another system.  Fabrics and
-linecards open one to each fabric the whitelist admits; linecards also open
-one to each destination system of their routes, whitelisted or not.  Each
+local SLoC to every announced SLoC of another system, opened on the store
+event that names it.  Fabrics and linecards open one to each fabric the
+whitelist admits when it announces; linecards also open one to each
+destination system of their routes, whitelisted or not, on the route put or
+the service announce, whichever comes second.  Each
 session has one verdict: its status at a fabric, and (status, SLA violated)
 at a linecard, judged on the session's running sums.  The first outcome and
 every change of the verdict put the session's record once.  The report timer
@@ -64,10 +66,7 @@ from .pathengine import (
     to_segment_list,
 )
 from .prober import (
-    DEFAULT_DOWN_AFTER,
-    DEFAULT_INTERVAL_NS,
-    DEFAULT_TIMEOUT_NS,
-    DEFAULT_WINDOW,
+    PROBE_INTERVAL_NS,
     MalformedOam,
     ProbeResponder,
     ProbeSession,
@@ -143,10 +142,11 @@ class TokenAuthority:
     ones.
     """
 
-    def __init__(self, secret: str, bucket_s: int = 30, window: int = 1):
+    bucket_ns = seconds(30)
+    window = 1
+
+    def __init__(self, secret: str):
         self.secret = secret.encode()
-        self.bucket_ns = seconds(bucket_s)
-        self.window = window
 
     def _bucket(self, now_ns: int) -> int:
         return now_ns // self.bucket_ns
@@ -245,10 +245,6 @@ class FrameTrace:
 
 @dataclass
 class ProbeConfig:
-    interval_ns: int = DEFAULT_INTERVAL_NS
-    window: int = DEFAULT_WINDOW
-    timeout_ns: int = DEFAULT_TIMEOUT_NS
-    down_after: int = DEFAULT_DOWN_AFTER
     report_interval_ns: int = seconds(10)
     whitelist: Optional[set[str]] = None
 
@@ -256,8 +252,6 @@ class ProbeConfig:
 @dataclass
 class TokenEdgeConfig:
     secret: str
-    bucket_s: int = 30
-    window: int = 1
 
 
 class NodeRuntime:
@@ -490,43 +484,38 @@ class NodeRuntime:
 
     # -- probing --------------------------------------------------------------
 
-    def ensure_session(self, local: ServiceSloc, peer: ServiceSloc) -> None:
-        key = (local.short, peer.public_addr)
-        if key in self.sessions:
-            return
-        cfg = self.probe_cfg
-        session = ProbeSession(local, peer, window=cfg.window,
-                               timeout_ns=cfg.timeout_ns, down_after=cfg.down_after)
-        self.sessions[key] = session
-        self.every(cfg.interval_ns, lambda: self._probe_tick(session),
+    def open_session(self, local: ServiceSloc, peer: ServiceSloc) -> None:
+        session = self.sessions[local.short, peer.public_addr] = ProbeSession(local, peer)
+        self.every(PROBE_INTERVAL_NS, lambda: self._probe_tick(session),
                    f"probe:{peer.short}")
 
     def _probe(self, system: str) -> None:
-        """Open a session from every local SLoC to every announced SLoC of
-        another system."""
+        """Open the sessions not yet open from every local SLoC to every
+        announced SLoC of another system."""
         if system == self.name:
             return
         for peer in self.service_dir.get(system, []):
             for local in self.slocs:
-                self.ensure_session(local, peer)
+                if (local.short, peer.public_addr) not in self.sessions:
+                    self.open_session(local, peer)
 
-    def _on_service(self, ev) -> bool:
+    def _on_service(self, ev) -> Optional[str]:
         """Mirror /service/ into service_dir and short_index and probe every
-        announced fabric the whitelist admits; True when a service was added
-        or replaced."""
+        announced fabric the whitelist admits; returns the system whose
+        service was added or replaced, if any."""
         if ev.kind == DELETE:
             try:
                 _, name = schema.parse_service_key(ev.entry.key)
             except SchemaError:
-                return False
+                return None
             for ss in self.service_dir.pop(name, []):
                 self.short_index.pop(ss.short, None)
-            return False
+            return None
         try:
             role, name, slocs = schema.parse_service(ev.entry.key, ev.entry.value)
         except SchemaError:
             self.emit("service_parse_warning", key=ev.entry.key)
-            return False
+            return None
         for ss in self.service_dir.get(name, []):  # a re-announce replaces them
             self.short_index.pop(ss.short, None)
         self.service_dir[name] = [ServiceSloc(name, s) for s in slocs]
@@ -535,7 +524,7 @@ class NodeRuntime:
         whitelist = self.probe_cfg.whitelist
         if role == "fabric" and (whitelist is None or name in whitelist):
             self._probe(name)
-        return True
+        return name
 
     def _probe_tick(self, session: ProbeSession) -> None:
         if session.expire(self.clock.now):
@@ -561,7 +550,7 @@ class NodeRuntime:
         pair = (session.local.short, session.peer.short)
         if figures is None or self._put_figures.get(pair) == figures:
             return
-        if self._store_call(schema.report_linkstate, self.handle,
+        if self._store_call(schema.put_record, self.handle,
                             session.metrics(self.clock.now), self.lease2):
             self._put_figures[pair] = figures
 
@@ -577,7 +566,7 @@ class NodeRuntime:
             self._bytes_reported[ss.short] = (rx, tx)
             load = schema.SlocLoadRecord.from_counters(ss, rx - last_rx, tx - last_tx,
                                                        interval_s, self.clock.now)
-            self._store_call(schema.report_sloc_load, self.handle, load, self.lease2)
+            self._store_call(schema.put_record, self.handle, load, self.lease2)
         for key in sorted(self.sessions):
             self._report_session(self.sessions[key])
 
@@ -621,9 +610,7 @@ class FabricRuntime(NodeRuntime):
 
     def __init__(self, *args, token_edge: Optional[TokenEdgeConfig] = None, **kwargs):
         super().__init__(*args, **kwargs)
-        self.token = (TokenAuthority(token_edge.secret, token_edge.bucket_s,
-                                     token_edge.window)
-                      if token_edge is not None else None)
+        self.token = TokenAuthority(token_edge.secret) if token_edge is not None else None
 
     def role_start(self) -> None:
         # service watch keeps the fabric mesh current as peers onboard
@@ -715,7 +702,7 @@ class LinecardRuntime(NodeRuntime):
                              ip=host.ip, site_id=self.site_id,
                              system_name=self.name,
                              policy_tag=self._host_groups(host)[0])
-        if self._store_call(schema.announce_route, self.handle, route, self.lease2):
+        if self._store_call(schema.put_record, self.handle, route, self.lease2):
             self.announced.add(host.name)
             self.emit("type2_announced", key=route.key())
 
@@ -728,8 +715,10 @@ class LinecardRuntime(NodeRuntime):
     # -- watch handlers ------------------------------------------------------
 
     def _on_service(self, ev) -> None:
-        if super()._on_service(ev):
-            self._probe_destinations()
+        name = super()._on_service(ev)
+        if name is not None and any(r.system_name == name
+                                    for r in self.route_sync.table.routes()):
+            self._probe(name)
 
     def _on_policy(self, ev) -> None:
         try:
@@ -753,7 +742,8 @@ class LinecardRuntime(NodeRuntime):
 
     def _on_route_delta(self, kind: str, route: ServiceRoute) -> None:
         self.path_cache.pop(route.key(), None)
-        self._probe_destinations()
+        if kind == PUT:
+            self._probe(route.system_name)
 
     def _on_ls_delta(self, src: str, dst: str) -> None:
         for key, (_, path) in list(self.path_cache.items()):
@@ -765,23 +755,15 @@ class LinecardRuntime(NodeRuntime):
         self.path_cache.clear()
         self._headers.clear()
 
-    def _probe_destinations(self) -> None:
-        """Linecards actively probe each destination service node."""
-        systems = {r.system_name for r in self.route_sync.table.type2.values()}
-        for lpm in self.route_sync.table.type5.values():
-            systems.update(r.system_name for r in lpm.routes())
-        for system in sorted(systems):
-            self._probe(system)
-
     # -- SLA / path selection ---------------------------------------------
 
-    def ensure_session(self, local: ServiceSloc, peer: ServiceSloc) -> None:
-        super().ensure_session(local, peer)
+    def open_session(self, local: ServiceSloc, peer: ServiceSloc) -> None:
+        super().open_session(local, peer)
         self._direct.pop(peer.system_name, None)
 
     def on_probe_outcome(self, session: ProbeSession) -> None:
         """A linecard's verdict on a session is (status, SLA violated), judged
-        on the session's running sums by evaluate_sla's rule; a change puts
+        on the session's running sums by sla_breach; a change puts
         the session's record, and a change of the SLA part also drops the
         paths cached to the system."""
         system = session.peer.system_name
@@ -837,7 +819,7 @@ class LinecardRuntime(NodeRuntime):
         system = route.system_name
         local, peer, figures = self._best_direct(system)
         chosen = None
-        if figures is None:  # unprobed counts as violated, as in evaluate_sla
+        if figures is None:  # unprobed counts as violated: try a relay path
             cost, met = 0.0, False
         else:
             delay_us, jitter_us, loss, status = figures
@@ -849,7 +831,6 @@ class LinecardRuntime(NodeRuntime):
                 self.count("sla_unmet_direct")
         if chosen is None:
             chosen = (local, ComputedPath(waypoints=(peer,), cost_ms=cost,
-                                          computed_at=self.clock.now,
                                           source=PATH_DIRECT))
         self.path_cache[key] = chosen
         self.emit("path_selected", dst=key, source=chosen[1].source,
@@ -877,7 +858,6 @@ class LinecardRuntime(NodeRuntime):
         local = next((ss for ss in self.slocs if ss.short == node_path[0]),
                      self.slocs[0])
         return (local, ComputedPath(waypoints=tuple(waypoints), cost_ms=cost,
-                                    computed_at=self.clock.now,
                                     source=PATH_ENGINEERED))
 
     # -- encap / decap -------------------------------------------------------
@@ -981,7 +961,7 @@ class LinecardRuntime(NodeRuntime):
             return None
         waypoints.append(peer)
         path = ComputedPath(waypoints=tuple(waypoints), cost_ms=0.0,
-                            computed_at=self.clock.now, source=PATH_POLICY_STEER)
+                            source=PATH_POLICY_STEER)
         return (self.slocs[0], path)
 
     def _deliver_local(self, host: HostPort, frame: HostFrame) -> None:
@@ -1002,8 +982,7 @@ class LinecardRuntime(NodeRuntime):
         elif seg.function == srou.FUNC_END_DT4:
             self._end_dt4(seg.args, inner)
         else:
-            self.count("drop_unknown_function")
-            self.frame_trace.emit("unknown_function", seg.function)
+            super().execute_function(ss, pkt, lay, seg, inner)
 
     def _end_dt2u(self, vnid: int, inner: bytes) -> None:
         try:

@@ -91,16 +91,10 @@ class SlaPolicy:
             raise ValueError("max_segments must be >= 1")
 
 
-@dataclass(frozen=True)
-class SlaVerdict:
-    ok: bool
-    reason: Optional[str] = None  # delay | loss | down | unknown
-
-
 def sla_breach(status: str, two_way_delay_us: float, loss: float,
                policy: SlaPolicy) -> Optional[str]:
-    """The first bound a link breaks, in evaluate_sla's order (down, delay,
-    loss), or None; takes the figures a record would hold."""
+    """The first bound a link breaks, in the order down, delay, loss, or
+    None; takes the figures a record would hold."""
     if status == STATUS_DOWN:
         return "down"
     if two_way_delay_us / 2.0 / 1000.0 > policy.max_delay_ms:
@@ -108,14 +102,6 @@ def sla_breach(status: str, two_way_delay_us: float, loss: float,
     if loss > policy.max_loss:
         return "loss"
     return None
-
-
-def evaluate_sla(rec: Optional[LinkStateRecord], policy: SlaPolicy) -> SlaVerdict:
-    """Missing probe data counts as violated so a relay search is attempted."""
-    if rec is None:
-        return SlaVerdict(False, "unknown")
-    reason = sla_breach(rec.status, rec.two_way_delay_us, rec.loss, policy)
-    return SlaVerdict(reason is None, reason)
 
 
 def edge_cost_ms(two_way_delay_us: float, jitter_us: float, loss: float,
@@ -229,7 +215,6 @@ class ComputedPath:
 
     waypoints: tuple[ServiceSloc, ...]
     cost_ms: float
-    computed_at: int
     source: str  # direct | engineered | policy-steer
 
 
@@ -329,6 +314,12 @@ class RouteTable:
         if vrf is not None and ip is not None:
             return self.resolve_l3(vrf, ip)
         raise NoRoute("nothing to resolve with")
+
+    def routes(self) -> Iterator[ServiceRoute]:
+        """Every route: type-2, then type-5."""
+        yield from self.type2.values()
+        for lpm in self.type5.values():
+            yield from lpm.routes()
 
 
 class RouteSync:

@@ -6,8 +6,9 @@ t3 responder send, t4 requester receive); two-way delay is
 turnaround t3 - t2 outside [0, t4 - t1] is not the responder's, so the delay
 falls back to the round trip t4 - t1 and is never negative.  Jitter uses
 the classic 1/16 smoothed estimator over consecutive delay differences; a
-link is declared down after a run of consecutive losses.  All constants are
-per-session configuration.
+link is declared down after a run of consecutive losses.  Window, timeout
+and run length are session parameters, which node runtimes leave at their
+defaults; the probe interval is one constant, PROBE_INTERVAL_NS.
 
 The window holds one int per probe: its two-way delay in ns, or LOST.  Loss
 rate and mean delay over the window are running sums (a lost count and an
@@ -42,7 +43,7 @@ from . import srou
 from .netsim import NS_PER_US, ScheduledEvent, seconds
 from .schema import STATUS_DOWN, STATUS_UP, LinkStateRecord, ServiceSloc
 
-DEFAULT_INTERVAL_NS = seconds(1)
+PROBE_INTERVAL_NS = seconds(1)
 DEFAULT_WINDOW = 100
 DEFAULT_TIMEOUT_NS = seconds(2)
 DEFAULT_DOWN_AFTER = 3

@@ -1,5 +1,7 @@
 """Control-plane schema: every key path and value document, plus the
-registration, announcement, hunting, and policy-lookup procedures.
+procedures over them: register_node, announce_service, put_record (one put
+for a route, a link-state record or a SLoC's load, each at its own key),
+hunt and lookup_policy.
 
 Key grammar:
 
@@ -645,17 +647,7 @@ def hunt(handle: StoreHandle, role: str) -> tuple[list[tuple[str, list[Sloc]]], 
     return results, warnings
 
 
-def announce_route(handle: StoreHandle, route: ServiceRoute, lease: Lease) -> int:
-    return handle.put(route.key(), to_json_bytes(route.to_doc()), lease.lease_id)
-
-
-def report_linkstate(handle: StoreHandle, rec: LinkStateRecord, lease: Lease) -> int:
-    """Upsert a probe record under /stats/linkstate, the one home of link
-    state: path engines and LSDB replicas follow it there."""
-    return handle.put(rec.key(), to_json_bytes(rec.to_doc()), lease.lease_id)
-
-
-def report_sloc_load(handle: StoreHandle, rec: SlocLoadRecord, lease: Lease) -> int:
-    """Upsert a SLoC's utilization under /stats/sloc, which no runtime
-    follows, so the put reaches no watch."""
+def put_record(handle: StoreHandle, rec: Union[ServiceRoute, LinkStateRecord, SlocLoadRecord],
+               lease: Lease) -> int:
+    """Upsert a route, a link-state record or a SLoC's load at its key."""
     return handle.put(rec.key(), to_json_bytes(rec.to_doc()), lease.lease_id)

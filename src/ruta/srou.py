@@ -367,8 +367,9 @@ _ZERO_SLOC = bytes(6)  # IPv4 0.0.0.0, port 0: "fill me in" from a NATed sender
 
 
 def _parse_prefix(data: bytes):
-    """Check the first four octets; returns the view bounded by SRoU Length,
-    that length, the flow id type, the T bit and the protocol octet."""
+    """Check the first four octets; returns SRoU Length, the flow id type,
+    the T bit and the protocol octet.  The data is not copied: each later
+    read is checked against SRoU Length first."""
     if len(data) < 4:
         raise TruncatedHeader(f"need at least 4 octets, have {len(data)}")
     if data[0] != MAGIC:
@@ -382,7 +383,7 @@ def _parse_prefix(data: bytes):
     ft = _FLOW_ID_TYPES.get((flags >> 3) & 0x3)
     if ft is None:
         raise InvariantViolation(f"flow id type {(flags >> 3) & 0x3:#x} unknown")
-    return data[:total], total, ft, bool(flags & 0x1), data[3]
+    return total, ft, bool(flags & 0x1), data[3]
 
 
 class DataLayout(NamedTuple):
@@ -402,7 +403,7 @@ class DataLayout(NamedTuple):
 def parse_data(data: bytes) -> DataLayout:
     """Check a data-packet header and locate its fields; addresses and
     segments are left undecoded (see data_source and relay_in_place)."""
-    view, total, ft, t_bit, proto = _parse_prefix(data)
+    total, ft, t_bit, proto = _parse_prefix(data)
     src_octets = _SOURCE_OCTETS.get(proto)
     if src_octets is None:
         if proto == ProtocolId.OAM:
@@ -412,7 +413,7 @@ def parse_data(data: bytes) -> DataLayout:
     quartet = src_off + src_octets + 2
     if quartet + FLAG_QUARTET_OCTETS > total:
         raise TruncatedHeader("header shorter than fixed fields")
-    sloc_raw, sr_hdr_len, last_entry, segments_left = view[quartet:quartet + 4]
+    sloc_raw, sr_hdr_len, last_entry, segments_left = data[quartet:quartet + 4]
     if sloc_raw != SlocType.IPV4_PORT:
         raise UnsupportedSlocType(f"sloc type {sloc_raw:#04x} not supported")
     if total != quartet + sr_hdr_len:
@@ -428,8 +429,8 @@ def parse_data(data: bytes) -> DataLayout:
             f"segments_left {segments_left} exceeds segment count {seg_count}")
     sl_off = quartet + 3
     tlv_off = sl_off + 1 + seg_bytes
-    tlvs = _decode_tlvs(view[tlv_off:total]) if tlv_off < total else ()
-    return DataLayout._make((total, int.from_bytes(view[4:src_off], "big"), ft,
+    tlvs = _decode_tlvs(data[tlv_off:total]) if tlv_off < total else ()
+    return DataLayout._make((total, int.from_bytes(data[4:src_off], "big"), ft,
                              t_bit, src_off, proto, sl_off, segments_left, tlvs))
 
 
@@ -578,13 +579,13 @@ class OamLayout(NamedTuple):
 def parse_oam(data: bytes) -> OamLayout:
     """Check an OAM message and return its raw fields.  A Linkstate payload
     stays five ints, so a probe is read without objects."""
-    view, total, ft, _, proto = _parse_prefix(data)
+    total, ft, _, proto = _parse_prefix(data)
     if proto != ProtocolId.OAM:
         raise InvariantViolation(f"protocol id {proto:#x} is not OAM")
     off = 4 + ft.octets
     if off + 2 > total:
         raise TruncatedHeader("OAM message shorter than fixed fields")
-    oam_type, subtype = view[off], view[off + 1]
+    oam_type, subtype = data[off], data[off + 1]
     body = total - off - 2
 
     if oam_type == OamType.LINKSTATE:
@@ -595,7 +596,7 @@ def parse_oam(data: bytes) -> OamLayout:
                 f"linkstate payload {body} < {LINKSTATE_PAYLOAD_OCTETS}")
         if body > LINKSTATE_PAYLOAD_OCTETS:
             raise LengthMismatch("trailing bytes after linkstate payload")
-        payload = _LINKSTATE.unpack_from(view, off + 2)
+        payload = _LINKSTATE.unpack_from(data, off + 2)
     elif oam_type == OamType.STUN:
         if subtype == STUN_REQUEST:
             if body:
@@ -606,15 +607,15 @@ def parse_oam(data: bytes) -> OamLayout:
                 raise TruncatedPayload(f"stun response payload {body} < 6")
             if body > STUN_RESPONSE_PAYLOAD_OCTETS:
                 raise LengthMismatch("trailing bytes after stun payload")
-            payload = (socket.inet_ntoa(view[off + 2:off + 6]),
-                       int.from_bytes(view[off + 6:off + 8], "big"))
+            payload = (socket.inet_ntoa(data[off + 2:off + 6]),
+                       int.from_bytes(data[off + 6:off + 8], "big"))
         else:
             raise UnknownOamType(f"stun subtype {subtype:#x}")
     elif oam_type == OamType.TRACEROUTE:
         raise UnknownOamType("oam type 0x1 (traceroute) is reserved")
     else:
         raise UnknownOamType(f"oam type {oam_type:#x}")
-    return OamLayout._make((total, ft, int.from_bytes(view[4:off], "big"),
+    return OamLayout._make((total, ft, int.from_bytes(data[4:off], "big"),
                             oam_type, subtype, payload))
 
 

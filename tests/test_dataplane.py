@@ -577,6 +577,74 @@ class TestProbeMesh:
         assert {s.peer.system_name for s in lc.sessions.values()} == {"F2", "LC2"}
 
 
+class TestSessionOpening:
+    """A linecard opens a destination's sessions when it knows both a route
+    that names the system and the system's announced SLoCs."""
+
+    LOCAL = [sloc("10.0.0.10", 5500), sloc("10.0.1.10", 5500, color="mpls")]
+    DEST = [sloc("10.0.0.20", 5500), sloc("10.0.1.20", 5500, color="mpls")]
+    ROUTE = schema.ServiceRoute(route_type=2, export_rt="100:1", rd="2:1",
+                                mac="0a:00:00:00:00:99", ip="10.0.0.99", site_id=2,
+                                system_name="D", policy_tag=0)
+
+    def linecard(self):
+        """A started linecard LC whose every open_session call is logged as
+        (local short, peer short)."""
+        w = make_world()
+        w.net.add_node("LC")
+        lc = LinecardRuntime(w, "LC", self.LOCAL, imports_l2={"100:1": 1234})
+        opened, open_session = [], lc.open_session
+
+        def spy(local, peer):
+            opened.append((local.short, peer.short))
+            open_session(local, peer)
+
+        lc.open_session = spy
+        lc.start()
+        w.clock.run_until(millis(10))
+        return w, lc, opened
+
+    @staticmethod
+    def announce(w, slocs):
+        w.store.put(schema.service_key("linecard", "D"),
+                    schema.to_json_bytes({"slocs": [s.to_doc() for s in slocs]}))
+        w.clock.run_until(w.clock.now + millis(10))
+
+    def put_route(self, w):
+        w.store.put(self.ROUTE.key(), schema.to_json_bytes(self.ROUTE.to_doc()))
+        w.clock.run_until(w.clock.now + millis(10))
+
+    def pairs(self, dest):
+        return [(schema.ServiceSloc("LC", local).short, schema.ServiceSloc("D", peer).short)
+                for peer in dest for local in self.LOCAL]
+
+    def test_route_or_service_first_opens_each_session_once_in_one_order(self):
+        w, lc, route_first = self.linecard()
+        self.put_route(w)
+        assert route_first == []  # no SLoC of D is known yet
+        self.announce(w, self.DEST)
+        w2, _, service_first = self.linecard()
+        self.announce(w2, self.DEST)
+        assert service_first == []  # no route names D yet
+        self.put_route(w2)
+        assert route_first == service_first == self.pairs(self.DEST)
+        # more store events about D, and time, open nothing again
+        self.put_route(w)
+        self.announce(w, self.DEST)
+        w.clock.run_until(seconds(3))
+        assert route_first == self.pairs(self.DEST)
+        assert [(s.local.short, s.peer.short) for s in lc.sessions.values()] == route_first
+
+    def test_reannounce_opens_only_the_added_sloc(self):
+        w, lc, opened = self.linecard()
+        self.put_route(w)
+        self.announce(w, self.DEST[:1])
+        assert opened == self.pairs(self.DEST[:1])
+        self.announce(w, self.DEST)
+        assert opened == self.pairs(self.DEST)
+        assert len(lc.sessions_to("D")) == 4
+
+
 class TestVerdict:
     @staticmethod
     def puts_under(store, prefix=schema.LINKSTATE_PREFIX):
@@ -629,6 +697,30 @@ class TestVerdict:
         w.clock.run_until(seconds(30))
         assert len(puts) > 20
         assert len(puts) == len(set(puts))
+
+
+class TestSlaPath:
+    def test_frame_before_the_first_probe_outcome_tries_a_relay(self):
+        # until a session to the destination records an outcome, the direct
+        # path counts as failing the SLA, so the first frame searches the
+        # link state for a relay path
+        net = SpineLeaf()
+        w = net.world
+        w.clock.run_until(millis(100))  # probes first go out at 1 s
+        assert [s.figures() for s in net.lc_a.sessions_to("LC_B")] == [None]
+        lc_a, spine_a, lc_b = (rt.slocs[0].short
+                               for rt in (net.lc_a, net.spine_a, net.lc_b))
+        for src, dst in ((lc_a, spine_a), (spine_a, lc_b)):
+            rec = schema.LinkStateRecord(src=src, dst=dst, two_way_delay_us=1_000.0,
+                                         jitter_us=0.0, loss=0.0, status="up",
+                                         sampled_at=w.clock.now)
+            w.store.put(rec.key(), schema.to_json_bytes(rec.to_doc()))
+        net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2())
+        [selected] = w.trace.select("path_selected", "LC_A")
+        assert selected["detail"]["source"] == "engineered"
+        assert selected["detail"]["waypoints"] == (spine_a, lc_b)
+        w.clock.run_until(w.clock.now + millis(10))
+        assert [f.payload for f in net.delivered] == [b"hello"]
 
 
 class TestEndDt4:
@@ -768,13 +860,14 @@ class TestStunRole:
 
 class TestToken:
     def test_current_bucket_admits(self):
-        auth = TokenAuthority("secret", bucket_s=30, window=1)
+        auth = TokenAuthority("secret")
         now = seconds(65)
         token = auth.mint("198.51.100.7", now)
         assert auth.validate(token, "198.51.100.7", now)
 
     def test_previous_bucket_admits_current_minus_two_rejects(self):
-        auth = TokenAuthority("secret", bucket_s=30, window=1)
+        auth = TokenAuthority("secret")
+        assert (auth.bucket_ns, auth.window) == (seconds(30), 1)
         minted_at = seconds(10)
         token = auth.mint("198.51.100.7", minted_at)
         assert auth.validate(token, "198.51.100.7", seconds(35))   # one bucket later
@@ -793,7 +886,7 @@ class TestToken:
             return int.from_bytes(hmac.new(secret, msg, hashlib.sha256).digest()[:4],
                                   "big")
 
-        auth = TokenAuthority("secret", bucket_s=30)
+        auth = TokenAuthority("secret")
         rng = random.Random(6)
         for _ in range(1_000):
             ip, bucket = wiregen.random_ipv4(rng), rng.randrange(1 << 20)

@@ -173,7 +173,7 @@ class TestRoutes:
                              site_id=1, system_name="LC_A", policy_tag=0)
         assert route.key() == "/route/2/100:1/1:1/00:11:22:33:44:55/10.0.0.88"
         lease = handle.grant_lease(seconds(600))
-        schema.announce_route(handle, route, lease)
+        schema.put_record(handle, route, lease)
         entry = handle.get(route.key())
         doc = schema.from_json_bytes(entry.value)
         assert doc == {"site_id": 1, "system_name": "LC_A", "policy_tag": 0,
@@ -248,7 +248,7 @@ class TestLinkstate:
                               two_way_delay_us=0.0, jitter_us=0.0, loss=1.0,
                               status="down", sampled_at=5)
         lease = handle.grant_lease(seconds(600))
-        schema.report_linkstate(handle, rec, lease)
+        schema.put_record(handle, rec, lease)
         stored = LinkStateRecord.from_doc(
             schema.from_json_bytes(handle.get(rec.key()).value))
         assert stored.status == "down"
@@ -324,13 +324,13 @@ class TestLeaseClassing:
         route = ServiceRoute(route_type=2, export_rt="1:1", rd="1:1",
                              mac="aa:bb:cc:dd:ee:ff", ip="1.2.3.4",
                              site_id=1, system_name="LC_A", policy_tag=0)
-        schema.announce_route(handle, route, lease2)
+        schema.put_record(handle, route, lease2)
         ls = LinkStateRecord(src="a|c|1.1.1.1:1", dst="b|c|2.2.2.2:2",
                              two_way_delay_us=1.0, jitter_us=0.0, loss=0.0,
                              status="up", sampled_at=0)
-        schema.report_linkstate(handle, ls, lease2)
+        schema.put_record(handle, ls, lease2)
         load = schema.SlocLoadRecord("a|c|1.1.1.1:1", 0.5, 0.25, 0)
-        schema.report_sloc_load(handle, load, lease2)
+        schema.put_record(handle, load, lease2)
 
         for key in ("/node/linecard/LC_A", "/service/linecard/LC_A"):
             assert handle.get(key).lease_id == lease1.lease_id
