@@ -24,15 +24,32 @@ local SLoC to every announced SLoC of another system, opened on the store
 event that names it.  Fabrics and linecards open one to each fabric the
 whitelist admits when it announces; linecards also open one to each
 destination system of their routes, whitelisted or not, on the route put or
-the service announce, whichever comes second.  Each
-session has one verdict: its status at a fabric, and (status, SLA violated)
-at a linecard, judged on the session's running sums.  The first outcome and
-every change of the verdict put the session's record once.  The report timer
-puts each local SLoC's utilization under /stats/sloc, which no runtime
-follows, and the record of each session whose figures (delay, jitter, loss,
-status) differ from the ones last put for its key; a record is built only
-for a put.  At a linecard, a change of the SLA part also drops the paths
-cached to the peer's system and writes an `sla_change` record.
+the service announce, whichever comes second.  A re-announce without a
+SLoC, or the deletion of the service, closes the sessions to the SLoCs no
+longer announced: their ticks stop, and at a linecard the paths cached to
+the system are dropped.  Each session has one verdict: its status at a
+fabric, and (status, SLA violated) at a linecard, judged on the session's
+running sums.  The first outcome and every change of the verdict put the
+session's record once.  The report timer puts each local SLoC's utilization
+under /stats/sloc, which no runtime follows, and the record of each session
+whose figures (delay, jitter, loss, status) differ from the ones last put
+for its key; a record is built only for a put.  At a linecard, a change of
+the SLA part also drops the paths cached to the peer's system and writes an
+`sla_change` record.
+
+Header work is memoized by value, once per node.  A runtime or app socket
+keeps the `DataLayout` of each data header it has checked, keyed by its
+octets `payload[:SRoU Length]`; OAM messages are parsed every time.  A node
+keeps each relay's outcome (source filled, active segment, patched header)
+keyed by (header octets, observed outer source), since a zero source is
+filled from the observed one; an app socket builds each header it sends once
+(`_app_header`).  A hit equals a miss: `srou.parse_data` reads nothing past
+SRoU Length, `relay_in_place` is a pure function of the header and the
+observed source, and a payload shorter than its SRoU Length never equals a
+stored key K, because len(K) == K[1].  Only a header that checks is stored,
+and an encoder's `CodecError` is not.  The token check, function execution,
+counters and trace records stay per packet.  Keys come from peer bytes, so
+each memo holds at most `MEMO_ENTRIES` entries and is emptied when full.
 
 Host frames are the minimal tuple (src_mac, dst_mac, src_ip, dst_ip,
 payload), serialized as 6+6+4+4 octets plus payload.
@@ -88,9 +105,27 @@ ZERO_SOURCE = ("0.0.0.0", 0)
 DEFAULT_LEASE1_S = 60
 DEFAULT_LEASE2_S = 600
 
+MEMO_ENTRIES = 1024  # the bound of each per-node memo of header work
+
 
 class DataplaneError(Exception):
     pass
+
+
+def _memo_key(payload: bytes) -> Optional[bytes]:
+    """The octets of a data header, SRoU Length of them; None for an OAM
+    message or a datagram too short to name its protocol."""
+    if len(payload) > 3 and payload[3] != srou.ProtocolId.OAM:
+        return payload[:payload[1]]
+    return None
+
+
+def _remember(memo: dict, key, value):
+    """Store value under key, emptying a full memo first; returns value."""
+    if len(memo) >= MEMO_ENTRIES:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +328,10 @@ class NodeRuntime:
         self._bytes_tx: dict[str, int] = {}
         self._bytes_rx: dict[str, int] = {}
         self._bytes_reported: dict[str, tuple[int, int]] = {}
+        # header octets -> DataLayout; (header octets, observed ip, observed
+        # port) -> (source filled, active segment, patched header)
+        self._layouts: dict[bytes, srou.DataLayout] = {}
+        self._relays: dict[tuple, tuple] = {}
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -430,15 +469,20 @@ class NodeRuntime:
         if not self.alive:
             return
         self._bytes_rx[ss.short] = self._bytes_rx.get(ss.short, 0) + pkt.size
-        try:
-            lay = srou.parse(pkt.payload)  # checked, not decoded
-        except srou.BadMagic:
-            self.count("drop_bad_magic")
-            return
-        except srou.CodecError as exc:
-            self.count("drop_malformed")
-            self.frame_trace.emit("malformed", type(exc).__name__)
-            return
+        key = _memo_key(pkt.payload)
+        lay = self._layouts.get(key)
+        if lay is None:
+            try:
+                lay = srou.parse(pkt.payload)  # checked, not decoded
+            except srou.BadMagic:
+                self.count("drop_bad_magic")
+                return
+            except srou.CodecError as exc:
+                self.count("drop_malformed")
+                self.frame_trace.emit("malformed", type(exc).__name__)
+                return
+            if key is not None:  # a data header
+                _remember(self._layouts, key, lay)
         if type(lay) is srou.DataLayout:
             self.on_data(ss, pkt, lay)
         elif lay.oam_type == srou.OamType.LINKSTATE:
@@ -485,9 +529,29 @@ class NodeRuntime:
     # -- probing --------------------------------------------------------------
 
     def open_session(self, local: ServiceSloc, peer: ServiceSloc) -> None:
-        session = self.sessions[local.short, peer.public_addr] = ProbeSession(local, peer)
-        self.every(PROBE_INTERVAL_NS, lambda: self._probe_tick(session),
-                   f"probe:{peer.short}")
+        key = (local.short, peer.public_addr)
+        session = self.sessions[key] = ProbeSession(local, peer)
+        label = f"probe:{peer.short}"
+
+        def tick():  # until the runtime is killed or the session closed
+            if self.alive and self.sessions.get(key) is session:
+                self._probe_tick(session)
+                self._later(PROBE_INTERVAL_NS, tick, label)
+
+        self._later(PROBE_INTERVAL_NS, tick, label)
+
+    def _close_sessions(self, system: str, withdrawn: set) -> bool:
+        """Close the sessions to the SLoCs of system at the withdrawn public
+        addresses: each one's tick stops and its verdict is forgotten.
+        Returns whether any was closed."""
+        if not withdrawn:
+            return False
+        closed = [key for key, session in self.sessions.items()
+                  if key[1] in withdrawn and session.peer.system_name == system]
+        for key in closed:
+            del self.sessions[key]
+            self._verdicts.pop(key, None)
+        return bool(closed)
 
     def _probe(self, system: str) -> None:
         """Open the sessions not yet open from every local SLoC to every
@@ -500,27 +564,33 @@ class NodeRuntime:
                     self.open_session(local, peer)
 
     def _on_service(self, ev) -> Optional[str]:
-        """Mirror /service/ into service_dir and short_index and probe every
-        announced fabric the whitelist admits; returns the system whose
-        service was added or replaced, if any."""
+        """Mirror /service/ into service_dir and short_index, close the
+        sessions to SLoCs no longer announced and probe every announced
+        fabric the whitelist admits; returns the system whose service was
+        added or replaced, if any."""
         if ev.kind == DELETE:
             try:
                 _, name = schema.parse_service_key(ev.entry.key)
             except SchemaError:
                 return None
-            for ss in self.service_dir.pop(name, []):
+            old = self.service_dir.pop(name, [])
+            for ss in old:
                 self.short_index.pop(ss.short, None)
+            self._close_sessions(name, {ss.public_addr for ss in old})
             return None
         try:
             role, name, slocs = schema.parse_service(ev.entry.key, ev.entry.value)
         except SchemaError:
             self.emit("service_parse_warning", key=ev.entry.key)
             return None
-        for ss in self.service_dir.get(name, []):  # a re-announce replaces them
+        old = self.service_dir.get(name, [])
+        for ss in old:  # a re-announce replaces them
             self.short_index.pop(ss.short, None)
         self.service_dir[name] = [ServiceSloc(name, s) for s in slocs]
         for ss in self.service_dir[name]:
             self.short_index[ss.short] = ss
+        self._close_sessions(name, {ss.public_addr for ss in old}
+                             - {ss.public_addr for ss in self.service_dir[name]})
         whitelist = self.probe_cfg.whitelist
         if role == "fabric" and (whitelist is None or name in whitelist):
             self._probe(name)
@@ -574,9 +644,15 @@ class NodeRuntime:
 
     def relay(self, ss: ServiceSloc, pkt: Datagram, lay: srou.DataLayout) -> None:
         """Fill a zero source, advance to the active segment and forward to it,
-        or execute it; the header is patched in a copy of the packet bytes."""
-        buf = bytearray(pkt.payload)
-        filled, seg = srou.relay_in_place(buf, lay, (pkt.src_ip, pkt.src_port))
+        or execute it; the header is patched in a copy of its octets."""
+        payload, total = pkt.payload, lay.total
+        key = (payload[:total], pkt.src_ip, pkt.src_port)
+        relayed = self._relays.get(key)
+        if relayed is None:
+            buf = bytearray(key[0])
+            filled, seg = srou.relay_in_place(buf, lay, (pkt.src_ip, pkt.src_port))
+            relayed = _remember(self._relays, key, (filled, seg, bytes(buf)))
+        filled, seg, header = relayed
         if filled:
             self.count("source_fill")
             self.frame_trace.emit("source_fill", pkt.src_ip, pkt.src_port, lay.flow_id)
@@ -587,11 +663,11 @@ class NodeRuntime:
             sl = lay.segments_left - 1
             if lay.t_bit:
                 self.frame_trace.emit("postcard", "relay", lay.flow_id, sl)
-            self.send_from(ss, (seg.address, seg.port), bytes(buf))
+            self.send_from(ss, (seg.address, seg.port), header + payload[total:])
             self.count("relay")
             self.frame_trace.emit("relay", seg.address, seg.port, sl, lay.flow_id)
         else:
-            self.execute_function(ss, pkt, lay, seg, pkt.payload[lay.total:])
+            self.execute_function(ss, pkt, lay, seg, payload[total:])
 
     def execute_function(self, ss: ServiceSloc, pkt: Datagram, lay: srou.DataLayout,
                          seg: srou.Function, inner: bytes) -> None:
@@ -761,6 +837,20 @@ class LinecardRuntime(NodeRuntime):
         super().open_session(local, peer)
         self._direct.pop(peer.system_name, None)
 
+    def _close_sessions(self, system: str, withdrawn: set) -> bool:
+        """Also forget the system's ranked direct path and the paths cached
+        to it."""
+        if not super()._close_sessions(system, withdrawn):
+            return False
+        self._direct.pop(system, None)
+        self._drop_paths_to(system)
+        return True
+
+    def _drop_paths_to(self, system: str) -> None:
+        for dst, (_, path) in list(self.path_cache.items()):
+            if path.waypoints and path.waypoints[-1].system_name == system:
+                self.path_cache.pop(dst, None)
+
     def on_probe_outcome(self, session: ProbeSession) -> None:
         """A linecard's verdict on a session is (status, SLA violated), judged
         on the session's running sums by sla_breach; a change puts
@@ -781,9 +871,7 @@ class LinecardRuntime(NodeRuntime):
         self._report_session(session)
         if last is not None and last[1] == violated:
             return
-        for dst, (_, path) in list(self.path_cache.items()):
-            if path.waypoints and path.waypoints[-1].system_name == system:
-                self.path_cache.pop(dst, None)
+        self._drop_paths_to(system)
         self.emit("sla_change", system=system, violated=violated)
 
     def _best_direct(self, system: str):
@@ -1065,10 +1153,12 @@ class LsdbRuntime(NodeRuntime):
 # native-socket application endpoints
 
 
-def _app_header(source: tuple[str, int], visit, flow_id: int,
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
+def _app_header(source: tuple[str, int], visit: tuple, flow_id: int,
                 flow_id_type: srou.FlowIdType = srou.FlowIdType.FT32) -> bytes:
-    """An app socket's IPv4 SRoU header: the waypoints in visit order, all
-    of them left to visit."""
+    """An app socket's IPv4 SRoU header: the waypoints in visit order (a
+    tuple of addresses), all of them left to visit.  A header that does not
+    encode raises its CodecError and is not cached."""
     segments = tuple(srou.Waypoint(*addr) for addr in reversed(visit))
     return srou.encode_header(srou.SRoUHeader(
         protocol_id=srou.ProtocolId.IPV4, source_address=source[0],
@@ -1110,6 +1200,8 @@ class AppEndpoint:
         self.reply_via = reply_via or []
         self.frame_trace = FrameTrace(world.clock, world.trace, name)
         self.counts: dict[str, int] = {}
+        # header octets -> (DataLayout, SRoU source)
+        self._layouts: dict[bytes, tuple[srou.DataLayout, tuple[str, int]]] = {}
 
     def count(self, what: str) -> None:
         self.counts[what] = self.counts.get(what, 0) + 1
@@ -1135,7 +1227,7 @@ class AppEndpoint:
         if ctx.raw:
             self.send_raw(payload, ctx.outer)
             return
-        visit = list(self.reply_via) + [ctx.srou_source]
+        visit = tuple(self.reply_via) + (ctx.srou_source,)
         try:
             wire = _app_header((self.ip, self.port), visit, ctx.flow_id, ctx.flow_id_type)
         except srou.CodecError:  # a source no waypoint can hold
@@ -1158,16 +1250,20 @@ class AppEndpoint:
             self.frame_trace.emit("passthrough", len(payload))
             self._deliver(payload, ctx)
             return
-        try:
-            lay = srou.parse(payload)
-        except srou.CodecError as exc:
-            self.count("drop_malformed")
-            self.frame_trace.emit("malformed", type(exc).__name__)
-            return
-        if type(lay) is srou.OamLayout:
-            self.count("drop_oam")
-            return
-        source = srou.data_source(payload, lay)
+        key = _memo_key(payload)
+        known = self._layouts.get(key)
+        if known is None:
+            try:
+                lay = srou.parse(payload)
+            except srou.CodecError as exc:
+                self.count("drop_malformed")
+                self.frame_trace.emit("malformed", type(exc).__name__)
+                return
+            if type(lay) is srou.OamLayout:
+                self.count("drop_oam")
+                return
+            known = _remember(self._layouts, key, (lay, srou.data_source(payload, lay)))
+        lay, source = known
         ctx = ReplyContext(outer=(pkt.src_ip, pkt.src_port), srou_source=source,
                            flow_id=lay.flow_id, flow_id_type=lay.flow_id_type)
         self.count("rx_srou")

@@ -27,7 +27,7 @@ import random
 import socket
 from array import array
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 NS_PER_US = 1_000
@@ -316,7 +316,8 @@ class SimNat:
         if m is None:
             m = self._allocate(pkt.src_ip, pkt.src_port)
         self.translated_out += 1
-        return replace(pkt, src_ip=self.public_ip, src_port=m.public_port)
+        return Datagram(self.public_ip, m.public_port, pkt.dst_ip, pkt.dst_port,
+                        pkt.payload)
 
     def translate_in(self, pkt: Datagram) -> Optional[Datagram]:
         m = self.by_port.get(pkt.dst_port)
@@ -324,7 +325,8 @@ class SimNat:
             self.dropped_no_mapping += 1
             return None
         self.translated_in += 1
-        return replace(pkt, dst_ip=m.inside_ip, dst_port=m.inside_port)
+        return Datagram(pkt.src_ip, pkt.src_port, m.inside_ip, m.inside_port,
+                        pkt.payload)
 
     def mapping_table(self) -> dict:
         return {

@@ -28,7 +28,7 @@ from ruta.dataplane import (
 )
 from ruta.kvstore import KvStore
 from ruta.netsim import Datagram, Network, Trace, VirtualClock, millis, seconds
-from ruta.pathengine import SlaPolicy
+from ruta.pathengine import NoRoute, SlaPolicy
 from ruta.schema import PolicyRule, Sloc
 
 import srouref
@@ -376,7 +376,8 @@ class TestRelayAndFunctions:
 class TestFuzzRuntime:
     def test_packets_never_escape_run_until(self):
         # seeded headers and OAM messages, half of them mutated, into every
-        # runtime socket of a running world; every malformed one is counted
+        # runtime socket of a running world; every malformed one is counted.
+        # Each message goes twice, so its second copy meets the header memos
         net = SpineLeaf(seed=4)
         w = net.world
         w.net.add_node("FZ")
@@ -408,8 +409,9 @@ class TestFuzzRuntime:
             if i % 2:
                 wire = wiregen.mutate(rng, wire)
             dst = targets[i % len(targets)]
-            w.clock.call_at(start + i * 100_000, lambda wire=wire, dst=dst: w.net.send(
-                "FZ", Datagram("172.16.0.9", 4000, dst[0], dst[1], wire)))
+            for at in (start + i * 100_000, start + i * 100_000 + 50_000):
+                w.clock.call_at(at, lambda wire=wire, dst=dst: w.net.send(
+                    "FZ", Datagram("172.16.0.9", 4000, dst[0], dst[1], wire)))
         w.clock.run_until(start + seconds(2))
         for rt in net.runtimes:
             for what in ("drop_bad_magic", "drop_malformed"):
@@ -417,8 +419,9 @@ class TestFuzzRuntime:
         assert sum(sum(c.values()) for c in expected.values()) > 500
 
     def test_app_socket_packets_never_escape_run_until(self):
-        # the same seeded traffic into an echo and a sink app socket; the
-        # SRoU datagrams the reference decoder rejects are the malformed ones
+        # the same seeded traffic into an echo and a sink app socket, each
+        # datagram twice; the SRoU datagrams the reference decoder rejects
+        # are the malformed ones
         w = make_world(seed=6)
         for name in ("FZ", "echo", "sink"):
             w.net.add_node(name)
@@ -466,8 +469,9 @@ class TestFuzzRuntime:
             if i % 2:
                 wire = wiregen.mutate(rng, wire)
             app = apps[i // 2 % 2]  # each gets intact and mutated datagrams
-            w.clock.call_at(i * 100_000, lambda wire=wire, app=app: w.net.send(
-                "FZ", Datagram("172.16.0.9", 4000, app.ip, app.port, wire)))
+            for at in (i * 100_000, i * 100_000 + 50_000):
+                w.clock.call_at(at, lambda wire=wire, app=app: w.net.send(
+                    "FZ", Datagram("172.16.0.9", 4000, app.ip, app.port, wire)))
         w.clock.run_until(seconds(1))
         for app in apps:
             assert app.counts.get("drop_malformed", 0) == expected[app.name] > 100
@@ -643,6 +647,56 @@ class TestSessionOpening:
         self.announce(w, self.DEST)
         assert opened == self.pairs(self.DEST)
         assert len(lc.sessions_to("D")) == 4
+
+    def test_withdrawn_slocs_are_no_longer_probed(self):
+        # D drops 10.0.0.20:5500 at 5 s, and its service is deleted at 20 s
+        w, lc, _ = self.linecard()
+        probes, send = [], w.net.send
+
+        def spy(node, pkt):
+            probes.append((w.clock.now, (pkt.dst_ip, pkt.dst_port)))
+            send(node, pkt)
+
+        w.net.send = spy
+        self.put_route(w)
+        self.announce(w, self.DEST)
+        dropped, kept = ("10.0.0.20", 5500), ("10.0.1.20", 5500)
+        w.clock.run_until(seconds(5))
+        self.announce(w, self.DEST[1:])
+        withdrawn_at = w.clock.now
+        assert {s.peer.public_addr for s in lc.sessions_to("D")} == {kept}
+        assert lc._best_direct("D")[1].public_addr == kept
+        w.clock.run_until(seconds(20))
+        w.store.delete(schema.service_key("linecard", "D"))
+        w.clock.run_until(w.clock.now + millis(10))
+        deleted_at = w.clock.now
+        assert lc.sessions_to("D") == []
+        with pytest.raises(NoRoute):
+            lc._best_direct("D")
+        w.clock.run_until(seconds(40))
+        times = {dst: [t for t, to in probes if to == dst] for dst in (dropped, kept)}
+        assert times[dropped] and max(times[dropped]) < withdrawn_at
+        assert max(times[kept]) > withdrawn_at and max(times[kept]) < deleted_at
+        assert not any(key[1] in (dropped, kept) for key in lc._verdicts)
+
+    def test_frames_leave_a_withdrawn_sloc_at_once(self):
+        # LC_A's cached direct path goes to LC_B's first SLoC; when LC_B
+        # re-announces without it, the next frame takes the other one
+        first, second = sloc("192.168.99.78", 5546), sloc("192.168.99.79", 5546)
+        net = SpineLeaf(lc_b_slocs=[first, second])
+        w = net.world
+        w.clock.run_until(seconds(3))
+
+        def outer_dst():  # all at one instant: no probe outcome comes between
+            net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2())
+            return w.trace.select("encap", "LC_A")[-1]["detail"]["outer_dst"]
+
+        assert outer_dst() == "192.168.99.78:5546"
+        w.store.put(schema.service_key("linecard", "LC_B"),
+                    schema.to_json_bytes({"slocs": [second.to_doc()]}))
+        assert outer_dst() == "192.168.99.79:5546"
+        w.clock.run_until(w.clock.now + millis(10))
+        assert len(net.delivered) == 2
 
 
 class TestVerdict:
@@ -936,6 +990,13 @@ class TestToken:
         assert edge.counts["token_admit"] == 1
 
 
+class NeverStores(dict):
+    """A memo that forgets what it is given: every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 class TestNativeSocket:
     DATA = srou.encode_header(srou.SRoUHeader(
         protocol_id=srou.ProtocolId.IPV4, source_address="1.2.3.4",
@@ -1032,17 +1093,18 @@ class TestNativeSocket:
     def test_unencodable_reply_source_is_a_counted_drop(self, proto, source):
         # a reply waypoint can hold neither an address starting 0xFF (the
         # function marker) nor an IPv6 one: the echo is dropped and counted,
-        # and the event loop keeps running
+        # each time it repeats, and the event loop keeps running
         w, edge, transit, client, server, got = self.build_nat_path()
         hdr = srou.SRoUHeader(protocol_id=proto, source_address=source,
                               source_port=9,
                               segment_list=(srou.Waypoint("203.0.113.30", 7443),),
                               segments_left=0)
-        w.net.send("F_TRANSIT", Datagram("203.0.113.20", 17777, "203.0.113.30", 7443,
-                                         srou.encode_header(hdr) + b"echo me"))
+        for _ in range(2):
+            w.net.send("F_TRANSIT", Datagram("203.0.113.20", 17777, "203.0.113.30", 7443,
+                                             srou.encode_header(hdr) + b"echo me"))
         w.clock.run_until(seconds(1))
-        assert got["server"] == [b"echo me"]
-        assert server.counts["drop_reply_unencodable"] == 1
+        assert got["server"] == [b"echo me"] * 2
+        assert server.counts["drop_reply_unencodable"] == 2
         assert "tx_reply" not in server.counts
 
     @pytest.mark.parametrize("ft, flow_id", [(srou.FlowIdType.FT64, 0x1_2345_6789),
@@ -1078,6 +1140,104 @@ class TestNativeSocket:
         w.clock.run_until(seconds(1))
         assert got["server"] == [blob]
         assert server.counts["rx_passthrough"] == 1
+
+    def test_a_memo_that_never_stores_gives_the_same_trace(self):
+        # echoes over the NAT path with zero-source fill, relay and reversed
+        # segments, once with the memos and once with every lookup missing
+        traces = []
+        for memo in (dict, NeverStores):
+            w, edge, transit, client, server, got = self.build_nat_path()
+            for node in (edge, transit, client, server):
+                node._layouts = memo()
+            for rt in (edge, transit):
+                rt._relays = memo()
+            for i in range(20):
+                w.clock.call_at(millis(10 * i), lambda: client.send_srou(
+                    b"ping", edge=("203.0.113.10", 17777), server=("203.0.113.30", 7443),
+                    transit=("203.0.113.20", 17777), flow_id=7))
+            w.clock.run_until(seconds(2))
+            assert got["client"] == [b"ping"] * 20
+            traces.append(w.trace.to_jsonl())
+        assert traces[0] == traces[1]
+
+
+class TestHeaderMemo:
+    """Runtimes and app sockets check, relay and build each distinct SRoU
+    header once; what a packet does must not depend on what is cached."""
+
+    SINK = ("203.0.113.30", 7443)
+
+    def fabric_world(self):
+        """A sender P, a fabric F and a sink S that records what reaches it."""
+        w = make_world()
+        for name in ("P", "F", "S"):
+            w.net.add_node(name)
+        w.net.add_link("P", "F", millis(1))
+        w.net.add_link("F", "S", millis(1))
+        fabric = FabricRuntime(w, "F", [sloc("203.0.113.10", 17777)])
+        fabric.start()
+        got = []
+        w.net.bind("S", *self.SINK, got.append)
+        return w, fabric, got
+
+    def to_sink(self, source=dataplane.ZERO_SOURCE, flow_id=0):
+        return srou.encode_header(srou.SRoUHeader(
+            protocol_id=srou.ProtocolId.IPV4, source_address=source[0],
+            source_port=source[1], segment_list=(srou.Waypoint(*self.SINK),),
+            segments_left=1, flow_id=flow_id))
+
+    def test_payload_cut_short_of_a_relayed_header_is_malformed(self):
+        # the cut copy's first SRoU Length octets are not all there, so it
+        # never matches the stored header and is checked again
+        w, fabric, got = self.fabric_world()
+        w.net.add_node("app")
+        w.net.add_link("P", "app", millis(1))
+        app = AppEndpoint(w, "app", "203.0.113.31", 7443)
+        app.start()
+        wire = self.to_sink(("203.0.113.40", 6000))
+        for dst, payload in ((fabric.slocs[0].addr, wire + b"inner"),
+                             (fabric.slocs[0].addr, wire[:-2]),
+                             ((app.ip, app.port), wire + b"inner"),
+                             ((app.ip, app.port), wire[:-2])):
+            w.net.send("P", Datagram("203.0.113.40", 6000, *dst, payload))
+        w.clock.run_until(seconds(1))
+        assert [p.payload[len(wire):] for p in got] == [b"inner"]
+        assert (fabric.counts["relay"], fabric.counts["drop_malformed"]) == (1, 1)
+        assert app.counts == {"rx_srou": 1, "drop_malformed": 1}
+        for node in ("F", "app"):
+            assert [r["detail"] for r in w.trace.select("malformed", node)] == [
+                {"error": "TruncatedHeader"}]
+
+    def test_zero_source_is_filled_from_each_observed_source(self):
+        w, fabric, got = self.fabric_world()
+        sources = [("203.0.113.40", 6000), ("203.0.113.41", 6001),
+                   ("203.0.113.40", 6000)]
+        for src in sources:
+            w.net.send("P", Datagram(*src, *fabric.slocs[0].addr, self.to_sink() + b"x"))
+        w.clock.run_until(seconds(1))
+        filled = [srouref.decode_header(p.payload)[0] for p in got]
+        assert [(h.source_address, h.source_port) for h in filled] == sources
+        assert [r["detail"]["filled"] for r in w.trace.select("source_fill", "F")] == [
+            f"{ip}:{port}" for ip, port in sources]
+
+    def test_spray_of_distinct_headers_leaves_each_memo_within_its_bound(self):
+        # each flow id makes a distinct header on the way out and back, at
+        # the fabric, the echo socket and its reply encoder
+        w, fabric, got = self.fabric_world()
+        w.net.nodes["S"].bindings.clear()
+        echo = AppEndpoint(w, "S", *self.SINK, echo=True)
+        echo.start()
+        flows = dataplane.MEMO_ENTRIES + 100
+        for flow_id in range(flows):
+            w.clock.call_at(flow_id * 10_000, lambda flow_id=flow_id: w.net.send(
+                "P", Datagram("203.0.113.40", 6000, *fabric.slocs[0].addr,
+                              self.to_sink(flow_id=flow_id))))
+        w.clock.run_until(seconds(1))
+        assert fabric.counts["relay"] == 2 * flows
+        assert echo.counts == {"rx_srou": flows, "tx_reply": flows}
+        for memo in (fabric._layouts, fabric._relays, echo._layouts):
+            assert 0 < len(memo) <= dataplane.MEMO_ENTRIES
+        assert dataplane._app_header.cache_info().currsize <= dataplane.MEMO_ENTRIES
 
 
 class TestHeadlessRuntime:
