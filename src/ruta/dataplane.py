@@ -37,19 +37,19 @@ for its key; a record is built only for a put.  At a linecard, a change of
 the SLA part also drops the paths cached to the peer's system and writes an
 `sla_change` record.
 
-Header work is memoized by value, once per node.  A runtime or app socket
-keeps the `DataLayout` of each data header it has checked, keyed by its
-octets `payload[:SRoU Length]`; OAM messages are parsed every time.  A node
-keeps each relay's outcome (source filled, active segment, patched header)
-keyed by (header octets, observed outer source), since a zero source is
-filled from the observed one; an app socket builds each header it sends once
-(`_app_header`).  A hit equals a miss: `srou.parse_data` reads nothing past
-SRoU Length, `relay_in_place` is a pure function of the header and the
-observed source, and a payload shorter than its SRoU Length never equals a
-stored key K, because len(K) == K[1].  Only a header that checks is stored,
-and an encoder's `CodecError` is not.  The token check, function execution,
-counters and trace records stay per packet.  Keys come from peer bytes, so
-each memo holds at most `MEMO_ENTRIES` entries and is emptied when full.
+Header work is memoized by value, once per node, in one idiom: a node wraps
+each pure function of its header work in a `functools.lru_cache` of its own,
+of at most `MEMO_ENTRIES` entries, since keys come from peer bytes.
+`_check` checks a data header's octets, `payload[:max(4, SRoU Length)]`
+(OAM is parsed every time, see `_parse`); `_relay` relays them from an
+observed source, which fills a zero source; a linecard's `_encap_entry`
+builds a frame's header, outer address, SL and trace body.  A hit equals a
+miss: `srou.parse_data` reads nothing past SRoU Length, a payload cut short
+of it is its own key, at least four octets are keyed, and a call that raises
+is not cached.  The token check, function execution, counters and trace
+records stay per packet.  `_header` builds every data header a node sends,
+at encap and at app sockets, which keep a memo of it too.  A path that no
+header can carry is a counted drop, `drop_unencodable_path`.
 
 Host frames are the minimal tuple (src_mac, dst_mac, src_ip, dst_ip,
 payload), serialized as 6+6+4+4 octets plus payload.
@@ -77,10 +77,10 @@ from .pathengine import (
     NoRoute,
     RouteSync,
     SlaPolicy,
+    TooManySegments,
     edge_cost_ms,
     shortest_constrained,
     sla_breach,
-    to_segment_list,
 )
 from .prober import (
     PROBE_INTERVAL_NS,
@@ -106,26 +106,49 @@ DEFAULT_LEASE1_S = 60
 DEFAULT_LEASE2_S = 600
 
 MEMO_ENTRIES = 1024  # the bound of each per-node memo of header work
+_memo = functools.lru_cache(maxsize=MEMO_ENTRIES)  # a new cache per function wrapped
 
 
 class DataplaneError(Exception):
     pass
 
 
-def _memo_key(payload: bytes) -> Optional[bytes]:
-    """The octets of a data header, SRoU Length of them; None for an OAM
-    message or a datagram too short to name its protocol."""
+def _check(octets: bytes) -> tuple[srou.DataLayout, tuple[str, int]]:
+    """The layout and SRoU source of a data header's octets."""
+    lay = srou.parse_data(octets)
+    return lay, srou.data_source(octets, lay)
+
+
+def _parse(check, payload: bytes):
+    """srou.parse(payload) as (layout, SRoU source or None for OAM), a data
+    header checked through check, a node's memo of _check."""
     if len(payload) > 3 and payload[3] != srou.ProtocolId.OAM:
-        return payload[:payload[1]]
-    return None
+        return check(payload[:max(4, payload[1])])
+    return srou.parse(payload), None
 
 
-def _remember(memo: dict, key, value):
-    """Store value under key, emptying a full memo first; returns value."""
-    if len(memo) >= MEMO_ENTRIES:
-        memo.clear()
-    memo[key] = value
-    return value
+def _relay(octets: bytes, ip: str, port: int) -> tuple:
+    """(source filled, active segment, patched header) of relaying a checked
+    data header's octets from the observed source (ip, port)."""
+    buf = bytearray(octets)
+    filled, seg = srou.relay_in_place(buf, srou.parse_data(octets), (ip, port))
+    return filled, seg, bytes(buf)
+
+
+def _header(source: tuple[str, int], visit: tuple, flow_id: int,
+            flow_id_type: srou.FlowIdType = srou.FlowIdType.FT32, t_bit: bool = False,
+            function: Optional[srou.Function] = None) -> bytes:
+    """The IPv4 SRoU header of every data packet a node sends: from source,
+    through the waypoints at the addresses of visit in visit order, then to
+    function at the last of them, if given; every segment is left to visit.
+    A header that does not encode raises its CodecError."""
+    segments = tuple(srou.Waypoint(*addr) for addr in reversed(visit))
+    if function is not None:
+        segments = (function,) + segments
+    return srou.encode_header(srou.SRoUHeader(
+        protocol_id=srou.ProtocolId.IPV4, source_address=source[0],
+        source_port=source[1], segment_list=segments, segments_left=len(segments),
+        flow_id=flow_id, flow_id_type=flow_id_type, t_bit=t_bit))
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +351,8 @@ class NodeRuntime:
         self._bytes_tx: dict[str, int] = {}
         self._bytes_rx: dict[str, int] = {}
         self._bytes_reported: dict[str, tuple[int, int]] = {}
-        # header octets -> DataLayout; (header octets, observed ip, observed
-        # port) -> (source filled, active segment, patched header)
-        self._layouts: dict[bytes, srou.DataLayout] = {}
-        self._relays: dict[tuple, tuple] = {}
+        self._check = _memo(_check)
+        self._relay = _memo(_relay)
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -469,20 +490,15 @@ class NodeRuntime:
         if not self.alive:
             return
         self._bytes_rx[ss.short] = self._bytes_rx.get(ss.short, 0) + pkt.size
-        key = _memo_key(pkt.payload)
-        lay = self._layouts.get(key)
-        if lay is None:
-            try:
-                lay = srou.parse(pkt.payload)  # checked, not decoded
-            except srou.BadMagic:
-                self.count("drop_bad_magic")
-                return
-            except srou.CodecError as exc:
-                self.count("drop_malformed")
-                self.frame_trace.emit("malformed", type(exc).__name__)
-                return
-            if key is not None:  # a data header
-                _remember(self._layouts, key, lay)
+        try:
+            lay, _ = _parse(self._check, pkt.payload)  # checked, not decoded
+        except srou.BadMagic:
+            self.count("drop_bad_magic")
+            return
+        except srou.CodecError as exc:
+            self.count("drop_malformed")
+            self.frame_trace.emit("malformed", type(exc).__name__)
+            return
         if type(lay) is srou.DataLayout:
             self.on_data(ss, pkt, lay)
         elif lay.oam_type == srou.OamType.LINKSTATE:
@@ -542,15 +558,18 @@ class NodeRuntime:
 
     def _close_sessions(self, system: str, withdrawn: set) -> bool:
         """Close the sessions to the SLoCs of system at the withdrawn public
-        addresses: each one's tick stops and its verdict is forgotten.
-        Returns whether any was closed."""
+        addresses: each one's tick stops, its verdict is forgotten and its
+        link-state record is deleted.  Returns whether any was closed."""
         if not withdrawn:
             return False
         closed = [key for key, session in self.sessions.items()
                   if key[1] in withdrawn and session.peer.system_name == system]
         for key in closed:
-            del self.sessions[key]
+            session = self.sessions.pop(key)
             self._verdicts.pop(key, None)
+            pair = (session.local.short, session.peer.short)
+            self._put_figures.pop(pair, None)  # a reopened session puts again
+            self._store_call(self.handle.delete, schema.linkstate_key(*pair))
         return bool(closed)
 
     def _probe(self, system: str) -> None:
@@ -646,13 +665,7 @@ class NodeRuntime:
         """Fill a zero source, advance to the active segment and forward to it,
         or execute it; the header is patched in a copy of its octets."""
         payload, total = pkt.payload, lay.total
-        key = (payload[:total], pkt.src_ip, pkt.src_port)
-        relayed = self._relays.get(key)
-        if relayed is None:
-            buf = bytearray(key[0])
-            filled, seg = srou.relay_in_place(buf, lay, (pkt.src_ip, pkt.src_port))
-            relayed = _remember(self._relays, key, (filled, seg, bytes(buf)))
-        filled, seg, header = relayed
+        filled, seg, header = self._relay(payload[:total], pkt.src_ip, pkt.src_port)
         if filled:
             self.count("source_fill")
             self.frame_trace.emit("source_fill", pkt.src_ip, pkt.src_port, lay.flow_id)
@@ -740,9 +753,7 @@ class LinecardRuntime(NodeRuntime):
         self.policy_rules: dict = {}
         self.identity_cache: dict[str, list[int]] = {}
         self.path_cache: dict[str, tuple[ServiceSloc, ComputedPath]] = {}
-        # (header octets, outer destination, SL) per distinct (local SLoC,
-        # waypoints, function, args, flow id, T bit); see _encap
-        self._headers: dict[tuple, tuple] = {}
+        self._encap_entry = _memo(self._encap_entry)  # the method's memo
         # system -> best probed (local, peer, rec), None when unprobed; valid
         # until a session to the system is added or records an outcome
         self._direct: dict[str, Optional[tuple]] = {}
@@ -829,7 +840,6 @@ class LinecardRuntime(NodeRuntime):
 
     def _refresh(self) -> None:
         self.path_cache.clear()
-        self._headers.clear()
 
     # -- SLA / path selection ---------------------------------------------
 
@@ -997,44 +1007,46 @@ class LinecardRuntime(NodeRuntime):
         return self._encap(route, path_pair, frame, args, t_bit)
 
     def _encap(self, route: ServiceRoute, path_pair, frame: HostFrame, args: int,
-               t_bit: bool = False) -> bytes:
+               t_bit: bool = False) -> Optional[bytes]:
         """Send a host frame along a selected path to End.DT2U (type-2 route)
-        or End.DT4 (type-5 route) at the far end; returns the wire bytes."""
+        or End.DT4 (type-5 route) at the far end; returns the wire bytes, or
+        None when no header can carry the path."""
         local, path = path_pair
         function = srou.FUNC_END_DT2U if route.route_type == 2 else srou.FUNC_END_DT4
         flow_id = route.policy_tag & 0xFFFFFFFF
-        # keyed by value: the steer path builds a new ComputedPath per frame
-        key = (local.addr, tuple(w.public_addr for w in path.waypoints), function,
-               args, flow_id, t_bit, route.key(), path.source)
-        built = self._headers.get(key)
-        if built is None:
-            outer, segments, sl = to_segment_list(path, function, args,
-                                                  self.sla.max_segments)
-            hdr = srou.SRoUHeader(
-                protocol_id=srou.ProtocolId.IPV4,
-                source_address=local.sloc.private_ip,
-                source_port=local.sloc.private_port,
-                segment_list=segments,
-                segments_left=sl,
-                flow_id=flow_id,
-                t_bit=t_bit,
-            )
-            body = self.trace.body(
-                self.name, "encap", dst=route.key(),
-                outer_src=f"{local.sloc.private_ip}:{local.sloc.private_port}",
-                outer_dst=f"{outer.public_addr[0]}:{outer.public_addr[1]}",
-                sl=sl, flow_id=flow_id, path=path.source,
-                function=srou.FUNCTION_NAMES.get(function, hex(function)), args=args)
-            built = self._headers[key] = (srou.encode_header(hdr), outer.public_addr, sl,
-                                          body)
-        header, outer_addr, sl, body = built
+        try:  # keyed by value: the steer path builds a new ComputedPath per frame
+            header, outer, sl, body = self._encap_entry(
+                local.addr, tuple(w.public_addr for w in path.waypoints), function,
+                args, flow_id, t_bit, route.key(), path.source)
+        except (TooManySegments, srou.CodecError):
+            self.count("drop_unencodable_path")
+            return None
         wire = header + encode_frame(frame)
-        self.send_from(local, outer_addr, wire)
+        self.send_from(local, outer, wire)
         self.count("encap")
         if t_bit:
             self.frame_trace.emit("postcard", "encap", flow_id, sl)
         self.trace.append(self.clock.now, body)
         return wire
+
+    def _encap_entry(self, source: tuple[str, int], waypoints: tuple, function: int,
+                     args: int, flow_id: int, t_bit: bool, dst: str, path_source: str):
+        """(header, outer address, SL, trace body) of an encap from the local
+        SLoC at source along the waypoints at the given public addresses:
+        the first is the outer destination, and the function runs at the
+        last.  Raises TooManySegments past the SLA's segment budget, and the
+        CodecError of a header that does not encode."""
+        budget = self.sla.max_segments
+        if len(waypoints) > budget:
+            raise TooManySegments(f"{len(waypoints)} waypoints exceed budget {budget}")
+        outer, sl = waypoints[0], len(waypoints)
+        header = _header(source, waypoints[1:], flow_id, t_bit=t_bit,
+                         function=srou.Function(args, function))
+        body = self.trace.body(
+            self.name, "encap", dst=dst, outer_src=f"{source[0]}:{source[1]}",
+            outer_dst=f"{outer[0]}:{outer[1]}", sl=sl, flow_id=flow_id, path=path_source,
+            function=srou.FUNCTION_NAMES.get(function, hex(function)), args=args)
+        return header, outer, sl, body
 
     def _steer_path(self, route: ServiceRoute, rule: PolicyRule):
         waypoints = []
@@ -1153,19 +1165,6 @@ class LsdbRuntime(NodeRuntime):
 # native-socket application endpoints
 
 
-@functools.lru_cache(maxsize=MEMO_ENTRIES)
-def _app_header(source: tuple[str, int], visit: tuple, flow_id: int,
-                flow_id_type: srou.FlowIdType = srou.FlowIdType.FT32) -> bytes:
-    """An app socket's IPv4 SRoU header: the waypoints in visit order (a
-    tuple of addresses), all of them left to visit.  A header that does not
-    encode raises its CodecError and is not cached."""
-    segments = tuple(srou.Waypoint(*addr) for addr in reversed(visit))
-    return srou.encode_header(srou.SRoUHeader(
-        protocol_id=srou.ProtocolId.IPV4, source_address=source[0],
-        source_port=source[1], segment_list=segments,
-        segments_left=len(segments), flow_id=flow_id, flow_id_type=flow_id_type))
-
-
 @dataclass
 class ReplyContext:
     outer: tuple[str, int]
@@ -1200,8 +1199,8 @@ class AppEndpoint:
         self.reply_via = reply_via or []
         self.frame_trace = FrameTrace(world.clock, world.trace, name)
         self.counts: dict[str, int] = {}
-        # header octets -> (DataLayout, SRoU source)
-        self._layouts: dict[bytes, tuple[srou.DataLayout, tuple[str, int]]] = {}
+        self._check = _memo(_check)
+        self._header = _memo(_header)
 
     def count(self, what: str) -> None:
         self.counts[what] = self.counts.get(what, 0) + 1
@@ -1214,7 +1213,7 @@ class AppEndpoint:
                   flow_id: int = 0) -> None:
         """Client-mode send: zeroed source, segment list [server, transit],
         outer destination the edge fabric."""
-        wire = _app_header(ZERO_SOURCE, (transit, server), flow_id)
+        wire = self._header(ZERO_SOURCE, (transit, server), flow_id)
         self.net.send(self.name, Datagram(self.ip, self.port, edge[0], edge[1],
                                           wire + payload))
         self.count("tx_srou")
@@ -1229,7 +1228,7 @@ class AppEndpoint:
             return
         visit = tuple(self.reply_via) + (ctx.srou_source,)
         try:
-            wire = _app_header((self.ip, self.port), visit, ctx.flow_id, ctx.flow_id_type)
+            wire = self._header((self.ip, self.port), visit, ctx.flow_id, ctx.flow_id_type)
         except srou.CodecError:  # a source no waypoint can hold
             self.count("drop_reply_unencodable")
             return
@@ -1250,20 +1249,15 @@ class AppEndpoint:
             self.frame_trace.emit("passthrough", len(payload))
             self._deliver(payload, ctx)
             return
-        key = _memo_key(payload)
-        known = self._layouts.get(key)
-        if known is None:
-            try:
-                lay = srou.parse(payload)
-            except srou.CodecError as exc:
-                self.count("drop_malformed")
-                self.frame_trace.emit("malformed", type(exc).__name__)
-                return
-            if type(lay) is srou.OamLayout:
-                self.count("drop_oam")
-                return
-            known = _remember(self._layouts, key, (lay, srou.data_source(payload, lay)))
-        lay, source = known
+        try:
+            lay, source = _parse(self._check, payload)
+        except srou.CodecError as exc:
+            self.count("drop_malformed")
+            self.frame_trace.emit("malformed", type(exc).__name__)
+            return
+        if source is None:
+            self.count("drop_oam")
+            return
         ctx = ReplyContext(outer=(pkt.src_ip, pkt.src_port), srou_source=source,
                            flow_id=lay.flow_id, flow_id_type=lay.flow_id_type)
         self.count("rx_srou")

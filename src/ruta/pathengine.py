@@ -218,27 +218,6 @@ class ComputedPath:
     source: str  # direct | engineered | policy-steer
 
 
-def to_segment_list(path: ComputedPath, function: int, args: int,
-                    max_segments: int) -> tuple[ServiceSloc, tuple[srou.Segment, ...], int]:
-    """Render waypoints as (outer destination, reverse-ordered segments, SL).
-
-    The function segment sits at index 0 (executed at the final waypoint);
-    intermediate waypoints follow in reverse visit order.  The first waypoint
-    is only the outer destination and never appears in the list.
-    """
-    if not path.waypoints:
-        raise NoFeasiblePath("empty waypoint list")
-    if len(path.waypoints) > max_segments:
-        raise TooManySegments(
-            f"{len(path.waypoints)} waypoints exceed budget {max_segments}")
-    segments: list[srou.Segment] = [srou.Function(args=args, function=function)]
-    for wp in reversed(path.waypoints[1:]):
-        ip, port = wp.public_addr
-        segments.append(srou.Waypoint(ip, port))
-    outer = path.waypoints[0]
-    return outer, tuple(segments), len(segments)
-
-
 # ---------------------------------------------------------------------------
 # route table
 

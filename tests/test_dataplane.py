@@ -6,6 +6,7 @@ import ipaddress
 import random
 import tracemalloc
 from collections import Counter, deque
+from functools import partial
 
 import pytest
 
@@ -223,6 +224,50 @@ class TestPolicy:
         assert [f.payload for f in net.delivered] == [b"untagged"]
         route = w.store.get("/route/2/100:1/1:1/0a:00:00:00:00:44/10.0.0.44")
         assert schema.from_json_bytes(route.value)["policy_tag"] == 0
+
+
+class TestUnencodablePath:
+    """A path that no SRoU header can carry is a counted drop, each time,
+    and the event loop goes on."""
+
+    @staticmethod
+    def steer(net, *relays):
+        net.world.store.put(schema.group_rule_key(0, 0), schema.to_json_bytes(
+            PolicyRule("steer", relays).to_doc()))
+
+    @staticmethod
+    def send_two(net):
+        w = net.world
+        for at in (w.clock.now + millis(5), w.clock.now + millis(6)):
+            w.clock.call_at(at, lambda: net.lc_a.inject_host_frame(
+                "H1", net.frame_h1_to_h2()))
+        w.clock.run_until(w.clock.now + millis(20))
+
+    def test_steer_past_the_segment_budget(self):
+        # four relays and the destination are five waypoints, over budget 4
+        net = SpineLeaf()
+        self.steer(net, *("Spine_A|inet|192.168.99.75:17777",
+                          "Spine_B|inet|192.168.99.76:17777") * 2)
+        self.send_two(net)
+        assert net.lc_a.counts["drop_unencodable_path"] == 2
+        assert "encap" not in net.lc_a.counts
+        assert net.delivered == []
+
+    def test_a_waypoint_no_segment_can_hold(self):
+        # LC_B re-announces at public IP 255.1.1.1, valid in the store, but
+        # a waypoint that starts with octet 0xFF reads as a function segment
+        net = SpineLeaf()
+        w = net.world
+        self.steer(net, "Spine_A|inet|192.168.99.75:17777")
+        w.clock.run_until(seconds(1))
+        odd = Sloc(color="inet", private_ip="192.168.99.78", private_port=5546,
+                   public_ip="255.1.1.1", public_port=5546, rx_bw=1e9, tx_bw=1e9)
+        w.store.put(schema.service_key("linecard", "LC_B"),
+                    schema.to_json_bytes({"slocs": [odd.to_doc()]}))
+        self.send_two(net)
+        assert net.lc_a.counts["drop_unencodable_path"] == 2
+        assert net.delivered == []
+
 
 class TestRelayAndFunctions:
     def test_relay_decrements_and_rewrites(self):
@@ -698,6 +743,34 @@ class TestSessionOpening:
         w.clock.run_until(w.clock.now + millis(10))
         assert len(net.delivered) == 2
 
+    def test_a_closed_session_deletes_its_record(self):
+        # LC_B re-announces without 192.168.99.78:5546, then with it again.
+        # LC_B still probes from that SLoC itself, so the records checked
+        # are those of the sessions to it
+        first, second = sloc("192.168.99.78", 5546), sloc("192.168.99.79", 5546)
+        net = SpineLeaf(lc_b_slocs=[first, second])
+        w = net.world
+        a, x = net.lc_a.slocs[0].short, schema.ServiceSloc("LC_B", first).short
+
+        def announce(*slocs):
+            w.store.put(schema.service_key("linecard", "LC_B"),
+                        schema.to_json_bytes({"slocs": [s.to_doc() for s in slocs]}))
+
+        def records_to_x():
+            return [e.key for e in w.store.get_prefix(schema.LINKSTATE_PREFIX)
+                    if e.key.endswith(" - " + x)]
+
+        w.clock.run_until(seconds(3))
+        assert records_to_x() == [schema.linkstate_key(a, x)]
+        announce(second)
+        w.clock.run_until(w.clock.now + net.lc_a.probe_cfg.report_interval_ns)
+        assert records_to_x() == []
+        assert (a, x) not in net.lc_a.ls_sync.records
+        announce(first, second)  # the reopened session puts its record again
+        w.clock.run_until(w.clock.now + seconds(3))
+        assert records_to_x() == [schema.linkstate_key(a, x)]
+        assert (a, x) in net.lc_a.ls_sync.records
+
 
 class TestVerdict:
     @staticmethod
@@ -990,11 +1063,15 @@ class TestToken:
         assert edge.counts["token_admit"] == 1
 
 
-class NeverStores(dict):
-    """A memo that forgets what it is given: every lookup misses."""
+def memos(node):
+    """A runtime's or app socket's per-node memos, by attribute name."""
+    return {name: f for name, f in vars(node).items() if hasattr(f, "cache_info")}
 
-    def __setitem__(self, key, value):
-        pass
+
+def without_memos(node):
+    """Swap each of node's memos for the uncached function it wraps."""
+    for name, memo in memos(node).items():
+        setattr(node, name, memo.__wrapped__)
 
 
 class TestNativeSocket:
@@ -1143,20 +1220,28 @@ class TestNativeSocket:
 
     def test_a_memo_that_never_stores_gives_the_same_trace(self):
         # echoes over the NAT path with zero-source fill, relay and reversed
-        # segments, once with the memos and once with every lookup missing
+        # segments, once with the memos and once with every memo swapped
+        # for the function it wraps
         traces = []
-        for memo in (dict, NeverStores):
+        for memoized in (True, False):
             w, edge, transit, client, server, got = self.build_nat_path()
-            for node in (edge, transit, client, server):
-                node._layouts = memo()
-            for rt in (edge, transit):
-                rt._relays = memo()
+            nodes = (edge, transit, client, server)
+            assert sorted(name for node in nodes for name in memos(node)) == sorted(
+                ["_check", "_relay"] * 2 + ["_check", "_header"] * 2)
+            if not memoized:
+                for node in nodes:
+                    without_memos(node)
             for i in range(20):
                 w.clock.call_at(millis(10 * i), lambda: client.send_srou(
                     b"ping", edge=("203.0.113.10", 17777), server=("203.0.113.30", 7443),
                     transit=("203.0.113.20", 17777), flow_id=7))
             w.clock.run_until(seconds(2))
             assert got["client"] == [b"ping"] * 20
+            if memoized:  # every memo served the repeats
+                assert all(memo.cache_info().hits > 0
+                           for node in nodes for memo in memos(node).values())
+            else:
+                assert not any(memos(node) for node in nodes)
             traces.append(w.trace.to_jsonl())
         assert traces[0] == traces[1]
 
@@ -1235,9 +1320,47 @@ class TestHeaderMemo:
         w.clock.run_until(seconds(1))
         assert fabric.counts["relay"] == 2 * flows
         assert echo.counts == {"rx_srou": flows, "tx_reply": flows}
-        for memo in (fabric._layouts, fabric._relays, echo._layouts):
-            assert 0 < len(memo) <= dataplane.MEMO_ENTRIES
-        assert dataplane._app_header.cache_info().currsize <= dataplane.MEMO_ENTRIES
+        for memo in (fabric._check, fabric._relay, echo._check, echo._header):
+            assert 0 < memo.cache_info().currsize <= dataplane.MEMO_ENTRIES
+
+    @staticmethod
+    def verdict(parse, payload):
+        """What parse returns, or the class of the CodecError it raises."""
+        try:
+            return parse(payload)
+        except srou.CodecError as exc:
+            return type(exc)
+
+    @staticmethod
+    def reference(payload):
+        """srou.parse on the whole payload, returned as _parse returns it."""
+        lay = srou.parse(payload)
+        return lay, srou.data_source(payload, lay) if type(lay) is srou.DataLayout else None
+
+    def test_a_memoized_check_gives_what_parse_gives(self):
+        # seeded headers, clean and mutated, plus SRoU Lengths below 4 and
+        # payloads cut short of theirs, each received twice at a runtime
+        # and at an app socket
+        w, fabric, _ = self.fabric_world()
+        app = AppEndpoint(w, "S", *self.SINK)
+        rng = random.Random(17)
+        payloads = []
+        for _ in range(600):
+            wire = (srou.encode_header(wiregen.random_header(rng))
+                    + rng.randbytes(rng.randrange(40)))
+            payloads += [wire, wiregen.mutate(rng, wire), wire[:rng.randrange(4, wire[1])]]
+            for length in range(4):  # below the minimum, with and without the magic
+                payloads += [bytes([magic, length]) + wire[2:] for magic in (srou.MAGIC, 0x45)]
+        expected = [self.verdict(self.reference, p) for p in payloads]
+        kinds = Counter(v if isinstance(v, type) else "data" for v in expected)
+        for cls in ("data", srou.TruncatedHeader, srou.LengthMismatch, srou.BadMagic):
+            assert kinds[cls] > 50, cls
+        for node in (fabric, app):
+            for payload, want in zip(payloads, expected):
+                for _ in range(2):  # the second copy meets the memo
+                    got = self.verdict(partial(dataplane._parse, node._check), payload)
+                    assert got == want, payload.hex()
+            assert node._check.cache_info().hits >= kinds["data"]
 
 
 class TestHeadlessRuntime:

@@ -9,7 +9,8 @@ purpose updates it and says why.
 
 The tiny worlds of bench/test_bench.py are pinned at seed 3.  The worlds
 bench/run.py measures are pinned at its held-out seed, 1 simulated second
-each, by the digest the bench prints and the store revision as well.
+each, by the digest the bench prints and the store revision as well; they
+give the same pins with every per-node memo of header work turned off.
 """
 
 import hashlib
@@ -80,10 +81,15 @@ BENCH_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BENCH_GOLDEN))
-def test_bench_world_at_the_held_out_seed_is_pinned(name):
+def check_bench_world(name, memoized=True):
     digest, trace_sha, events, revision = BENCH_GOLDEN[name]
     wl = worlds.WORKLOADS[name](HELD_OUT_SEED)
+    if not memoized:  # swap each per-node memo for the function it wraps
+        memos = [(node, attr, f) for node in wl.runtimes + wl.apps
+                 for attr, f in vars(node).items() if hasattr(f, "cache_info")]
+        assert memos
+        for node, attr, f in memos:
+            setattr(node, attr, f.__wrapped__)
     wl.converge()
     _, stop = wl.schedule(BENCH_SIM_NS)
     wl.run_until(stop)
@@ -91,3 +97,14 @@ def test_bench_world_at_the_held_out_seed_is_pinned(name):
     assert hashlib.sha256(wl.world.trace.to_jsonl().encode()).hexdigest() == trace_sha
     assert wl.events == events
     assert wl.world.store.revision == revision
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_GOLDEN))
+def test_bench_world_at_the_held_out_seed_is_pinned(name):
+    check_bench_world(name)
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_GOLDEN))
+def test_bench_world_without_its_memos_gives_the_same_pins(name):
+    # a memo hit must give what a miss gives, in every runtime and app socket
+    check_bench_world(name, memoized=False)

@@ -1,4 +1,5 @@
-"""Path engine: SLA checks, constrained search vs brute-force oracle, LPM."""
+"""Path engine: SLA checks, constrained search vs brute-force oracle, LPM,
+and the segment list a linecard renders a computed path as."""
 
 import ipaddress
 import random
@@ -6,8 +7,9 @@ import random
 import pytest
 
 from ruta import pathengine, srou
+from ruta.dataplane import HostFrame, LinecardRuntime, World
 from ruta.kvstore import PUT, KvStore
-from ruta.netsim import VirtualClock, seconds
+from ruta.netsim import Network, Trace, VirtualClock, seconds
 from ruta.pathengine import (
     ComputedPath,
     EdgeMap,
@@ -18,7 +20,6 @@ from ruta.pathengine import (
     build_edges,
     sla_breach,
     shortest_constrained,
-    to_segment_list,
 )
 from ruta.schema import (
     LINKSTATE_PREFIX,
@@ -254,39 +255,66 @@ class TestSearch:
 
 
 class TestSegmentList:
+    """A linecard renders a computed path as its encap's segment list: the
+    function segment sits at index 0 (executed at the final waypoint),
+    intermediate waypoints follow in reverse visit order, and the first
+    waypoint is only the outer destination."""
+
+    @staticmethod
+    def encap(path, route_type=2, args=1234):
+        """A linecard encapsulates one frame along path toward a route of
+        route_type; returns the linecard and the datagrams it sent."""
+        clock, trace = VirtualClock(), Trace()
+        world = World(clock=clock, net=Network(clock, trace), store=KvStore(clock),
+                      trace=trace)
+        lc = LinecardRuntime(world, "LC_A", [make_ssloc("LC_A", "192.168.99.77", 5547).sloc])
+        sent = []
+        world.net.send = lambda node, pkt: sent.append(pkt)
+        route = ServiceRoute(route_type=route_type, export_rt="100:1", rd="2:1", site_id=2,
+                             system_name="LC_B", policy_tag=0,
+                             **(dict(mac="0a:00:00:00:00:99", ip="10.0.0.99")
+                                if route_type == 2 else dict(prefix="10.0.1.0", mask=24)))
+        frame = HostFrame("0a:00:00:00:00:88", "0a:00:00:00:00:99", "10.0.0.88",
+                          "10.0.0.99", b"x")
+        lc._encap(route, (lc.slocs[0], path), frame, args)
+        return lc, sent
+
     def test_direct(self):
         lc_b = make_ssloc("LC_B", "192.168.99.78", 5546)
         path = ComputedPath(waypoints=(lc_b,), cost_ms=1.0, source="direct")
-        outer, segments, sl = to_segment_list(path, srou.FUNC_END_DT2U, 1234, 4)
-        assert outer is lc_b
-        assert segments == (srou.Function(1234, srou.FUNC_END_DT2U),)
-        assert sl == 1
+        _, (pkt,) = self.encap(path)
+        hdr, _, _ = srouref.decode_header(pkt.payload)
+        assert (pkt.dst_ip, pkt.dst_port) == lc_b.public_addr
+        assert hdr.segment_list == (srou.Function(1234, srou.FUNC_END_DT2U),)
+        assert hdr.segments_left == 1
 
     def test_via_relay(self):
         spine = make_ssloc("Spine_A", "192.168.99.75")
         lc_b = make_ssloc("LC_B", "192.168.99.78", 5546)
         path = ComputedPath(waypoints=(spine, lc_b), cost_ms=1.0, source="engineered")
-        outer, segments, sl = to_segment_list(path, srou.FUNC_END_DT2U, 1234, 4)
-        assert outer is spine
-        assert segments == (srou.Function(1234, srou.FUNC_END_DT2U),
-                            srou.Waypoint("192.168.99.78", 5546))
-        assert sl == 2
+        _, (pkt,) = self.encap(path)
+        hdr, _, _ = srouref.decode_header(pkt.payload)
+        assert (pkt.dst_ip, pkt.dst_port) == spine.public_addr
+        assert hdr.segment_list == (srou.Function(1234, srou.FUNC_END_DT2U),
+                                    srou.Waypoint("192.168.99.78", 5546))
+        assert hdr.segments_left == 2
 
     def test_too_many(self):
+        # past the SLA's segment budget of 4 the frame is a counted drop
         wps = tuple(make_ssloc(f"F{i}", f"10.0.0.{i+1}") for i in range(5))
         path = ComputedPath(waypoints=wps, cost_ms=1.0, source="engineered")
-        with pytest.raises(pathengine.TooManySegments):
-            to_segment_list(path, srou.FUNC_END_DT2U, 1, 4)
+        lc, sent = self.encap(path)
+        assert sent == []
+        assert lc.counts == {"drop_unencodable_path": 1}
 
     def test_advance_inverts_to_visit_order(self):
         # applying advance_segment repeatedly visits waypoints in path order
         wps = tuple(make_ssloc(f"F{i}", f"10.0.0.{i+1}") for i in range(4))
         path = ComputedPath(waypoints=wps, cost_ms=0.0, source="engineered")
-        outer, segments, sl = to_segment_list(path, srou.FUNC_END_DT4, 77, 4)
-        hdr = srou.SRoUHeader(
-            protocol_id=srou.ProtocolId.IPV4, source_address="10.9.9.9",
-            source_port=1, segment_list=segments, segments_left=sl)
-        visited = [outer.public_addr]
+        _, (pkt,) = self.encap(path, route_type=5, args=77)
+        hdr, _, _ = srouref.decode_header(pkt.payload)
+        assert hdr.segment_list[0] == srou.Function(77, srou.FUNC_END_DT4)
+        visited = [(pkt.dst_ip, pkt.dst_port)]
         while hdr.segments_left:
             seg, hdr = srouref.advance_segment(hdr)
             if isinstance(seg, srou.Waypoint):
