@@ -12,12 +12,15 @@ clock: packet arrivals, timers, and watch callbacks.  Runtimes never share
 mutable state; they interact only through simulated packets and the store.
 
 Each runtime owns its store session: every subscription goes through
-`NodeRuntime.watch`, and every store call it makes from the event loop
-(onboarding, the service announce, keepalive, the link-state report and the
-route announce) goes through one guard.  Any failed store call makes the
+`NodeRuntime.watch`, and a failed store call from the event loop makes the
 node headless: it keeps forwarding from cached state, and its watches buffer
-until heal and then replay.  Onboarding and the service announce retry every
-5 s; only a keepalive of both leases ends headless mode.
+until heal and replay.  It publishes one owned map, key -> (value, lease
+class): its service record, type-2 routes and sessions' link-state records.
+Reconciling puts each owned key the store lacks or holds with another value
+or lease: a key when it is owned, and every key on a publish (at start, when
+STUN ends, every 5 s while that fails) and on each keepalive.  Both renew
+the leases or, with no live session, register, since a lost lease ends it;
+either success ends headless mode.
 
 Probing has one opener, `NodeRuntime._probe(system)`: a session from every
 local SLoC to every announced SLoC of another system, opened on the store
@@ -32,8 +35,8 @@ fabric, and (status, SLA violated) at a linecard, judged on the session's
 running sums.  The first outcome and every change of the verdict put the
 session's record once.  The report timer puts each local SLoC's utilization
 under /stats/sloc, which no runtime follows, and the record of each session
-whose figures (delay, jitter, loss, status) differ from the ones last put
-for its key; a record is built only for a put.  At a linecard, a change of
+whose figures (delay, jitter, loss, status) differ from the ones owned for
+its key; a record is built only for a put.  At a linecard, a change of
 the SLA part also drops the paths cached to the peer's system and writes an
 `sla_change` record.
 
@@ -65,7 +68,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from . import schema, srou
-from .kvstore import DELETE, PUT, KvStore, StoreError
+from .kvstore import DELETE, PUT, KvStore, LeaseExpired, LeaseNotFound, StoreError
 from .netsim import Datagram, Network, ScheduledEvent, Trace, VirtualClock, seconds
 from .pathengine import (
     PATH_DIRECT,
@@ -330,7 +333,7 @@ class NodeRuntime:
         self.slocs = [ServiceSloc(name, s) for s in slocs]
         self.handle = world.store.client(name)
         self.probe_cfg = probe or ProbeConfig()
-        self.use_stun = use_stun
+        self.stun_pending = use_stun  # a STUN discovery is still to run
         self.record: Optional[NodeRecord] = None
         self.lease1 = None
         self.lease2 = None
@@ -346,8 +349,9 @@ class NodeRuntime:
         self._stun_server = None  # the address STUN requests go to
         # (local short, peer address) -> the verdict last reported for the session
         self._verdicts: dict[tuple[str, tuple[str, int]], object] = {}
-        # (src short, dst short) -> the figures last put under lease2
-        self._put_figures: dict[tuple[str, str], tuple] = {}
+        # key -> (value, lease class, figures of a session's record or None):
+        # every key the runtime publishes, put by _reconcile
+        self.owned: dict[str, tuple[bytes, int, Optional[tuple]]] = {}
         self._bytes_tx: dict[str, int] = {}
         self._bytes_rx: dict[str, int] = {}
         self._bytes_reported: dict[str, tuple[int, int]] = {}
@@ -388,16 +392,52 @@ class NodeRuntime:
         self._watches.append(self.handle.follow(prefix, on_event))
 
     def _store_call(self, call: Callable, *args) -> bool:
-        """Make one store call; a failure makes the node headless instead of
-        raising out of the event loop."""
+        """Make one store call; a failure, or a name another /node record
+        holds, makes the node headless instead of raising out of the event
+        loop.  A lost lease ends the session, so the next sync registers."""
         try:
             call(*args)
-        except (StoreError, schema.NotRegistered):
+        except (StoreError, SchemaError) as exc:
+            if isinstance(exc, (LeaseNotFound, LeaseExpired)):
+                self.record = None
             if not self.headless:
                 self.headless = True
                 self.emit("headless_enter")
             return False
         return True
+
+    def _sync(self) -> bool:
+        """Register if no session is live, else renew both leases; then
+        reconcile.  Success ends headless mode."""
+        def sync():
+            if self.record is None:
+                self._register()
+            else:
+                self.handle.keepalive(self.lease1.lease_id)
+                self.handle.keepalive(self.lease2.lease_id)
+            self._reconcile()
+
+        ok = self._store_call(sync)
+        if ok and self.headless:
+            self.headless = False
+            self.emit("headless_exit")
+        return ok
+
+    def _reconcile(self, keys=None) -> None:
+        """Put each owned key, every one unless keys are given, that the
+        store lacks or holds with another value or lease."""
+        for key in keys or list(self.owned):
+            value, lease_class, _ = self.owned[key]
+            lease_id = (self.lease1 if lease_class == 1 else self.lease2).lease_id
+            held = self.handle.get(key)
+            if held is None or (held.value, held.lease_id) != (value, lease_id):
+                self.handle.put(key, value, lease_id)
+
+    def _own(self, key: str, value: bytes, lease_class: int, figures=None) -> bool:
+        """Own value at key under lease class 1 or 2 and, while a session is
+        live, reconcile the key; returns whether the store holds it now."""
+        self.owned[key] = (value, lease_class, figures)
+        return self.record is not None and self._store_call(self._reconcile, (key,))
 
     # -- onboarding ---------------------------------------------------------
 
@@ -405,31 +445,41 @@ class NodeRuntime:
         for ss in self.slocs:
             self.net.bind(self.name, ss.sloc.private_ip, ss.sloc.private_port,
                           lambda pkt, ss=ss: self._on_datagram(ss, pkt))
-        self._onboard()
+        self._publish()
 
-    def _onboard(self) -> None:
-        if not self._store_call(self._register):
-            self._later(seconds(5), self._onboard, "onboard-retry")
-
-    def _register(self) -> None:
-        self.lease1 = self.handle.grant_lease(seconds(DEFAULT_LEASE1_S))
-        self.lease2 = self.handle.grant_lease(seconds(DEFAULT_LEASE2_S))
-        self._put_figures = {}  # records put under a new lease are new
-        schema.register_node(self.handle, self.role, self.name, self.site_id,
-                             self.location, self.lease1, done=self._registered)
-
-    def _registered(self, record: NodeRecord) -> None:
-        self.record = record
-        self.emit("registered", system_label=record.system_label)
-        if self.use_stun:
+    def _publish(self) -> None:
+        """Own the service record unless a STUN discovery is still to run,
+        then sync; while that fails, again in 5 s.  The first success runs
+        that discovery, which publishes again when it ends, or else starts
+        the timers and role_start."""
+        if not self.stun_pending:
+            self.owned[schema.service_key(self.role, self.name)] = (
+                schema.service_value([ss.sloc for ss in self.slocs]), 1, None)
+        if not self._sync():
+            self._later(seconds(5), self._publish, "publish-retry")
+        elif self.stun_pending:
+            self.stun_pending = False
             self._discover_public()
         else:
-            self._announce()
+            self.emit("announced")
+            keepalive_ns = seconds(min(DEFAULT_LEASE1_S, DEFAULT_LEASE2_S)) // 2
+            self.every(keepalive_ns, self._sync, "keepalive")
+            self.every(self.probe_cfg.report_interval_ns, self._report_linkstate, "report")
+            self.role_start()
+
+    def _register(self) -> None:
+        """A new session: two leases, then the node record under the label
+        lock, which no runtime holds across events, so register_node returns it."""
+        self.lease1 = self.handle.grant_lease(seconds(DEFAULT_LEASE1_S))
+        self.lease2 = self.handle.grant_lease(seconds(DEFAULT_LEASE2_S))
+        self.record = schema.register_node(self.handle, self.role, self.name, self.site_id,
+                                           self.location, self.lease1)
+        self.emit("registered", system_label=self.record.system_label)
 
     def _discover_public(self) -> None:
         servers, _ = schema.hunt(self.handle, "stun")
         if not servers:
-            self._announce()
+            self._publish()
             return
         _, slocs = servers[0]
         self._stun_server = (slocs[0].public_ip, slocs[0].public_port)
@@ -444,37 +494,17 @@ class NodeRuntime:
             updated = replace(local.sloc, public_ip=ip, public_port=port)
             self.slocs[0] = ServiceSloc(self.name, updated)
             self.emit("stun_resolved", public=f"{ip}:{port}")
-            self._announce()
+            self._publish()
 
         def on_error(exc):
             self.emit("stun_failed", error=str(exc))
-            self._announce()
+            self._publish()
 
         self._stun_exchange = StunExchange(self._later, send_request, on_result, on_error)
         self._stun_exchange.start()
 
-    def _announce(self) -> None:
-        if not self._store_call(schema.announce_service, self.handle, self.record,
-                                [ss.sloc for ss in self.slocs], self.lease1):
-            self._later(seconds(5), self._announce, "announce-retry")
-            return
-        self.emit("announced")
-        keepalive_ns = seconds(min(DEFAULT_LEASE1_S, DEFAULT_LEASE2_S)) // 2
-        self.every(keepalive_ns, self._keepalive, "keepalive")
-        self.every(self.probe_cfg.report_interval_ns, self._report_linkstate, "report")
-        self.role_start()
-
     def role_start(self) -> None:
         pass
-
-    def _keepalive(self) -> None:
-        if self._store_call(self._renew_leases) and self.headless:
-            self.headless = False
-            self.emit("headless_exit")
-
-    def _renew_leases(self) -> None:
-        self.handle.keepalive(self.lease1.lease_id)
-        self.handle.keepalive(self.lease2.lease_id)
 
     # -- sending ------------------------------------------------------------
 
@@ -567,9 +597,9 @@ class NodeRuntime:
         for key in closed:
             session = self.sessions.pop(key)
             self._verdicts.pop(key, None)
-            pair = (session.local.short, session.peer.short)
-            self._put_figures.pop(pair, None)  # a reopened session puts again
-            self._store_call(self.handle.delete, schema.linkstate_key(*pair))
+            ls_key = schema.linkstate_key(session.local.short, session.peer.short)
+            self.owned.pop(ls_key, None)  # a reopened session owns it again
+            self._store_call(self.handle.delete, ls_key)
         return bool(closed)
 
     def _probe(self, system: str) -> None:
@@ -634,14 +664,12 @@ class NodeRuntime:
             self._report_session(session)
 
     def _report_session(self, session: ProbeSession) -> None:
-        """Put a session's record unless the store holds its figures already."""
+        """Own a session's record unless its figures are owned already."""
         figures = session.figures()
-        pair = (session.local.short, session.peer.short)
-        if figures is None or self._put_figures.get(pair) == figures:
-            return
-        if self._store_call(schema.put_record, self.handle,
-                            session.metrics(self.clock.now), self.lease2):
-            self._put_figures[pair] = figures
+        key = schema.linkstate_key(session.local.short, session.peer.short)
+        if figures is not None and self.owned.get(key, (0, 0, None))[2] != figures:
+            record = session.metrics(self.clock.now)
+            self._own(key, schema.to_json_bytes(record.to_doc()), 2, figures)
 
     def _report_linkstate(self) -> None:
         """Put each local SLoC's load, then each session's record that
@@ -778,7 +806,8 @@ class LinecardRuntime(NodeRuntime):
         self.every(seconds(10), self._refresh, "path-refresh")
 
     def _learn(self, host: HostPort) -> None:
-        """Announce a type-2 route for a locally seen (mac, ip)."""
+        """Own a type-2 route for a locally seen (mac, ip); it is announced
+        once the store holds it."""
         if host.name in self.announced or host.vnid is None:
             return
         service = self.l2_services.get(host.vnid)
@@ -789,7 +818,7 @@ class LinecardRuntime(NodeRuntime):
                              ip=host.ip, site_id=self.site_id,
                              system_name=self.name,
                              policy_tag=self._host_groups(host)[0])
-        if self._store_call(schema.put_record, self.handle, route, self.lease2):
+        if self._own(route.key(), schema.to_json_bytes(route.to_doc()), 2):
             self.announced.add(host.name)
             self.emit("type2_announced", key=route.key())
 

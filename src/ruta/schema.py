@@ -1,7 +1,7 @@
 """Control-plane schema: every key path and value document, plus the
-procedures over them: register_node, announce_service, put_record (one put
-for a route, a link-state record or a SLoC's load, each at its own key),
-hunt and lookup_policy.
+procedures over them: register_node, service_value (the one writer of a
+/service value), put_record (one put of a route, a link-state record or a
+SLoC's load at its own key), hunt and lookup_policy.
 
 Key grammar:
 
@@ -68,10 +68,6 @@ class DuplicateSystemName(SchemaError):
 
 
 class LabelSpaceExhausted(SchemaError):
-    pass
-
-
-class NotRegistered(SchemaError):
     pass
 
 
@@ -251,6 +247,11 @@ def parse_service_key(key: str) -> tuple[str, str]:
     if len(parts) != 4 or parts[0] or parts[1] != "service" or parts[2] not in ROLES:
         raise ValidationError(f"bad service key {key!r}")
     return parts[2], parts[3]
+
+
+def service_value(slocs: list[Sloc]) -> bytes:
+    """The /service value announcing slocs."""
+    return to_json_bytes({"slocs": [s.to_doc() for s in slocs]})
 
 
 def parse_service(key: str, value: bytes) -> tuple[str, str, list[Sloc]]:
@@ -621,16 +622,6 @@ def register_node(handle: StoreHandle, role: str, system_name: str, site_id: int
 
     handle.acquire_lock(LABEL_LOCK, lease.lease_id, critical)
     return result.get("record")
-
-
-def announce_service(handle: StoreHandle, record: NodeRecord,
-                     slocs: list[Sloc], lease: Lease) -> int:
-    """Publish the node's SLoC list; re-announcing replaces in place."""
-    if handle.get(record.key()) is None:
-        raise NotRegistered(f"{record.system_name} has no live /node record")
-    doc = {"slocs": [s.to_doc() for s in slocs]}
-    return handle.put(service_key(record.role, record.system_name),
-                      to_json_bytes(doc), lease.lease_id)
 
 
 def hunt(handle: StoreHandle, role: str) -> tuple[list[tuple[str, list[Sloc]]], list[str]]:

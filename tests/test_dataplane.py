@@ -6,6 +6,7 @@ import ipaddress
 import random
 import tracemalloc
 from collections import Counter, deque
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -1406,29 +1407,219 @@ class TestHeadlessRuntime:
         doc = schema.from_json_bytes(w.store.get("/service/linecard/LC_N").value)
         assert (doc["slocs"][0]["public_ip"], doc["slocs"][0]["public_port"]) == (
             "198.51.100.7", 40000)
-        assert not lc.headless  # the first keepalive after the announce
+        assert not lc.headless  # the first publish after the heal
         assert [r["event"] for r in w.trace.select("headless_enter", "LC_N")
                 + w.trace.select("headless_exit", "LC_N")] == [
             "headless_enter", "headless_exit"]
 
-    def test_stun_partition_past_the_lease_leaves_the_node_headless(self):
+    def test_stun_partition_past_the_lease_registers_again(self):
+        # the lease expires at 60 s; after the heal at 90 s a publish finds
+        # it lost, and the next one registers anew and puts the service
         w, lc = self.natted_linecard(heal_s=90)
         w.clock.run_until(seconds(150))
-        assert lc.headless
-        assert w.store.get("/node/linecard/LC_N") is None  # the lease expired
+        assert not lc.headless
         assert len(w.trace.select("headless_enter", "LC_N")) == 1
+        assert len(w.trace.select("registered", "LC_N")) == 2
+        assert w.store.get("/node/linecard/LC_N").lease_id == lc.lease1.lease_id
+        held = w.store.get("/service/linecard/LC_N")
+        doc = schema.from_json_bytes(held.value)
+        assert (doc["slocs"][0]["public_ip"], doc["slocs"][0]["public_port"]) == (
+            "198.51.100.7", 40000)
+        assert held.lease_id == lc.lease1.lease_id
 
     def test_partition_past_the_lease_keeps_forwarding(self):
+        # Spine_B's lease expires while it is cut off from the store; after
+        # the heal it registers and announces again, so a steer through it
+        # resolves once more
         net = SpineLeaf()
         w = net.world
+        via_b = "Spine_B|inet|192.168.99.76:17777"
+        w.store.put(schema.group_rule_key(0, 0), schema.to_json_bytes(
+            PolicyRule("steer", (via_b,)).to_doc()))
         w.clock.call_at(seconds(5), lambda: w.store.set_partitioned("Spine_B", True))
         w.clock.call_at(seconds(100), lambda: w.store.set_partitioned("Spine_B", False))
+        w.clock.run_until(seconds(90))
+        assert via_b not in net.lc_a.short_index  # its service went with the lease
         w.clock.run_until(seconds(200))
         assert [r["node"] for r in w.trace.select("headless_enter")] == ["Spine_B"]
-        assert net.spine_b.headless
+        assert not net.spine_b.headless
+        assert len(w.trace.select("registered", "Spine_B")) == 2
+        for key in (schema.node_key("fabric", "Spine_B"),
+                    schema.service_key("fabric", "Spine_B")):
+            assert w.store.get(key).lease_id == net.spine_b.lease1.lease_id
         net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2(b"after-heal"))
         w.clock.run_until(seconds(201))
         assert [f.payload for f in net.delivered] == [b"after-heal"]
+        encap = w.trace.select("encap", "LC_A")[-1]["detail"]
+        assert (encap["path"], encap["outer_dst"]) == ("policy-steer", "192.168.99.76:17777")
+        assert net.spine_b.counts["relay"] == 1
+
+    def test_a_frame_before_any_store_session_waits_for_one(self):
+        # the route the frame teaches is owned at once and put by the
+        # publish that first succeeds
+        w = make_world()
+        w.net.add_node("LC_A")
+        lc = LinecardRuntime(w, "LC_A", [sloc("192.168.99.77", 5547)],
+                             l2_services={1234: ("100:1", "1:1")})
+        lc.attach_host(HostPort("H1", "0a:00:00:00:00:88", "10.0.0.88", vnid=1234))
+        w.store.set_partitioned("LC_A", True)
+        lc.start()
+        frame = HostFrame("0a:00:00:00:00:88", "0a:00:00:00:00:99", "10.0.0.88",
+                          "10.0.0.99", b"early")
+        w.clock.call_at(millis(1), lambda: lc.inject_host_frame("H1", frame))
+        w.clock.call_at(seconds(8), lambda: w.store.set_partitioned("LC_A", False))
+        w.clock.run_until(seconds(7))
+        assert lc.counts["drop_no_route"] == 1 and lc.announced == set()
+        w.clock.run_until(seconds(11))
+        assert not lc.headless and lc.announced == {"H1"}
+        held = w.store.get("/route/2/100:1/1:1/0a:00:00:00:00:88/10.0.0.88")
+        assert held.lease_id == lc.lease2.lease_id
+        assert len(w.trace.select("type2_announced", "LC_A")) == 1
+
+    def test_a_linecard_past_its_lease_reaches_its_hosts_again(self):
+        net = SpineLeaf()
+        w = net.world
+        w.clock.call_at(seconds(5), lambda: w.store.set_partitioned("LC_B", True))
+        w.clock.call_at(seconds(100), lambda: w.store.set_partitioned("LC_B", False))
+        w.clock.run_until(seconds(200))
+        assert not net.lc_b.headless
+        assert w.store.get(schema.node_key("linecard", "LC_B")) is not None
+        assert w.store.get(schema.service_key("linecard", "LC_B")) is not None
+        net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2(b"after-heal"))
+        w.clock.run_until(seconds(201))
+        assert [f.payload for f in net.delivered] == [b"after-heal"]
+
+
+class TestReconcile:
+    KEEPALIVE = seconds(30)
+
+    def test_a_new_session_puts_every_owned_key_again(self):
+        # LC_A's node lease expires while it is cut off from the store, and
+        # Spine_C takes its label meanwhile.  Its routes and link-state
+        # records outlive that under the old lease 2; the keepalive that
+        # finds the lease lost ends the session, and the next one registers
+        # anew and puts every owned key again under the new leases
+        net = SpineLeaf()
+        w, lc = net.world, net.lc_a
+        w.net.add_node("Spine_C")
+        w.net.add_link("Spine_C", "LC_A", millis(0.4))
+        w.net.add_link("Spine_C", "LC_B", millis(0.4))
+        spine_c = FabricRuntime(w, "Spine_C", [sloc("192.168.99.74", 17777)])
+        w.clock.call_at(seconds(5), lambda: w.store.set_partitioned("LC_A", True))
+        w.clock.call_at(seconds(70), spine_c.start)
+        w.clock.call_at(seconds(100), lambda: w.store.set_partitioned("LC_A", False))
+        w.clock.run_until(seconds(119))
+        old = (lc.record.system_label, lc.lease1.lease_id, lc.lease2.lease_id)
+        assert w.store.get(schema.node_key("linecard", "LC_A")) is None
+        assert spine_c.record.system_label == old[0]
+        kinds = {key.split("/")[1] for key in lc.owned}
+        assert kinds == {"service", "route", "stats"}
+        w.clock.run_until(seconds(121))
+        assert lc.record is None and lc.headless
+        w.clock.run_until(seconds(121) + self.KEEPALIVE)
+        assert not lc.headless and lc.record.system_label != old[0]
+        leases = {1: lc.lease1.lease_id, 2: lc.lease2.lease_id}
+        assert not set(leases.values()) & set(old[1:])
+        for key, (value, lease_class, _) in lc.owned.items():
+            held = w.store.get(key)
+            assert (held.value, held.lease_id) == (value, leases[lease_class]), key
+
+    def test_an_overwritten_service_is_put_back_within_one_keepalive(self):
+        # someone else rewrites LC_B's /service/ record without its first
+        # SLoC at 3 s: LC_A stops probing that SLoC until LC_B's keepalive
+        # at 30 s puts the full record back
+        first, second = sloc("192.168.99.78", 5546), sloc("192.168.99.79", 5546)
+        net = SpineLeaf(lc_b_slocs=[first, second])
+        w = net.world
+        key = schema.service_key("linecard", "LC_B")
+        a, x = net.lc_a.slocs[0].short, schema.ServiceSloc("LC_B", first).short
+        w.clock.run_until(seconds(3))
+        full = w.store.get(key)
+        w.store.put(key, schema.service_value([second]))
+        w.clock.run_until(seconds(14))
+        assert x not in net.lc_a.short_index and (a, x) not in net.lc_a.ls_sync.records
+        w.clock.run_until(seconds(3) + self.KEEPALIVE)
+        held = w.store.get(key)
+        assert (held.value, held.lease_id) == (full.value, full.lease_id)
+        assert x in net.lc_a.short_index and (a, x) in net.lc_a.ls_sync.records
+
+
+class TestFaultSchedule:
+    """Seeded faults on SpineLeaf, after deterministic simulation testing
+    (FoundationDB, Zhou et al., SIGMOD 2021) and Jepsen's nemesis: store
+    partitions, the first past the 60 s node lease, link flaps and loss
+    changes, one runtime killed and one live runtime's /service/ record
+    overwritten, while H1 sends to H2 every 2 s.  Two keepalive periods
+    after the last heal, every live runtime has a session again and the
+    store holds exactly the keys it owns."""
+
+    KEEPALIVE = seconds(30)
+
+    def run(self, seed):
+        rng = random.Random(seed)
+        net = SpineLeaf(seed=seed)
+        w = net.world
+        at = w.clock.call_at
+        heals = []
+        for i in range(3):
+            name = rng.choice(net.runtimes).name
+            start = rng.uniform(1, 120)
+            end = start + (rng.uniform(61, 120) if i == 0 else rng.uniform(1, 60))
+            at(seconds(start), partial(w.store.set_partitioned, name, True))
+            at(seconds(end), partial(w.store.set_partitioned, name, False))
+            heals.append(end)
+        for _ in range(3):
+            link, down = rng.choice(w.net.links), rng.uniform(1, 150)
+            heals.append(down + rng.uniform(0.5, 20))
+            at(seconds(down), partial(setattr, link, "up", False))
+            at(seconds(heals[-1]), partial(setattr, link, "up", True))
+        for _ in range(2):
+            link = rng.choice(w.net.links)
+            at(seconds(rng.uniform(1, 150)), partial(link.set_loss, rng.choice((0.1, 0.5, 0.0))))
+        victim = rng.choice(net.runtimes)
+        at(seconds(rng.uniform(1, 150)), victim.kill)
+        target = rng.choice([rt for rt in net.runtimes if rt is not victim])
+        moved = replace(target.slocs[0].sloc, public_port=target.slocs[0].sloc.public_port + 1)
+        heals.append(rng.uniform(1, 150))  # the next keepalive mends the overwrite
+        at(seconds(heals[-1]), lambda: w.store.put(
+            schema.service_key(target.role, target.name), schema.service_value([moved])))
+        end = seconds(max(heals)) + 2 * self.KEEPALIVE + seconds(1)
+        for t in range(seconds(1), end, seconds(2)):
+            at(t, lambda: net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2()))
+        w.clock.run_until(end)
+        return net
+
+    @staticmethod
+    def published(store, rt):
+        """What the store holds of what rt publishes: its /service/ record,
+        its routes and its sessions' link-state records."""
+        def of_rt(entry):
+            if entry.key.startswith("/route/"):
+                return schema.parse_route(entry.key, entry.value).system_name == rt.name
+            return entry.key == schema.service_key(rt.role, rt.name) or entry.key.startswith(
+                schema.LINKSTATE_PREFIX + rt.name + "|")
+
+        return {e.key: (e.value, e.lease_id) for e in store.get_prefix("/") if of_rt(e)}
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_every_live_runtime_holds_what_it_owns(self, seed):
+        net = self.run(seed)
+        w = net.world
+        live = [rt for rt in net.runtimes if rt.alive]
+        assert len(live) == 3
+        for rt in live:
+            assert not rt.headless, rt.name
+            node = w.store.get(schema.node_key(rt.role, rt.name))
+            assert node.lease_id == rt.lease1.lease_id, rt.name
+            leases = {1: rt.lease1.lease_id, 2: rt.lease2.lease_id}
+            assert self.published(w.store, rt) == {
+                key: (value, leases[lease_class])
+                for key, (value, lease_class, _) in rt.owned.items()}, rt.name
+        for lc in (net.lc_a, net.lc_b):
+            assert not lc.alive or set(lc.service_dir) >= {rt.name for rt in live}
+        again = self.run(seed)
+        assert (hashlib.sha256(again.world.trace.to_jsonl().encode()).digest()
+                == hashlib.sha256(w.trace.to_jsonl().encode()).digest())
 
 
 class TestStoreHistory:
@@ -1643,8 +1834,9 @@ class TestServiceDirectory:
             PolicyRule("steer", ("Spine_A|inet|192.168.99.75:17777",)).to_doc()))
         w.clock.run_until(millis(5))
         spine = net.spine_a
-        schema.announce_service(spine.handle, spine.record,
-                                [sloc("192.168.99.75", 17778)], spine.lease1)
+        spine.handle.put(schema.service_key("fabric", "Spine_A"),
+                         schema.service_value([sloc("192.168.99.75", 17778)]),
+                         spine.lease1.lease_id)
         w.clock.run_until(millis(10))
         assert sorted(s for s in net.lc_a.short_index if s.startswith("Spine_A")) == [
             "Spine_A|inet|192.168.99.75:17778"]
@@ -1663,6 +1855,34 @@ class TestRegistration:
         w.clock.run_until(seconds(1))
         assert f1.record is not None and f1.record.system_label == 0
         assert w.store.get(schema.service_key("fabric", "F1")) is not None
+
+    def test_a_name_another_record_holds_waits_for_it_to_go(self):
+        # a restarted node finds the record of its previous life, whose
+        # lease runs until 12 s; and while Spine_B is cut off past its own
+        # lease, another record takes its name until 170 s, past the
+        # keepalive at 150 s that first registers again
+        w = make_world()
+        w.net.add_node("F1")
+        lease = w.store.grant_lease(seconds(12))
+        w.store.put(schema.node_key("fabric", "F1"), b"stale", lease.lease_id)
+        f1 = FabricRuntime(w, "F1", [sloc("10.0.0.1", 17777)])
+        f1.start()
+        w.clock.run_until(seconds(11))
+        assert f1.headless and f1.record is None
+        w.clock.run_until(seconds(16))
+        assert not f1.headless and f1.record.system_label == 0
+        net = SpineLeaf()
+        w = net.world
+        w.clock.call_at(seconds(5), lambda: w.store.set_partitioned("Spine_B", True))
+        w.clock.call_at(seconds(70), lambda: w.store.put(
+            schema.node_key("fabric", "Spine_B"), b"other",
+            w.store.grant_lease(seconds(100)).lease_id))
+        w.clock.call_at(seconds(100), lambda: w.store.set_partitioned("Spine_B", False))
+        w.clock.run_until(seconds(169))
+        assert net.spine_b.headless and net.spine_b.record is None
+        w.clock.run_until(seconds(181))
+        assert not net.spine_b.headless
+        assert w.store.get(schema.service_key("fabric", "Spine_B")) is not None
 
 
 class TestConservation:

@@ -59,6 +59,12 @@ def register(handle, clock, name, role="fabric", ttl=600):
     return rec, lease
 
 
+def announce(handle, rec, slocs, lease):
+    """Put a registered node's service value, as its runtime does."""
+    handle.put(schema.service_key(rec.role, rec.system_name), schema.service_value(slocs),
+               lease.lease_id)
+
+
 class TestRegistration:
     def test_first_label_is_zero(self, handle, clock):
         rec, _ = register(handle, clock, "LC_A", role="linecard")
@@ -126,7 +132,7 @@ class TestRegistration:
 class TestServiceAnnounce:
     def test_announce_and_hunt(self, handle, clock):
         rec, lease = register(handle, clock, "F1")
-        schema.announce_service(handle, rec, [make_sloc()], lease)
+        announce(handle, rec, [make_sloc()], lease)
         found, warnings = schema.hunt(handle, "fabric")
         assert warnings == []
         assert [name for name, _ in found] == ["F1"]
@@ -135,27 +141,21 @@ class TestServiceAnnounce:
         rec, lease = register(handle, clock, "LC_A", role="linecard")
         slocs = [make_sloc(port=5547, color="biz-internet"),
                  make_sloc(port=5548, color="mpls")]
-        schema.announce_service(handle, rec, slocs, lease)
+        announce(handle, rec, slocs, lease)
         found, _ = schema.hunt(handle, "linecard")
         assert [s.color for s in found[0][1]] == ["biz-internet", "mpls"]
 
     def test_lease_lapse_removes_service(self, handle, clock):
         rec, lease = register(handle, clock, "F1")
-        schema.announce_service(handle, rec, [make_sloc()], lease)
+        announce(handle, rec, [make_sloc()], lease)
         clock.run_until(seconds(601))
         found, _ = schema.hunt(handle, "fabric")
         assert found == []
 
-    def test_not_registered(self, handle, clock):
-        rec = NodeRecord("fabric", "ghost", 1, (0, 0), 9)
-        lease = handle.grant_lease(seconds(60))
-        with pytest.raises(schema.NotRegistered):
-            schema.announce_service(handle, rec, [make_sloc()], lease)
-
     def test_hunt_sorted_and_warns_on_garbage(self, handle, clock):
         for name in ["S2", "S1"]:
             rec, lease = register(handle, clock, name, role="stun")
-            schema.announce_service(handle, rec, [make_sloc()], lease)
+            announce(handle, rec, [make_sloc()], lease)
         handle.put("/service/stun/S3", b"not json")
         found, warnings = schema.hunt(handle, "stun")
         assert [name for name, _ in found] == ["S1", "S2"]
@@ -320,7 +320,7 @@ class TestLeaseClassing:
         lease1 = handle.grant_lease(seconds(60))
         lease2 = handle.grant_lease(seconds(600))
         rec = schema.register_node(handle, "linecard", "LC_A", 1, (0, 0), lease1)
-        schema.announce_service(handle, rec, [make_sloc()], lease1)
+        announce(handle, rec, [make_sloc()], lease1)
         route = ServiceRoute(route_type=2, export_rt="1:1", rd="1:1",
                              mac="aa:bb:cc:dd:ee:ff", ip="1.2.3.4",
                              site_id=1, system_name="LC_A", policy_tag=0)
