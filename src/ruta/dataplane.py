@@ -17,10 +17,14 @@ node headless: it keeps forwarding from cached state, and its watches buffer
 until heal and replay.  It publishes one owned map, key -> (value, lease
 class): its service record, type-2 routes and sessions' link-state records.
 Reconciling puts each owned key the store lacks or holds with another value
-or lease: a key when it is owned, and every key on a publish (at start, when
-STUN ends, every 5 s while that fails) and on each keepalive.  Both renew
-the leases or, with no live session, register, since a lost lease ends it;
-either success ends headless mode.
+or lease: a key when it is owned, and every key on a sync, which a publish
+(at start, when STUN ends, every 5 s while that fails) and each keepalive
+make.  A sync renews the runtime's two leases, or grants them when it holds
+none, registers when it holds no record, then reconciles; success ends
+headless mode.  A lost lease ends both leases and the record, so the next
+sync starts a new session; a failed registration keeps its leases, which
+the next sync renews before it tries again.  A linecard announces a host
+learned while no session was live on the sync that puts its route.
 
 Probing has one opener, `NodeRuntime._probe(system)`: a session from every
 local SLoC to every announced SLoC of another system, opened on the store
@@ -394,12 +398,12 @@ class NodeRuntime:
     def _store_call(self, call: Callable, *args) -> bool:
         """Make one store call; a failure, or a name another /node record
         holds, makes the node headless instead of raising out of the event
-        loop.  A lost lease ends the session, so the next sync registers."""
+        loop.  A lost lease ends the session, so the next sync starts one."""
         try:
             call(*args)
         except (StoreError, SchemaError) as exc:
             if isinstance(exc, (LeaseNotFound, LeaseExpired)):
-                self.record = None
+                self.record = self.lease1 = self.lease2 = None
             if not self.headless:
                 self.headless = True
                 self.emit("headless_enter")
@@ -407,14 +411,20 @@ class NodeRuntime:
         return True
 
     def _sync(self) -> bool:
-        """Register if no session is live, else renew both leases; then
-        reconcile.  Success ends headless mode."""
+        """Renew both leases, or grant them if none is held; register if no
+        record is held, under lease 1; then reconcile.  Success ends
+        headless mode."""
         def sync():
-            if self.record is None:
-                self._register()
+            if self.lease1 is None:
+                self.lease1 = self.handle.grant_lease(seconds(DEFAULT_LEASE1_S))
+                self.lease2 = self.handle.grant_lease(seconds(DEFAULT_LEASE2_S))
             else:
                 self.handle.keepalive(self.lease1.lease_id)
                 self.handle.keepalive(self.lease2.lease_id)
+            if self.record is None:
+                self.record = schema.register_node(self.handle, self.role, self.name,
+                                                   self.site_id, self.location, self.lease1)
+                self.emit("registered", system_label=self.record.system_label)
             self._reconcile()
 
         ok = self._store_call(sync)
@@ -466,15 +476,6 @@ class NodeRuntime:
             self.every(keepalive_ns, self._sync, "keepalive")
             self.every(self.probe_cfg.report_interval_ns, self._report_linkstate, "report")
             self.role_start()
-
-    def _register(self) -> None:
-        """A new session: two leases, then the node record under the label
-        lock, which no runtime holds across events, so register_node returns it."""
-        self.lease1 = self.handle.grant_lease(seconds(DEFAULT_LEASE1_S))
-        self.lease2 = self.handle.grant_lease(seconds(DEFAULT_LEASE2_S))
-        self.record = schema.register_node(self.handle, self.role, self.name, self.site_id,
-                                           self.location, self.lease1)
-        self.emit("registered", system_label=self.record.system_label)
 
     def _discover_public(self) -> None:
         servers, _ = schema.hunt(self.handle, "stun")
@@ -674,7 +675,8 @@ class NodeRuntime:
     def _report_linkstate(self) -> None:
         """Put each local SLoC's load, then each session's record that
         changed.  The load put is the tick's guarded store call, so a
-        partitioned node turns headless here even when no record changed."""
+        partitioned node turns headless here even when no record changed;
+        with no lease held, the node is headless already and puts none."""
         interval_s = self.probe_cfg.report_interval_ns / 1e9
         for ss in self.slocs:
             rx = self._bytes_rx.get(ss.short, 0)
@@ -683,7 +685,8 @@ class NodeRuntime:
             self._bytes_reported[ss.short] = (rx, tx)
             load = schema.SlocLoadRecord.from_counters(ss, rx - last_rx, tx - last_tx,
                                                        interval_s, self.clock.now)
-            self._store_call(schema.put_record, self.handle, load, self.lease2)
+            if self.lease2 is not None:
+                self._store_call(schema.put_record, self.handle, load, self.lease2)
         for key in sorted(self.sessions):
             self._report_session(self.sessions[key])
 
@@ -775,6 +778,7 @@ class LinecardRuntime(NodeRuntime):
         self.l2_local: dict[tuple[int, str], HostPort] = {}
         self.l3_local: dict[int, dict[str, HostPort]] = {}
         self.announced: set[str] = set()
+        self._unannounced: set[str] = set()  # hosts whose route a sync is still to put
         self.route_sync = RouteSync(self.imports_l2, self.imports_l3,
                                     on_delta=self._on_route_delta)
         self.ls_sync = LinkStateSync(on_delta=self._on_ls_delta)
@@ -805,9 +809,18 @@ class LinecardRuntime(NodeRuntime):
             self._learn(host)
         self.every(seconds(10), self._refresh, "path-refresh")
 
+    def _sync(self) -> bool:
+        """Also announce each host learned while no session was live, whose
+        route the sync put."""
+        ok = super()._sync()
+        if ok:
+            for name in sorted(self._unannounced):
+                self._learn(self.hosts[name])
+        return ok
+
     def _learn(self, host: HostPort) -> None:
         """Own a type-2 route for a locally seen (mac, ip); it is announced
-        once the store holds it."""
+        once the store holds it: at once, or on the sync that puts it."""
         if host.name in self.announced or host.vnid is None:
             return
         service = self.l2_services.get(host.vnid)
@@ -819,8 +832,11 @@ class LinecardRuntime(NodeRuntime):
                              system_name=self.name,
                              policy_tag=self._host_groups(host)[0])
         if self._own(route.key(), schema.to_json_bytes(route.to_doc()), 2):
+            self._unannounced.discard(host.name)
             self.announced.add(host.name)
             self.emit("type2_announced", key=route.key())
+        else:
+            self._unannounced.add(host.name)
 
     def _host_groups(self, host: HostPort) -> list[int]:
         if host.identity is None:

@@ -1,7 +1,7 @@
 """In-process deterministic K-V store: the control-plane contract.
 
 Provides get/put/delete, prefix fetch, prefix watch, leases and a
-distributed lock, all serialized through the virtual clock's event queue.  The
+distributed try-lock, all serialized through the virtual clock's event queue.  The
 surface is deliberately etcd-shaped so an adapter to a real external store
 could be attached later without touching callers; within the simulator this
 implementation is authoritative.
@@ -9,6 +9,12 @@ implementation is authoritative.
 Clients subscribe with StoreHandle.follow, the etcd idiom of list then watch:
 the watch is registered before the listing and holds what changes meanwhile,
 so no follower needs older history and the store keeps none.
+
+The lock is a try-lock, as etcd's `concurrency.Mutex.TryLock`: acquire_lock
+returns a LockGuard at once or raises LockHeld, whoever holds the lock, since
+no client holds it across events.  A guard is tied to its session lease:
+the lease's expiry frees the lock and marks the guard abandoned, and
+release_lock raises LockAbandoned on a guard already freed.
 
 Partitions are per client name: while a client is partitioned its operations
 raise StoreUnavailable and its watches buffer events, which replay in
@@ -56,7 +62,7 @@ class LockAbandoned(StoreError):
     pass
 
 
-class ReentrantLock(StoreError):
+class LockHeld(StoreError):
     pass
 
 
@@ -85,19 +91,11 @@ class Lease:
 
 
 class LockGuard:
-    def __init__(self, name: str, lease_id: int, token: int):
+    def __init__(self, name: str, lease_id: int):
         self.name = name
         self.lease_id = lease_id
-        self.token = token
         self.released = False
         self.abandoned = False
-
-
-class _NamedLock:
-    def __init__(self, name: str):
-        self.name = name
-        self.holder: Optional[LockGuard] = None
-        self.waiters: deque[tuple[int, Callable[[LockGuard], None]]] = deque()
 
 
 class Watch:
@@ -164,10 +162,9 @@ class KvStore:
         self._by_prefix: dict[str, list[Watch]] = {}  # prefixes ending in "/"
         self._unindexed: list[Watch] = []  # every other prefix
         self.partitioned: set[str] = set()
-        self.locks: dict[str, _NamedLock] = {}
+        self.locks: dict[str, LockGuard] = {}  # lock name -> its holder's guard
         self._next_lease_id = 1
         self._next_watch_id = 1
-        self._next_lock_token = 1
 
     def client(self, name: str) -> "StoreHandle":
         return StoreHandle(self, name)
@@ -301,56 +298,24 @@ class KvStore:
 
     # -- locks ------------------------------------------------------------------
 
-    def acquire_lock(self, name: str, lease_id: int,
-                     granted: Callable[[LockGuard], None]) -> None:
-        """FIFO lock tied to a session lease; granted() fires synchronously
-        when the lock is free, otherwise when it becomes ours."""
+    def acquire_lock(self, name: str, lease_id: int) -> LockGuard:
+        """The lock, tied to a session lease, or LockHeld if it is held."""
         self._live_lease(lease_id)
-        lock = self.locks.setdefault(name, _NamedLock(name))
-        if lock.holder is not None and lock.holder.lease_id == lease_id:
-            raise ReentrantLock(f"lease {lease_id} already holds {name}")
-        if any(lid == lease_id for lid, _ in lock.waiters):
-            raise ReentrantLock(f"lease {lease_id} already waiting for {name}")
-        if lock.holder is None:
-            guard = self._make_guard(name, lease_id)
-            lock.holder = guard
-            granted(guard)
-        else:
-            lock.waiters.append((lease_id, granted))
+        if name in self.locks:
+            raise LockHeld(f"lock {name} is held by lease {self.locks[name].lease_id}")
+        guard = self.locks[name] = LockGuard(name, lease_id)
+        return guard
 
     def release_lock(self, guard: LockGuard) -> None:
         if guard.released:
             raise LockAbandoned(f"lock {guard.name} was already released")
-        lock = self.locks[guard.name]
         guard.released = True
-        lock.holder = None
-        self._grant_next(lock)
-
-    def _make_guard(self, name: str, lease_id: int) -> LockGuard:
-        guard = LockGuard(name, lease_id, self._next_lock_token)
-        self._next_lock_token += 1
-        return guard
-
-    def _grant_next(self, lock: _NamedLock) -> None:
-        while lock.waiters:
-            lease_id, cb = lock.waiters.popleft()
-            try:
-                self._live_lease(lease_id)
-            except LeaseExpired:
-                continue
-            guard = self._make_guard(lock.name, lease_id)
-            lock.holder = guard
-            cb(guard)
-            return
+        del self.locks[guard.name]
 
     def _release_abandoned(self, lease_id: int) -> None:
-        for lock in self.locks.values():
-            lock.waiters = deque((lid, cb) for lid, cb in lock.waiters if lid != lease_id)
-            if lock.holder is not None and lock.holder.lease_id == lease_id:
-                lock.holder.released = True
-                lock.holder.abandoned = True
-                lock.holder = None
-                self._grant_next(lock)
+        for guard in [g for g in self.locks.values() if g.lease_id == lease_id]:
+            guard.abandoned = True
+            self.release_lock(guard)
 
     # -- partitions ----------------------------------------------------------------
 
@@ -423,9 +388,9 @@ class StoreHandle:
         self._check()
         return self.store.keepalive(lease_id)
 
-    def acquire_lock(self, name: str, lease_id: int, granted) -> None:
+    def acquire_lock(self, name: str, lease_id: int) -> LockGuard:
         self._check()
-        self.store.acquire_lock(name, lease_id, granted)
+        return self.store.acquire_lock(name, lease_id)
 
     def release_lock(self, guard: LockGuard) -> None:
         self._check()

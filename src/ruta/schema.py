@@ -1,7 +1,8 @@
 """Control-plane schema: every key path and value document, plus the
-procedures over them: register_node, service_value (the one writer of a
-/service value), put_record (one put of a route, a link-state record or a
-SLoC's load at its own key), hunt and lookup_policy.
+procedures over them: register_node (one store step under the label
+try-lock), service_value (the one writer of a /service value), put_record
+(one put of a route, a link-state record or a SLoC's load at its own key),
+hunt and lookup_policy.
 
 Key grammar:
 
@@ -568,60 +569,40 @@ def lookup_policy(rules: dict[tuple[GroupTag, GroupTag], PolicyRule],
 
 def register_node(handle: StoreHandle, role: str, system_name: str, site_id: int,
                   location: tuple[float, float], lease: Lease, *,
-                  clock=None, hold_ns: int = 0,
-                  done: Optional[Callable[[NodeRecord], None]] = None,
-                  label_ceiling: int = 1 << LABEL_BITS) -> Optional[NodeRecord]:
-    """Register under the label lock, assigning the smallest unused 24-bit
-    SystemLabel.
+                  label_ceiling: int = 1 << LABEL_BITS) -> NodeRecord:
+    """Register under the label lock with the smallest unused 24-bit
+    SystemLabel, in one store step: take the lock (LockHeld while another
+    session holds it), scan /node/, choose the label and put the record
+    under lease, then release the lock, also when a step raises.
 
-    The critical section (scan, choose, write) runs while holding the
-    distributed lock; hold_ns > 0 keeps the lock across a scheduled delay to
-    model store round trips.  Returns the record when the whole procedure
-    completed synchronously, else None with `done` invoked on completion.
+    A name any /node/ record holds raises DuplicateSystemName; no label
+    below label_ceiling raises LabelSpaceExhausted.
     """
     key = node_key(role, system_name)
-    result: dict = {}
-
-    def critical(guard):
-        try:
-            used = set()
-            for entry in handle.get_prefix("/node/"):
-                try:
-                    r, name = parse_node_key(entry.key)
-                except SchemaError:
-                    continue  # not a node record: holds neither name nor label
-                if name == system_name:
-                    raise DuplicateSystemName(f"{system_name} already registered as {r}")
-                try:
-                    used.add(parse_node(entry.key, entry.value).system_label)
-                except SchemaError:
-                    pass  # a malformed value still holds its name, but no label
-            label = 0
-            while label in used:
-                label += 1
-            if label >= label_ceiling:
-                raise LabelSpaceExhausted(f"no label below {label_ceiling}")
-        except Exception:
-            handle.release_lock(guard)
-            raise
-
-        def finish():
-            record = NodeRecord(role, system_name, site_id, location, label)
+    guard = handle.acquire_lock(LABEL_LOCK, lease.lease_id)
+    try:
+        used = set()
+        for entry in handle.get_prefix("/node/"):
             try:
-                handle.put(key, to_json_bytes(record.to_doc()), lease.lease_id)
-            finally:
-                handle.release_lock(guard)
-            result["record"] = record
-            if done is not None:
-                done(record)
-
-        if hold_ns > 0 and clock is not None:
-            clock.call_later(hold_ns, finish, label=f"register:{system_name}")
-        else:
-            finish()
-
-    handle.acquire_lock(LABEL_LOCK, lease.lease_id, critical)
-    return result.get("record")
+                r, name = parse_node_key(entry.key)
+            except SchemaError:
+                continue  # not a node record: holds neither name nor label
+            if name == system_name:
+                raise DuplicateSystemName(f"{system_name} already registered as {r}")
+            try:
+                used.add(parse_node(entry.key, entry.value).system_label)
+            except SchemaError:
+                pass  # a malformed value still holds its name, but no label
+        label = 0
+        while label in used:
+            label += 1
+        if label >= label_ceiling:
+            raise LabelSpaceExhausted(f"no label below {label_ceiling}")
+        record = NodeRecord(role, system_name, site_id, location, label)
+        handle.put(key, to_json_bytes(record.to_doc()), lease.lease_id)
+    finally:
+        handle.release_lock(guard)
+    return record
 
 
 def hunt(handle: StoreHandle, role: str) -> tuple[list[tuple[str, list[Sloc]]], list[str]]:

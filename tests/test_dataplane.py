@@ -1476,6 +1476,28 @@ class TestHeadlessRuntime:
         assert held.lease_id == lc.lease2.lease_id
         assert len(w.trace.select("type2_announced", "LC_A")) == 1
 
+    def test_a_host_learned_without_a_session_is_announced_by_the_sync_that_puts_it(self):
+        # LC_A is cut off past its lease; the keepalive at 120 s finds the
+        # lease lost, H3 sends its one frame at 125 s, and the keepalive at
+        # 150 s registers again, puts H3's route and announces H3
+        net = SpineLeaf()
+        w, lc = net.world, net.lc_a
+        h3 = HostPort("H3", "0a:00:00:00:00:33", "10.0.0.33", vnid=1234)
+        lc.attach_host(h3)
+        w.clock.call_at(seconds(5), lambda: w.store.set_partitioned("LC_A", True))
+        w.clock.call_at(seconds(100), lambda: w.store.set_partitioned("LC_A", False))
+        w.clock.call_at(seconds(125), lambda: lc.inject_host_frame("H3", HostFrame(
+            h3.mac, "0a:00:00:00:00:99", h3.ip, "10.0.0.99", b"late")))
+        w.clock.run_until(seconds(149))
+        assert lc.record is None and lc.announced == {"H1"}
+        w.clock.run_until(seconds(200))
+        key = "/route/2/100:1/1:1/0a:00:00:00:00:33/10.0.0.33"
+        assert w.store.get(key).lease_id == lc.lease2.lease_id
+        assert lc.announced == {"H1", "H3"}
+        assert [(r["time"], r["detail"]["key"]) for r in w.trace.select(
+            "type2_announced", "LC_A") if "0a:00:00:00:00:33" in r["detail"]["key"]] == [
+            (seconds(150), key)]
+
     def test_a_linecard_past_its_lease_reaches_its_hosts_again(self):
         net = SpineLeaf()
         w = net.world
@@ -1883,6 +1905,24 @@ class TestRegistration:
         w.clock.run_until(seconds(181))
         assert not net.spine_b.headless
         assert w.store.get(schema.service_key("fabric", "Spine_B")) is not None
+
+    def test_a_held_name_costs_no_lease_per_retry(self):
+        # a stale record holds F1's name for 300 s; F1 retries every 5 s
+        # under the two leases of its first try, which each retry renews
+        w = make_world()
+        w.net.add_node("F1")
+        stale = w.store.grant_lease(seconds(300))
+        w.store.put(schema.node_key("fabric", "F1"), b"stale", stale.lease_id)
+        f1 = FabricRuntime(w, "F1", [sloc("10.0.0.1", 17777)])
+        f1.start()
+        w.clock.run_until(seconds(299))
+        assert f1.headless and f1.record is None
+        assert sorted(w.store.leases) == [stale.lease_id, f1.lease1.lease_id,
+                                          f1.lease2.lease_id]
+        w.clock.run_until(seconds(306))
+        assert not f1.headless and f1.record.system_label == 0
+        assert w.store.get(schema.node_key("fabric", "F1")).lease_id == f1.lease1.lease_id
+        assert len(w.store.leases) == 2
 
 
 class TestConservation:

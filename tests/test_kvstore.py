@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -435,71 +436,60 @@ class TestLease:
 
 
 class TestLock:
-    def test_fifo_waiters(self, store):
-        l1 = store.grant_lease(seconds(60))
-        l2 = store.grant_lease(seconds(60))
-        l3 = store.grant_lease(seconds(60))
-        order = []
-        guards = {}
-
-        def granted(tag):
-            def cb(guard):
-                order.append(tag)
-                guards[tag] = guard
-            return cb
-
-        store.acquire_lock("L", l1.lease_id, granted("a"))
-        store.acquire_lock("L", l2.lease_id, granted("b"))
-        store.acquire_lock("L", l3.lease_id, granted("c"))
-        assert order == ["a"]
-        store.release_lock(guards["a"])
-        assert order == ["a", "b"]
-        store.release_lock(guards["b"])
-        assert order == ["a", "b", "c"]
-
     def test_holder_crash_releases(self, clock, store):
         l1 = store.grant_lease(seconds(5))
         l2 = store.grant_lease(seconds(60))
-        guards = {}
-        store.acquire_lock("L", l1.lease_id, lambda g: guards.update(a=g))
-        store.acquire_lock("L", l2.lease_id, lambda g: guards.update(b=g))
-        assert "b" not in guards
+        guard = store.acquire_lock("L", l1.lease_id)
+        with pytest.raises(kvstore.LockHeld):
+            store.acquire_lock("L", l2.lease_id)
         clock.run_until(seconds(6))  # holder's session lease expires
-        assert "b" in guards
-        assert guards["a"].abandoned
+        assert guard.abandoned and store.locks == {}
+        assert store.acquire_lock("L", l2.lease_id).lease_id == l2.lease_id
         with pytest.raises(kvstore.LockAbandoned):
-            store.release_lock(guards["a"])
+            store.release_lock(guard)
 
     def test_reentrant_rejected(self, store):
         lease = store.grant_lease(seconds(60))
-        store.acquire_lock("L", lease.lease_id, lambda g: None)
-        with pytest.raises(kvstore.ReentrantLock):
-            store.acquire_lock("L", lease.lease_id, lambda g: None)
+        store.acquire_lock("L", lease.lease_id)
+        with pytest.raises(kvstore.LockHeld):
+            store.acquire_lock("L", lease.lease_id)
+
+    def test_second_release_raises(self, store):
+        guard = store.acquire_lock("L", store.grant_lease(seconds(60)).lease_id)
+        store.release_lock(guard)
+        with pytest.raises(kvstore.LockAbandoned):
+            store.release_lock(guard)
+        assert not guard.abandoned and store.locks == {}
 
     def test_mutual_exclusion_property(self, clock, store):
-        # no two guards alive at once; every waiter eventually acquires
-        held = {"n": 0, "max": 0, "grants": 0}
-        leases = [store.grant_lease(seconds(600)) for _ in range(8)]
-
-        def worker(lease):
-            def on_grant(guard):
-                held["n"] += 1
-                held["max"] = max(held["max"], held["n"])
-                held["grants"] += 1
-
-                def release():
-                    held["n"] -= 1
-                    store.release_lock(guard)
-
-                clock.call_later(1000, release)
-            store.acquire_lock("L", lease.lease_id, on_grant)
-
+        # seeded acquires and holder releases at random instants: never two
+        # holders, and LockHeld is raised exactly when the lock is held
         rng = random.Random(3)
-        for lease in leases:
-            clock.call_at(rng.randrange(0, 2000), lambda lease=lease: worker(lease))
+        leases = [store.grant_lease(seconds(600)).lease_id for _ in range(8)]
+        holder = []  # the model: the guard that holds "L", if any
+        outcomes = {"granted": 0, "refused": 0, "released": 0}
+
+        def step(lease_id, release):
+            if release and holder:
+                store.release_lock(holder.pop())
+                outcomes["released"] += 1
+            else:
+                try:
+                    guard = store.acquire_lock("L", lease_id)
+                except kvstore.LockHeld:
+                    assert holder
+                    outcomes["refused"] += 1
+                else:
+                    assert not holder
+                    holder.append(guard)
+                    outcomes["granted"] += 1
+            assert list(store.locks.values()) == holder
+
+        for _ in range(400):
+            clock.call_at(rng.randrange(0, seconds(1)), partial(
+                step, rng.choice(leases), rng.random() < 0.4))
         clock.run_until_quiescent()
-        assert held["max"] == 1
-        assert held["grants"] == 8
+        assert min(outcomes.values()) > 50, outcomes
 
 
 class TestPartition:

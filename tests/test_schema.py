@@ -86,32 +86,35 @@ class TestRegistration:
         rec, _ = register(handle, clock, "E")
         assert rec.system_label == expect == 2
 
-    def test_duplicate_name(self, handle, clock):
+    def test_duplicate_name(self, handle, store, clock):
         register(handle, clock, "F1")
         with pytest.raises(schema.DuplicateSystemName):
             register(handle, clock, "F1")
+        assert store.locks == {}
 
-    def test_label_space_exhausted(self, handle, clock):
+    def test_label_space_exhausted(self, handle, store, clock):
         register(handle, clock, "A")
         register(handle, clock, "B")
         lease = handle.grant_lease(seconds(60))
         with pytest.raises(schema.LabelSpaceExhausted):
             schema.register_node(handle, "fabric", "C", 1, (0, 0), lease,
                                  label_ceiling=2)
+        assert store.locks == {} and handle.get("/node/fabric/C") is None
 
     def test_concurrent_registrations_unique(self, store, clock):
+        # each registration is one store step, so none sees the lock held
         rng = random.Random(42)
         records = []
         for i in range(50):
             h = store.client(f"n{i}")
             lease = h.grant_lease(seconds(600))
             at = rng.randrange(0, seconds(1))
-            clock.call_at(at, lambda h=h, i=i, lease=lease: schema.register_node(
-                h, "linecard", f"LC{i:02d}", 1, (0, 0), lease,
-                clock=clock, hold_ns=1_000_000, done=records.append))
+            clock.call_at(at, lambda h=h, i=i, lease=lease: records.append(
+                schema.register_node(h, "linecard", f"LC{i:02d}", 1, (0, 0), lease)))
         clock.run_until_quiescent()
         labels = sorted(r.system_label for r in records)
         assert labels == list(range(50))
+        assert store.locks == {}
 
     def test_junk_node_records(self, handle, clock):
         handle.put("/node/fabric/X", b"garbage")  # holds its name, no label
