@@ -42,7 +42,7 @@ under /stats/sloc, which no runtime follows, and the record of each session
 whose figures (delay, jitter, loss, status) differ from the ones owned for
 its key; a record is built only for a put.  At a linecard, a change of
 the SLA part also drops the paths cached to the peer's system and writes an
-`sla_change` record.
+`sla_change` record that names the session by its local and peer SLoCs.
 
 Header work is memoized by value, once per node, in one idiom: a node wraps
 each pure function of its header work in a `functools.lru_cache` of its own,
@@ -927,7 +927,8 @@ class LinecardRuntime(NodeRuntime):
         if last is not None and last[1] == violated:
             return
         self._drop_paths_to(system)
-        self.emit("sla_change", system=system, violated=violated)
+        self.emit("sla_change", system=system, violated=violated,
+                  local=session.local.short, peer=session.peer.short)
 
     def _best_direct(self, system: str):
         """Lowest-cost probed (local, peer, figures) for a destination system,

@@ -801,9 +801,12 @@ class TestVerdict:
         w.clock.run_until(seconds(60))
         sessions = net.lc_a.sessions_to("LC_B")
         assert sorted(s.status for s in sessions) == ["down", "up"]
-        changes = [r["detail"]["violated"] for r in w.trace.select("sla_change", "LC_A")
+        changes = [r["detail"] for r in w.trace.select("sla_change", "LC_A")
                    if r["detail"]["system"] == "LC_B"]
-        assert sorted(changes) == [False, True]  # each session's first verdict
+        # each session's first verdict, each record naming its session
+        assert sorted(c["violated"] for c in changes) == [False, True]
+        assert {(c["local"], c["peer"]) for c in changes} == {
+            (net.lc_a.slocs[0].short, s.peer.short) for s in sessions}
         to_b = [p for p in puts if p[1].startswith(
             schema.linkstate_key(net.lc_a.slocs[0].short, "LC_B"))]
         # the three verdict changes: each session's first, and the

@@ -33,13 +33,13 @@ BENCH_SIM_NS = 1_000_000_000
 # (outcome hash, sha256 of to_jsonl(), events executed)
 GOLDEN = {
     "steer_2x2": (partial(worlds.steer_2x2, rate=200), "a2cad4354f310f41",
-                  "c13bc81a0c4a8fa382391d7858f180284408dc328039ec1ca729a1e6c9e9547f",
+                  "99ecf6a286eaf3d09b3729e342e5dd93af2d433832b88aa7b84cbd9620d2e95a",
                   1274),
     "mesh_4x32": (partial(worlds.mesh_4x32, spines=2, leaves=8, rate=10), "2f6ceff6568c502d",
-                  "2a6fefc5c42f49c260fdc35adbf588903bc5e90a3dd86ab289f3fb8e0fdc1672",
+                  "5ca947db6aaa3759b487995d43121f098ba36f2f037b8f548c479ca5f1479e4b",
                   1654),
     "nat_echo": (partial(worlds.nat_echo, boxes=2, clients=2, rate=20), "dd86e42de75c1d64",
-                 "dda6fae44fece2d37209b2898f74352bba0513b8acf4cb4b9c641c7246f98aa1",
+                 "5899cae8c454686c147480281719224c952605021c409613b1a26c95ba7bf805",
                  1256),
 }
 
@@ -70,13 +70,13 @@ def test_tiny_world_digest_and_trace_are_pinned(name):
 # (Workload.digest(), sha256 of to_jsonl(), events executed, store revision)
 BENCH_GOLDEN = {
     "steer_2x2": ("196f785e1ad9146a",
-                  "4a2fb23de3ca9306677aa266a91a70a5a8107e11cd0bd87c8408692c0a74913f",
+                  "f8cf0f9f60aa18312a3cbe59dea2dcff01cdca7c0df16a0840ec31596c26bd49",
                   14793, 19),
     "mesh_4x32": ("f730e7604b6dfb3c",
-                  "fff1b388b770be15d82419406a5552808ec26a3757cb28132d405d5d80b63e48",
+                  "1f889eab7eced72d88b1dbd89c37a43fb3c014be5a791b01f9c181b2c8de9935",
                   18217, 1332),
     "nat_echo": ("c369700518844394",
-                 "9ad6d93db064f12c85dd1e7137a1f76e754c6cafb020754e90b9f49413feb761",
+                 "242b68dfa8839b877edd0ffcc052e02b223ceb1a4acecc140a85265651212bba",
                  8282, 29),
 }
 
