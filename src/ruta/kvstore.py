@@ -1,7 +1,7 @@
 """In-process deterministic K-V store: the control-plane contract.
 
 Provides get/put/delete, prefix fetch, prefix watch, leases and a
-distributed try-lock, all serialized through the virtual clock's event queue.  The
+distributed lock, all serialized through the virtual clock's event queue.  The
 surface is deliberately etcd-shaped so an adapter to a real external store
 could be attached later without touching callers; within the simulator this
 implementation is authoritative.
