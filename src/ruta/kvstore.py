@@ -87,7 +87,6 @@ class Lease:
         self.ttl_ns = ttl_ns
         self.expires_at = expires_at
         self.keys: set[str] = set()
-        self.expired = False
 
 
 class LockGuard:
@@ -197,7 +196,7 @@ class KvStore:
         if lease_id is None:
             return None
         lease = self.leases.get(lease_id)
-        if lease is None or lease.expired:
+        if lease is None:
             raise LeaseExpired(f"lease {lease_id} is gone")
         if self.clock.now >= lease.expires_at:
             raise LeaseExpired(f"lease {lease_id} expired")
@@ -275,20 +274,19 @@ class KvStore:
 
     def keepalive(self, lease_id: int) -> int:
         lease = self.leases.get(lease_id)
-        if lease is None or lease.expired or self.clock.now >= lease.expires_at:
+        if lease is None or self.clock.now >= lease.expires_at:
             raise LeaseNotFound(f"lease {lease_id} not alive")
         lease.expires_at = self.clock.now + lease.ttl_ns
         return lease.expires_at
 
     def _expiry_check(self, lease_id: int) -> None:
         lease = self.leases.get(lease_id)
-        if lease is None or lease.expired:
+        if lease is None:
             return
         if self.clock.now < lease.expires_at:
             self.clock.call_at(lease.expires_at, lambda: self._expiry_check(lease_id),
                                label=f"lease:{lease_id}")
             return
-        lease.expired = True
         del self.leases[lease_id]
         for key in sorted(lease.keys):
             entry = self.entries.get(key)

@@ -1,8 +1,9 @@
 """Deterministic discrete-event network: virtual clock, lossy links, NAT boxes.
 
-Everything runs on a single event loop ordered by (time, sequence).  All
-randomness (loss, jitter) comes from per-link PRNGs derived from the run seed,
-so a (topology, seed) pair fully determines every packet's fate.
+Everything runs on a single event loop ordered by (time, sequence).  A link
+is its delay and loss in each direction; all randomness (loss) comes from
+per-link PRNGs derived from the run seed, so a (topology, seed) pair fully
+determines every packet's fate.
 
 Underlay forwarding between attachment points is hop-count shortest path
 (ties broken by total configured delay, then by node-name sequence), frozen
@@ -12,6 +13,9 @@ reads that direction's counters and the link's current loss and delay
 without a lookup, and of parallel links the one the search chose carries
 the datagram.  Datagrams crossing a NAT node are translated;
 nodes only see datagrams addressed to one of their bound (ip, port) sockets.
+Each datagram that does not reach a socket is counted once, where it died:
+in its link direction's `lost` or `dropped` (link down), or in the node's
+`drops` by reason.
 
 The trace keeps each record as (time, body id), where a body (node, event,
 detail) is shared by every record that repeats it, and builds the record
@@ -26,7 +30,6 @@ import json
 import random
 import socket
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,8 +37,10 @@ NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_SEC = 1_000_000_000
 
-# IPv4 + UDP overhead added to payload length for serialization
+# IPv4 + UDP header octets, counted in a datagram's size
 UDP_OVERHEAD_BYTES = 28
+
+MAX_QUIESCENT_EVENTS = 10_000_000  # run_until_quiescent's runaway guard
 
 NAT_PORT_BASE = 40000
 
@@ -72,8 +77,8 @@ class VirtualClock:
     Events at equal times run in scheduling order; time never decreases.
     """
 
-    def __init__(self, start: int = 0):
-        self.now = start
+    def __init__(self):
+        self.now = 0
         self._seq = 0
         self._heap: list[tuple[int, int, ScheduledEvent]] = []
 
@@ -111,15 +116,15 @@ class VirtualClock:
             self.now = until
         return executed
 
-    def run_until_quiescent(self, max_events: int = 10_000_000) -> list[tuple[int, int, str]]:
+    def run_until_quiescent(self) -> list[tuple[int, int, str]]:
         executed = []
         heap, pop = self._heap, heapq.heappop
         while heap:
             at, seq, ev = pop(heap)
             if ev.canceled:
                 continue
-            if len(executed) >= max_events:
-                raise SimError(f"exceeded {max_events} events; runaway simulation?")
+            if len(executed) >= MAX_QUIESCENT_EVENTS:
+                raise SimError(f"exceeded {MAX_QUIESCENT_EVENTS} events; runaway simulation?")
             self.now = at
             executed.append((at, seq, ev.label))
             ev.fn()
@@ -202,8 +207,7 @@ class _DirState:
     link at run time applies to the next datagram.
     """
 
-    __slots__ = ("link", "src", "dst", "label", "sent", "delivered", "lost",
-                 "dropped", "busy_until", "queued_bytes", "backlog")
+    __slots__ = ("link", "src", "dst", "label", "sent", "delivered", "lost", "dropped")
 
     def __init__(self, link: SimLink, src: str, dst: str):
         self.link = link
@@ -213,35 +217,29 @@ class _DirState:
         self.sent = 0
         self.delivered = 0
         self.lost = 0
-        self.dropped = 0
-        self.busy_until = 0
-        self.queued_bytes = 0  # bytes whose serialization has not ended
-        self.backlog: deque = deque()  # (serialized at, size), FIFO
+        self.dropped = 0  # sent while the link was down
 
 
 class SimLink:
-    """Point-to-point link with per-direction delay, jitter, loss, bandwidth.
+    """Point-to-point link: a fixed delay and a loss probability per direction.
 
-    Bandwidth is serialization delay only unless queue_limit_bytes is set, in
-    which case a per-direction FIFO with a byte cap is modeled and overflow
-    packets are counted as dropped.
+    A datagram sent on an up link is lost with the direction's probability,
+    one draw from the link's seeded rng, or else arrives exactly the
+    direction's delay later; one sent while the link is down is dropped.
+    Links have no bandwidth, queue or jitter.
     """
 
-    def __init__(self, a: str, b: str, delay_ab: int, delay_ba: int, jitter: int = 0,
-                 loss: float = 0.0, loss_ab: Optional[float] = None,
-                 loss_ba: Optional[float] = None, bandwidth_bps: Optional[float] = None,
-                 queue_limit_bytes: Optional[int] = None, rng: Optional[random.Random] = None):
+    def __init__(self, a: str, b: str, delay_ab: int, delay_ba: int,
+                 loss: float, loss_ab: Optional[float], loss_ba: Optional[float],
+                 rng: random.Random):
         self.a = a
         self.b = b
         self.delay_ab = delay_ab
         self.delay_ba = delay_ba
-        self.jitter = jitter
         self.loss_ab = loss_ab if loss_ab is not None else loss
         self.loss_ba = loss_ba if loss_ba is not None else loss
-        self.bandwidth_bps = bandwidth_bps
-        self.queue_limit_bytes = queue_limit_bytes
         self.up = True
-        self.rng = rng or random.Random(0)
+        self.rng = rng
         self.dirs = {(a, b): _DirState(self, a, b), (b, a): _DirState(self, b, a)}
 
     def other(self, name: str) -> str:
@@ -293,7 +291,6 @@ class SimNat:
         self.by_port: dict[int, _PortMapping] = {}
         self.translated_out = 0
         self.translated_in = 0
-        self.dropped_no_mapping = 0
 
     def _is_inside(self, ip: str) -> bool:
         try:
@@ -322,7 +319,6 @@ class SimNat:
     def translate_in(self, pkt: Datagram) -> Optional[Datagram]:
         m = self.by_port.get(pkt.dst_port)
         if m is None:
-            self.dropped_no_mapping += 1
             return None
         self.translated_in += 1
         return Datagram(pkt.src_ip, pkt.src_port, m.inside_ip, m.inside_port,
@@ -389,15 +385,13 @@ class Network:
         self._owner[ip] = name
 
     def add_link(self, a: str, b: str, delay_ab: int, delay_ba: Optional[int] = None,
-                 jitter: int = 0, loss: float = 0.0, loss_ab: Optional[float] = None,
-                 loss_ba: Optional[float] = None, bandwidth_bps: Optional[float] = None,
-                 queue_limit_bytes: Optional[int] = None) -> SimLink:
+                 loss: float = 0.0, loss_ab: Optional[float] = None,
+                 loss_ba: Optional[float] = None) -> SimLink:
         if a not in self.nodes or b not in self.nodes:
             raise SimError(f"link endpoints must exist: {a}, {b}")
         rng = random.Random(f"{self.seed}/link/{a}|{b}")
         link = SimLink(a, b, delay_ab, delay_ba if delay_ba is not None else delay_ab,
-                       jitter, loss, loss_ab, loss_ba, bandwidth_bps,
-                       queue_limit_bytes, rng)
+                       loss, loss_ab, loss_ba, rng)
         self.links.append(link)
         self._adj[a].append(link)
         self._adj[b].append(link)
@@ -494,39 +488,16 @@ class Network:
         st.sent += 1
         if not link.up:
             st.dropped += 1
-            self.nodes[src].drop("link_down")
             return
         if link.rng.random() < link.loss(src):
             st.lost += 1
             return
-        now = self.clock.now
-        ser = 0
-        if link.bandwidth_bps:
-            ser = int(round(pkt.size * 8 * NS_PER_SEC / link.bandwidth_bps))
-        if link.queue_limit_bytes is not None:
-            backlog = st.backlog
-            while backlog and backlog[0][0] <= now:  # serialized: left the queue
-                st.queued_bytes -= backlog.popleft()[1]
-            if st.queued_bytes + pkt.size > link.queue_limit_bytes:
-                st.dropped += 1
-                self.nodes[src].drop("queue_full")
-                return
-            st.queued_bytes += pkt.size
-            start = max(now, st.busy_until)
-            st.busy_until = start + ser
-            depart = st.busy_until
-            backlog.append((depart, pkt.size))
-        else:
-            depart = now + ser
-        jit = 0
-        if link.jitter:
-            jit = max(0, int(round(link.rng.gauss(0.0, link.jitter))))
 
         def deliver():
             st.delivered += 1
             self._forward(st.dst, pkt, arriving=True)
 
-        self.clock.call_at(depart + link.delay(src) + jit, deliver, st.label)
+        self.clock.call_at(self.clock.now + link.delay(src), deliver, st.label)
 
     def kill(self, name: str) -> None:
         self.nodes[name].alive = False
@@ -540,7 +511,6 @@ class Network:
                     "mappings": n.nat.mapping_table(),
                     "translated_out": n.nat.translated_out,
                     "translated_in": n.nat.translated_in,
-                    "dropped_no_mapping": n.nat.dropped_no_mapping,
                 }
                 for n in self.nodes.values()
                 if n.nat is not None

@@ -6,9 +6,10 @@ t3 responder send, t4 requester receive); two-way delay is
 turnaround t3 - t2 outside [0, t4 - t1] is not the responder's, so the delay
 falls back to the round trip t4 - t1 and is never negative.  Jitter uses
 the classic 1/16 smoothed estimator over consecutive delay differences; a
-link is declared down after a run of consecutive losses.  Window, timeout
-and run length are session parameters, which node runtimes leave at their
-defaults; the probe interval is one constant, PROBE_INTERVAL_NS.
+link is declared down after a run of DOWN_AFTER consecutive losses.
+Window and timeout are session parameters, which node runtimes leave at
+their defaults; the run length and the probe interval, PROBE_INTERVAL_NS,
+are constants.
 
 The window holds one int per probe: its two-way delay in ns, or LOST.  Loss
 rate and mean delay over the window are running sums (a lost count and an
@@ -46,7 +47,7 @@ from .schema import STATUS_DOWN, STATUS_UP, LinkStateRecord, ServiceSloc
 PROBE_INTERVAL_NS = seconds(1)
 DEFAULT_WINDOW = 100
 DEFAULT_TIMEOUT_NS = seconds(2)
-DEFAULT_DOWN_AFTER = 3
+DOWN_AFTER = 3  # consecutive losses that make a session's status down
 JITTER_GAIN = 16
 LOST = -1  # the window sample of a lost probe
 
@@ -80,13 +81,11 @@ class ProbeSession:
 
     def __init__(self, local: ServiceSloc, peer: ServiceSloc,
                  window: int = DEFAULT_WINDOW,
-                 timeout_ns: int = DEFAULT_TIMEOUT_NS,
-                 down_after: int = DEFAULT_DOWN_AFTER):
+                 timeout_ns: int = DEFAULT_TIMEOUT_NS):
         self.local = local
         self.peer = peer
         self.window = window
         self.timeout_ns = timeout_ns
-        self.down_after = down_after
         self.seq = 0
         self.pending: dict[int, int] = {}  # seq -> t1, oldest first
         self._window: deque[int] = deque(maxlen=window)  # two-way delay ns or LOST
@@ -160,7 +159,7 @@ class ProbeSession:
 
     @property
     def status(self) -> str:
-        return STATUS_DOWN if self.consecutive_losses >= self.down_after else STATUS_UP
+        return STATUS_DOWN if self.consecutive_losses >= DOWN_AFTER else STATUS_UP
 
     def loss_rate(self) -> float:
         if not self._window:

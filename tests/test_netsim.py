@@ -231,47 +231,6 @@ class TestLinks:
             for c in link.counters().values():
                 assert c["sent"] == c["delivered"] + c["lost"] + c["dropped"]
 
-    def test_serialization_delay(self):
-        clock = VirtualClock()
-        net = Network(clock, seed=0)
-        net.add_node("a")
-        net.add_node("b")
-        net.add_link("a", "b", millis(1), bandwidth_bps=8_000_000)  # 1 byte/us
-        got = []
-        net.bind("b", "10.0.0.2", 1, lambda p: got.append(clock.now))
-        net.send("a", Datagram("10.0.0.1", 1, "10.0.0.2", 1, bytes(972)))
-        clock.run_until_quiescent()
-        # size = 972 + 28 overhead = 1000 bytes -> 1ms serialization + 1ms delay
-        assert got == [millis(2)]
-
-    @staticmethod
-    def offer_to_queue(interval_ns: int) -> dict:
-        """100 datagrams of 125 octets (1 ms each at 1 Mb/s) into a 5,000-byte
-        queue in front of a 100 ms link; returns the a->b counters."""
-        clock = VirtualClock()
-        net = Network(clock, seed=0)
-        net.add_node("a")
-        net.add_node("b")
-        link = net.add_link("a", "b", millis(100), bandwidth_bps=1_000_000,
-                            queue_limit_bytes=5_000)
-        net.bind("b", "10.0.0.2", 1, lambda p: None)
-        for i in range(100):
-            clock.call_at(i * interval_ns, lambda: net.send(
-                "a", Datagram("10.0.0.1", 1, "10.0.0.2", 1, bytes(97))))
-        clock.run_until_quiescent()
-        return link.counters()["a->b"]
-
-    def test_queue_holds_only_unserialized_bytes(self):
-        # at 50% load at most one datagram waits, while 50 are in flight
-        c = self.offer_to_queue(millis(2))
-        assert c["dropped"] == 0
-        assert c["delivered"] == 100
-
-    def test_queue_overflows_above_link_rate(self):
-        c = self.offer_to_queue(millis(0.5))  # offered at twice the link rate
-        assert c["dropped"] > 0
-        assert c["sent"] == c["delivered"] + c["dropped"]
-
     def test_asymmetric_delay(self):
         clock = VirtualClock()
         net = Network(clock, seed=0)
@@ -377,7 +336,7 @@ class TestNat:
         net.send("outside", Datagram("203.0.113.1", 7000, "198.51.100.7", 49999, b"r"))
         clock.run_until_quiescent()
         assert seen == []
-        assert net.nodes["nat"].nat.dropped_no_mapping == 1
+        assert net.nodes["nat"].drops == {"no_mapping": 1}
 
     def test_second_source_next_port(self):
         clock, net, seen = self.build()
@@ -428,3 +387,63 @@ class TestNodeLifecycle:
         net.send("client", Datagram("10.0.0.1", 1000, "10.0.0.2", 9999, b"x"))
         clock.run_until_quiescent()
         assert net.nodes["server"].drops.get("no_listener") == 1
+
+
+def drops_counted(net) -> int:
+    """The sum of every drop counter `Network.counters()` reports: each
+    link direction's lost and dropped, each node's drops by reason, and any
+    NAT counter named for a drop."""
+    def total(doc, counted=False):
+        if isinstance(doc, dict):
+            return sum(total(v, counted or k == "lost" or k.startswith("drop"))
+                       for k, v in doc.items())
+        return doc if counted else 0
+
+    return total(net.counters())
+
+
+class TestDropCounts:
+    def test_each_datagram_is_delivered_or_counted_once(self):
+        clock = VirtualClock()
+        net = Network(clock, Trace(), seed=0)
+        for n in ("inside", "outside", "far", "lossy", "dead", "island"):
+            net.add_node(n)
+        net.add_nat("nat", "10.9.9.0/24", "198.51.100.7")
+        net.add_link("inside", "nat", millis(1))
+        net.add_link("nat", "outside", millis(1))
+        net.add_link("outside", "far", millis(1)).up = False
+        net.add_link("outside", "lossy", millis(1), loss=1.0)
+        net.add_link("outside", "dead", millis(1))
+        inbox = []
+        for node, ip in (("inside", "10.9.9.2"), ("outside", "203.0.113.1"),
+                         ("far", "203.0.113.2"), ("lossy", "203.0.113.3"),
+                         ("dead", "203.0.113.4"), ("island", "203.0.113.5")):
+            net.bind(node, ip, 7000, inbox.append)
+        net.kill("dead")
+
+        def to(ip, port=7000, src="203.0.113.1"):
+            return Datagram(src, 7000, ip, port, b"x")
+
+        sends = [
+            ("inside", to("203.0.113.1", src="10.9.9.2")),  # delivered through the NAT
+            ("outside", to("198.51.100.7", 40000)),  # delivered back to the mapping
+            ("outside", to("203.0.113.2")),          # link down
+            ("outside", to("203.0.113.3")),          # lost on the link
+            ("outside", to("198.51.100.7", 49999)),  # no NAT mapping
+            ("outside", to("203.0.113.4")),          # arrives at a killed node
+            ("dead", to("203.0.113.1", src="203.0.113.4")),  # sent by a killed node
+            ("outside", to("203.0.113.1", 9)),       # no listener
+            ("outside", to("192.0.2.1")),            # no owner
+            ("outside", to("203.0.113.5")),          # owner out of reach
+        ]
+        for node, pkt in sends:
+            drops, delivered = drops_counted(net), len(inbox)
+            net.send(node, pkt)
+            clock.run_until_quiescent()
+            assert (drops_counted(net) - drops) + (len(inbox) - delivered) == 1, pkt
+        assert len(inbox) == 2
+        counters = net.counters()
+        assert counters["links"]["outside--far"]["outside->far"]["dropped"] == 1
+        assert counters["links"]["outside--lossy"]["outside->lossy"]["lost"] == 1
+        assert {reason for node in counters["nodes"].values() for reason in node["drops"]} == {
+            "no_mapping", "not_alive", "no_listener", "no_route"}
