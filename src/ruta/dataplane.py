@@ -19,12 +19,13 @@ class): its service record, type-2 routes and sessions' link-state records.
 Reconciling puts each owned key the store lacks or holds with another value
 or lease: a key when it is owned, and every key on a sync, which a publish
 (at start, when STUN ends, every 5 s while that fails) and each keepalive
-make.  A sync renews the runtime's two leases, or grants them when it holds
-none, registers when it holds no record, then reconciles; success ends
-headless mode.  A lost lease ends both leases and the record, so the next
-sync starts a new session; a failed registration keeps its leases, which
-the next sync renews before it tries again.  A linecard announces a host
-learned while no session was live on the sync that puts its route.
+make.  A sync renews each of the runtime's two leases on its own, or
+grants one in place of a lease the store no longer holds; it registers when
+it holds no record, or lease 1 was replaced, then reconciles, which puts
+the keys of a replaced lease under the new one.  Success ends headless
+mode.  A failed registration keeps its leases, which the next sync renews
+before it tries again.  A linecard announces a host learned while no
+session was live on the sync that puts its route.
 
 Probing has one opener, `NodeRuntime._probe(system)`: a session from every
 local SLoC to every announced SLoC of another system, opened on the store
@@ -72,7 +73,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from . import schema, srou
-from .kvstore import DELETE, PUT, KvStore, LeaseExpired, LeaseNotFound, StoreError
+from .kvstore import DELETE, PUT, KvStore, Lease, LeaseNotFound, StoreError
 from .netsim import Datagram, Network, ScheduledEvent, Trace, VirtualClock, seconds
 from .pathengine import (
     PATH_DIRECT,
@@ -398,29 +399,37 @@ class NodeRuntime:
     def _store_call(self, call: Callable, *args) -> bool:
         """Make one store call; a failure, or a name another /node record
         holds, makes the node headless instead of raising out of the event
-        loop.  A lost lease ends the session, so the next sync starts one."""
+        loop.  A call under a lost lease fails too; the next sync replaces
+        that lease."""
         try:
             call(*args)
-        except (StoreError, SchemaError) as exc:
-            if isinstance(exc, (LeaseNotFound, LeaseExpired)):
-                self.record = self.lease1 = self.lease2 = None
+        except (StoreError, SchemaError):
             if not self.headless:
                 self.headless = True
                 self.emit("headless_enter")
             return False
         return True
 
+    def _renew(self, lease: Optional[Lease], ttl_s: int) -> Lease:
+        """Keep lease alive, or grant one in its place when there is none
+        or the store no longer holds it."""
+        if lease is not None:
+            try:
+                self.handle.keepalive(lease.lease_id)
+                return lease
+            except LeaseNotFound:
+                pass
+        return self.handle.grant_lease(seconds(ttl_s))
+
     def _sync(self) -> bool:
-        """Renew both leases, or grant them if none is held; register if no
-        record is held, under lease 1; then reconcile.  Success ends
-        headless mode."""
+        """Renew each lease or replace it; register under lease 1 if no
+        record is held or lease 1 was replaced; then reconcile.  Success
+        ends headless mode."""
         def sync():
-            if self.lease1 is None:
-                self.lease1 = self.handle.grant_lease(seconds(DEFAULT_LEASE1_S))
-                self.lease2 = self.handle.grant_lease(seconds(DEFAULT_LEASE2_S))
-            else:
-                self.handle.keepalive(self.lease1.lease_id)
-                self.handle.keepalive(self.lease2.lease_id)
+            lease1 = self._renew(self.lease1, DEFAULT_LEASE1_S)
+            if lease1 is not self.lease1:
+                self.lease1, self.record = lease1, None  # the record went with it
+            self.lease2 = self._renew(self.lease2, DEFAULT_LEASE2_S)
             if self.record is None:
                 self.record = schema.register_node(self.handle, self.role, self.name,
                                                    self.site_id, self.location, self.lease1)
@@ -675,8 +684,7 @@ class NodeRuntime:
     def _report_linkstate(self) -> None:
         """Put each local SLoC's load, then each session's record that
         changed.  The load put is the tick's guarded store call, so a
-        partitioned node turns headless here even when no record changed;
-        with no lease held, the node is headless already and puts none."""
+        partitioned node turns headless here even when no record changed."""
         interval_s = self.probe_cfg.report_interval_ns / 1e9
         for ss in self.slocs:
             rx = self._bytes_rx.get(ss.short, 0)
@@ -685,8 +693,7 @@ class NodeRuntime:
             self._bytes_reported[ss.short] = (rx, tx)
             load = schema.SlocLoadRecord.from_counters(ss, rx - last_rx, tx - last_tx,
                                                        interval_s, self.clock.now)
-            if self.lease2 is not None:
-                self._store_call(schema.put_record, self.handle, load, self.lease2)
+            self._store_call(schema.put_record, self.handle, load, self.lease2)
         for key in sorted(self.sessions):
             self._report_session(self.sessions[key])
 

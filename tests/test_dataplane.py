@@ -1417,7 +1417,7 @@ class TestHeadlessRuntime:
 
     def test_stun_partition_past_the_lease_registers_again(self):
         # the lease expires at 60 s; after the heal at 90 s a publish finds
-        # it lost, and the next one registers anew and puts the service
+        # it lost, replaces it, registers anew and puts the service
         w, lc = self.natted_linecard(heal_s=90)
         w.clock.run_until(seconds(150))
         assert not lc.headless
@@ -1480,26 +1480,27 @@ class TestHeadlessRuntime:
         assert len(w.trace.select("type2_announced", "LC_A")) == 1
 
     def test_a_host_learned_without_a_session_is_announced_by_the_sync_that_puts_it(self):
-        # LC_A is cut off past its lease; the keepalive at 120 s finds the
-        # lease lost, H3 sends its one frame at 125 s, and the keepalive at
-        # 150 s registers again, puts H3's route and announces H3
+        # LC_A is cut off past its lease, H3 sends its one frame at 95 s,
+        # after the lease is lost, and the keepalive at 120 s registers
+        # again, puts H3's route and announces H3
         net = SpineLeaf()
         w, lc = net.world, net.lc_a
         h3 = HostPort("H3", "0a:00:00:00:00:33", "10.0.0.33", vnid=1234)
         lc.attach_host(h3)
         w.clock.call_at(seconds(5), lambda: w.store.set_partitioned("LC_A", True))
         w.clock.call_at(seconds(100), lambda: w.store.set_partitioned("LC_A", False))
-        w.clock.call_at(seconds(125), lambda: lc.inject_host_frame("H3", HostFrame(
+        w.clock.call_at(seconds(95), lambda: lc.inject_host_frame("H3", HostFrame(
             h3.mac, "0a:00:00:00:00:99", h3.ip, "10.0.0.99", b"late")))
-        w.clock.run_until(seconds(149))
-        assert lc.record is None and lc.announced == {"H1"}
-        w.clock.run_until(seconds(200))
         key = "/route/2/100:1/1:1/0a:00:00:00:00:33/10.0.0.33"
+        w.clock.run_until(seconds(119))
+        assert w.store.get(schema.node_key("linecard", "LC_A")) is None
+        assert lc.headless and lc.announced == {"H1"} and w.store.get(key) is None
+        w.clock.run_until(seconds(200))
         assert w.store.get(key).lease_id == lc.lease2.lease_id
         assert lc.announced == {"H1", "H3"}
         assert [(r["time"], r["detail"]["key"]) for r in w.trace.select(
             "type2_announced", "LC_A") if "0a:00:00:00:00:33" in r["detail"]["key"]] == [
-            (seconds(150), key)]
+            (seconds(120), key)]
 
     def test_a_linecard_past_its_lease_reaches_its_hosts_again(self):
         net = SpineLeaf()
@@ -1521,9 +1522,9 @@ class TestReconcile:
     def test_a_new_session_puts_every_owned_key_again(self):
         # LC_A's node lease expires while it is cut off from the store, and
         # Spine_C takes its label meanwhile.  Its routes and link-state
-        # records outlive that under the old lease 2; the keepalive that
-        # finds the lease lost ends the session, and the next one registers
-        # anew and puts every owned key again under the new leases
+        # records outlive that under lease 2; the keepalive at 120 s finds
+        # lease 1 lost, replaces it, renews lease 2, registers anew and
+        # holds every owned key again under the runtime's leases
         net = SpineLeaf()
         w, lc = net.world, net.lc_a
         w.net.add_node("Spine_C")
@@ -1540,14 +1541,33 @@ class TestReconcile:
         kinds = {key.split("/")[1] for key in lc.owned}
         assert kinds == {"service", "route", "stats"}
         w.clock.run_until(seconds(121))
-        assert lc.record is None and lc.headless
-        w.clock.run_until(seconds(121) + self.KEEPALIVE)
         assert not lc.headless and lc.record.system_label != old[0]
         leases = {1: lc.lease1.lease_id, 2: lc.lease2.lease_id}
-        assert not set(leases.values()) & set(old[1:])
+        assert leases[1] != old[1] and leases[2] == old[2]
         for key, (value, lease_class, _) in lc.owned.items():
             held = w.store.get(key)
             assert (held.value, held.lease_id) == (value, leases[lease_class]), key
+
+    def test_a_lost_lease_1_keeps_lease_2(self):
+        # LC_A is cut off from 5 s to 100 s, past lease 1 (60 s) but within
+        # lease 2 (600 s): its routes and link-state records stay under the
+        # lease 2 it held before the cut, and no lease is left empty
+        net = SpineLeaf()
+        w, lc = net.world, net.lc_a
+        w.clock.call_at(seconds(5), lambda: w.store.set_partitioned("LC_A", True))
+        w.clock.call_at(seconds(100), lambda: w.store.set_partitioned("LC_A", False))
+        w.clock.run_until(seconds(4))
+        lease1, lease2 = lc.lease1.lease_id, lc.lease2.lease_id
+        w.clock.run_until(seconds(200))
+        assert not lc.headless
+        assert lc.lease1.lease_id != lease1 and lc.lease2.lease_id == lease2
+        assert all(lease.keys for lease in w.store.leases.values()), {
+            lid: sorted(lease.keys) for lid, lease in w.store.leases.items()}
+        held = {key: lease_id for key, (_, lease_id)
+                in TestFaultSchedule.published(w.store, lc).items()
+                if not key.startswith("/service/")}
+        assert {key.split("/")[1] for key in held} == {"route", "stats"}
+        assert set(held.values()) == {lease2}
 
     def test_an_overwritten_service_is_put_back_within_one_keepalive(self):
         # someone else rewrites LC_B's /service/ record without its first
@@ -1885,7 +1905,7 @@ class TestRegistration:
         # a restarted node finds the record of its previous life, whose
         # lease runs until 12 s; and while Spine_B is cut off past its own
         # lease, another record takes its name until 170 s, past the
-        # keepalive at 150 s that first registers again
+        # keepalives at 120 s and 150 s that try to register again
         w = make_world()
         w.net.add_node("F1")
         lease = w.store.grant_lease(seconds(12))
