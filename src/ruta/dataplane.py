@@ -74,7 +74,7 @@ from typing import Callable, Optional
 
 from . import schema, srou
 from .kvstore import DELETE, PUT, KvStore, Lease, LeaseNotFound, StoreError
-from .netsim import Datagram, Network, ScheduledEvent, Trace, VirtualClock, seconds
+from .netsim import Datagram, Network, Trace, VirtualClock, seconds
 from .pathengine import (
     PATH_DIRECT,
     PATH_ENGINEERED,
@@ -359,7 +359,6 @@ class NodeRuntime:
         self.owned: dict[str, tuple[bytes, int, Optional[tuple]]] = {}
         self._bytes_tx: dict[str, int] = {}
         self._bytes_rx: dict[str, int] = {}
-        self._bytes_reported: dict[str, tuple[int, int]] = {}
         self._check = _memo(_check)
         self._relay = _memo(_relay)
 
@@ -371,8 +370,9 @@ class NodeRuntime:
     def emit(self, event: str, **detail) -> None:
         self.trace.emit(self.clock.now, self.name, event, **detail)
 
-    def _later(self, delay_ns: int, fn: Callable[[], None], label: str) -> ScheduledEvent:
-        """Run fn after delay_ns unless the runtime is killed first."""
+    def _later(self, delay_ns: int, fn: Callable[[], None], label: str) -> int:
+        """Run fn after delay_ns unless the runtime is killed first; returns
+        the event's seq."""
         return self.clock.call_later(delay_ns, fn, label, owner=self)
 
     def every(self, interval_ns: int, fn: Callable[[], None], label: str) -> None:
@@ -510,7 +510,8 @@ class NodeRuntime:
             self.emit("stun_failed", error=str(exc))
             self._publish()
 
-        self._stun_exchange = StunExchange(self._later, send_request, on_result, on_error)
+        self._stun_exchange = StunExchange(self._later, send_request, on_result, on_error,
+                                           self.clock.cancel)
         self._stun_exchange.start()
 
     def role_start(self) -> None:
@@ -687,12 +688,9 @@ class NodeRuntime:
         partitioned node turns headless here even when no record changed."""
         interval_s = self.probe_cfg.report_interval_ns / 1e9
         for ss in self.slocs:
-            rx = self._bytes_rx.get(ss.short, 0)
-            tx = self._bytes_tx.get(ss.short, 0)
-            last_rx, last_tx = self._bytes_reported.get(ss.short, (0, 0))
-            self._bytes_reported[ss.short] = (rx, tx)
-            load = schema.SlocLoadRecord.from_counters(ss, rx - last_rx, tx - last_tx,
-                                                       interval_s, self.clock.now)
+            rx = self._bytes_rx.pop(ss.short, 0)
+            tx = self._bytes_tx.pop(ss.short, 0)
+            load = schema.SlocLoadRecord.from_counters(ss, rx, tx, interval_s, self.clock.now)
             self._store_call(schema.put_record, self.handle, load, self.lease2)
         for key in sorted(self.sessions):
             self._report_session(self.sessions[key])
@@ -1018,6 +1016,7 @@ class LinecardRuntime(NodeRuntime):
         """Host frame entering the access port; returns the wire bytes sent
         (None when dropped or delivered locally)."""
         if not self.alive:
+            self.count("drop_not_alive")
             return None
         host = self.hosts.get(host_name)
         if host is None:

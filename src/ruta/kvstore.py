@@ -393,7 +393,3 @@ class StoreHandle:
     def release_lock(self, guard: LockGuard) -> None:
         self._check()
         self.store.release_lock(guard)
-
-    @property
-    def revision(self) -> int:
-        return self.store.revision

@@ -58,80 +58,77 @@ class SimError(Exception):
     pass
 
 
-@dataclass(slots=True)
-class ScheduledEvent:
-    time: int
-    seq: int
-    fn: Callable[[], None]
-    label: str = ""
-    canceled: bool = False
-    owner: object = None  # what cancel_owned matches
-
-    def cancel(self) -> None:
-        self.canceled = True
-
-
 class VirtualClock:
     """Event queue with 64-bit nanosecond timestamps.
 
-    Events at equal times run in scheduling order; time never decreases.
+    An event is the heap entry (time, seq, fn, label, owner).  Events at
+    equal times run in scheduling order; time never decreases.  Canceling
+    removes entries from the heap, as `sched.scheduler.cancel` does, so the
+    loop never meets a canceled event.
     """
 
     def __init__(self):
         self.now = 0
         self._seq = 0
-        self._heap: list[tuple[int, int, ScheduledEvent]] = []
+        self._heap: list[tuple[int, int, Callable[[], None], str, object]] = []
 
     def call_at(self, at: int, fn: Callable[[], None], label: str = "",
-                owner: object = None) -> ScheduledEvent:
+                owner: object = None) -> int:
         if at < self.now:
             raise SimError(f"cannot schedule at {at} before now {self.now}")
-        ev = ScheduledEvent(at, self._seq, fn, label, owner=owner)
-        self._seq += 1
-        heapq.heappush(self._heap, (at, ev.seq, ev))
-        return ev
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (at, seq, fn, label, owner))
+        return seq
 
     def call_later(self, delay: int, fn: Callable[[], None], label: str = "",
-                   owner: object = None) -> ScheduledEvent:
+                   owner: object = None) -> int:
         return self.call_at(self.now + delay, fn, label, owner)
+
+    def cancel(self, seq: int) -> None:
+        """Cancel the pending event `seq`; a seq that is not pending is a no-op."""
+        self._remove(lambda entry: entry[1] == seq)
 
     def cancel_owned(self, owner: object) -> None:
         """Cancel every pending event scheduled with this owner."""
-        for _, _, ev in self._heap:
-            if ev.owner is owner:
-                ev.cancel()
+        self._remove(lambda entry: entry[4] is owner)
+
+    def _remove(self, match: Callable[[tuple], bool]) -> None:
+        heap = self._heap  # changed in place: a running loop holds this list
+        heap[:] = [entry for entry in heap if not match(entry)]
+        heapq.heapify(heap)
+
+    def pending(self, owner: object = None) -> int:
+        """Events still to run: all of them, or those of one owner."""
+        if owner is None:
+            return len(self._heap)
+        return sum(1 for entry in self._heap if entry[4] is owner)
 
     def run_until(self, until: int) -> list[tuple[int, int, str]]:
         """Execute every event with time <= until; returns the executed trace."""
-        executed = []
-        heap, pop = self._heap, heapq.heappop
-        while heap and heap[0][0] <= until:
-            at, seq, ev = pop(heap)
-            if ev.canceled:
-                continue
-            self.now = at  # the heap never holds a time before now
-            executed.append((at, seq, ev.label))
-            ev.fn()
+        executed = self._run(until, None)
         if until > self.now:
             self.now = until
         return executed
 
     def run_until_quiescent(self) -> list[tuple[int, int, str]]:
+        """Execute events until none is pending; raises SimError past
+        MAX_QUIESCENT_EVENTS."""
+        return self._run(None, MAX_QUIESCENT_EVENTS)
+
+    def _run(self, until: Optional[int], limit: Optional[int]) -> list[tuple[int, int, str]]:
+        """The event loop: pop events in (time, seq) order while one is due
+        by `until` (None: any), at most `limit` (None: no bound) of them."""
         executed = []
         heap, pop = self._heap, heapq.heappop
-        while heap:
-            at, seq, ev = pop(heap)
-            if ev.canceled:
-                continue
-            if len(executed) >= MAX_QUIESCENT_EVENTS:
-                raise SimError(f"exceeded {MAX_QUIESCENT_EVENTS} events; runaway simulation?")
-            self.now = at
-            executed.append((at, seq, ev.label))
-            ev.fn()
+        while heap and (until is None or heap[0][0] <= until):
+            if limit is not None and len(executed) >= limit:
+                raise SimError(f"exceeded {limit} events; runaway simulation?")
+            at, seq, fn, label, _ = pop(heap)
+            self.now = at  # the heap never holds a time before now
+            executed.append((at, seq, label))
+            fn()
         return executed
-
-    def pending(self) -> int:
-        return sum(1 for _, _, ev in self._heap if not ev.canceled)
 
 
 class Trace:
@@ -336,7 +333,6 @@ class SimNode:
 
     def __init__(self, name: str):
         self.name = name
-        self.addrs: set[str] = set()
         self.bindings: dict[tuple[str, int], Callable[[Datagram], None]] = {}
         self.alive = True
         self.nat: Optional[SimNat] = None
@@ -381,7 +377,6 @@ class Network:
     def add_address(self, name: str, ip: str) -> None:
         if ip in self._owner and self._owner[ip] != name:
             raise SimError(f"address {ip} already owned by {self._owner[ip]}")
-        self.nodes[name].addrs.add(ip)
         self._owner[ip] = name
 
     def add_link(self, a: str, b: str, delay_ab: int, delay_ba: Optional[int] = None,

@@ -259,9 +259,6 @@ class Lpm:
         for table in self._by_mask.values():
             yield from table.values()
 
-    def __len__(self):
-        return sum(len(t) for t in self._by_mask.values())
-
 
 @dataclass
 class RouteTable:

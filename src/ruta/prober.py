@@ -41,7 +41,7 @@ from collections import deque
 from typing import Callable, Optional
 
 from . import srou
-from .netsim import NS_PER_US, ScheduledEvent, seconds
+from .netsim import NS_PER_US, seconds
 from .schema import STATUS_DOWN, STATUS_UP, LinkStateRecord, ServiceSloc
 
 PROBE_INTERVAL_NS = seconds(1)
@@ -216,20 +216,23 @@ class StunExchange:
     """Public-address discovery: send, await, retry with 1s/2s/4s backoff.
 
     The runtime supplies call_later(delay_ns, fn, label), so that the retry
-    timer is its own and dies with it, and send_request(); it routes STUN
+    timer is its own and dies with it, send_request(), and the clock's
+    cancel(seq) for the seq that call_later returns; it routes STUN
     responses back via on_response().  on_result / on_error fire exactly once.
     """
 
     BACKOFF_NS = (seconds(1), seconds(2), seconds(4))
 
-    def __init__(self, call_later: Callable[[int, Callable[[], None], str], ScheduledEvent],
+    def __init__(self, call_later: Callable[[int, Callable[[], None], str], int],
                  send_request: Callable[[], None],
                  on_result: Callable[[str, int], None],
-                 on_error: Callable[[Exception], None]):
+                 on_error: Callable[[Exception], None],
+                 cancel: Callable[[int], None]):
         self.call_later = call_later
         self.send_request = send_request
         self.on_result = on_result
         self.on_error = on_error
+        self.cancel = cancel
         self.attempt = 0
         self.done = False
         self._timer = None
@@ -255,5 +258,5 @@ class StunExchange:
             return
         self.done = True
         if self._timer is not None:
-            self._timer.cancel()
+            self.cancel(self._timer)
         self.on_result(ip, port)

@@ -17,7 +17,9 @@ Key grammar:
 
 Values are canonical JSON documents (UTF-8, sorted keys).  /node and /service
 keys are written under the node-keepalive lease (class 1), /route and /stats
-under the slower route lease (class 2).
+under the slower route lease (class 2).  A flat record's document is its
+fields by name, `dict(vars(record))`: what `dataclasses.asdict` gives, without
+a deep copy of each field that costs 25 times as much.
 
 Node, service, route, link-state, group-rule and identity values are read
 only through parse_node, parse_service, parse_route, parse_linkstate,
@@ -30,12 +32,12 @@ import functools
 import ipaddress
 import json
 import re
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 from .kvstore import Lease, StoreHandle
 
-ROLES = ("etcd", "fabric", "linecard", "stun", "analytic", "lsdb")
+ROLES = ("fabric", "linecard", "stun", "lsdb")
 
 LABEL_LOCK = "system-label"
 LABEL_BITS = 24
@@ -182,20 +184,8 @@ class Sloc:
             if not 1 <= port <= 65535:
                 raise ValidationError(f"{what} port {port} out of 1..65535")
 
-    def short(self, system_name: str) -> str:
-        return sloc_short(system_name, self)
-
     def to_doc(self) -> dict:
-        return {
-            "color": self.color,
-            "private_ip": self.private_ip,
-            "private_port": self.private_port,
-            "public_ip": self.public_ip,
-            "public_port": self.public_port,
-            "interface_name": self.interface_name,
-            "rx_bw": self.rx_bw,
-            "tx_bw": self.tx_bw,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Sloc":
@@ -380,15 +370,7 @@ class LinkStateRecord:
         return linkstate_key(self.src, self.dst)
 
     def to_doc(self) -> dict:
-        return {
-            "src": self.src,
-            "dst": self.dst,
-            "two_way_delay_us": self.two_way_delay_us,
-            "jitter_us": self.jitter_us,
-            "loss": self.loss,
-            "status": self.status,
-            "sampled_at": self.sampled_at,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_doc(cls, doc: dict) -> "LinkStateRecord":
@@ -458,7 +440,7 @@ class SlocLoadRecord:
         return f"{SLOC_LOAD_PREFIX}{self.sloc}"
 
     def to_doc(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 SLOC_LOAD_PREFIX = "/stats/sloc/"
@@ -512,7 +494,7 @@ class PolicyRule:
             raise ValidationError(f"SLoC list {self.slocs!r} holds a non-string")
 
     def to_doc(self) -> dict:
-        return {"action": self.action, "slocs": list(self.slocs)}
+        return dict(vars(self))
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PolicyRule":

@@ -988,6 +988,40 @@ class TestStunRole:
         doc = schema.from_json_bytes(entry.value)
         assert doc["slocs"][0]["public_ip"] == "198.51.100.7"
 
+    def test_a_stun_server_that_never_answers(self):
+        # every request dies on the STUN server's link: after the 1 s, 2 s
+        # and 4 s backoff the linecard gives up, announces its private
+        # address and probes the fabric through its NAT
+        w = make_world()
+        for name in ("LC_N", "SW", "STUN1", "F1"):
+            w.net.add_node(name)
+        w.net.add_nat("NAT1", "10.9.9.0/24", "198.51.100.7")
+        w.net.add_link("LC_N", "NAT1", millis(1))
+        w.net.add_link("NAT1", "SW", millis(1))
+        w.net.add_link("STUN1", "SW", millis(1), loss=1.0)
+        w.net.add_link("F1", "SW", millis(1))
+        stun_rt = StunRuntime(w, "STUN1", [sloc("203.0.113.9", 3478)])
+        f1 = FabricRuntime(w, "F1", [sloc("203.0.113.1", 17777)])
+        lc = LinecardRuntime(w, "LC_N", [sloc("10.9.9.2", 5500)], use_stun=True)
+        for rt in (stun_rt, f1, lc):
+            rt.start()
+        w.clock.run_until(seconds(6.9))
+        assert w.store.get("/service/linecard/LC_N") is None
+        assert not lc.sessions
+        w.clock.run_until(seconds(10))
+        events = [(r["time"], r["event"]) for r in w.trace.records if r["node"] == "LC_N"]
+        assert events[:3] == [(0, "registered"), (seconds(7), "stun_failed"),
+                              (seconds(7), "announced")]
+        assert stun_rt.counts.get("stun_served", 0) == 0
+        assert w.net.nodes["NAT1"].nat.translated_out >= 3  # every attempt left
+        doc = schema.from_json_bytes(w.store.get("/service/linecard/LC_N").value)
+        assert (doc["slocs"][0]["public_ip"], doc["slocs"][0]["public_port"]) == (
+            "10.9.9.2", 5500)
+        assert lc.slocs[0].sloc == sloc("10.9.9.2", 5500)
+        (session,) = lc.sessions.values()
+        assert session.peer.system_name == "F1"
+        assert session.status == "up"  # its probes are answered through the NAT
+
 
 class TestToken:
     def test_current_bucket_admits(self):
@@ -1770,28 +1804,24 @@ class TestTraceMemory:
 
 
 class TestTimers:
-    @staticmethod
-    def owned(clock, owner):
-        return [ev for _, _, ev in clock._heap if ev.owner is owner]
-
     def test_fired_timers_are_released(self):
         net = SpineLeaf()
         clock = net.world.clock
         held = []
         for at in (30, 60, 120):
             clock.run_until(seconds(at))
-            held.append(sum(not ev.canceled for ev in self.owned(clock, net.lc_a)))
+            held.append(clock.pending(net.lc_a))
         assert 0 < held[2] <= held[0], held
 
     def test_kill_cancels_pending_timers(self):
         net = SpineLeaf()
         clock = net.world.clock
         clock.run_until(seconds(5))
+        assert clock.pending(net.lc_a)
+        held_b = clock.pending(net.lc_b)
         net.lc_a.kill()
-        assert self.owned(clock, net.lc_a)
-        assert all(ev.canceled for ev in self.owned(clock, net.lc_a))
-        assert self.owned(clock, net.lc_b)
-        assert not any(ev.canceled for ev in self.owned(clock, net.lc_b))
+        assert clock.pending(net.lc_a) == 0
+        assert clock.pending(net.lc_b) == held_b > 0
         sent = net.world.net.nodes["LC_A"].tx
         clock.run_until(seconds(30))
         assert net.world.net.nodes["LC_A"].tx == sent
@@ -1831,6 +1861,38 @@ class TestKill:
         assert events[events.index("killed"):] == ["killed"]
         assert w.store.get("/service/linecard/LC_N") is None
         assert not any(x.client == "LC_N" for x in w.store.watches)
+
+
+    def test_a_frame_offered_to_a_dead_linecard_is_counted_once(self):
+        net = SpineLeaf()
+        w = net.world
+        w.clock.run_until(seconds(5))
+        net.lc_a.kill()
+        delivered = len(net.delivered)
+
+        def counters():
+            out = Counter()
+            for rt in net.runtimes:
+                out.update({(rt.name, k): n for k, n in rt.counts.items()})
+
+            def walk(path, value):
+                if isinstance(value, dict):
+                    for k, v in value.items():
+                        walk(path + (k,), v)
+                elif isinstance(value, int):
+                    out[path] = value
+
+            walk(("net",), w.net.counters())
+            return out
+
+        before = counters()
+        for i in range(7):
+            assert net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2(bytes([i]))) is None
+        after = counters()
+        after.subtract(before)
+        assert {k: n for k, n in after.items() if n} == {("LC_A", "drop_not_alive"): 7}
+        w.clock.run_until(seconds(6))
+        assert len(net.delivered) == delivered
 
 
 class TestLsdbReplica:

@@ -54,10 +54,16 @@ class TestClock:
     def test_cancel(self):
         clock = VirtualClock()
         fired = []
-        ev = clock.call_at(10, lambda: fired.append(1))
-        ev.cancel()
-        clock.run_until(20)
-        assert fired == []
+        seq = clock.call_at(10, lambda: fired.append(1))
+        kept = clock.call_at(10, lambda: fired.append(2))
+        clock.cancel(seq)
+        assert clock.pending() == 1
+        ran = clock.run_until(20)
+        assert fired == [2]
+        assert [s for _, s, _ in ran] == [kept]  # a canceled event is not counted
+        clock.cancel(kept)  # ran already: a no-op
+        clock.cancel(12345)  # never scheduled: a no-op
+        assert clock.pending() == 0
 
     def test_cancel_owned_cancels_only_that_owners_pending_events(self):
         clock = VirtualClock()

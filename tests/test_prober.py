@@ -377,7 +377,7 @@ class TestStunExchange:
 
         ex = StunExchange(clock.call_later, send_request,
                           on_result=lambda ip, port: results.append((ip, port)),
-                          on_error=errors.append)
+                          on_error=errors.append, cancel=clock.cancel)
         net.bind("client", "10.9.9.2", 6000,
                  lambda pkt: ex.on_response(*srou.parse_oam(pkt.payload).payload))
         return clock, net, ex, results, errors
@@ -385,11 +385,12 @@ class TestStunExchange:
     def test_observes_nat_mapping(self):
         clock, net, ex, results, errors = self.build()
         ex.start()
-        clock.run_until_quiescent()
+        ran = clock.run_until_quiescent()
         nat = net.nodes["nat"].nat
         mapped_port = nat.mapping_table()["10.9.9.2:6000"]
         assert results == [("198.51.100.7", mapped_port)]
         assert errors == []
+        assert "stun-retry" not in [label for _, _, label in ran]  # the answer canceled it
 
     def test_public_client_sees_own_address(self):
         clock = VirtualClock()
@@ -415,7 +416,7 @@ class TestStunExchange:
 
         ex = StunExchange(clock.call_later, send_request,
                           lambda ip, port: results.append((ip, port)),
-                          on_error=lambda e: None)
+                          on_error=lambda e: None, cancel=clock.cancel)
         net.bind("client", "192.0.2.5", 6000,
                  lambda pkt: ex.on_response(*srou.parse_oam(pkt.payload).payload))
         ex.start()
