@@ -59,8 +59,20 @@ records stay per packet.  `_header` builds every data header a node sends,
 at encap and at app sockets, which keep a memo of it too.  A path that no
 header can carry is a counted drop, `drop_unencodable_path`.
 
+A linecard decides once per flow.  Its flow cache maps (host vnid, vrf,
+identity, destination MAC, destination IP, T bit), read from the host on
+every frame, to the encap an announced host's frame got: local SLoC, outer
+address, header, SL, trace body and flow id.  A hit only learns the host,
+sends, counts and traces.  The cache holds at most `MEMO_ENTRIES` flows, is
+emptied when full, and on each input of a decision: route, policy, identity
+and /service/ events, `attach_host`, the path refresh, a link-state delta
+that drops a cached path, and each probe outcome, which drops the ranked
+direct path.  `_encap_entry`'s memo stays, so that misses share the trace
+body of an equal encap instead of adding one per miss.
+
 Host frames are the minimal tuple (src_mac, dst_mac, src_ip, dst_ip,
-payload), serialized as 6+6+4+4 octets plus payload.
+payload), serialized as 6+6+4+4 octets plus payload; each distinct 20-octet
+header is packed, and parsed, once.
 """
 
 from __future__ import annotations
@@ -70,7 +82,7 @@ import hmac
 import ipaddress
 import socket
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import schema, srou
 from .kvstore import DELETE, PUT, KvStore, Lease, LeaseNotFound, StoreError
@@ -163,8 +175,7 @@ def _header(source: tuple[str, int], visit: tuple, flow_id: int,
 # host frames
 
 
-@dataclass(frozen=True)
-class HostFrame:
+class HostFrame(NamedTuple):
     src_mac: str
     dst_mac: str
     src_ip: str
@@ -172,28 +183,28 @@ class HostFrame:
     payload: bytes
 
 
-@functools.lru_cache(maxsize=1024)
-def _pack_mac(mac: str) -> bytes:
-    """A host's MACs repeat frame after frame; a rejected MAC is not cached."""
-    return bytes(int(p, 16) for p in mac.split(":"))
+@_memo
+def _frame_header(fields: tuple[str, str, str, str]) -> bytes:
+    """The 20 octets of (src_mac, dst_mac, src_ip, dst_ip); a rejected
+    field is not cached."""
+    macs = b"".join(bytes(int(p, 16) for p in mac.split(":")) for mac in fields[:2])
+    return macs + srou.pack_ipv4(fields[2]) + srou.pack_ipv4(fields[3])
+
+
+@_memo
+def _frame_fields(octets: bytes) -> tuple[str, str, str, str]:
+    return (octets[0:6].hex(":"), octets[6:12].hex(":"),
+            socket.inet_ntoa(octets[12:16]), socket.inet_ntoa(octets[16:20]))
 
 
 def encode_frame(frame: HostFrame) -> bytes:
-    return (_pack_mac(frame.src_mac) + _pack_mac(frame.dst_mac)
-            + srou.pack_ipv4(frame.src_ip) + srou.pack_ipv4(frame.dst_ip)
-            + frame.payload)
+    return _frame_header(frame[:4]) + frame.payload
 
 
 def decode_frame(data: bytes) -> HostFrame:
     if len(data) < 20:
         raise DataplaneError(f"frame too short: {len(data)}")
-    return HostFrame(
-        src_mac=data[0:6].hex(":"),
-        dst_mac=data[6:12].hex(":"),
-        src_ip=socket.inet_ntoa(data[12:16]),
-        dst_ip=socket.inet_ntoa(data[16:20]),
-        payload=bytes(data[20:]),
-    )
+    return HostFrame(*_frame_fields(bytes(data[:20])), bytes(data[20:]))
 
 
 # ---------------------------------------------------------------------------
@@ -791,6 +802,8 @@ class LinecardRuntime(NodeRuntime):
         self.identity_cache: dict[str, list[int]] = {}
         self.path_cache: dict[str, tuple[ServiceSloc, ComputedPath]] = {}
         self._encap_entry = _memo(self._encap_entry)  # the method's memo
+        # (vnid, vrf, identity, dst MAC, dst IP, T bit) -> an encap of _encap
+        self._flows: dict[tuple, tuple] = {}
         # system -> best probed (local, peer, rec), None when unprobed; valid
         # until a session to the system is added or records an outcome
         self._direct: dict[str, Optional[tuple]] = {}
@@ -798,6 +811,7 @@ class LinecardRuntime(NodeRuntime):
     # -- wiring -----------------------------------------------------------
 
     def attach_host(self, host: HostPort) -> None:
+        self._flows.clear()
         self.hosts[host.name] = host
         if host.vnid is not None:
             self.l2_local[(host.vnid, host.mac)] = host
@@ -852,12 +866,14 @@ class LinecardRuntime(NodeRuntime):
     # -- watch handlers ------------------------------------------------------
 
     def _on_service(self, ev) -> None:
+        self._flows.clear()
         name = super()._on_service(ev)
         if name is not None and any(r.system_name == name
                                     for r in self.route_sync.table.routes()):
             self._probe(name)
 
     def _on_policy(self, ev) -> None:
+        self._flows.clear()
         try:
             if ev.kind == PUT:
                 pair, rule = schema.parse_group_rule(ev.entry.key, ev.entry.value)
@@ -868,6 +884,7 @@ class LinecardRuntime(NodeRuntime):
             pass  # a malformed rule leaves the rules as they were
 
     def _on_identity(self, ev) -> None:
+        self._flows.clear()
         if ev.kind == DELETE:
             self.identity_cache.pop(ev.entry.key, None)
             return
@@ -878,6 +895,7 @@ class LinecardRuntime(NodeRuntime):
             pass  # a malformed record leaves the cached groups as they were
 
     def _on_route_delta(self, kind: str, route: ServiceRoute) -> None:
+        self._flows.clear()
         self.path_cache.pop(route.key(), None)
         if kind == PUT:
             self._probe(route.system_name)
@@ -887,9 +905,11 @@ class LinecardRuntime(NodeRuntime):
             shorts = {w.short for w in path.waypoints}
             if src in shorts or dst in shorts or path.source == PATH_ENGINEERED:
                 self.path_cache.pop(key, None)
+                self._flows.clear()
 
     def _refresh(self) -> None:
         self.path_cache.clear()
+        self._flows.clear()
 
     # -- SLA / path selection ---------------------------------------------
 
@@ -918,6 +938,7 @@ class LinecardRuntime(NodeRuntime):
         paths cached to the system."""
         system = session.peer.system_name
         self._direct.pop(system, None)
+        self._flows.clear()
         figures = session.figures()
         if figures is None:
             return
@@ -1022,7 +1043,20 @@ class LinecardRuntime(NodeRuntime):
         if host is None:
             raise DataplaneError(f"unknown host {host_name}")
         self._learn(host)
+        key = (host.vnid, host.vrf, host.identity, frame.dst_mac, frame.dst_ip, t_bit)
+        entry = self._flows.get(key)
+        if entry is None:
+            entry = self._decide(host, frame, t_bit)
+            if entry is None:
+                return None
+            if host.name in self.announced:
+                if len(self._flows) >= MEMO_ENTRIES:
+                    self._flows.clear()
+                self._flows[key] = entry
+        return self._send_encap(entry, frame, t_bit)
 
+    def _decide(self, host: HostPort, frame: HostFrame, t_bit: bool) -> Optional[tuple]:
+        """The encap of a host's frame; None when counted as dropped or delivered."""
         # same-segment delivery without encapsulation
         if host.vnid is not None:
             local = self.l2_local.get((host.vnid, frame.dst_mac))
@@ -1056,23 +1090,28 @@ class LinecardRuntime(NodeRuntime):
                 self.count("drop_no_service")
                 return None
         args = host.vnid if route.route_type == 2 else host.vrf
-        return self._encap(route, path_pair, frame, args, t_bit)
+        return self._encap(route, path_pair, args, t_bit)
 
-    def _encap(self, route: ServiceRoute, path_pair, frame: HostFrame, args: int,
-               t_bit: bool = False) -> Optional[bytes]:
-        """Send a host frame along a selected path to End.DT2U (type-2 route)
-        or End.DT4 (type-5 route) at the far end; returns the wire bytes, or
-        None when no header can carry the path."""
+    def _encap(self, route: ServiceRoute, path_pair, args: int,
+               t_bit: bool = False) -> Optional[tuple]:
+        """The encap along a selected path to End.DT2U (type-2 route) or
+        End.DT4 (type-5 route): (local SLoC, outer address, header, SL, trace
+        body, flow id), or None, counted, when no header can carry the path."""
         local, path = path_pair
         function = srou.FUNC_END_DT2U if route.route_type == 2 else srou.FUNC_END_DT4
         flow_id = route.policy_tag & 0xFFFFFFFF
-        try:  # keyed by value: the steer path builds a new ComputedPath per frame
+        try:  # keyed by value: each steer decision builds a new ComputedPath
             header, outer, sl, body = self._encap_entry(
                 local.addr, tuple(w.public_addr for w in path.waypoints), function,
                 args, flow_id, t_bit, route.key(), path.source)
         except (TooManySegments, srou.CodecError):
             self.count("drop_unencodable_path")
             return None
+        return local, outer, header, sl, body, flow_id
+
+    def _send_encap(self, entry: tuple, frame: HostFrame, t_bit: bool = False) -> bytes:
+        """Send a host frame by an encap of _encap; returns the wire bytes."""
+        local, outer, header, sl, body, flow_id = entry
         wire = header + encode_frame(frame)
         self.send_from(local, outer, wire)
         self.count("encap")
@@ -1177,7 +1216,9 @@ class LinecardRuntime(NodeRuntime):
         except NoRoute:
             self.count("drop_no_service")
             return
-        self._encap(route, path_pair, frame, args)
+        entry = self._encap(route, path_pair, args)
+        if entry is not None:
+            self._send_encap(entry, frame)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import random
 import socket
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
@@ -184,8 +184,7 @@ class Trace:
         return "\n".join(json.dumps(r, sort_keys=True) for r in self.records) + "\n"
 
 
-@dataclass(frozen=True)
-class Datagram:
+class Datagram(NamedTuple):
     src_ip: str
     src_port: int
     dst_ip: str

@@ -1401,6 +1401,189 @@ class TestHeaderMemo:
             assert node._check.cache_info().hits >= kinds["data"]
 
 
+class TestFlowCache:
+    """A linecard decides once per flow and sends each later frame of the
+    flow from its flow cache; what a frame does must not depend on what
+    that cache holds."""
+
+    H6 = ("0a:00:00:00:00:66", "10.0.0.66")  # a second host behind LC_B
+    LC_B = (sloc("192.168.99.78", 5546), sloc("192.168.99.79", 5546))
+
+    def twin(self, seed):
+        # two SLoCs at LC_B, so that probe outcomes alone can reorder the
+        # sessions to it and move a steered flow's last waypoint
+        net = SpineLeaf(seed=seed, lc_b_slocs=list(self.LC_B))
+        net.lc_a.hosts["H1"].identity = ("u1", "d1")
+        net.lc_b.attach_host(HostPort("H6", *self.H6, vnid=1234,
+                                      deliver=net.delivered.append))
+        net.lc_b.inject_host_frame("H6", HostFrame(  # delivered at LC_B, announces H6
+            self.H6[0], "0a:00:00:00:00:99", self.H6[1], "10.0.0.99", b"hi"))
+        return net
+
+    @staticmethod
+    def shorts(net):
+        return [rt.slocs[0].short for rt in (net.spine_a, net.spine_b, net.lc_b)]
+
+    # relative weights of frame, route, rule, identity, announce, loss and
+    # link-state changes.  "steady" keeps every probe figure still and puts
+    # no rule, so that at a path refresh only the refresh drops the path
+    # cache; "lossy" steers every frame and reorders the sessions to LC_B
+    # on probe outcomes alone
+    MIXES = {"all": (60, 3, 6, 3, 2, 3, 3), "steady": (60, 3, 0, 3, 0, 0, 0),
+             "lossy": (60, 0, 0, 0, 0, 6, 0)}
+
+    def actions(self, rng, net, mix):
+        """A seeded sequence of (time, kind, change) over 40 simulated s; a
+        change takes the twin it applies to."""
+        spine_a, spine_b, lc_b = self.shorts(net)
+        dsts = [("0a:00:00:00:00:99", "10.0.0.99"), self.H6]
+
+        def frame(dst, t_bit, n):
+            return lambda net: net.lc_a.inject_host_frame(
+                "H1", HostFrame("0a:00:00:00:00:88", dst[0], "10.0.0.88", dst[1],
+                                b"f%d" % n), t_bit=t_bit)
+
+        def put(key, doc):
+            return lambda net: net.world.store.put(key, schema.to_json_bytes(doc))
+
+        def delete(key):
+            return lambda net: net.world.store.delete(key)
+
+        def route(dst, tag):
+            r = schema.ServiceRoute(route_type=2, export_rt="100:1", rd="2:1", site_id=2,
+                                    system_name="LC_B", policy_tag=tag, mac=dst[0], ip=dst[1])
+            return put(r.key(), r.to_doc()) if tag is not None else delete(r.key())
+
+        def rule(src, dst, action):
+            key = schema.group_rule_key(src, dst)
+            if action is None:
+                return delete(key)
+            steer = {"steer_a": (spine_a,), "steer_b": (spine_b,),
+                     "steer_ab": (spine_a, spine_b)}.get(action)
+            doc = PolicyRule("steer", steer) if steer else PolicyRule(action)
+            return put(key, doc.to_doc())
+
+        def identity(groups):
+            key = schema.identity_key("u1", "d1")
+            return put(key, {"groups": groups}) if groups is not None else delete(key)
+
+        def announce(name, moved):
+            if name == "LC_B":  # withdraws one of its SLoCs, or neither
+                slocs = [s for s in self.LC_B if s != moved]
+                return put(schema.service_key("linecard", name),
+                           {"slocs": [s.to_doc() for s in slocs]})
+
+            def change(net):
+                rt = {"Spine_A": net.spine_a, "Spine_B": net.spine_b}[name]
+                s = rt.slocs[0].sloc
+                s = replace(s, public_port=s.public_port + 1) if moved else s
+                net.world.store.put(schema.service_key("fabric", name),
+                                    schema.service_value([s]))
+            return change
+
+        def loss(index, p):
+            return lambda net: net.world.net.links[index].set_loss(p)
+
+        def linkstate(src, delay_us):
+            rec = schema.LinkStateRecord(src=src, dst=lc_b, two_way_delay_us=delay_us,
+                                         jitter_us=0.0, loss=0.0, status="up",
+                                         sampled_at=0)
+            return put(rec.key(), rec.to_doc())
+
+        def attach(net):  # H6 moves behind LC_A: its frames are local there
+            net.lc_a.attach_host(HostPort("H6", *self.H6, vnid=1234,
+                                          deliver=net.delivered.append))
+
+        # at one instant, so that no other change empties the cache between
+        moved = seconds(20) + rng.randrange(seconds(10))
+        out = [(moved, "frame", frame(self.H6, False, -1)), (moved, "attach", attach),
+               (moved, "frame", frame(self.H6, False, -2))]
+        if mix == "lossy":
+            out.append((millis(400), "rule", rule(0, 0, "steer_a")))
+        for k in range(1, 5):  # after each path refresh, before the next probe outcome
+            out += [(seconds(10 * k) + 50_000, "frame", frame(dst, False, -2 - k))
+                    for dst in dsts]
+        for n in range(1200):
+            at = millis(500) + rng.randrange(seconds(40))
+            kind = rng.choices(("frame", "route", "rule", "identity", "announce",
+                                "loss", "linkstate"), self.MIXES[mix])[0]
+            change = {
+                "frame": lambda: frame((rng.choice(dsts)[0], rng.choice(dsts)[1]),
+                                       rng.random() < 0.3, n),
+                "route": lambda: route(rng.choice(dsts), rng.choice((0, 10, None))),
+                "rule": lambda: rule(rng.choice((0, 10)), rng.choice((0, 10)), rng.choice(
+                    ("permit", "deny", "steer_a", "steer_b", "steer_ab", None))),
+                "identity": lambda: identity(rng.choice(([10], [0], [], None))),
+                "announce": lambda: announce(rng.choice(("Spine_A", "Spine_B", "LC_B")),
+                                             rng.choice((False, *self.LC_B))),
+                "loss": lambda: loss(rng.randrange(4), rng.choice((0.0, 0.0, 0.05, 0.5, 1.0))),
+                "linkstate": lambda: linkstate(rng.choice((spine_a, spine_b)),
+                                               rng.uniform(100, 5000)),
+            }[kind]()
+            out.append((at, kind, change))
+        return sorted(out, key=lambda a: a[0])
+
+    @pytest.mark.parametrize("seed,mix", [(0, "all"), (1, "all"), (2, "all"),
+                                          (3, "steady"), (4, "steady"), (5, "lossy"),
+                                          (6, "lossy")])
+    def test_a_cached_decision_is_the_decision_made_afresh(self, seed, mix):
+        cached, fresh = self.twin(seed), self.twin(seed)
+        frames = served = 0  # served: frames that met a non-empty cache
+        for at, kind, change in self.actions(random.Random(seed), cached, mix):
+            for net in (cached, fresh):
+                net.world.clock.run_until(at)
+            if kind == "frame":
+                frames += 1
+                served += bool(cached.lc_a._flows)
+                fresh.lc_a._flows.clear()
+            got = [change(net) for net in (cached, fresh)]
+            if kind == "frame":
+                assert got[0] == got[1], at
+        for net in (cached, fresh):
+            net.world.clock.run_until(seconds(42))
+        assert served > frames // 4
+        assert [rt.counts for rt in cached.runtimes] == [rt.counts for rt in fresh.runtimes]
+        assert cached.world.net.counters() == fresh.world.net.counters()
+        assert cached.delivered == fresh.delivered
+        assert cached.world.trace.to_jsonl() == fresh.world.trace.to_jsonl()
+
+    def test_distinct_destinations_keep_the_cache_within_its_bound(self):
+        net = SpineLeaf()
+        w = net.world
+        w.clock.run_until(seconds(2))
+        ips = [str(ipaddress.IPv4Address("10.1.0.0") + i)
+               for i in range(3 * dataplane.MEMO_ENTRIES)]
+        sizes = []
+
+        def send(ip):
+            net.lc_a.inject_host_frame("H1", HostFrame(
+                "0a:00:00:00:00:88", "0a:00:00:00:00:99", "10.0.0.88", ip, b"x"))
+            sizes.append(len(net.lc_a._flows))
+
+        for i, ip in enumerate(ips):
+            w.clock.call_at(seconds(2) + i * 50_000, partial(send, ip))
+        w.clock.run_until(seconds(3))
+        assert max(sizes) == dataplane.MEMO_ENTRIES
+        assert net.lc_a.counts["encap"] == len(ips)
+        assert [f.dst_ip for f in net.delivered] == ips
+
+    def test_an_identity_set_on_a_host_takes_effect_on_its_next_frame(self):
+        net = SpineLeaf()
+        w = net.world
+        w.clock.run_until(seconds(2))
+        for _ in range(3):
+            assert net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2()) is not None
+        # group 10 may not reach H2's tag 0; H1 is in no group yet
+        w.store.put(schema.identity_key("u1", "d1"), schema.to_json_bytes({"groups": [10]}))
+        w.store.put(schema.group_rule_key(10, 0),
+                    schema.to_json_bytes(PolicyRule("deny").to_doc()))
+        assert net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2()) is not None
+        net.lc_a.hosts["H1"].identity = ("u1", "d1")
+        assert net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2()) is None
+        assert net.lc_a.counts["drop_policy_deny"] == 1
+        assert net.lc_a.counts["encap"] == 4
+
+
 class TestHeadlessRuntime:
     def test_forwarding_survives_partition(self):
         from ruta.dataplane import ProbeConfig

@@ -276,7 +276,9 @@ class TestSegmentList:
                                 if route_type == 2 else dict(prefix="10.0.1.0", mask=24)))
         frame = HostFrame("0a:00:00:00:00:88", "0a:00:00:00:00:99", "10.0.0.88",
                           "10.0.0.99", b"x")
-        lc._encap(route, (lc.slocs[0], path), frame, args)
+        entry = lc._encap(route, (lc.slocs[0], path), args)
+        if entry is not None:
+            lc._send_encap(entry, frame)
         return lc, sent
 
     def test_direct(self):
