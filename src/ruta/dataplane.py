@@ -45,30 +45,33 @@ its key; a record is built only for a put.  At a linecard, a change of
 the SLA part also drops the paths cached to the peer's system and writes an
 `sla_change` record that names the session by its local and peer SLoCs.
 
-Header work is memoized by value, once per node, in one idiom: a node wraps
-each pure function of its header work in a `functools.lru_cache` of its own,
-of at most `MEMO_ENTRIES` entries, since keys come from peer bytes.
-`_check` checks a data header's octets, `payload[:max(4, SRoU Length)]`
-(OAM is parsed every time, see `_parse`); `_relay` relays them from an
-observed source, which fills a zero source; a linecard's `_encap_entry`
-builds a frame's header, outer address, SL and trace body.  A hit equals a
-miss: `srou.parse_data` reads nothing past SRoU Length, a payload cut short
-of it is its own key, at least four octets are keyed, and a call that raises
-is not cached.  The token check, function execution, counters and trace
-records stay per packet.  `_header` builds every data header a node sends,
-at encap and at app sockets, which keep a memo of it too.  A path that no
-header can carry is a counted drop, `drop_unencodable_path`.
+Header work on received packets is memoized by value, once per node, in
+one idiom: a node wraps each pure function of it in a `functools.lru_cache`
+of its own, of at most `MEMO_ENTRIES` entries, since keys come from peer
+bytes.  `_check` checks a data header's octets, `payload[:max(4, SRoU
+Length)]` (OAM is parsed every time, see `_parse`); `_relay` relays them
+from an observed source, which fills a zero source.  A hit equals a miss:
+`srou.parse_data` reads nothing past SRoU Length, a payload cut short of it
+is its own key, at least four octets are keyed, and a call that raises is
+not cached.  The token check, function execution, counters and trace
+records stay per packet.  `_header` builds every data header a node sends:
+at a linecard's encap, and at app sockets, which keep a memo of it.  A path
+that no header can carry is a counted drop, `drop_unencodable_path`.  Each
+per-frame trace record goes through the node's `FrameTrace`, which builds
+one body per event and raw values, so equal encaps, relays and deliveries
+share it.
 
 A linecard decides once per flow.  Its flow cache maps (host vnid, vrf,
 identity, destination MAC, destination IP, T bit), read from the host on
 every frame, to the encap an announced host's frame got: local SLoC, outer
 address, header, SL, trace body and flow id.  A hit only learns the host,
-sends, counts and traces.  The cache holds at most `MEMO_ENTRIES` flows, is
-emptied when full, and on each input of a decision: route, policy, identity
-and /service/ events, `attach_host`, the path refresh, a link-state delta
-that drops a cached path, and each probe outcome, which drops the ranked
-direct path.  `_encap_entry`'s memo stays, so that misses share the trace
-body of an equal encap instead of adding one per miss.
+sends, counts and traces.  A miss decides afresh: it ranks the sessions to
+the destination system, encodes the header, and owns the host's route
+again if the host's groups changed its policy tag.  The cache holds at most
+`MEMO_ENTRIES` flows and is emptied when full, wherever a cached path is
+dropped (route and /service/ events, a link-state delta, the path refresh),
+on each probe outcome, which the ranking reads, and on the other inputs of
+a decision: policy and identity events and `attach_host`.
 
 Host frames are the minimal tuple (src_mac, dst_mac, src_ip, dst_ip,
 payload), serialized as 6+6+4+4 octets plus payload; each distinct 20-octet
@@ -97,7 +100,6 @@ from .pathengine import (
     NoRoute,
     RouteSync,
     SlaPolicy,
-    TooManySegments,
     edge_cost_ms,
     shortest_constrained,
     sla_breach,
@@ -297,6 +299,10 @@ _FRAME_DETAIL = {
     "unknown_function": lambda code: {"code": code},
     "policy_deny": lambda dst: {"dst": dst},
     "passthrough": lambda nbytes: {"nbytes": nbytes},
+    "encap": lambda dst, ip, port, outer_ip, outer_port, sl, flow_id, path, function, args: {
+        "dst": dst, "outer_src": f"{ip}:{port}", "outer_dst": f"{outer_ip}:{outer_port}",
+        "sl": sl, "flow_id": flow_id, "path": path, "args": args,
+        "function": srou.FUNCTION_NAMES.get(function, hex(function))},
 }
 
 
@@ -312,11 +318,19 @@ class FrameTrace:
         self.node = node
         self._ids: dict[tuple, int] = {}
 
-    def emit(self, event: str, *raw) -> None:
+    def body(self, event: str, *raw) -> int:
+        """The id of the body of event with these raw values, for records
+        appended later, as a linecard's flow cache appends its encaps."""
         body = self._ids.get((event, raw))
         if body is None:
             body = self._ids[event, raw] = self.trace.body(
                 self.node, event, **_FRAME_DETAIL[event](*raw))
+        return body
+
+    def emit(self, event: str, *raw) -> None:
+        body = self._ids.get((event, raw))  # inline, so a frame costs no extra call
+        if body is None:
+            body = self.body(event, *raw)
         self.trace.append(self.clock.now, body)
 
 
@@ -375,8 +389,8 @@ class NodeRuntime:
 
     # -- bookkeeping --------------------------------------------------------
 
-    def count(self, what: str, n: int = 1) -> None:
-        self.counts[what] = self.counts.get(what, 0) + n
+    def count(self, what: str) -> None:
+        self.counts[what] = self.counts.get(what, 0) + 1
 
     def emit(self, event: str, **detail) -> None:
         self.trace.emit(self.clock.now, self.name, event, **detail)
@@ -795,18 +809,15 @@ class LinecardRuntime(NodeRuntime):
         self.l3_local: dict[int, dict[str, HostPort]] = {}
         self.announced: set[str] = set()
         self._unannounced: set[str] = set()  # hosts whose route a sync is still to put
+        self._route_tags: dict[str, int] = {}  # host -> the policy tag of its owned route
         self.route_sync = RouteSync(self.imports_l2, self.imports_l3,
                                     on_delta=self._on_route_delta)
         self.ls_sync = LinkStateSync(on_delta=self._on_ls_delta)
         self.policy_rules: dict = {}
         self.identity_cache: dict[str, list[int]] = {}
         self.path_cache: dict[str, tuple[ServiceSloc, ComputedPath]] = {}
-        self._encap_entry = _memo(self._encap_entry)  # the method's memo
         # (vnid, vrf, identity, dst MAC, dst IP, T bit) -> an encap of _encap
         self._flows: dict[tuple, tuple] = {}
-        # system -> best probed (local, peer, rec), None when unprobed; valid
-        # until a session to the system is added or records an outcome
-        self._direct: dict[str, Optional[tuple]] = {}
 
     # -- wiring -----------------------------------------------------------
 
@@ -838,18 +849,19 @@ class LinecardRuntime(NodeRuntime):
         return ok
 
     def _learn(self, host: HostPort) -> None:
-        """Own a type-2 route for a locally seen (mac, ip); it is announced
-        once the store holds it: at once, or on the sync that puts it."""
+        """Own a type-2 route for a locally seen (mac, ip), tagged with the
+        host's first group; it is announced once the store holds it: at once,
+        or on the sync that puts it."""
         if host.name in self.announced or host.vnid is None:
             return
         service = self.l2_services.get(host.vnid)
         if service is None:
             return
         rt, rd = service
+        tag = self._route_tags[host.name] = self._host_groups(host)[0]
         route = ServiceRoute(route_type=2, export_rt=rt, rd=rd, mac=host.mac,
                              ip=host.ip, site_id=self.site_id,
-                             system_name=self.name,
-                             policy_tag=self._host_groups(host)[0])
+                             system_name=self.name, policy_tag=tag)
         if self._own(route.key(), schema.to_json_bytes(route.to_doc()), 2):
             self._unannounced.discard(host.name)
             self.announced.add(host.name)
@@ -913,16 +925,10 @@ class LinecardRuntime(NodeRuntime):
 
     # -- SLA / path selection ---------------------------------------------
 
-    def open_session(self, local: ServiceSloc, peer: ServiceSloc) -> None:
-        super().open_session(local, peer)
-        self._direct.pop(peer.system_name, None)
-
     def _close_sessions(self, system: str, withdrawn: set) -> bool:
-        """Also forget the system's ranked direct path and the paths cached
-        to it."""
+        """Also drop the paths cached to the system."""
         if not super()._close_sessions(system, withdrawn):
             return False
-        self._direct.pop(system, None)
         self._drop_paths_to(system)
         return True
 
@@ -937,7 +943,6 @@ class LinecardRuntime(NodeRuntime):
         the session's record, and a change of the SLA part also drops the
         paths cached to the system."""
         system = session.peer.system_name
-        self._direct.pop(system, None)
         self._flows.clear()
         figures = session.figures()
         if figures is None:
@@ -957,21 +962,9 @@ class LinecardRuntime(NodeRuntime):
                   local=session.local.short, peer=session.peer.short)
 
     def _best_direct(self, system: str):
-        """Lowest-cost probed (local, peer, figures) for a destination system,
-        with the session's figures (see ProbeSession.figures); unprobed, the
-        first local and first announced SLoC with figures None."""
-        if system in self._direct:
-            best = self._direct[system]
-        else:
-            best = self._direct[system] = self._rank_sessions(system)
-        if best is not None:
-            return best
-        slocs = self.service_dir.get(system)
-        if not slocs:
-            raise NoRoute(f"no announced service for {system}")
-        return self.slocs[0], slocs[0], None
-
-    def _rank_sessions(self, system: str) -> Optional[tuple]:
+        """Lowest-cost (local, peer, figures) of the sessions to a destination
+        system, with the session's figures (see ProbeSession.figures); with no
+        session, the first local and first announced SLoC with figures None."""
         best = None
         for session in self.sessions_to(system):
             figures = session.figures()
@@ -979,7 +972,12 @@ class LinecardRuntime(NodeRuntime):
             key = (cost, session.local.short, session.peer.short)
             if best is None or key < best[0]:
                 best = (key, session.local, session.peer, figures)
-        return best[1:] if best is not None else None
+        if best is not None:
+            return best[1:]
+        slocs = self.service_dir.get(system)
+        if not slocs:
+            raise NoRoute(f"no announced service for {system}")
+        return self.slocs[0], slocs[0], None
 
     def _path_for(self, route: ServiceRoute):
         key = route.key()
@@ -1056,7 +1054,14 @@ class LinecardRuntime(NodeRuntime):
         return self._send_encap(entry, frame, t_bit)
 
     def _decide(self, host: HostPort, frame: HostFrame, t_bit: bool) -> Optional[tuple]:
-        """The encap of a host's frame; None when counted as dropped or delivered."""
+        """The encap of a host's frame; None when counted as dropped or
+        delivered.  A host whose groups no longer give its route's policy tag
+        owns the route again; a change of groups always misses the flow cache."""
+        groups = self._host_groups(host)
+        if self._route_tags.get(host.name, groups[0]) != groups[0]:
+            self.announced.discard(host.name)
+            self._learn(host)
+
         # same-segment delivery without encapsulation
         if host.vnid is not None:
             local = self.l2_local.get((host.vnid, frame.dst_mac))
@@ -1071,8 +1076,7 @@ class LinecardRuntime(NodeRuntime):
             self.count("drop_no_route")
             return None
 
-        rule = schema.lookup_policy(self.policy_rules, self._host_groups(host),
-                                    [route.policy_tag])
+        rule = schema.lookup_policy(self.policy_rules, groups, [route.policy_tag])
         if rule.action == schema.ACTION_DENY:
             self.count("drop_policy_deny")
             self.frame_trace.emit("policy_deny", route.key())
@@ -1096,17 +1100,27 @@ class LinecardRuntime(NodeRuntime):
                t_bit: bool = False) -> Optional[tuple]:
         """The encap along a selected path to End.DT2U (type-2 route) or
         End.DT4 (type-5 route): (local SLoC, outer address, header, SL, trace
-        body, flow id), or None, counted, when no header can carry the path."""
+        body, flow id), or None, counted, when no header can carry the path:
+        it has more waypoints than the SLA's segment budget, or a waypoint
+        does not encode.  The first waypoint is the outer destination, and
+        the function runs at the last."""
         local, path = path_pair
         function = srou.FUNC_END_DT2U if route.route_type == 2 else srou.FUNC_END_DT4
         flow_id = route.policy_tag & 0xFFFFFFFF
-        try:  # keyed by value: each steer decision builds a new ComputedPath
-            header, outer, sl, body = self._encap_entry(
-                local.addr, tuple(w.public_addr for w in path.waypoints), function,
-                args, flow_id, t_bit, route.key(), path.source)
-        except (TooManySegments, srou.CodecError):
+        visit = tuple(w.public_addr for w in path.waypoints)
+        header = None
+        if len(visit) <= self.sla.max_segments:
+            try:
+                header = _header(local.addr, visit[1:], flow_id, t_bit=t_bit,
+                                 function=srou.Function(args, function))
+            except srou.CodecError:
+                pass  # counted below
+        if header is None:
             self.count("drop_unencodable_path")
             return None
+        outer, sl = visit[0], len(visit)
+        body = self.frame_trace.body("encap", route.key(), *local.addr, *outer, sl,
+                                     flow_id, path.source, function, args)
         return local, outer, header, sl, body, flow_id
 
     def _send_encap(self, entry: tuple, frame: HostFrame, t_bit: bool = False) -> bytes:
@@ -1119,25 +1133,6 @@ class LinecardRuntime(NodeRuntime):
             self.frame_trace.emit("postcard", "encap", flow_id, sl)
         self.trace.append(self.clock.now, body)
         return wire
-
-    def _encap_entry(self, source: tuple[str, int], waypoints: tuple, function: int,
-                     args: int, flow_id: int, t_bit: bool, dst: str, path_source: str):
-        """(header, outer address, SL, trace body) of an encap from the local
-        SLoC at source along the waypoints at the given public addresses:
-        the first is the outer destination, and the function runs at the
-        last.  Raises TooManySegments past the SLA's segment budget, and the
-        CodecError of a header that does not encode."""
-        budget = self.sla.max_segments
-        if len(waypoints) > budget:
-            raise TooManySegments(f"{len(waypoints)} waypoints exceed budget {budget}")
-        outer, sl = waypoints[0], len(waypoints)
-        header = _header(source, waypoints[1:], flow_id, t_bit=t_bit,
-                         function=srou.Function(args, function))
-        body = self.trace.body(
-            self.name, "encap", dst=dst, outer_src=f"{source[0]}:{source[1]}",
-            outer_dst=f"{outer[0]}:{outer[1]}", sl=sl, flow_id=flow_id, path=path_source,
-            function=srou.FUNCTION_NAMES.get(function, hex(function)), args=args)
-        return header, outer, sl, body
 
     def _steer_path(self, route: ServiceRoute, rule: PolicyRule):
         waypoints = []

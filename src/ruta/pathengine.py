@@ -70,10 +70,6 @@ class NoFeasiblePath(PathError):
     pass
 
 
-class TooManySegments(PathError):
-    pass
-
-
 # follow(prefix, on_event): list the prefix, then watch it
 Follow = Callable[[str, Callable[[WatchEvent], None]], None]
 

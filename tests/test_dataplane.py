@@ -226,6 +226,34 @@ class TestPolicy:
         route = w.store.get("/route/2/100:1/1:1/0a:00:00:00:00:44/10.0.0.44")
         assert schema.from_json_bytes(route.value)["policy_tag"] == 0
 
+    def test_a_host_moved_to_another_group_reowns_its_route_by_its_next_frame(self):
+        # first an identity record moves H1 from group 0 to 10, then an edit
+        # of H1's identity moves it to group 20; each time, H1's next frame
+        # owns its route again, so frames towards H1 meet its new tag
+        net = SpineLeaf()
+        w = net.world
+        key = "/route/2/100:1/1:1/0a:00:00:00:00:88/10.0.0.88"
+        w.store.put(schema.identity_key("u2", "d2"), schema.to_json_bytes({"groups": [20]}))
+        net.lc_a.hosts["H1"].identity = ("u1", "d1")  # no record: group 0
+
+        def next_frame_tags(payload):
+            net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2(payload))
+            stored = schema.from_json_bytes(w.store.get(key).value)["policy_tag"]
+            w.clock.run_until(w.clock.now + millis(20))
+            seen = net.lc_b.route_sync.table.resolve_l2(1234, "0a:00:00:00:00:88")
+            return stored, seen.policy_tag
+
+        w.clock.run_until(seconds(1))
+        assert next_frame_tags(b"a") == (0, 0)
+        w.store.put(schema.identity_key("u1", "d1"), schema.to_json_bytes({"groups": [10]}))
+        w.clock.run_until(seconds(2))
+        assert next_frame_tags(b"b") == (10, 10)
+        net.lc_a.hosts["H1"].identity = ("u2", "d2")
+        assert next_frame_tags(b"c") == (20, 20)
+        assert next_frame_tags(b"d") == (20, 20)
+        assert [f.payload for f in net.delivered] == [b"a", b"b", b"c", b"d"]
+        assert len(w.trace.select("type2_announced", "LC_A")) == 3
+
 
 class TestUnencodablePath:
     """A path that no SRoU header can carry is a counted drop, each time,
@@ -1954,6 +1982,43 @@ class TestTraceMemory:
             assert records1 - records0 >= (6 if t_bit else 3) * 6_000
             per_record = (traced1 - traced0) / (records1 - records0)
             assert per_record < 32, (t_bit, per_record)
+
+    def test_forwarded_frames_add_under_32_bytes_per_trace_record(self):
+        """LC_B re-encapsulates each End.DT2U frame for H1, who lives behind
+        LC_A, towards LC_A; all those encaps share one trace body."""
+        net = SpineLeaf()
+        w = net.world
+        net.lc_a.hosts["H1"].deliver = deque(maxlen=1).append  # keep no frame
+        w.clock.run_until(seconds(3))
+        hdr = srou.SRoUHeader(
+            protocol_id=srou.ProtocolId.IPV4, source_address="192.168.99.76",
+            source_port=17777, segment_list=(srou.Function(1234, srou.FUNC_END_DT2U),),
+            segments_left=1)
+        wire = srou.encode_header(hdr) + encode_frame(HostFrame(
+            "0a:00:00:00:00:99", "0a:00:00:00:00:88", "10.0.0.99", "10.0.0.88", bytes(44)))
+
+        def send(frames):
+            for _ in range(frames):
+                w.net.send("Spine_B", Datagram("192.168.99.76", 17777,
+                                               "192.168.99.78", 5546, wire))
+                w.clock.run_until(w.clock.now + 200_000)
+
+        tracemalloc.start()
+        try:
+            send(1_000)
+            records0, traced0 = len(w.trace.records), tracemalloc.get_traced_memory()[0]
+            send(5_000)
+            records1, traced1 = len(w.trace.records), tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        w.clock.run_until(w.clock.now + millis(5))
+        assert net.lc_b.counts["encap"] == 6_000
+        assert net.lc_a.counts["deliver_host"] == 6_000
+        assert records1 - records0 >= 2 * 5_000
+        per_record = (traced1 - traced0) / (records1 - records0)
+        assert per_record < 32, per_record
+        bodies = [n for n, e in zip(w.trace._node, w.trace._event) if e == "encap"]
+        assert bodies == ["LC_B"]
 
     def test_junk_datagrams_add_under_32_bytes_each(self):
         """A malformed datagram from a peer leaves a count and a (time, body
