@@ -129,6 +129,7 @@ DEFAULT_LEASE2_S = 600
 
 MEMO_ENTRIES = 1024  # the bound of each per-node memo of header work
 _memo = functools.lru_cache(maxsize=MEMO_ENTRIES)  # a new cache per function wrapped
+_OAM = srou.ProtocolId.OAM  # read per packet: an enum attribute read costs ~0.1 us
 
 
 class DataplaneError(Exception):
@@ -144,7 +145,7 @@ def _check(octets: bytes) -> tuple[srou.DataLayout, tuple[str, int]]:
 def _parse(check, payload: bytes):
     """srou.parse(payload) as (layout, SRoU source or None for OAM), a data
     header checked through check, a node's memo of _check."""
-    if len(payload) > 3 and payload[3] != srou.ProtocolId.OAM:
+    if len(payload) > 3 and payload[3] != _OAM:
         return check(payload[:max(4, payload[1])])
     return srou.parse(payload), None
 
@@ -218,7 +219,8 @@ class TokenAuthority:
 
     token = first 4 octets of HMAC-SHA256(secret, client /24 bucket || time
     bucket); validation accepts the current bucket plus `window` previous
-    ones.
+    ones.  Each authority memoizes the token per (client IP, bucket), in at
+    most `MEMO_ENTRIES` entries, since client addresses come from peers.
     """
 
     bucket_ns = seconds(30)
@@ -226,6 +228,7 @@ class TokenAuthority:
 
     def __init__(self, secret: str):
         self.secret = secret.encode()
+        self._compute = _memo(self._compute)
 
     def _bucket(self, now_ns: int) -> int:
         return now_ns // self.bucket_ns

@@ -7,12 +7,17 @@ determines every packet's fate.
 
 Underlay forwarding between attachment points is hop-count shortest path
 (ties broken by total configured delay, then by node-name sequence), frozen
-when the topology is built.  The route table maps (node, destination node)
-to the out-direction state of the first link on the chosen path, so a hop
-reads that direction's counters and the link's current loss and delay
-without a lookup, and of parallel links the one the search chose carries
-the datagram.  Datagrams crossing a NAT node are translated;
-nodes only see datagrams addressed to one of their bound (ip, port) sockets.
+when the topology is built.  Each node keeps a next-hop table keyed by
+destination IP: the node itself when it owns the address, the out-direction
+of the first link on the chosen path towards the owner, or None when no
+path reaches it.  A hop is one lookup there; the direction holds its
+counters, its link and its far-end node, so of parallel links the one the
+search chose carries the datagram, and the link's current loss and delay
+are read per send.  A table is filled on a miss and emptied by `add_link`.
+It keeps owned addresses only, since peers choose destination addresses,
+so an address that gains an owner is in no table.  Datagrams crossing a NAT
+node are translated; nodes only see datagrams addressed to one of their
+bound (ip, port) sockets.
 Each datagram that does not reach a socket is counted once, where it died:
 in its link direction's `lost` or `dropped` (link down), or in the node's
 `drops` by reason.
@@ -61,16 +66,17 @@ class SimError(Exception):
 class VirtualClock:
     """Event queue with 64-bit nanosecond timestamps.
 
-    An event is the heap entry (time, seq, fn, label, owner).  Events at
-    equal times run in scheduling order; time never decreases.  Canceling
-    removes entries from the heap, as `sched.scheduler.cancel` does, so the
-    loop never meets a canceled event.
+    An event is the heap entry (time, seq, fn, args, label, owner) and runs
+    fn(*args), as a `sched.scheduler` event does.  Events at equal times run
+    in scheduling order; time never decreases.  Canceling removes entries
+    from the heap, as `sched.scheduler.cancel` does, so the loop never meets
+    a canceled event.
     """
 
     def __init__(self):
         self.now = 0
         self._seq = 0
-        self._heap: list[tuple[int, int, Callable[[], None], str, object]] = []
+        self._heap: list[tuple[int, int, Callable[..., None], tuple, str, object]] = []
 
     def call_at(self, at: int, fn: Callable[[], None], label: str = "",
                 owner: object = None) -> int:
@@ -78,7 +84,7 @@ class VirtualClock:
             raise SimError(f"cannot schedule at {at} before now {self.now}")
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._heap, (at, seq, fn, label, owner))
+        heapq.heappush(self._heap, (at, seq, fn, (), label, owner))
         return seq
 
     def call_later(self, delay: int, fn: Callable[[], None], label: str = "",
@@ -91,7 +97,7 @@ class VirtualClock:
 
     def cancel_owned(self, owner: object) -> None:
         """Cancel every pending event scheduled with this owner."""
-        self._remove(lambda entry: entry[4] is owner)
+        self._remove(lambda entry: entry[5] is owner)
 
     def _remove(self, match: Callable[[tuple], bool]) -> None:
         heap = self._heap  # changed in place: a running loop holds this list
@@ -102,7 +108,7 @@ class VirtualClock:
         """Events still to run: all of them, or those of one owner."""
         if owner is None:
             return len(self._heap)
-        return sum(1 for entry in self._heap if entry[4] is owner)
+        return sum(1 for entry in self._heap if entry[5] is owner)
 
     def run_until(self, until: int) -> list[tuple[int, int, str]]:
         """Execute every event with time <= until; returns the executed trace."""
@@ -124,10 +130,10 @@ class VirtualClock:
         while heap and (until is None or heap[0][0] <= until):
             if limit is not None and len(executed) >= limit:
                 raise SimError(f"exceeded {limit} events; runaway simulation?")
-            at, seq, fn, label, _ = pop(heap)
+            at, seq, fn, args, label, _ = pop(heap)
             self.now = at  # the heap never holds a time before now
             executed.append((at, seq, label))
-            fn()
+            fn(*args)
         return executed
 
 
@@ -197,19 +203,20 @@ class Datagram(NamedTuple):
 
 
 class _DirState:
-    """One direction of a link: its ends, its event label and its counters.
+    """One direction of a link: its link, whether it runs a -> b, its far-end
+    node, its event label and its counters.
 
     Loss and delay are the link's, read per send, so a change made to the
     link at run time applies to the next datagram.
     """
 
-    __slots__ = ("link", "src", "dst", "label", "sent", "delivered", "lost", "dropped")
+    __slots__ = ("link", "forward", "to", "label", "sent", "delivered", "lost", "dropped")
 
-    def __init__(self, link: SimLink, src: str, dst: str):
+    def __init__(self, link: SimLink, forward: bool, to: SimNode):
         self.link = link
-        self.src = src
-        self.dst = dst
-        self.label = f"link:{src}->{dst}"
+        self.forward = forward
+        self.to = to
+        self.label = f"link:{link.a if forward else link.b}->{to.name}"
         self.sent = 0
         self.delivered = 0
         self.lost = 0
@@ -225,27 +232,25 @@ class SimLink:
     Links have no bandwidth, queue or jitter.
     """
 
-    def __init__(self, a: str, b: str, delay_ab: int, delay_ba: int,
+    def __init__(self, a: SimNode, b: SimNode, delay_ab: int, delay_ba: int,
                  loss: float, loss_ab: Optional[float], loss_ba: Optional[float],
                  rng: random.Random):
-        self.a = a
-        self.b = b
+        self.a = a.name
+        self.b = b.name
         self.delay_ab = delay_ab
         self.delay_ba = delay_ba
         self.loss_ab = loss_ab if loss_ab is not None else loss
         self.loss_ba = loss_ba if loss_ba is not None else loss
         self.up = True
         self.rng = rng
-        self.dirs = {(a, b): _DirState(self, a, b), (b, a): _DirState(self, b, a)}
+        self.dirs = {(a.name, b.name): _DirState(self, True, b),
+                     (b.name, a.name): _DirState(self, False, a)}
 
     def other(self, name: str) -> str:
         return self.b if name == self.a else self.a
 
     def delay(self, src: str) -> int:
         return self.delay_ab if src == self.a else self.delay_ba
-
-    def loss(self, src: str) -> float:
-        return self.loss_ab if src == self.a else self.loss_ba
 
     def set_loss(self, value: float) -> None:
         self.loss_ab = value
@@ -305,8 +310,11 @@ class SimNat:
         return m
 
     def translate_out(self, pkt: Datagram) -> Datagram:
+        """pkt from its mapping if it comes from inside, else pkt itself."""
         m = self.by_inside.get((pkt.src_ip, pkt.src_port))
-        if m is None:
+        if m is None:  # only an inside source is mapped
+            if not self._is_inside(pkt.src_ip):
+                return pkt
             m = self._allocate(pkt.src_ip, pkt.src_port)
         self.translated_out += 1
         return Datagram(self.public_ip, m.public_port, pkt.dst_ip, pkt.dst_port,
@@ -328,11 +336,15 @@ class SimNat:
 
 
 class SimNode:
-    """Attachment point: owns addresses, UDP bindings, and counters."""
+    """Attachment point: owns addresses, UDP bindings, a next-hop table and
+    counters."""
 
     def __init__(self, name: str):
         self.name = name
         self.bindings: dict[tuple[str, int], Callable[[Datagram], None]] = {}
+        # destination IP -> this node, the out-direction towards its owner,
+        # or None (no path); owned addresses only
+        self.next_hop: dict[str, object] = {}
         self.alive = True
         self.nat: Optional[SimNat] = None
         self.tx = 0
@@ -384,12 +396,15 @@ class Network:
         if a not in self.nodes or b not in self.nodes:
             raise SimError(f"link endpoints must exist: {a}, {b}")
         rng = random.Random(f"{self.seed}/link/{a}|{b}")
-        link = SimLink(a, b, delay_ab, delay_ba if delay_ba is not None else delay_ab,
+        link = SimLink(self.nodes[a], self.nodes[b], delay_ab,
+                       delay_ba if delay_ba is not None else delay_ab,
                        loss, loss_ab, loss_ba, rng)
         self.links.append(link)
         self._adj[a].append(link)
         self._adj[b].append(link)
         self._routes.clear()
+        for node in self.nodes.values():
+            node.next_hop.clear()
         return link
 
     def link_between(self, a: str, b: str) -> Optional[SimLink]:
@@ -433,65 +448,75 @@ class Network:
             node.drop("not_alive")
             return
         node.tx += 1
-        self._forward(from_node, pkt, arriving=False)
+        self._route(node, pkt)
 
-    def _forward(self, at_name: str, pkt: Datagram, arriving: bool) -> None:
-        node = self.nodes[at_name]
-        if arriving and not node.alive:
+    def _arrive(self, st: _DirState, pkt: Datagram) -> None:
+        """The event of pkt reaching the far end of direction st."""
+        st.delivered += 1
+        node = st.to
+        if not node.alive:
             node.drop("not_alive")
             return
-        if node.nat is not None and arriving:
-            pkt2 = self._nat_apply(node.nat, pkt)
-            if pkt2 is None:
-                node.drop("no_mapping")
+        nat = node.nat
+        if nat is not None:
+            if pkt.dst_ip == nat.public_ip:
+                pkt = nat.translate_in(pkt)
+                if pkt is None:
+                    node.drop("no_mapping")
+                    return
+            else:
+                pkt = nat.translate_out(pkt)
+        self._route(node, pkt)
+
+    def _route(self, node: SimNode, pkt: Datagram) -> None:
+        """Hand pkt to node's socket for its destination, or send it on the
+        first link towards the destination's owner; a send on an up link
+        that is not lost is one heap entry that runs `_arrive`."""
+        try:
+            hop = node.next_hop[pkt.dst_ip]
+        except KeyError:
+            hop = self._next_hop(node, pkt.dst_ip)
+        if hop is node:
+            handler = node.bindings.get((pkt.dst_ip, pkt.dst_port))
+            if handler is None:
+                node.drop("no_listener")
                 return
-            pkt = pkt2
-        owner = self._owner.get(pkt.dst_ip)
+            node.rx += 1
+            handler(pkt)
+        elif hop is None:
+            node.drop("no_route")
+        else:
+            hop.sent += 1
+            link = hop.link
+            if not link.up:
+                hop.dropped += 1
+            elif link.rng.random() < (link.loss_ab if hop.forward else link.loss_ba):
+                hop.lost += 1
+            else:  # call_at inlined: one Python call less per hop
+                clock = self.clock
+                at = clock.now + (link.delay_ab if hop.forward else link.delay_ba)
+                if at < clock.now:
+                    raise SimError(f"cannot schedule at {at} before now {clock.now}")
+                seq = clock._seq
+                clock._seq = seq + 1
+                heapq.heappush(clock._heap, (at, seq, self._arrive, (hop, pkt), hop.label,
+                                             None))
+
+    def _next_hop(self, node: SimNode, ip: str) -> object:
+        """Fill node's next-hop table for ip; an address nobody owns is
+        not kept."""
+        owner = self._owner.get(ip)
         if owner is None:
-            node.drop("no_route")
-            return
-        if owner == at_name:
-            self._dispatch(node, pkt)
-            return
-        routes = self._routes.get(at_name)
-        if routes is None:
-            routes = self._routes_from(at_name)
-        st = routes.get(owner)
-        if st is None:
-            node.drop("no_route")
-            return
-        self._transmit(st, pkt)
-
-    def _nat_apply(self, nat: SimNat, pkt: Datagram) -> Optional[Datagram]:
-        if pkt.dst_ip == nat.public_ip:
-            return nat.translate_in(pkt)
-        if nat._is_inside(pkt.src_ip):
-            return nat.translate_out(pkt)
-        return pkt
-
-    def _dispatch(self, node: SimNode, pkt: Datagram) -> None:
-        handler = node.bindings.get((pkt.dst_ip, pkt.dst_port))
-        if handler is None:
-            node.drop("no_listener")
-            return
-        node.rx += 1
-        handler(pkt)
-
-    def _transmit(self, st: _DirState, pkt: Datagram) -> None:
-        link, src = st.link, st.src
-        st.sent += 1
-        if not link.up:
-            st.dropped += 1
-            return
-        if link.rng.random() < link.loss(src):
-            st.lost += 1
-            return
-
-        def deliver():
-            st.delivered += 1
-            self._forward(st.dst, pkt, arriving=True)
-
-        self.clock.call_at(self.clock.now + link.delay(src), deliver, st.label)
+            return None
+        if owner == node.name:
+            hop = node
+        else:
+            routes = self._routes.get(node.name)
+            if routes is None:
+                routes = self._routes_from(node.name)
+            hop = routes.get(owner)
+        node.next_hop[ip] = hop
+        return hop
 
     def kill(self, name: str) -> None:
         self.nodes[name].alive = False

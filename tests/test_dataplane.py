@@ -1090,6 +1090,27 @@ class TestToken:
             with pytest.raises(ValueError):
                 auth.mint(bad, 0)
 
+    def test_memo_hits_give_the_verdicts_of_a_miss(self):
+        auth = TokenAuthority("secret")
+        ip = "198.51.100.7"
+        token = auth.mint(ip, seconds(10))
+        for _ in range(2):  # the second round is served from the memo
+            assert auth.validate(token, ip, seconds(35))  # one bucket later
+            assert not auth.validate(token, ip, seconds(65))  # two later
+            assert not auth.validate(token ^ 1, ip, seconds(35))  # forged
+            with pytest.raises(ValueError):  # raises each time: never cached
+                auth.validate(token, "198.51.100", seconds(35))
+        assert auth._compute.cache_info().hits >= 4
+
+    def test_memo_keeps_within_its_bound(self):
+        auth = TokenAuthority("secret")
+        token = auth.mint("198.51.100.7", seconds(35))
+        for i in range(3 * dataplane.MEMO_ENTRIES):  # distinct source IPs
+            assert not auth.validate(token, f"10.{i >> 16}.{i >> 8 & 255}.{i & 255}",
+                                     seconds(35))
+        assert auth._compute.cache_info().currsize <= dataplane.MEMO_ENTRIES
+        assert auth.validate(token, "198.51.100.7", seconds(35))
+
     def test_random_flow_ids_rejected(self):
         auth = TokenAuthority("secret")
         rng = random.Random(0)

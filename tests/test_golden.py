@@ -21,8 +21,11 @@ from pathlib import Path
 
 import pytest
 
+from ruta.netsim import VirtualClock
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import worlds  # noqa: E402  (bench/ is not a package)
+import layers  # noqa: E402  (bench/ is not a package)
+import worlds  # noqa: E402
 
 SEED = 3
 SIM_NS = 2_000_000_000
@@ -64,6 +67,32 @@ def test_tiny_world_digest_and_trace_are_pinned(name):
     assert outcome_hash(wl) == outcome
     assert hashlib.sha256(wl.world.trace.to_jsonl().encode()).hexdigest() == trace_sha
     assert wl.events == events
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_runtime_callbacks_are_timed_as_their_layer(name, monkeypatch):
+    # bench/layers.py times a socket handler or a clock callback as the layer
+    # whose module defined it: a functools.partial would count as `bench`
+    handed, call_at = [], VirtualClock.call_at
+
+    def spy(clock, at, fn, label="", owner=None):
+        handed.append((label, fn))
+        return call_at(clock, at, fn, label, owner)
+
+    monkeypatch.setattr(VirtualClock, "call_at", spy)
+    wl = GOLDEN[name][0](SEED)
+    wl.converge()
+    net = wl.world.net
+    handlers = [(node.name, handler) for node in wl.runtimes + wl.apps
+                for handler in net.nodes[node.name].bindings.values()]
+    assert handlers
+    assert [(n, h) for n, h in handlers if layers.layer_of(h) == layers.OUTSIDE] == []
+    _, stop = wl.schedule(BENCH_SIM_NS)
+    wl.run_until(stop)
+    from_src = [(label, fn) for label, fn in handed if not label.startswith("bench:")]
+    assert from_src
+    assert [(label, fn) for label, fn in from_src
+            if layers.layer_of(fn) == layers.OUTSIDE] == []
 
 
 # bench/run.py's full-size worlds ->

@@ -302,6 +302,52 @@ class TestUnderlayRouting:
             ("server", b"x"), ("client", b"z")]
         assert net.link_between("hub", "server").counters()["hub->server"]["lost"] == 1
 
+    def test_an_address_gains_an_owner_after_a_send_to_it(self):
+        clock, net, inbox = star()
+
+        def send(ip):
+            net.send("client", Datagram("10.0.0.1", 1000, ip, 2000, b"x"))
+            clock.run_until_quiescent()
+
+        send("10.0.0.9")
+        assert net.nodes["client"].drops == {"no_route": 1}
+        net.bind("server", "10.0.0.9", 2000, lambda p: inbox.append(("new", clock.now, p)))
+        send("10.0.0.9")
+        assert [who for who, _, _ in inbox] == ["new"]
+        send("10.0.0.8")
+        net.add_address("server", "10.0.0.8")
+        send("10.0.0.8")
+        assert net.nodes["client"].drops == {"no_route": 2}
+        assert net.nodes["server"].drops == {"no_listener": 1}
+
+    def test_a_used_route_moves_to_a_shorter_path_after_add_link(self):
+        clock, net, inbox = star()
+        net.send("client", Datagram("10.0.0.1", 1000, "10.0.0.2", 2000, b"x"))
+        net.send("server", Datagram("10.0.0.2", 2000, "10.0.0.1", 1000, b"y"))
+        clock.run_until_quiescent()
+        direct = net.add_link("client", "server", millis(5))
+        t0 = clock.now
+        net.send("client", Datagram("10.0.0.1", 1000, "10.0.0.2", 2000, b"x"))
+        net.send("server", Datagram("10.0.0.2", 2000, "10.0.0.1", 1000, b"y"))
+        clock.run_until_quiescent()
+        assert [(who, t - t0) for who, t, _ in inbox[2:]] == [
+            ("server", millis(5)), ("client", millis(5))]
+        assert {d: c["delivered"] for d, c in direct.counters().items()} == {
+            "client->server": 1, "server->client": 1}
+
+    def test_a_delay_edit_applies_to_the_next_datagram(self):
+        clock, net, inbox = star()
+        link = net.link_between("client", "hub")
+        for delay_ab, delay_ba in ((millis(10), millis(10)), (millis(2), millis(7))):
+            link.delay_ab, link.delay_ba = delay_ab, delay_ba
+            t0 = clock.now
+            net.send("client", Datagram("10.0.0.1", 1000, "10.0.0.2", 2000, b"x"))
+            clock.run_until_quiescent()
+            net.send("server", Datagram("10.0.0.2", 2000, "10.0.0.1", 1000, b"y"))
+            clock.run_until_quiescent()
+            assert [t - t0 for _, t, _ in inbox[-2:]] == [
+                delay_ab + millis(30), delay_ab + millis(60) + delay_ba]
+
 
 class TestNat:
     def build(self):
