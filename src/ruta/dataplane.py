@@ -109,7 +109,6 @@ from .prober import (
     MalformedOam,
     ProbeResponder,
     ProbeSession,
-    StunExchange,
 )
 from .schema import (  # noqa: F401  bench/layers.py rebinds from_json_bytes here
     LinkStateRecord,
@@ -130,6 +129,7 @@ DEFAULT_LEASE2_S = 600
 MEMO_ENTRIES = 1024  # the bound of each per-node memo of header work
 _memo = functools.lru_cache(maxsize=MEMO_ENTRIES)  # a new cache per function wrapped
 _OAM = srou.ProtocolId.OAM  # read per packet: an enum attribute read costs ~0.1 us
+STUN_BACKOFF_NS = (seconds(1), seconds(2), seconds(4))  # each STUN request's timeout
 
 
 class DataplaneError(Exception):
@@ -378,8 +378,9 @@ class NodeRuntime:
         self.service_dir: dict[str, list[ServiceSloc]] = {}
         self.short_index: dict[str, ServiceSloc] = {}
         self._watches = []
-        self._stun_exchange = None
-        self._stun_server = None  # the address STUN requests go to
+        self._stun_server = None  # the address STUN requests go to, once discovery runs
+        self._stun_timer: Optional[int] = None  # the pending stun-retry's seq
+        self._stun_attempts = 0
         # (local short, peer address) -> the verdict last reported for the session
         self._verdicts: dict[tuple[str, tuple[str, int]], object] = {}
         # key -> (value, lease class, figures of a session's record or None):
@@ -521,26 +522,22 @@ class NodeRuntime:
             return
         _, slocs = servers[0]
         self._stun_server = (slocs[0].public_ip, slocs[0].public_port)
-        local = self.slocs[0]
+        self._stun_retry()
 
-        def send_request():
-            msg = srou.OamMessage(srou.OamType.STUN, srou.STUN_REQUEST,
-                                  srou.StunRequestData())
-            self.send_from(local, self._stun_server, srou.encode_oam(msg))
-
-        def on_result(ip, port):
-            updated = replace(local.sloc, public_ip=ip, public_port=port)
-            self.slocs[0] = ServiceSloc(self.name, updated)
-            self.emit("stun_resolved", public=f"{ip}:{port}")
+    def _stun_retry(self) -> None:
+        """Send the next STUN request and time it out; after the last
+        timeout, give up and publish the private SLoC."""
+        attempt = self._stun_attempts
+        if attempt == len(STUN_BACKOFF_NS):
+            self._stun_timer = None
+            self.emit("stun_failed", error=f"no STUN response after {attempt} attempts")
             self._publish()
-
-        def on_error(exc):
-            self.emit("stun_failed", error=str(exc))
-            self._publish()
-
-        self._stun_exchange = StunExchange(self._later, send_request, on_result, on_error,
-                                           self.clock.cancel)
-        self._stun_exchange.start()
+            return
+        self._stun_attempts += 1
+        msg = srou.OamMessage(srou.OamType.STUN, srou.STUN_REQUEST, srou.StunRequestData())
+        self.send_from(self.slocs[0], self._stun_server, srou.encode_oam(msg))
+        self._stun_timer = self._later(STUN_BACKOFF_NS[attempt], self._stun_retry,
+                                       "stun-retry")
 
     def role_start(self) -> None:
         pass
@@ -589,24 +586,24 @@ class NodeRuntime:
             self.on_probe_outcome(session)
 
     def on_oam(self, ss: ServiceSloc, pkt: Datagram, lay: srou.OamLayout) -> None:
-        """Any OAM message but Linkstate: STUN."""
-        exchange = self._stun_exchange
-        if lay.subtype != srou.STUN_RESPONSE or not exchange:
+        """Any OAM message but Linkstate: a STUN response from the server
+        that observes a valid public address ends a pending discovery."""
+        if lay.subtype != srou.STUN_RESPONSE or self._stun_server is None:
             self.count("drop_oam_ignored")
         elif (pkt.src_ip, pkt.src_port) != self._stun_server:
             self.count("drop_stun_foreign")
-        elif not exchange.done and not self._usable_public(*lay.payload):
-            self.count("drop_stun_invalid")  # keep waiting for a real one
-        else:
-            exchange.on_response(*lay.payload)
-
-    def _usable_public(self, ip: str, port: int) -> bool:
-        """Whether a STUN-observed endpoint is a valid public SLoC address."""
-        try:
-            replace(self.slocs[0].sloc, public_ip=ip, public_port=port)
-        except schema.ValidationError:
-            return False
-        return True
+        elif self._stun_timer is not None:
+            ip, port = lay.payload
+            try:
+                updated = replace(self.slocs[0].sloc, public_ip=ip, public_port=port)
+            except schema.ValidationError:
+                self.count("drop_stun_invalid")  # keep waiting for a real one
+                return
+            self.clock.cancel(self._stun_timer)
+            self._stun_timer = None
+            self.slocs[0] = ServiceSloc(self.name, updated)
+            self.emit("stun_resolved", public=f"{ip}:{port}")
+            self._publish()
 
     def on_data(self, ss: ServiceSloc, pkt: Datagram, lay: srou.DataLayout) -> None:
         self.count("drop_unexpected_data")

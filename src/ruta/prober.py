@@ -1,4 +1,4 @@
-"""Two-way link measurement over Linkstate OAM, plus the STUN exchange.
+"""Two-way link measurement over Linkstate OAM.
 
 Each probe carries four timestamps (t1 requester send, t2 responder receive,
 t3 responder send, t4 requester receive); two-way delay is
@@ -30,15 +30,13 @@ is two), that tick comes exactly `timeout_ns` after the probe.
 Sessions and the responder speak wire bytes: `make_request` and
 `ProbeResponder.on_probe_request` return the message as `srou.encode_linkstate`
 packs it, and `on_response` and `on_probe_request` take the fields of
-`srou.parse_oam`, so a probe round trip builds no message objects.  The
-STUN exchange takes layout fields too: `StunExchange.on_response` gets the
-observed address and port of a response the runtime has already checked.
+`srou.parse_oam`, so a probe round trip builds no message objects.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from typing import Optional
 
 from . import srou
 from .netsim import NS_PER_US, seconds
@@ -61,10 +59,6 @@ class MalformedOam(ProberError):
 
 
 class EmptyWindow(ProberError):
-    pass
-
-
-class StunTimeout(ProberError):
     pass
 
 
@@ -211,52 +205,3 @@ class ProbeResponder:
                                      now,   # t2 == t3 with zero processing
                                      seq, t1)
 
-
-class StunExchange:
-    """Public-address discovery: send, await, retry with 1s/2s/4s backoff.
-
-    The runtime supplies call_later(delay_ns, fn, label), so that the retry
-    timer is its own and dies with it, send_request(), and the clock's
-    cancel(seq) for the seq that call_later returns; it routes STUN
-    responses back via on_response().  on_result / on_error fire exactly once.
-    """
-
-    BACKOFF_NS = (seconds(1), seconds(2), seconds(4))
-
-    def __init__(self, call_later: Callable[[int, Callable[[], None], str], int],
-                 send_request: Callable[[], None],
-                 on_result: Callable[[str, int], None],
-                 on_error: Callable[[Exception], None],
-                 cancel: Callable[[int], None]):
-        self.call_later = call_later
-        self.send_request = send_request
-        self.on_result = on_result
-        self.on_error = on_error
-        self.cancel = cancel
-        self.attempt = 0
-        self.done = False
-        self._timer = None
-
-    def start(self) -> None:
-        self._try()
-
-    def _try(self) -> None:
-        if self.done:
-            return
-        if self.attempt >= len(self.BACKOFF_NS):
-            self.done = True
-            self.on_error(StunTimeout(f"no STUN response after {self.attempt} attempts"))
-            return
-        backoff = self.BACKOFF_NS[self.attempt]
-        self.attempt += 1
-        self.send_request()
-        self._timer = self.call_later(backoff, self._try, "stun-retry")
-
-    def on_response(self, ip: str, port: int) -> None:
-        """The observed address and port of a checked STUN response."""
-        if self.done:
-            return
-        self.done = True
-        if self._timer is not None:
-            self.cancel(self._timer)
-        self.on_result(ip, port)

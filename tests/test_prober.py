@@ -1,4 +1,4 @@
-"""Link prober: TWAMP math, loss/jitter estimators, responder, STUN exchange."""
+"""Link prober: TWAMP math, loss/jitter estimators, responder."""
 
 import gc
 import random
@@ -9,7 +9,7 @@ from ruta import prober, srou
 from ruta.dataplane import FabricRuntime, ProbeConfig, World
 from ruta.kvstore import KvStore
 from ruta.netsim import Datagram, Network, Trace, VirtualClock, millis, seconds
-from ruta.prober import LOST, ProbeResponder, ProbeSession, StunExchange
+from ruta.prober import LOST, ProbeResponder, ProbeSession
 from ruta.schema import ServiceSloc, Sloc, SlocLoadRecord
 
 import srouref
@@ -344,90 +344,3 @@ class TestFullMesh:
             sorted(ss.short for ss in f1.service_dir["F2"])
         assert len(f1.sessions) == 2
 
-
-class TestStunExchange:
-    def build(self, with_server=True):
-        clock = VirtualClock()
-        net = Network(clock, Trace(), seed=0)
-        net.add_node("client")
-        net.add_nat("nat", "10.9.9.0/24", "198.51.100.7")
-        net.add_node("stun")
-        net.add_link("client", "nat", millis(5))
-        net.add_link("nat", "stun", millis(5))
-        results, errors = [], []
-
-        def on_stun(pkt):
-            req, _, _ = srouref.decode_oam(pkt.payload)
-            assert req.oam_type == srou.OamType.STUN
-            resp = srou.OamMessage(srou.OamType.STUN, srou.STUN_RESPONSE,
-                                   srou.StunResponseData(pkt.src_ip, pkt.src_port))
-            net.send("stun", Datagram("203.0.113.99", 3478, pkt.src_ip,
-                                      pkt.src_port, srou.encode_oam(resp)))
-
-        if with_server:
-            net.bind("stun", "203.0.113.99", 3478, on_stun)
-        else:
-            net.add_address("stun", "203.0.113.99")
-
-        def send_request():
-            req = srou.OamMessage(srou.OamType.STUN, srou.STUN_REQUEST,
-                                  srou.StunRequestData())
-            net.send("client", Datagram("10.9.9.2", 6000, "203.0.113.99", 3478,
-                                        srou.encode_oam(req)))
-
-        ex = StunExchange(clock.call_later, send_request,
-                          on_result=lambda ip, port: results.append((ip, port)),
-                          on_error=errors.append, cancel=clock.cancel)
-        net.bind("client", "10.9.9.2", 6000,
-                 lambda pkt: ex.on_response(*srou.parse_oam(pkt.payload).payload))
-        return clock, net, ex, results, errors
-
-    def test_observes_nat_mapping(self):
-        clock, net, ex, results, errors = self.build()
-        ex.start()
-        ran = clock.run_until_quiescent()
-        nat = net.nodes["nat"].nat
-        mapped_port = nat.mapping_table()["10.9.9.2:6000"]
-        assert results == [("198.51.100.7", mapped_port)]
-        assert errors == []
-        assert "stun-retry" not in [label for _, _, label in ran]  # the answer canceled it
-
-    def test_public_client_sees_own_address(self):
-        clock = VirtualClock()
-        net = Network(clock, Trace(), seed=0)
-        net.add_node("client")
-        net.add_node("stun")
-        net.add_link("client", "stun", millis(5))
-        results = []
-
-        def on_stun(pkt):
-            resp = srou.OamMessage(srou.OamType.STUN, srou.STUN_RESPONSE,
-                                   srou.StunResponseData(pkt.src_ip, pkt.src_port))
-            net.send("stun", Datagram("203.0.113.99", 3478, pkt.src_ip,
-                                      pkt.src_port, srou.encode_oam(resp)))
-
-        net.bind("stun", "203.0.113.99", 3478, on_stun)
-
-        def send_request():
-            req = srou.OamMessage(srou.OamType.STUN, srou.STUN_REQUEST,
-                                  srou.StunRequestData())
-            net.send("client", Datagram("192.0.2.5", 6000, "203.0.113.99", 3478,
-                                        srou.encode_oam(req)))
-
-        ex = StunExchange(clock.call_later, send_request,
-                          lambda ip, port: results.append((ip, port)),
-                          on_error=lambda e: None, cancel=clock.cancel)
-        net.bind("client", "192.0.2.5", 6000,
-                 lambda pkt: ex.on_response(*srou.parse_oam(pkt.payload).payload))
-        ex.start()
-        clock.run_until_quiescent()
-        assert results == [("192.0.2.5", 6000)]
-
-    def test_timeout_after_three_retries(self):
-        clock, net, ex, results, errors = self.build(with_server=False)
-        ex.start()
-        clock.run_until_quiescent()
-        assert results == []
-        assert len(errors) == 1
-        assert isinstance(errors[0], prober.StunTimeout)
-        assert clock.now == seconds(7)  # 1s + 2s + 4s backoff
