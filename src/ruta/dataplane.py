@@ -592,7 +592,9 @@ class NodeRuntime:
             self.count("drop_oam_ignored")
         elif (pkt.src_ip, pkt.src_port) != self._stun_server:
             self.count("drop_stun_foreign")
-        elif self._stun_timer is not None:
+        elif self._stun_timer is None:
+            self.count("drop_stun_late")  # the discovery has ended
+        else:
             ip, port = lay.payload
             try:
                 updated = replace(self.slocs[0].sloc, public_ip=ip, public_port=port)

@@ -1016,6 +1016,68 @@ class TestStunRole:
         doc = schema.from_json_bytes(entry.value)
         assert doc["slocs"][0]["public_ip"] == "198.51.100.7"
 
+    def test_a_public_node_learns_its_own_address(self):
+        w = make_world()
+        w.net.add_node("LC_P")
+        w.net.add_node("STUN1")
+        w.net.add_link("LC_P", "STUN1", millis(5))
+        stun_rt = StunRuntime(w, "STUN1", [sloc("203.0.113.9", 3478)])
+        lc = LinecardRuntime(w, "LC_P", [sloc("192.0.2.5", 6000)], use_stun=True)
+        stun_rt.start()
+        lc.start()
+        w.clock.run_until(seconds(1))
+        events = [(r["time"], r["event"]) for r in w.trace.records if r["node"] == "LC_P"]
+        assert events[:3] == [(0, "registered"), (millis(10), "stun_resolved"),
+                              (millis(10), "announced")]
+        assert w.trace.select("stun_resolved")[0]["detail"] == {"public": "192.0.2.5:6000"}
+        assert lc.slocs[0].sloc == sloc("192.0.2.5", 6000)
+
+    def test_a_resolved_exchange_retries_no_more(self):
+        # the answer at 2 ms cancels the retry timer, which was due at 1 s
+        w = make_world()
+        w.net.add_node("LC_N")
+        w.net.add_nat("NAT1", "10.9.9.0/24", "198.51.100.7")
+        w.net.add_node("STUN1")
+        w.net.add_link("LC_N", "NAT1", millis(1))
+        w.net.add_link("NAT1", "STUN1", millis(1))
+        stun_rt = StunRuntime(w, "STUN1", [sloc("203.0.113.9", 3478)])
+        lc = LinecardRuntime(w, "LC_N", [sloc("10.9.9.2", 5500)], use_stun=True)
+        stun_rt.start()
+        lc.start()
+        ran = w.clock.run_until(seconds(10))
+        assert lc.slocs[0].sloc.public_port == 40000
+        assert "stun-retry" not in [label for _, _, label in ran]
+        assert stun_rt.counts["stun_served"] == 1
+        assert "drop_stun_late" not in lc.counts
+
+    def test_no_stun_server_announces_the_private_sloc_at_once(self):
+        w = make_world()
+        w.net.add_node("LC_N")
+        lc = LinecardRuntime(w, "LC_N", [sloc("10.9.9.2", 5500)], use_stun=True)
+        lc.start()
+        events = [(r["time"], r["event"]) for r in w.trace.records if r["node"] == "LC_N"]
+        assert events == [(0, "registered"), (0, "announced")]
+        doc = schema.from_json_bytes(w.store.get("/service/linecard/LC_N").value)
+        assert (doc["slocs"][0]["public_ip"], doc["slocs"][0]["public_port"]) == (
+            "10.9.9.2", 5500)
+        assert w.net.nodes["LC_N"].tx == 0
+
+    def test_a_response_after_the_exchange_ended_is_counted(self):
+        # a 600 ms link: the 1 s retry leaves before the first answer lands
+        # at 1.2 s, and the second answer arrives at 2.2 s, after the end
+        w = make_world()
+        w.net.add_node("LC_P")
+        w.net.add_node("STUN1")
+        w.net.add_link("LC_P", "STUN1", millis(600))
+        stun_rt = StunRuntime(w, "STUN1", [sloc("203.0.113.9", 3478)])
+        lc = LinecardRuntime(w, "LC_P", [sloc("192.0.2.5", 6000)], use_stun=True)
+        stun_rt.start()
+        lc.start()
+        w.clock.run_until(seconds(3))
+        assert stun_rt.counts["stun_served"] == 2
+        assert [r["time"] for r in w.trace.select("stun_resolved")] == [millis(1200)]
+        assert lc.counts == {"drop_stun_late": 1}
+
     def test_a_stun_server_that_never_answers(self):
         # every request dies on the STUN server's link: after the 1 s, 2 s
         # and 4 s backoff the linecard gives up, announces its private
