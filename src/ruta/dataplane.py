@@ -234,12 +234,8 @@ class TokenAuthority:
         return now_ns // self.bucket_ns
 
     def _compute(self, client_ip: str, bucket: int) -> int:
-        try:
-            packed = socket.inet_pton(socket.AF_INET, client_ip)
-        except (OSError, TypeError, ValueError):  # IPv6 works, malformed raises
-            prefix = ipaddress.ip_network(f"{client_ip}/24", strict=False).network_address
-        else:
-            prefix = socket.inet_ntoa(packed[:3] + b"\0")
+        # IPv6 works, malformed raises
+        prefix = ipaddress.ip_network(f"{client_ip}/24", strict=False).network_address
         digest = hmac.digest(self.secret, f"{prefix}/{bucket}".encode(), "sha256")
         return int.from_bytes(digest[:4], "big")
 

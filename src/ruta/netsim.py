@@ -33,7 +33,6 @@ import heapq
 import ipaddress
 import json
 import random
-import socket
 from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -285,8 +284,6 @@ class SimNat:
     def __init__(self, name: str, inside_cidr: str, public_ip: str):
         self.name = name
         self.inside_net = ipaddress.ip_network(inside_cidr)
-        self._mask = int(self.inside_net.netmask)
-        self._net = int(self.inside_net.network_address)
         self.public_ip = public_ip
         self.by_inside: dict[tuple[str, int], _PortMapping] = {}
         self.by_port: dict[int, _PortMapping] = {}
@@ -294,11 +291,7 @@ class SimNat:
         self.translated_in = 0
 
     def _is_inside(self, ip: str) -> bool:
-        try:
-            addr = int.from_bytes(socket.inet_pton(socket.AF_INET, ip), "big")
-        except (OSError, TypeError, ValueError):
-            return ipaddress.ip_address(ip) in self.inside_net  # as before
-        return self.inside_net.version == 4 and addr & self._mask == self._net
+        return ipaddress.ip_address(ip) in self.inside_net
 
     def _allocate(self, inside_ip: str, inside_port: int) -> _PortMapping:
         port = NAT_PORT_BASE

@@ -57,9 +57,8 @@ The send side builds value objects (`SRoUHeader`, `OamMessage`) and encodes
 them with `encode_header` and `encode_oam`.  `encode_linkstate` packs a
 Linkstate message from plain fields, to the bytes `encode_oam` gives when C,
 F and T are clear, so a probe is written and read without message objects.
-`pack_ipv4` gives the four octets of an IPv4 address: text that
-`socket.inet_pton` rejects falls back to `ipaddress`, which raises the
-reference error.
+`pack_ipv4` gives the four octets of an IPv4 address, as `ipaddress`
+parses it.
 
 No object decoder lives here.  The reference decoder is `tests/srouref.py`,
 written from the diagram above into `SRoUHeader` and `OamMessage` values;
@@ -193,18 +192,10 @@ class Tlv:
 def pack_ipv4(ip) -> bytes:
     """The 4 bytes of an IPv4 address; accepts and rejects what
     `ipaddress.IPv4Address` does, with the same exception class."""
-    try:
-        return socket.inet_pton(socket.AF_INET, ip)
-    except (OSError, TypeError, ValueError):
-        return ipaddress.IPv4Address(ip).packed  # accepts or rejects as before
+    return ipaddress.IPv4Address(ip).packed
 
 
 def _pack_ip(address: str, expect_v6: bool) -> bytes:
-    if not expect_v6:
-        try:
-            return socket.inet_pton(socket.AF_INET, address)
-        except (OSError, TypeError, ValueError):
-            pass  # not dotted-quad text: ipaddress gives the reference verdict
     try:
         ip = ipaddress.ip_address(address)
     except ValueError as exc:
