@@ -27,6 +27,19 @@ mode.  A failed registration keeps its leases, which the next sync renews
 before it tries again.  A linecard announces a host learned while no
 session was live on the sync that puts its route.
 
+A runtime made with `use_stun` learns its first SLoC's public address by
+one STUN client transaction before it announces the SLoC.  After its first
+sync, it sends a request to the first STUN server the store announces, and
+a `stun-retry` timer re-sends it after each timeout of `STUN_BACKOFF_NS`
+(1 s, 2 s, 4 s).  The first response from the server's address that
+observes a valid public address cancels the timer and becomes the SLoC's
+public address (`stun_resolved`).  After the last timeout, the runtime keeps
+its private address (`stun_failed`).  Either way it then publishes.  With
+no server announced it publishes at once and sends nothing.  A response
+from another address counts as `drop_stun_foreign`, an invalid one as
+`drop_stun_invalid`, and one after the transaction ended as
+`drop_stun_late`.
+
 Probing has one opener, `NodeRuntime._probe(system)`: a session from every
 local SLoC to every announced SLoC of another system, opened on the store
 event that names it.  Fabrics and linecards open one to each fabric the
