@@ -190,8 +190,7 @@ class Tlv:
 
 
 def pack_ipv4(ip) -> bytes:
-    """The 4 bytes of an IPv4 address; accepts and rejects what
-    `ipaddress.IPv4Address` does, with the same exception class."""
+    """The 4 bytes of an IPv4 address, as `ipaddress.IPv4Address` parses it."""
     return ipaddress.IPv4Address(ip).packed
 
 

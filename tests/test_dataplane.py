@@ -1009,9 +1009,12 @@ class TestStunRole:
         lc = LinecardRuntime(w, "LC_N", [sloc("10.9.9.2", 5500)], use_stun=True)
         stun_rt.start()
         lc.start()
-        w.clock.run_until(seconds(1))
+        ran = w.clock.run_until(seconds(2))
         assert lc.slocs[0].sloc.public_ip == "198.51.100.7"
         assert lc.slocs[0].sloc.public_port == 40000
+        # the answer at 4 ms canceled the retry timer, which was due at 1 s
+        assert "stun-retry" not in [label for _, _, label in ran]
+        assert stun_rt.counts["stun_served"] == 1
         entry = w.store.get("/service/linecard/LC_N")
         doc = schema.from_json_bytes(entry.value)
         assert doc["slocs"][0]["public_ip"] == "198.51.100.7"
@@ -1031,24 +1034,6 @@ class TestStunRole:
                               (millis(10), "announced")]
         assert w.trace.select("stun_resolved")[0]["detail"] == {"public": "192.0.2.5:6000"}
         assert lc.slocs[0].sloc == sloc("192.0.2.5", 6000)
-
-    def test_a_resolved_exchange_retries_no_more(self):
-        # the answer at 2 ms cancels the retry timer, which was due at 1 s
-        w = make_world()
-        w.net.add_node("LC_N")
-        w.net.add_nat("NAT1", "10.9.9.0/24", "198.51.100.7")
-        w.net.add_node("STUN1")
-        w.net.add_link("LC_N", "NAT1", millis(1))
-        w.net.add_link("NAT1", "STUN1", millis(1))
-        stun_rt = StunRuntime(w, "STUN1", [sloc("203.0.113.9", 3478)])
-        lc = LinecardRuntime(w, "LC_N", [sloc("10.9.9.2", 5500)], use_stun=True)
-        stun_rt.start()
-        lc.start()
-        ran = w.clock.run_until(seconds(10))
-        assert lc.slocs[0].sloc.public_port == 40000
-        assert "stun-retry" not in [label for _, _, label in ran]
-        assert stun_rt.counts["stun_served"] == 1
-        assert "drop_stun_late" not in lc.counts
 
     def test_no_stun_server_announces_the_private_sloc_at_once(self):
         w = make_world()
