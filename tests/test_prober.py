@@ -1,4 +1,4 @@
-"""Link prober: TWAMP math, loss/jitter estimators, responder."""
+"""Link prober: TWAMP math, loss/jitter estimators, responder, STUN exchange."""
 
 import gc
 import random
@@ -6,7 +6,8 @@ import random
 import pytest
 
 from ruta import prober, srou
-from ruta.dataplane import FabricRuntime, ProbeConfig, World
+from ruta.dataplane import (FabricRuntime, LinecardRuntime, ProbeConfig,
+                            StunRuntime, World)
 from ruta.kvstore import KvStore
 from ruta.netsim import Datagram, Network, Trace, VirtualClock, millis, seconds
 from ruta.prober import LOST, ProbeResponder, ProbeSession
@@ -344,3 +345,48 @@ class TestFullMesh:
             sorted(ss.short for ss in f1.service_dir["F2"])
         assert len(f1.sessions) == 2
 
+
+class TestStunExchange:
+    """A use_stun linecard's STUN client transaction, behind a NAT: 5 ms to
+    the NAT, 5 ms on to the STUN server."""
+
+    @staticmethod
+    def build(server_answers=True):
+        clock = VirtualClock()
+        trace = Trace()
+        world = World(clock=clock, net=Network(clock, trace, seed=0),
+                      store=KvStore(clock), trace=trace)
+        world.net.add_node("client")
+        world.net.add_nat("nat", "10.9.9.0/24", "198.51.100.7")
+        world.net.add_node("stun")
+        world.net.add_link("client", "nat", millis(5))
+        world.net.add_link("nat", "stun", millis(5), loss=0.0 if server_answers else 1.0)
+        stun = StunRuntime(world, "stun", [service_sloc("stun", "203.0.113.99", 3478).sloc])
+        client = LinecardRuntime(world, "client",
+                                 [service_sloc("client", "10.9.9.2", 6000).sloc],
+                                 use_stun=True)
+        stun.start()
+        client.start()
+        return world, stun, client
+
+    def test_observes_nat_mapping(self):
+        world, stun, client = self.build()
+        ran = world.clock.run_until(seconds(8))
+        mapped_port = world.net.nodes["nat"].nat.mapping_table()["10.9.9.2:6000"]
+        public = client.slocs[0].sloc
+        assert (public.public_ip, public.public_port) == ("198.51.100.7", mapped_port)
+        assert [r["time"] for r in world.trace.select("stun_resolved")] == [millis(20)]
+        assert world.trace.select("stun_failed") == []
+        assert stun.counts["stun_served"] == 1
+        assert "stun-retry" not in [label for _, _, label in ran]  # the answer canceled it
+
+    def test_timeout_after_three_retries(self):
+        world, stun, client = self.build(server_answers=False)
+        world.clock.run_until(seconds(8))
+        assert world.trace.select("stun_resolved") == []
+        (failed,) = world.trace.select("stun_failed")
+        assert failed["time"] == seconds(7)  # 1s + 2s + 4s backoff
+        assert world.net.nodes["nat"].nat.translated_out == 3  # one request per attempt
+        assert stun.counts.get("stun_served", 0) == 0
+        public = client.slocs[0].sloc
+        assert (public.public_ip, public.public_port) == ("10.9.9.2", 6000)
