@@ -58,33 +58,37 @@ its key; a record is built only for a put.  At a linecard, a change of
 the SLA part also drops the paths cached to the peer's system and writes an
 `sla_change` record that names the session by its local and peer SLoCs.
 
-Header work on received packets is memoized by value, once per node, in
-one idiom: a node wraps each pure function of it in a `functools.lru_cache`
-of its own, of at most `MEMO_ENTRIES` entries, since keys come from peer
-bytes.  `_check` checks a data header's octets, `payload[:max(4, SRoU
-Length)]` (OAM is parsed every time, see `_parse`); `_relay` relays them
-from an observed source, which fills a zero source.  A hit equals a miss:
-`srou.parse_data` reads nothing past SRoU Length, a payload cut short of it
-is its own key, at least four octets are keyed, and a call that raises is
-not cached.  The token check, function execution, counters and trace
-records stay per packet.  `_header` builds every data header a node sends:
-at a linecard's encap, and at app sockets, which keep a memo of it.  A path
-that no header can carry is a counted drop, `drop_unencodable_path`.  Each
+Header work on received packets is memoized by value, once per node, in one
+idiom: a node wraps each pure function of it in a `functools.lru_cache` of
+its own, of at most `MEMO_ENTRIES` entries, since keys come from peer bytes.
+A runtime's `_hop` checks a data header's octets, `payload[:max(4, SRoU
+Length)]` (OAM is parsed every time, see `_parse`), and relays them from the
+observed source, which fills a zero source; an app socket's `_check` checks
+them and reads their source.  A hit equals a miss: `srou.parse_data` reads
+nothing past SRoU Length, a payload cut short of it is its own key, at least
+four octets are keyed, and a call that raises is not cached.  So a packet
+whose zero source would be filled with a source that no header can hold is
+malformed.  The token check, function execution, counters and trace records
+stay per packet.  `_header` builds every data header a node sends: at a
+linecard's encap, and at app sockets, which keep a memo of it.  A path that
+no header can carry is a counted drop, `drop_unencodable_path`.  Each
 per-frame trace record goes through the node's `FrameTrace`, which builds
 one body per event and raw values, so equal encaps, relays and deliveries
-share it.
+share it, and bumps the event's counter in the node's `counts` in the same
+call.
 
 A linecard decides once per flow.  Its flow cache maps (host vnid, vrf,
 identity, destination MAC, destination IP, T bit), read from the host on
 every frame, to the encap an announced host's frame got: local SLoC, outer
-address, header, SL, trace body and flow id.  A hit only learns the host,
-sends, counts and traces.  A miss decides afresh: it ranks the sessions to
-the destination system, encodes the header, and owns the host's route
-again if the host's groups changed its policy tag.  The cache holds at most
-`MEMO_ENTRIES` flows and is emptied when full, wherever a cached path is
-dropped (route and /service/ events, a link-state delta, the path refresh),
-on each probe outcome, which the ranking reads, and on the other inputs of
-a decision: policy and identity events and `attach_host`.
+address, header, SL, trace body and flow id.  A hit only sends and traces,
+since its host is announced already.  A miss learns the host and decides
+afresh: it ranks the sessions to the destination system, encodes the header,
+and owns the host's route again if the host's groups changed its policy tag.
+The cache holds at most `MEMO_ENTRIES` flows and is emptied when full,
+wherever a cached path is dropped (route and /service/ events, a link-state
+delta, the path refresh), on each probe outcome, which the ranking reads,
+and on the other inputs of a decision: policy and identity events and
+`attach_host`.
 
 Host frames are the minimal tuple (src_mac, dst_mac, src_ip, dst_ip,
 payload), serialized as 6+6+4+4 octets plus payload; each distinct 20-octet
@@ -102,7 +106,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import schema, srou
 from .kvstore import DELETE, PUT, KvStore, Lease, LeaseNotFound, StoreError
-from .netsim import Datagram, Network, Trace, VirtualClock, seconds
+from .netsim import UDP_OVERHEAD_BYTES, Datagram, Network, Trace, VirtualClock, seconds
 from .pathengine import (
     PATH_DIRECT,
     PATH_ENGINEERED,
@@ -155,20 +159,22 @@ def _check(octets: bytes) -> tuple[srou.DataLayout, tuple[str, int]]:
     return lay, srou.data_source(octets, lay)
 
 
-def _parse(check, payload: bytes):
-    """srou.parse(payload) as (layout, SRoU source or None for OAM), a data
-    header checked through check, a node's memo of _check."""
-    if len(payload) > 3 and payload[3] != _OAM:
-        return check(payload[:max(4, payload[1])])
-    return srou.parse(payload), None
-
-
-def _relay(octets: bytes, ip: str, port: int) -> tuple:
-    """(source filled, active segment, patched header) of relaying a checked
-    data header's octets from the observed source (ip, port)."""
+def _hop(octets: bytes, ip: str, port: int) -> tuple:
+    """(layout, source filled, active segment, patched header) of a data
+    header's octets relayed from the observed source (ip, port)."""
+    lay = srou.parse_data(octets)
     buf = bytearray(octets)
-    filled, seg = srou.relay_in_place(buf, srou.parse_data(octets), (ip, port))
-    return filled, seg, bytes(buf)
+    filled, seg = srou.relay_in_place(buf, lay, (ip, port))
+    return lay, filled, seg, bytes(buf)
+
+
+def _parse(memo, payload: bytes, *observed):
+    """srou.parse(payload) as a tuple led by the layout: what memo, a node's
+    memo of _check or _hop, gives on a data header's octets and observed,
+    or (layout, None) for OAM."""
+    if len(payload) > 3 and payload[3] != _OAM:
+        return memo(payload[:max(4, payload[1])], *observed)
+    return srou.parse(payload), None
 
 
 def _header(source: tuple[str, int], visit: tuple, flow_id: int,
@@ -317,17 +323,26 @@ _FRAME_DETAIL = {
         "function": srou.FUNCTION_NAMES.get(function, hex(function))},
 }
 
+_FRAME_COUNTER = {  # the counter each per-frame record bumps; a postcard bumps none
+    "relay": "relay", "source_fill": "source_fill", "encap": "encap",
+    "deliver": "deliver_host", "app_rx": "rx_srou", "passthrough": "rx_passthrough",
+    "malformed": "drop_malformed", "policy_deny": "drop_policy_deny",
+    "unknown_function": "drop_unknown_function"}
+
 
 class FrameTrace:
-    """A node's per-frame trace records.  Each appends (time, body id); the
-    body is built and registered only on the first frame of its key, the
-    event and its raw values.  Those are ints and strs, so keys that compare
-    equal render alike."""
+    """A node's per-frame trace records.  Each appends (time, body id) and
+    bumps its event's counter in the node's counts; the body is built and
+    registered only on the first frame of its key, the event and its raw
+    values.  Those are ints and strs, so keys that compare equal render
+    alike."""
 
-    def __init__(self, clock: VirtualClock, trace: Trace, node: str):
+    def __init__(self, clock: VirtualClock, trace: Trace, node: str,
+                 counts: dict[str, int]):
         self.clock = clock
         self.trace = trace
         self.node = node
+        self.counts = counts
         self._ids: dict[tuple, int] = {}
 
     def body(self, event: str, *raw) -> int:
@@ -344,6 +359,15 @@ class FrameTrace:
         if body is None:
             body = self.body(event, *raw)
         self.trace.append(self.clock.now, body)
+        counter = _FRAME_COUNTER.get(event)
+        if counter is not None:
+            self.counts[counter] = self.counts.get(counter, 0) + 1
+
+    def append(self, event: str, body: int) -> None:
+        """Record event, one with a counter, by the id body() gave for its body."""
+        self.trace.append(self.clock.now, body)
+        counter = _FRAME_COUNTER[event]
+        self.counts[counter] = self.counts.get(counter, 0) + 1
 
 
 @dataclass
@@ -368,7 +392,6 @@ class NodeRuntime:
         self.clock = world.clock
         self.net = world.net
         self.trace = world.trace
-        self.frame_trace = FrameTrace(world.clock, world.trace, name)
         self.name = name
         self.site_id = site_id
         self.location = location
@@ -382,6 +405,7 @@ class NodeRuntime:
         self.alive = True
         self.headless = False
         self.counts: dict[str, int] = {}
+        self.frame_trace = FrameTrace(world.clock, world.trace, name, self.counts)
         self.responder = ProbeResponder()
         self.sessions: dict[tuple[str, tuple[str, int]], ProbeSession] = {}
         self.service_dir: dict[str, list[ServiceSloc]] = {}
@@ -397,8 +421,8 @@ class NodeRuntime:
         self.owned: dict[str, tuple[bytes, int, Optional[tuple]]] = {}
         self._bytes_tx: dict[str, int] = {}
         self._bytes_rx: dict[str, int] = {}
-        self._check = _memo(_check)
-        self._relay = _memo(_relay)
+        self._sockets: dict[tuple[str, int], ServiceSloc] = {}  # bound address -> SLoC
+        self._hop = _memo(_hop)
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -500,8 +524,8 @@ class NodeRuntime:
 
     def start(self) -> None:
         for ss in self.slocs:
-            self.net.bind(self.name, ss.sloc.private_ip, ss.sloc.private_port,
-                          lambda pkt, ss=ss: self._on_datagram(ss, pkt))
+            self._sockets[ss.addr] = ss
+            self.net.bind(self.name, *ss.addr, self._on_datagram)
         self._publish()
 
     def _publish(self) -> None:
@@ -554,28 +578,29 @@ class NodeRuntime:
     # -- sending ------------------------------------------------------------
 
     def send_from(self, ss: ServiceSloc, dst: tuple[str, int], payload: bytes) -> None:
-        pkt = Datagram(ss.sloc.private_ip, ss.sloc.private_port, dst[0], dst[1],
-                       payload)
-        self._bytes_tx[ss.short] = self._bytes_tx.get(ss.short, 0) + pkt.size
-        self.net.send(self.name, pkt)
+        self._bytes_tx[ss.short] = (self._bytes_tx.get(ss.short, 0)
+                                    + UDP_OVERHEAD_BYTES + len(payload))
+        self.net.send(self.name, Datagram(*ss.addr, dst[0], dst[1], payload))
 
     # -- datagram dispatch ----------------------------------------------------
 
-    def _on_datagram(self, ss: ServiceSloc, pkt: Datagram) -> None:
-        if not self.alive:
-            return
-        self._bytes_rx[ss.short] = self._bytes_rx.get(ss.short, 0) + pkt.size
+    def _on_datagram(self, pkt: Datagram) -> None:
+        """Every SLoC's socket handler: check a message, then hand it on."""
+        ss = self._sockets[pkt.dst_ip, pkt.dst_port]
+        payload = pkt.payload
+        self._bytes_rx[ss.short] = (self._bytes_rx.get(ss.short, 0)
+                                    + UDP_OVERHEAD_BYTES + len(payload))
         try:
-            lay, _ = _parse(self._check, pkt.payload)  # checked, not decoded
+            hop = _parse(self._hop, payload, pkt.src_ip, pkt.src_port)
         except srou.BadMagic:
             self.count("drop_bad_magic")
             return
         except srou.CodecError as exc:
-            self.count("drop_malformed")
             self.frame_trace.emit("malformed", type(exc).__name__)
             return
+        lay = hop[0]
         if type(lay) is srou.DataLayout:
-            self.on_data(ss, pkt, lay)
+            self.on_data(ss, pkt, hop)
         elif lay.oam_type == srou.OamType.LINKSTATE:
             self.on_linkstate(ss, pkt, lay)
         else:
@@ -616,7 +641,8 @@ class NodeRuntime:
             self.emit("stun_resolved", public=f"{ip}:{port}")
             self._publish()
 
-    def on_data(self, ss: ServiceSloc, pkt: Datagram, lay: srou.DataLayout) -> None:
+    def on_data(self, ss: ServiceSloc, pkt: Datagram, hop: tuple) -> None:
+        """A data packet; hop is what _hop gave for its header."""
         self.count("drop_unexpected_data")
 
     # -- probing --------------------------------------------------------------
@@ -733,13 +759,12 @@ class NodeRuntime:
 
     # -- segment relay (shared by fabric and linecard) -------------------------
 
-    def relay(self, ss: ServiceSloc, pkt: Datagram, lay: srou.DataLayout) -> None:
-        """Fill a zero source, advance to the active segment and forward to it,
-        or execute it; the header is patched in a copy of its octets."""
-        payload, total = pkt.payload, lay.total
-        filled, seg, header = self._relay(payload[:total], pkt.src_ip, pkt.src_port)
+    def relay(self, ss: ServiceSloc, pkt: Datagram, hop: tuple) -> None:
+        """Send a data packet on to its active segment with the header _hop
+        patched (a zero source filled, Segments Left advanced), or execute
+        the segment."""
+        lay, filled, seg, header = hop
         if filled:
-            self.count("source_fill")
             self.frame_trace.emit("source_fill", pkt.src_ip, pkt.src_port, lay.flow_id)
         if seg is None:
             self.count("drop_no_segments_left")
@@ -748,17 +773,15 @@ class NodeRuntime:
             sl = lay.segments_left - 1
             if lay.t_bit:
                 self.frame_trace.emit("postcard", "relay", lay.flow_id, sl)
-            self.send_from(ss, (seg.address, seg.port), header + payload[total:])
-            self.count("relay")
+            self.send_from(ss, (seg.address, seg.port), header + pkt.payload[lay.total:])
             self.frame_trace.emit("relay", seg.address, seg.port, sl, lay.flow_id)
         else:
-            self.execute_function(ss, pkt, lay, seg, payload[total:])
+            self.execute_function(ss, pkt, lay, seg, pkt.payload[lay.total:])
 
     def execute_function(self, ss: ServiceSloc, pkt: Datagram, lay: srou.DataLayout,
                          seg: srou.Function, inner: bytes) -> None:
         """Run the active function segment; lay is the layout before relay
         advanced Segments Left."""
-        self.count("drop_unknown_function")
         self.frame_trace.emit("unknown_function", seg.function)
 
 
@@ -777,13 +800,13 @@ class FabricRuntime(NodeRuntime):
         # service watch keeps the fabric mesh current as peers onboard
         self.watch("/service/", self._on_service)
 
-    def on_data(self, ss, pkt, lay) -> None:
+    def on_data(self, ss, pkt, hop) -> None:
         if self.token is not None:
-            if not self.token.validate(lay.flow_id, pkt.src_ip, self.clock.now):
+            if not self.token.validate(hop[0].flow_id, pkt.src_ip, self.clock.now):
                 self.count("token_reject")
                 return
             self.count("token_admit")
-        self.relay(ss, pkt, lay)
+        self.relay(ss, pkt, hop)
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +840,7 @@ class LinecardRuntime(NodeRuntime):
         self.sla = sla or SlaPolicy()
         self.hosts: dict[str, HostPort] = {}
         self.l2_local: dict[tuple[int, str], HostPort] = {}
-        self.l3_local: dict[int, dict[str, HostPort]] = {}
+        self.l3_local: dict[tuple[int, str], HostPort] = {}
         self.announced: set[str] = set()
         self._unannounced: set[str] = set()  # hosts whose route a sync is still to put
         self._route_tags: dict[str, int] = {}  # host -> the policy tag of its owned route
@@ -838,7 +861,7 @@ class LinecardRuntime(NodeRuntime):
         if host.vnid is not None:
             self.l2_local[(host.vnid, host.mac)] = host
         if host.vrf is not None:
-            self.l3_local.setdefault(host.vrf, {})[host.ip] = host
+            self.l3_local[(host.vrf, host.ip)] = host
 
     def role_start(self) -> None:
         self.route_sync.start(self.watch)
@@ -1051,10 +1074,10 @@ class LinecardRuntime(NodeRuntime):
         host = self.hosts.get(host_name)
         if host is None:
             raise DataplaneError(f"unknown host {host_name}")
-        self._learn(host)
         key = (host.vnid, host.vrf, host.identity, frame.dst_mac, frame.dst_ip, t_bit)
         entry = self._flows.get(key)
-        if entry is None:
+        if entry is None:  # a cached flow's host is announced: _learn would return
+            self._learn(host)
             entry = self._decide(host, frame, t_bit)
             if entry is None:
                 return None
@@ -1089,7 +1112,6 @@ class LinecardRuntime(NodeRuntime):
 
         rule = schema.lookup_policy(self.policy_rules, groups, [route.policy_tag])
         if rule.action == schema.ACTION_DENY:
-            self.count("drop_policy_deny")
             self.frame_trace.emit("policy_deny", route.key())
             return None
 
@@ -1139,10 +1161,9 @@ class LinecardRuntime(NodeRuntime):
         local, outer, header, sl, body, flow_id = entry
         wire = header + encode_frame(frame)
         self.send_from(local, outer, wire)
-        self.count("encap")
         if t_bit:
             self.frame_trace.emit("postcard", "encap", flow_id, sl)
-        self.trace.append(self.clock.now, body)
+        self.frame_trace.append("encap", body)
         return wire
 
     def _steer_path(self, route: ServiceRoute, rule: PolicyRule):
@@ -1162,67 +1183,49 @@ class LinecardRuntime(NodeRuntime):
         return (self.slocs[0], path)
 
     def _deliver_local(self, host: HostPort, frame: HostFrame) -> None:
-        self.count("deliver_host")
         self.frame_trace.emit("deliver", host.name, frame.dst_ip)
         if host.deliver is not None:
             host.deliver(frame)
 
-    def on_data(self, ss, pkt, lay) -> None:
-        self.relay(ss, pkt, lay)
+    def on_data(self, ss, pkt, hop) -> None:
+        self.relay(ss, pkt, hop)
 
     def execute_function(self, ss, pkt, lay, seg: srou.Function, inner) -> None:
+        """End.DT2U and End.DT4: deliver the inner frame to the local host at
+        its destination MAC in VNID args, or at its destination IP in VRF
+        args, or else re-encapsulate it toward the destination's owner."""
         if lay.t_bit:
             self.frame_trace.emit("postcard", "function", lay.flow_id,
                                   lay.segments_left - 1)
+        table = self.route_sync.table
         if seg.function == srou.FUNC_END_DT2U:
-            self._end_dt2u(seg.args, inner)
+            local, resolve, unrouted = self.l2_local, table.resolve_l2, "drop_no_l2_entry"
         elif seg.function == srou.FUNC_END_DT4:
-            self._end_dt4(seg.args, inner)
+            local, resolve, unrouted = self.l3_local, table.resolve_l3, "drop_no_vrf_route"
         else:
             super().execute_function(ss, pkt, lay, seg, inner)
-
-    def _end_dt2u(self, vnid: int, inner: bytes) -> None:
+            return
         try:
             frame = decode_frame(inner)
         except DataplaneError:
             self.count("drop_malformed_frame")
             return
-        host = self.l2_local.get((vnid, frame.dst_mac))
+        dst = frame.dst_mac if seg.function == srou.FUNC_END_DT2U else frame.dst_ip
+        host = local.get((seg.args, dst))
         if host is not None:
             self._deliver_local(host, frame)
             return
         try:
-            route = self.route_sync.table.resolve_l2(vnid, frame.dst_mac)
+            route = resolve(seg.args, dst)
         except NoRoute:
-            self.count("drop_no_l2_entry")
+            self.count(unrouted)
             return
-        self._forward(route, frame, vnid)
-
-    def _end_dt4(self, vrf: int, inner: bytes) -> None:
-        try:
-            frame = decode_frame(inner)
-        except DataplaneError:
-            self.count("drop_malformed_frame")
-            return
-        host = self.l3_local.get(vrf, {}).get(frame.dst_ip)
-        if host is not None:
-            self._deliver_local(host, frame)
-            return
-        try:
-            route = self.route_sync.table.resolve_l3(vrf, frame.dst_ip)
-        except NoRoute:
-            self.count("drop_no_vrf_route")
-            return
-        self._forward(route, frame, vrf)
-
-    def _forward(self, route: ServiceRoute, frame: HostFrame, args: int) -> None:
-        """Re-encapsulate toward the remote owner of a non-local destination."""
         try:
             path_pair = self._path_for(route)
         except NoRoute:
             self.count("drop_no_service")
             return
-        entry = self._encap(route, path_pair, args)
+        entry = self._encap(route, path_pair, seg.args)
         if entry is not None:
             self._send_encap(entry, frame)
 
@@ -1286,18 +1289,15 @@ class AppEndpoint:
                  on_app: Optional[Callable[[bytes, ReplyContext], None]] = None,
                  echo: bool = False,
                  reply_via: Optional[list[tuple[str, int]]] = None):
-        self.world = world
-        self.clock = world.clock
         self.net = world.net
-        self.trace = world.trace
         self.name = name
         self.ip = ip
         self.port = port
         self.on_app = on_app
         self.echo = echo
         self.reply_via = reply_via or []
-        self.frame_trace = FrameTrace(world.clock, world.trace, name)
         self.counts: dict[str, int] = {}
+        self.frame_trace = FrameTrace(world.clock, world.trace, name, self.counts)
         self._check = _memo(_check)
         self._header = _memo(_header)
 
@@ -1344,14 +1344,12 @@ class AppEndpoint:
             ctx = ReplyContext(outer=(pkt.src_ip, pkt.src_port),
                                srou_source=(pkt.src_ip, pkt.src_port),
                                flow_id=0, raw=True)
-            self.count("rx_passthrough")
             self.frame_trace.emit("passthrough", len(payload))
             self._deliver(payload, ctx)
             return
         try:
             lay, source = _parse(self._check, payload)
         except srou.CodecError as exc:
-            self.count("drop_malformed")
             self.frame_trace.emit("malformed", type(exc).__name__)
             return
         if source is None:
@@ -1359,7 +1357,6 @@ class AppEndpoint:
             return
         ctx = ReplyContext(outer=(pkt.src_ip, pkt.src_port), srou_source=source,
                            flow_id=lay.flow_id, flow_id_type=lay.flow_id_type)
-        self.count("rx_srou")
         self.frame_trace.emit("app_rx", *source, len(payload) - lay.total)
         self._deliver(payload[lay.total:], ctx)
 

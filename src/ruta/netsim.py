@@ -41,7 +41,7 @@ NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_SEC = 1_000_000_000
 
-# IPv4 + UDP header octets, counted in a datagram's size
+# IPv4 + UDP header octets, which a runtime's byte counters add to each payload
 UDP_OVERHEAD_BYTES = 28
 
 MAX_QUIESCENT_EVENTS = 10_000_000  # run_until_quiescent's runaway guard
@@ -162,6 +162,9 @@ class Trace:
         self._detail.append(detail)
         return len(self._detail) - 1
 
+    def __len__(self) -> int:
+        return len(self._time)
+
     def append(self, time: int, body: int) -> None:
         self._time.append(time)
         self._body.append(body)
@@ -195,10 +198,6 @@ class Datagram(NamedTuple):
     dst_ip: str
     dst_port: int
     payload: bytes
-
-    @property
-    def size(self) -> int:
-        return UDP_OVERHEAD_BYTES + len(self.payload)
 
 
 class _DirState:
@@ -356,7 +355,7 @@ class Network:
 
     def __init__(self, clock: VirtualClock, trace: Optional[Trace] = None, seed: int = 0):
         self.clock = clock
-        self.trace = trace or Trace()
+        self.trace = Trace() if trace is None else trace
         self.seed = seed
         self.nodes: dict[str, SimNode] = {}
         self.links: list[SimLink] = []

@@ -43,15 +43,16 @@ Receive surface.  A node reads every message through four functions:
   `parse_data` checked.
 
 Each check is made once, in the order of the fields on the wire, and a
-rejected message raises a `CodecError` subclass that names the fault.
-A node checks each distinct data header once, on its first max(4, SRoU
-Length) octets, and caches the layout (see `dataplane`): no receive function
-reads past SRoU Length, so that gives what `parse` gives on the whole
-message.  The reserved RRR bits are ignored on receipt.  A transit node
-relays a checked data packet with `relay_in_place`, which patches a copy of
-the header octets as RFC 8754 4.3.1 does: it fills a zero IPv4 source with
-the observed outer source, clears the RRR bits, decrements Segments Left
-and decodes only the now-active segment, so a relay never re-encodes.
+rejected message raises a `CodecError` subclass that names the fault.  A
+node checks each distinct data header on its first max(4, SRoU Length)
+octets and caches the result, a runtime's with the relay from the observed
+source (see `dataplane`): no receive function reads past SRoU Length, so
+that gives what `parse` gives on the whole message.  The reserved RRR bits
+are ignored on receipt.  A transit node relays a checked data packet with
+`relay_in_place`, which patches a copy of the header octets as RFC 8754
+4.3.1 does: it fills a zero IPv4 source with the observed outer source,
+clears the RRR bits, decrements Segments Left and decodes only the
+now-active segment, so a relay never re-encodes.
 
 The send side builds value objects (`SRoUHeader`, `OamMessage`) and encodes
 them with `encode_header` and `encode_oam`.  `encode_linkstate` packs a

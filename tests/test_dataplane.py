@@ -323,20 +323,25 @@ class TestRelayAndFunctions:
         captured = []
         orig = net.lc_b._on_datagram
 
-        def spy(ss, pkt):
+        def spy(pkt):
             captured.append(pkt.payload)
-            orig(ss, pkt)
+            orig(pkt)
 
-        net.lc_b._on_datagram = spy
         # rebind the spy on the live socket
-        net.world.net.nodes["LC_B"].bindings[("192.168.99.78", 5546)] = \
-            lambda pkt: spy(net.lc_b.slocs[0], pkt)
+        net.world.net.nodes["LC_B"].bindings[("192.168.99.78", 5546)] = spy
         w.clock.run_until(millis(20))
         hdr1, consumed1, _ = srouref.decode_header(captured[0])
         assert captured[0][consumed1:] == sent[consumed0:]
         assert hdr1.flow_id == hdr0.flow_id
         assert hdr1.segments_left == hdr0.segments_left - 1
         assert hdr1.segment_list == hdr0.segment_list
+
+    def test_each_socket_calls_its_runtime_directly(self):
+        # no wrapper frame between the network and the runtime's handler
+        net = SpineLeaf(lc_b_slocs=TestFlowCache.LC_B)
+        for rt in net.runtimes:
+            handlers = list(net.world.net.nodes[rt.name].bindings.values())
+            assert handlers == [rt._on_datagram] * len(rt.slocs)
 
     def test_sl_zero_dropped(self):
         net = SpineLeaf()
@@ -385,6 +390,46 @@ class TestRelayAndFunctions:
                                     srou.encode_header(hdr) + encode_frame(ghost)))
         w.clock.run_until(millis(5))
         assert net.lc_b.counts["drop_no_l2_entry"] == 1
+
+    @staticmethod
+    def send_to_lc_b(net, function, args, inner):
+        """Send LC_B a packet whose one segment runs function(args) on inner,
+        with the T bit set; returns LC_B's trace records from then on."""
+        w = net.world
+        w.clock.run_until(millis(5))
+        hdr = srou.SRoUHeader(
+            protocol_id=srou.ProtocolId.IPV4, source_address="192.168.99.76",
+            source_port=17777, segment_list=(srou.Function(args, function),),
+            segments_left=1, t_bit=True)
+        since = len(w.trace.records)
+        w.net.send("Spine_B", Datagram("192.168.99.76", 17777, "192.168.99.78", 5546,
+                                       srou.encode_header(hdr) + inner))
+        w.clock.run_until(millis(20))
+        return [(r["event"], r["detail"]) for r in w.trace.records[since:]
+                if r["node"] == "LC_B"]
+
+    @pytest.mark.parametrize("function,args", [(srou.FUNC_END_DT2U, 1234),
+                                               (srou.FUNC_END_DT4, 77)])
+    def test_end_dt_drops_an_inner_frame_under_20_octets(self, function, args):
+        net = SpineLeaf()
+        records = self.send_to_lc_b(net, function, args, b"\x00" * 19)
+        assert net.lc_b.counts["drop_malformed_frame"] == 1
+        assert records == [("postcard", {"flow_id": 0, "sl": 0, "action": "function"})]
+        assert net.delivered == []
+
+    def test_end_dt2u_toward_a_system_with_no_service_is_dropped(self):
+        # LC_B holds a type-2 route to a system that announced no SLoC
+        net = SpineLeaf()
+        ghost = schema.ServiceRoute(route_type=2, export_rt="100:1", rd="9:1",
+                                    mac="0a:00:00:00:00:77", ip="10.0.0.77", site_id=9,
+                                    system_name="LC_GHOST", policy_tag=0)
+        net.world.store.put(ghost.key(), schema.to_json_bytes(ghost.to_doc()))
+        frame = HostFrame("0a:00:00:00:00:99", "0a:00:00:00:00:77",
+                          "10.0.0.99", "10.0.0.77", b"x")
+        records = self.send_to_lc_b(net, srou.FUNC_END_DT2U, 1234, encode_frame(frame))
+        assert net.lc_b.counts["drop_no_service"] == 1
+        assert "encap" not in net.lc_b.counts
+        assert records == [("postcard", {"flow_id": 0, "sl": 0, "action": "function"})]
 
     def test_relay_clears_reserved_bits(self):
         # reserved RRR bits are ignored on receipt and zeroed on send
@@ -931,6 +976,32 @@ class TestEndDt4:
         w.clock.run_until(millis(5))
         assert net.lc_b.counts["drop_no_vrf_route"] == 1
 
+    def test_dt4_reencaps_toward_remote_owner(self):
+        # LC_B receives a frame for V2, which lives behind LC_A in VRF 77
+        net = self.build()
+        w = net.world
+        got = []
+        net.lc_a.attach_host(HostPort("V2", "0a:00:00:00:02:02", "10.3.0.5", vrf=77,
+                                      deliver=got.append))
+        route = schema.ServiceRoute(route_type=5, export_rt="200:1", rd="1:1",
+                                    prefix="10.3.0.0", mask=24, site_id=1,
+                                    system_name="LC_A", policy_tag=0)
+        w.store.put(route.key(), schema.to_json_bytes(route.to_doc()))
+        net.lc_b.imports_l3["200:1"] = 77
+        net.lc_b.route_sync.l3_imports["200:1"] = 77
+        added = schema.route_prefix(5, "200:1")
+        net.lc_b.route_sync.start(
+            lambda prefix, on_event: prefix == added and net.lc_b.watch(prefix, on_event))
+        frame = HostFrame("0a:00:00:00:01:01", "00:00:00:00:00:00",
+                          "10.1.2.3", "10.3.0.5", b"l3 bounce")
+        records = TestRelayAndFunctions.send_to_lc_b(net, srou.FUNC_END_DT4, 77,
+                                                     encode_frame(frame))
+        assert [f.payload for f in got] == [b"l3 bounce"]
+        assert net.lc_b.counts["encap"] == 1
+        encaps = [detail for event, detail in records if event == "encap"]
+        assert [(d["dst"], d["function"], d["args"]) for d in encaps] == [
+            (route.key(), "End.DT4", 77)]
+
 
 def oam_fields(msg):
     """What a runtime hands its OAM handlers: the checked wire fields."""
@@ -1034,6 +1105,32 @@ class TestStunRole:
                               (millis(10), "announced")]
         assert w.trace.select("stun_resolved")[0]["detail"] == {"public": "192.0.2.5:6000"}
         assert lc.slocs[0].sloc == sloc("192.0.2.5", 6000)
+
+    @staticmethod
+    def send_to_stun_server(payload):
+        """Send payload to a STUN server; returns the server's counts and
+        its trace records from then on."""
+        w = make_world()
+        w.net.add_node("P")
+        w.net.add_node("STUN1")
+        w.net.add_link("P", "STUN1", millis(1))
+        stun_rt = StunRuntime(w, "STUN1", [sloc("203.0.113.9", 3478)])
+        stun_rt.start()
+        since = len(w.trace.records)
+        w.net.send("P", Datagram("203.0.113.40", 6000, "203.0.113.9", 3478, payload))
+        w.clock.run_until(seconds(1))
+        return stun_rt.counts, [r for r in w.trace.records[since:] if r["node"] == "STUN1"]
+
+    def test_a_data_packet_at_a_stun_server_is_dropped(self):
+        counts, records = self.send_to_stun_server(TestNativeSocket.DATA + b"inner")
+        assert counts == {"drop_unexpected_data": 1}
+        assert records == []
+
+    def test_a_stun_response_at_a_stun_server_is_ignored(self):
+        counts, records = self.send_to_stun_server(srou.encode_oam(srou.OamMessage(
+            srou.OamType.STUN, srou.STUN_RESPONSE, srou.StunResponseData("1.2.3.4", 5))))
+        assert counts == {"drop_oam_ignored": 1}
+        assert records == []
 
     def test_no_stun_server_announces_the_private_sloc_at_once(self):
         w = make_world()
@@ -1361,7 +1458,7 @@ class TestNativeSocket:
             w, edge, transit, client, server, got = self.build_nat_path()
             nodes = (edge, transit, client, server)
             assert sorted(name for node in nodes for name in memos(node)) == sorted(
-                ["_check", "_relay"] * 2 + ["_check", "_header"] * 2)
+                ["_hop"] * 2 + ["_check", "_header"] * 2)
             if not memoized:
                 for node in nodes:
                     without_memos(node)
@@ -1439,6 +1536,20 @@ class TestHeaderMemo:
         assert [r["detail"]["filled"] for r in w.trace.select("source_fill", "F")] == [
             f"{ip}:{port}" for ip, port in sources]
 
+    @pytest.mark.parametrize("source", [("203.0.113.40", 70000), ("2001:db8::1", 6000)])
+    def test_a_zero_source_no_header_can_hold_is_a_counted_drop(self, source):
+        # the fill from an observed source that no IPv4 header can hold fails:
+        # the packet is malformed, and the event loop goes on to the next one
+        w, fabric, got = self.fabric_world()
+        for src, inner in ((source, b"x"), (("203.0.113.40", 6000), b"y")):
+            w.net.send("P", Datagram(*src, *fabric.slocs[0].addr, self.to_sink() + inner))
+        w.clock.run_until(seconds(1))
+        assert [p.payload[-1:] for p in got] == [b"y"]
+        assert [fabric.counts.get(k) for k in ("drop_malformed", "source_fill", "relay")] == [
+            1, 1, 1]
+        assert [r["detail"] for r in w.trace.select("malformed", "F")] == [
+            {"error": "InvariantViolation"}]
+
     def test_spray_of_distinct_headers_leaves_each_memo_within_its_bound(self):
         # each flow id makes a distinct header on the way out and back, at
         # the fabric, the echo socket and its reply encoder
@@ -1454,7 +1565,7 @@ class TestHeaderMemo:
         w.clock.run_until(seconds(1))
         assert fabric.counts["relay"] == 2 * flows
         assert echo.counts == {"rx_srou": flows, "tx_reply": flows}
-        for memo in (fabric._check, fabric._relay, echo._check, echo._header):
+        for memo in (fabric._hop, echo._check, echo._header):
             assert 0 < memo.cache_info().currsize <= dataplane.MEMO_ENTRIES
 
     @staticmethod
@@ -1466,15 +1577,22 @@ class TestHeaderMemo:
             return type(exc)
 
     @staticmethod
-    def reference(payload):
-        """srou.parse on the whole payload, returned as _parse returns it."""
+    def reference(payload, *observed):
+        """srou.parse on the whole payload, returned as _parse returns it
+        through a runtime's _hop, given observed, or an app's _check."""
         lay = srou.parse(payload)
-        return lay, srou.data_source(payload, lay) if type(lay) is srou.DataLayout else None
+        if type(lay) is not srou.DataLayout:
+            return lay, None
+        if not observed:
+            return lay, srou.data_source(payload, lay)
+        buf = bytearray(payload)
+        filled, seg = srou.relay_in_place(buf, lay, observed)
+        return lay, filled, seg, bytes(buf[:lay.total])
 
     def test_a_memoized_check_gives_what_parse_gives(self):
         # seeded headers, clean and mutated, plus SRoU Lengths below 4 and
-        # payloads cut short of theirs, each received twice at a runtime
-        # and at an app socket
+        # payloads cut short of theirs, each received twice at a runtime,
+        # relayed from an observed source, and at an app socket
         w, fabric, _ = self.fabric_world()
         app = AppEndpoint(w, "S", *self.SINK)
         rng = random.Random(17)
@@ -1485,16 +1603,18 @@ class TestHeaderMemo:
             payloads += [wire, wiregen.mutate(rng, wire), wire[:rng.randrange(4, wire[1])]]
             for length in range(4):  # below the minimum, with and without the magic
                 payloads += [bytes([magic, length]) + wire[2:] for magic in (srou.MAGIC, 0x45)]
-        expected = [self.verdict(self.reference, p) for p in payloads]
-        kinds = Counter(v if isinstance(v, type) else "data" for v in expected)
-        for cls in ("data", srou.TruncatedHeader, srou.LengthMismatch, srou.BadMagic):
-            assert kinds[cls] > 50, cls
-        for node in (fabric, app):
+        observed = ("203.0.113.40", 6000)
+        for memo, args in ((fabric._hop, observed), (app._check, ())):
+            expected = [self.verdict(lambda p: self.reference(p, *args), p)
+                        for p in payloads]
+            kinds = Counter(v if isinstance(v, type) else "data" for v in expected)
+            for cls in ("data", srou.TruncatedHeader, srou.LengthMismatch, srou.BadMagic):
+                assert kinds[cls] > 50, cls
             for payload, want in zip(payloads, expected):
                 for _ in range(2):  # the second copy meets the memo
-                    got = self.verdict(partial(dataplane._parse, node._check), payload)
+                    got = self.verdict(lambda p: dataplane._parse(memo, p, *args), payload)
                     assert got == want, payload.hex()
-            assert node._check.cache_info().hits >= kinds["data"]
+            assert memo.cache_info().hits >= kinds["data"]
 
 
 class TestFlowCache:

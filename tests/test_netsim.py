@@ -189,6 +189,23 @@ class TestTrace:
         assert len(gc.get_objects()) - before < 100
         assert len(trace.records) == 10_000
 
+    def test_len_counts_records_without_building_them(self, monkeypatch):
+        trace = Trace()
+        relay = trace.body("Spine_A", "relay", sl=1)
+        want = []
+        for t in range(5):
+            trace.append(t, relay)
+            trace.emit(t, "LC_A", "encap", sl=t)
+            want.append(len(trace.records))
+        monkeypatch.setattr(Trace, "_records", lambda self, wanted=None: 1 / 0)
+        assert len(trace) == want[-1] == 10
+
+    def test_a_network_keeps_the_empty_trace_it_is_given(self):
+        trace = Trace()
+        assert len(trace) == 0
+        assert Network(VirtualClock(), trace).trace is trace
+        assert isinstance(Network(VirtualClock()).trace, Trace)
+
 
 class TestLinks:
     def test_exact_delay(self):
