@@ -106,7 +106,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import schema, srou
 from .kvstore import DELETE, PUT, KvStore, Lease, LeaseNotFound, StoreError
-from .netsim import UDP_OVERHEAD_BYTES, Datagram, Network, Trace, VirtualClock, seconds
+from .netsim import Datagram, Network, Trace, VirtualClock, seconds
 from .pathengine import (
     PATH_DIRECT,
     PATH_ENGINEERED,
@@ -147,6 +147,7 @@ MEMO_ENTRIES = 1024  # the bound of each per-node memo of header work
 _memo = functools.lru_cache(maxsize=MEMO_ENTRIES)  # a new cache per function wrapped
 _OAM = srou.ProtocolId.OAM  # read per packet: an enum attribute read costs ~0.1 us
 STUN_BACKOFF_NS = (seconds(1), seconds(2), seconds(4))  # each STUN request's timeout
+UDP_OVERHEAD_BYTES = 28  # IPv4 + UDP header octets, counted with each payload's bytes
 
 
 class DataplaneError(Exception):
@@ -580,7 +581,8 @@ class NodeRuntime:
     def send_from(self, ss: ServiceSloc, dst: tuple[str, int], payload: bytes) -> None:
         self._bytes_tx[ss.short] = (self._bytes_tx.get(ss.short, 0)
                                     + UDP_OVERHEAD_BYTES + len(payload))
-        self.net.send(self.name, Datagram(*ss.addr, dst[0], dst[1], payload))
+        self.net.send(self.name, Datagram(ss.sloc.private_ip, ss.sloc.private_port,
+                                          dst[0], dst[1], payload))
 
     # -- datagram dispatch ----------------------------------------------------
 

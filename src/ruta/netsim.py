@@ -41,9 +41,6 @@ NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_SEC = 1_000_000_000
 
-# IPv4 + UDP header octets, which a runtime's byte counters add to each payload
-UDP_OVERHEAD_BYTES = 28
-
 MAX_QUIESCENT_EVENTS = 10_000_000  # run_until_quiescent's runaway guard
 
 NAT_PORT_BASE = 40000
@@ -163,6 +160,7 @@ class Trace:
         return len(self._detail) - 1
 
     def __len__(self) -> int:
+        """The number of records, counted without building them."""
         return len(self._time)
 
     def append(self, time: int, body: int) -> None:

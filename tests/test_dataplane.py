@@ -89,6 +89,22 @@ class SpineLeaf:
                          "10.0.0.88", "10.0.0.99", payload)
 
 
+def run_function_at_lc_b(net, function, args, inner):
+    """Send LC_B of a SpineLeaf a packet whose one segment runs function(args)
+    on inner, with the T bit set; returns LC_B's trace records from then on."""
+    w = net.world
+    w.clock.run_until(millis(5))
+    hdr = srou.SRoUHeader(
+        protocol_id=srou.ProtocolId.IPV4, source_address="192.168.99.76",
+        source_port=17777, segment_list=(srou.Function(args, function),),
+        segments_left=1, t_bit=True)
+    since = len(w.trace)
+    w.net.send("Spine_B", Datagram("192.168.99.76", 17777, "192.168.99.78", 5546,
+                                   srou.encode_header(hdr) + inner))
+    w.clock.run_until(millis(20))
+    return [(r["event"], r["detail"]) for r in w.trace.records[since:] if r["node"] == "LC_B"]
+
+
 class TestFrames:
     def test_round_trip(self):
         f = HostFrame("aa:bb:cc:dd:ee:ff", "11:22:33:44:55:66",
@@ -391,28 +407,11 @@ class TestRelayAndFunctions:
         w.clock.run_until(millis(5))
         assert net.lc_b.counts["drop_no_l2_entry"] == 1
 
-    @staticmethod
-    def send_to_lc_b(net, function, args, inner):
-        """Send LC_B a packet whose one segment runs function(args) on inner,
-        with the T bit set; returns LC_B's trace records from then on."""
-        w = net.world
-        w.clock.run_until(millis(5))
-        hdr = srou.SRoUHeader(
-            protocol_id=srou.ProtocolId.IPV4, source_address="192.168.99.76",
-            source_port=17777, segment_list=(srou.Function(args, function),),
-            segments_left=1, t_bit=True)
-        since = len(w.trace.records)
-        w.net.send("Spine_B", Datagram("192.168.99.76", 17777, "192.168.99.78", 5546,
-                                       srou.encode_header(hdr) + inner))
-        w.clock.run_until(millis(20))
-        return [(r["event"], r["detail"]) for r in w.trace.records[since:]
-                if r["node"] == "LC_B"]
-
     @pytest.mark.parametrize("function,args", [(srou.FUNC_END_DT2U, 1234),
                                                (srou.FUNC_END_DT4, 77)])
     def test_end_dt_drops_an_inner_frame_under_20_octets(self, function, args):
         net = SpineLeaf()
-        records = self.send_to_lc_b(net, function, args, b"\x00" * 19)
+        records = run_function_at_lc_b(net, function, args, b"\x00" * 19)
         assert net.lc_b.counts["drop_malformed_frame"] == 1
         assert records == [("postcard", {"flow_id": 0, "sl": 0, "action": "function"})]
         assert net.delivered == []
@@ -426,7 +425,7 @@ class TestRelayAndFunctions:
         net.world.store.put(ghost.key(), schema.to_json_bytes(ghost.to_doc()))
         frame = HostFrame("0a:00:00:00:00:99", "0a:00:00:00:00:77",
                           "10.0.0.99", "10.0.0.77", b"x")
-        records = self.send_to_lc_b(net, srou.FUNC_END_DT2U, 1234, encode_frame(frame))
+        records = run_function_at_lc_b(net, srou.FUNC_END_DT2U, 1234, encode_frame(frame))
         assert net.lc_b.counts["drop_no_service"] == 1
         assert "encap" not in net.lc_b.counts
         assert records == [("postcard", {"flow_id": 0, "sl": 0, "action": "function"})]
@@ -994,8 +993,7 @@ class TestEndDt4:
             lambda prefix, on_event: prefix == added and net.lc_b.watch(prefix, on_event))
         frame = HostFrame("0a:00:00:00:01:01", "00:00:00:00:00:00",
                           "10.1.2.3", "10.3.0.5", b"l3 bounce")
-        records = TestRelayAndFunctions.send_to_lc_b(net, srou.FUNC_END_DT4, 77,
-                                                     encode_frame(frame))
+        records = run_function_at_lc_b(net, srou.FUNC_END_DT4, 77, encode_frame(frame))
         assert [f.payload for f in got] == [b"l3 bounce"]
         assert net.lc_b.counts["encap"] == 1
         encaps = [detail for event, detail in records if event == "encap"]
@@ -1116,7 +1114,7 @@ class TestStunRole:
         w.net.add_link("P", "STUN1", millis(1))
         stun_rt = StunRuntime(w, "STUN1", [sloc("203.0.113.9", 3478)])
         stun_rt.start()
-        since = len(w.trace.records)
+        since = len(w.trace)
         w.net.send("P", Datagram("203.0.113.40", 6000, "203.0.113.9", 3478, payload))
         w.clock.run_until(seconds(1))
         return stun_rt.counts, [r for r in w.trace.records[since:] if r["node"] == "STUN1"]
