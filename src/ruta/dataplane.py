@@ -581,8 +581,8 @@ class NodeRuntime:
     def send_from(self, ss: ServiceSloc, dst: tuple[str, int], payload: bytes) -> None:
         self._bytes_tx[ss.short] = (self._bytes_tx.get(ss.short, 0)
                                     + UDP_OVERHEAD_BYTES + len(payload))
-        self.net.send(self.name, Datagram(ss.sloc.private_ip, ss.sloc.private_port,
-                                          dst[0], dst[1], payload))
+        self.net.send(self.name, tuple.__new__(Datagram, (
+            ss.sloc.private_ip, ss.sloc.private_port, dst[0], dst[1], payload)))
 
     # -- datagram dispatch ----------------------------------------------------
 
@@ -1315,12 +1315,13 @@ class AppEndpoint:
         """Client-mode send: zeroed source, segment list [server, transit],
         outer destination the edge fabric."""
         wire = self._header(ZERO_SOURCE, (transit, server), flow_id)
-        self.net.send(self.name, Datagram(self.ip, self.port, edge[0], edge[1],
-                                          wire + payload))
+        self.net.send(self.name, tuple.__new__(Datagram, (
+            self.ip, self.port, edge[0], edge[1], wire + payload)))
         self.count("tx_srou")
 
     def send_raw(self, payload: bytes, dst: tuple[str, int]) -> None:
-        self.net.send(self.name, Datagram(self.ip, self.port, dst[0], dst[1], payload))
+        self.net.send(self.name, tuple.__new__(Datagram, (
+            self.ip, self.port, dst[0], dst[1], payload)))
         self.count("tx_raw")
 
     def reply(self, ctx: ReplyContext, payload: bytes) -> None:
@@ -1333,8 +1334,8 @@ class AppEndpoint:
         except srou.CodecError:  # a source no waypoint can hold
             self.count("drop_reply_unencodable")
             return
-        self.net.send(self.name, Datagram(self.ip, self.port, ctx.outer[0],
-                                          ctx.outer[1], wire + payload))
+        self.net.send(self.name, tuple.__new__(Datagram, (
+            self.ip, self.port, ctx.outer[0], ctx.outer[1], wire + payload)))
         self.count("tx_reply")
 
     def _on_datagram(self, pkt: Datagram) -> None:

@@ -1,20 +1,18 @@
 """In-process deterministic K-V store: the control-plane contract.
 
-Provides get/put/delete, prefix fetch, prefix watch, leases and a
-distributed lock, all serialized through the virtual clock's event queue.  The
-surface is deliberately etcd-shaped so an adapter to a real external store
-could be attached later without touching callers; within the simulator this
+Provides get/put/delete, prefix fetch, prefix watch and leases, all
+serialized through the virtual clock's event queue.  The surface is
+deliberately etcd-shaped so an adapter to a real external store could be
+attached later without touching callers; within the simulator this
 implementation is authoritative.
 
 Clients subscribe with StoreHandle.follow, the etcd idiom of list then watch:
 the watch is registered before the listing and holds what changes meanwhile,
 so no follower needs older history and the store keeps none.
 
-The lock is a try-lock, as etcd's `concurrency.Mutex.TryLock`: acquire_lock
-returns a LockGuard at once or raises LockHeld, whoever holds the lock, since
-no client holds it across events.  A guard is tied to its session lease:
-the lease's expiry frees the lock and marks the guard abandoned, and
-release_lock raises LockAbandoned on a guard already freed.
+The store has no lock.  A client acts within one event of the virtual clock,
+and no other client acts until that event returns, so a read and a write
+made in one event, as schema.register_node makes them, are atomic without one.
 
 Partitions are per client name: while a client is partitioned its operations
 raise StoreUnavailable and its watches buffer events, which replay in
@@ -58,14 +56,6 @@ class LeaseNotFound(StoreError):
     pass
 
 
-class LockAbandoned(StoreError):
-    pass
-
-
-class LockHeld(StoreError):
-    pass
-
-
 @dataclass(frozen=True)
 class KvEntry:
     key: str
@@ -87,14 +77,6 @@ class Lease:
         self.ttl_ns = ttl_ns
         self.expires_at = expires_at
         self.keys: set[str] = set()
-
-
-class LockGuard:
-    def __init__(self, name: str, lease_id: int):
-        self.name = name
-        self.lease_id = lease_id
-        self.released = False
-        self.abandoned = False
 
 
 class Watch:
@@ -161,7 +143,6 @@ class KvStore:
         self._by_prefix: dict[str, list[Watch]] = {}  # prefixes ending in "/"
         self._unindexed: list[Watch] = []  # every other prefix
         self.partitioned: set[str] = set()
-        self.locks: dict[str, LockGuard] = {}  # lock name -> its holder's guard
         self._next_lease_id = 1
         self._next_watch_id = 1
 
@@ -292,28 +273,6 @@ class KvStore:
             entry = self.entries.get(key)
             if entry is not None and entry.lease_id == lease_id:
                 self.delete(key)
-        self._release_abandoned(lease_id)
-
-    # -- locks ------------------------------------------------------------------
-
-    def acquire_lock(self, name: str, lease_id: int) -> LockGuard:
-        """The lock, tied to a session lease, or LockHeld if it is held."""
-        self._live_lease(lease_id)
-        if name in self.locks:
-            raise LockHeld(f"lock {name} is held by lease {self.locks[name].lease_id}")
-        guard = self.locks[name] = LockGuard(name, lease_id)
-        return guard
-
-    def release_lock(self, guard: LockGuard) -> None:
-        if guard.released:
-            raise LockAbandoned(f"lock {guard.name} was already released")
-        guard.released = True
-        del self.locks[guard.name]
-
-    def _release_abandoned(self, lease_id: int) -> None:
-        for guard in [g for g in self.locks.values() if g.lease_id == lease_id]:
-            guard.abandoned = True
-            self.release_lock(guard)
 
     # -- partitions ----------------------------------------------------------------
 
@@ -385,11 +344,3 @@ class StoreHandle:
     def keepalive(self, lease_id: int) -> int:
         self._check()
         return self.store.keepalive(lease_id)
-
-    def acquire_lock(self, name: str, lease_id: int) -> LockGuard:
-        self._check()
-        return self.store.acquire_lock(name, lease_id)
-
-    def release_lock(self, guard: LockGuard) -> None:
-        self._check()
-        self.store.release_lock(guard)

@@ -1,6 +1,6 @@
 """Control-plane schema: every key path and value document, plus the
-procedures over them: register_node (one store step under the label
-try-lock), service_value (the one writer of a /service value), put_record
+procedures over them: register_node (one synchronous store step),
+service_value (the one writer of a /service value), put_record
 (one put of a route, a link-state record or a SLoC's load at its own key),
 hunt and lookup_policy.
 
@@ -39,7 +39,6 @@ from .kvstore import Lease, StoreHandle
 
 ROLES = ("fabric", "linecard", "stun", "lsdb")
 
-LABEL_LOCK = "system-label"
 LABEL_BITS = 24
 
 ACTION_PERMIT = "permit"
@@ -245,11 +244,14 @@ def service_value(slocs: list[Sloc]) -> bytes:
     return to_json_bytes({"slocs": [s.to_doc() for s in slocs]})
 
 
-def parse_service(key: str, value: bytes) -> tuple[str, str, list[Sloc]]:
-    """(role, system name, SLoCs) of a /service record."""
+@functools.lru_cache(maxsize=1)
+def parse_service(key: str, value: bytes) -> tuple[str, str, tuple[Sloc, ...]]:
+    """(role, system name, SLoCs) of a /service record, decoded once for all
+    the followers of a put, as parse_linkstate is; the SLoCs are a tuple of
+    frozen records, so followers share them."""
     role, name = parse_service_key(key)
     return role, name, _decode(key, value,
-                               lambda doc: [Sloc.from_doc(d) for d in doc["slocs"]])
+                               lambda doc: tuple(Sloc.from_doc(d) for d in doc["slocs"]))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +340,10 @@ def parse_route_key(key: str, doc: dict) -> ServiceRoute:
     raise MalformedRoute(f"route type {rtype!r} unsupported")
 
 
+@functools.lru_cache(maxsize=1)
 def parse_route(key: str, value: bytes) -> ServiceRoute:
+    """The route of a /route record, decoded once for all the followers of a
+    put, as parse_linkstate is; the route is frozen, so followers share it."""
     return _decode(key, value, lambda doc: parse_route_key(key, doc))
 
 
@@ -552,42 +557,37 @@ def lookup_policy(rules: dict[tuple[GroupTag, GroupTag], PolicyRule],
 def register_node(handle: StoreHandle, role: str, system_name: str, site_id: int,
                   location: tuple[float, float], lease: Lease, *,
                   label_ceiling: int = 1 << LABEL_BITS) -> NodeRecord:
-    """Register under the label lock with the smallest unused 24-bit
-    SystemLabel, in one store step: take the lock (LockHeld while another
-    session holds it), scan /node/, choose the label and put the record
-    under lease, then release the lock, also when a step raises.
+    """Register with the smallest unused 24-bit SystemLabel in one
+    synchronous store step: scan /node/, choose the label and put the record
+    under lease.  No other client acts between the scan and the put, so two
+    registrations never choose the same label and none needs a lock.
 
     A name any /node/ record holds raises DuplicateSystemName; no label
     below label_ceiling raises LabelSpaceExhausted.
     """
-    key = node_key(role, system_name)
-    guard = handle.acquire_lock(LABEL_LOCK, lease.lease_id)
-    try:
-        used = set()
-        for entry in handle.get_prefix("/node/"):
-            try:
-                r, name = parse_node_key(entry.key)
-            except SchemaError:
-                continue  # not a node record: holds neither name nor label
-            if name == system_name:
-                raise DuplicateSystemName(f"{system_name} already registered as {r}")
-            try:
-                used.add(parse_node(entry.key, entry.value).system_label)
-            except SchemaError:
-                pass  # a malformed value still holds its name, but no label
-        label = 0
-        while label in used:
-            label += 1
-        if label >= label_ceiling:
-            raise LabelSpaceExhausted(f"no label below {label_ceiling}")
-        record = NodeRecord(role, system_name, site_id, location, label)
-        handle.put(key, to_json_bytes(record.to_doc()), lease.lease_id)
-    finally:
-        handle.release_lock(guard)
+    used = set()
+    for entry in handle.get_prefix("/node/"):
+        try:
+            r, name = parse_node_key(entry.key)
+        except SchemaError:
+            continue  # not a node record: holds neither name nor label
+        if name == system_name:
+            raise DuplicateSystemName(f"{system_name} already registered as {r}")
+        try:
+            used.add(parse_node(entry.key, entry.value).system_label)
+        except SchemaError:
+            pass  # a malformed value still holds its name, but no label
+    label = 0
+    while label in used:
+        label += 1
+    if label >= label_ceiling:
+        raise LabelSpaceExhausted(f"no label below {label_ceiling}")
+    record = NodeRecord(role, system_name, site_id, location, label)
+    handle.put(node_key(role, system_name), to_json_bytes(record.to_doc()), lease.lease_id)
     return record
 
 
-def hunt(handle: StoreHandle, role: str) -> tuple[list[tuple[str, list[Sloc]]], list[str]]:
+def hunt(handle: StoreHandle, role: str) -> tuple[list[tuple[str, tuple[Sloc, ...]]], list[str]]:
     """Prefix-fetch /service/<role>; unparseable values become warnings."""
     results = []
     warnings = []

@@ -93,7 +93,8 @@ def run_function_at_lc_b(net, function, args, inner):
     """Send LC_B of a SpineLeaf a packet whose one segment runs function(args)
     on inner, with the T bit set; returns LC_B's trace records from then on."""
     w = net.world
-    w.clock.run_until(millis(5))
+    start = w.clock.now
+    w.clock.run_until(start + millis(5))
     hdr = srou.SRoUHeader(
         protocol_id=srou.ProtocolId.IPV4, source_address="192.168.99.76",
         source_port=17777, segment_list=(srou.Function(args, function),),
@@ -101,7 +102,7 @@ def run_function_at_lc_b(net, function, args, inner):
     since = len(w.trace)
     w.net.send("Spine_B", Datagram("192.168.99.76", 17777, "192.168.99.78", 5546,
                                    srou.encode_header(hdr) + inner))
-    w.clock.run_until(millis(20))
+    w.clock.run_until(start + millis(20))
     return [(r["event"], r["detail"]) for r in w.trace.records[since:] if r["node"] == "LC_B"]
 
 
@@ -975,9 +976,9 @@ class TestEndDt4:
         w.clock.run_until(millis(5))
         assert net.lc_b.counts["drop_no_vrf_route"] == 1
 
-    def test_dt4_reencaps_toward_remote_owner(self):
-        # LC_B receives a frame for V2, which lives behind LC_A in VRF 77
-        net = self.build()
+    def follow_remote_owner(self, net):
+        """V2 lives behind LC_A in VRF 77 under a type-5 route, and LC_B
+        follows VRF 77's routes; returns the route and V2's deliveries."""
         w = net.world
         got = []
         net.lc_a.attach_host(HostPort("V2", "0a:00:00:00:02:02", "10.3.0.5", vrf=77,
@@ -991,6 +992,12 @@ class TestEndDt4:
         added = schema.route_prefix(5, "200:1")
         net.lc_b.route_sync.start(
             lambda prefix, on_event: prefix == added and net.lc_b.watch(prefix, on_event))
+        return route, got
+
+    def test_dt4_reencaps_toward_remote_owner(self):
+        # LC_B receives a frame for V2, which lives behind LC_A in VRF 77
+        net = self.build()
+        route, got = self.follow_remote_owner(net)
         frame = HostFrame("0a:00:00:00:01:01", "00:00:00:00:00:00",
                           "10.1.2.3", "10.3.0.5", b"l3 bounce")
         records = run_function_at_lc_b(net, srou.FUNC_END_DT4, 77, encode_frame(frame))
@@ -999,6 +1006,22 @@ class TestEndDt4:
         encaps = [detail for event, detail in records if event == "encap"]
         assert [(d["dst"], d["function"], d["args"]) for d in encaps] == [
             (route.key(), "End.DT4", 77)]
+
+    def test_a_withdrawn_type5_route_leaves_the_vrf(self):
+        # once LC_A withdraws V2's prefix, End.DT4 at LC_B finds no route
+        net = self.build()
+        route, got = self.follow_remote_owner(net)
+        inner = encode_frame(HostFrame("0a:00:00:00:01:01", "00:00:00:00:00:00",
+                                       "10.1.2.3", "10.3.0.5", b"l3 bounce"))
+        run_function_at_lc_b(net, srou.FUNC_END_DT4, 77, inner)
+        assert [f.payload for f in got] == [b"l3 bounce"]
+        net.world.store.delete(route.key())
+        with pytest.raises(NoRoute):
+            net.lc_b.route_sync.table.resolve_l3(77, "10.3.0.5")
+        records = run_function_at_lc_b(net, srou.FUNC_END_DT4, 77, inner)
+        assert net.lc_b.counts["drop_no_vrf_route"] == 1
+        assert net.lc_b.counts["encap"] == 1 and len(got) == 1
+        assert "encap" not in [event for event, _ in records]
 
 
 def oam_fields(msg):
@@ -2383,6 +2406,25 @@ class TestServiceDirectory:
             "Spine_A|inet|192.168.99.75:17778"]
         assert net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2()) is None
         assert net.lc_a.counts["drop_steer_unresolved"] == 1
+
+    def test_steer_toward_a_system_with_no_service_is_unresolved(self):
+        # the waypoint is announced, but the destination's /service/ record
+        # is gone, so no steered path can end at it
+        net = SpineLeaf()
+        w = net.world
+        w.store.put(schema.group_rule_key(0, 0), schema.to_json_bytes(
+            PolicyRule("steer", ("Spine_A|inet|192.168.99.75:17777",)).to_doc()))
+        w.clock.run_until(millis(5))
+        assert net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2(b"steered")) is not None
+        w.clock.run_until(millis(10))
+        assert [f.payload for f in net.delivered] == [b"steered"]
+        w.store.delete(schema.service_key("linecard", "LC_B"))
+        w.clock.run_until(millis(15))
+        assert "LC_B" not in net.lc_a.service_dir
+        assert net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2()) is None
+        w.clock.run_until(millis(20))
+        assert net.lc_a.counts["drop_steer_unresolved"] == 1
+        assert [f.payload for f in net.delivered] == [b"steered"]
 
 
 class TestRegistration:

@@ -1,8 +1,7 @@
-"""KV store: leases, watches, locks, partitions, and linearizability replay."""
+"""KV store: leases, watches, partitions, and linearizability replay."""
 
 import random
 import tracemalloc
-from functools import partial
 
 import pytest
 
@@ -433,63 +432,6 @@ class TestLease:
             store.put(f"/s/{i}", b"v", lease.lease_id)
         clock.run_until(seconds(11))
         assert store.get_prefix("/s/") == []
-
-
-class TestLock:
-    def test_holder_crash_releases(self, clock, store):
-        l1 = store.grant_lease(seconds(5))
-        l2 = store.grant_lease(seconds(60))
-        guard = store.acquire_lock("L", l1.lease_id)
-        with pytest.raises(kvstore.LockHeld):
-            store.acquire_lock("L", l2.lease_id)
-        clock.run_until(seconds(6))  # holder's session lease expires
-        assert guard.abandoned and store.locks == {}
-        assert store.acquire_lock("L", l2.lease_id).lease_id == l2.lease_id
-        with pytest.raises(kvstore.LockAbandoned):
-            store.release_lock(guard)
-
-    def test_reentrant_rejected(self, store):
-        lease = store.grant_lease(seconds(60))
-        store.acquire_lock("L", lease.lease_id)
-        with pytest.raises(kvstore.LockHeld):
-            store.acquire_lock("L", lease.lease_id)
-
-    def test_second_release_raises(self, store):
-        guard = store.acquire_lock("L", store.grant_lease(seconds(60)).lease_id)
-        store.release_lock(guard)
-        with pytest.raises(kvstore.LockAbandoned):
-            store.release_lock(guard)
-        assert not guard.abandoned and store.locks == {}
-
-    def test_mutual_exclusion_property(self, clock, store):
-        # seeded acquires and holder releases at random instants: never two
-        # holders, and LockHeld is raised exactly when the lock is held
-        rng = random.Random(3)
-        leases = [store.grant_lease(seconds(600)).lease_id for _ in range(8)]
-        holder = []  # the model: the guard that holds "L", if any
-        outcomes = {"granted": 0, "refused": 0, "released": 0}
-
-        def step(lease_id, release):
-            if release and holder:
-                store.release_lock(holder.pop())
-                outcomes["released"] += 1
-            else:
-                try:
-                    guard = store.acquire_lock("L", lease_id)
-                except kvstore.LockHeld:
-                    assert holder
-                    outcomes["refused"] += 1
-                else:
-                    assert not holder
-                    holder.append(guard)
-                    outcomes["granted"] += 1
-            assert list(store.locks.values()) == holder
-
-        for _ in range(400):
-            clock.call_at(rng.randrange(0, seconds(1)), partial(
-                step, rng.choice(leases), rng.random() < 0.4))
-        clock.run_until_quiescent()
-        assert min(outcomes.values()) > 50, outcomes
 
 
 class TestPartition:

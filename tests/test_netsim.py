@@ -406,6 +406,18 @@ class TestNat:
         assert seen == []
         assert net.nodes["nat"].drops == {"no_mapping": 1}
 
+    def test_an_outside_source_passes_untranslated(self):
+        # a datagram not addressed to the public IP whose source lies outside
+        # the inside prefix crosses the NAT as it is, and maps nothing
+        clock, net, seen = self.build()
+        pkt = Datagram("203.0.113.1", 7000, "10.9.9.2", 6000, b"in")
+        net.send("outside", pkt)
+        clock.run_until_quiescent()
+        nat = net.nodes["nat"].nat
+        assert seen == [pkt]
+        assert (nat.translated_out, nat.translated_in, nat.mapping_table()) == (0, 0, {})
+        assert net.nodes["nat"].drops == {}
+
     def test_second_source_next_port(self):
         clock, net, seen = self.build()
         net.bind("inside_host", "10.9.9.3", 6000, lambda p: None)

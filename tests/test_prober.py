@@ -267,6 +267,20 @@ class TestMetrics:
         assert s.expire(seconds(3)) is True
         assert (s.pending, s.lost_total, s.outcomes) == ({}, 1, (LOST,))
 
+    def test_a_response_to_an_expired_probe_changes_nothing(self):
+        # the probe was already counted lost: its late response is not a
+        # second outcome, and the loss stands
+        s = ProbeHarness(timeout=seconds(2)).session
+        req = sent(s.make_request(0))
+        assert s.expire(seconds(2))
+        before = (s.outcomes, s.lost_total, s.consecutive_losses, s.smoothed_jitter_us)
+        late = response(millis(1200), millis(1200), sender_seq=req.seq,
+                        sender_timestamp=req.timestamp)
+        assert s.on_response(late, millis(2400)) is False
+        assert (s.outcomes, s.lost_total, s.consecutive_losses,
+                s.smoothed_jitter_us) == before == ((LOST,), 1, 1, 0.0)
+        assert s.pending == {} and s.loss_rate() == 1.0
+
     @pytest.mark.parametrize("window", [0, 1, 5, 100])
     def test_window_sums_match_window_walk(self, window):
         rng = random.Random(window)
