@@ -86,9 +86,12 @@ afresh: it ranks the sessions to the destination system, encodes the header,
 and owns the host's route again if the host's groups changed its policy tag.
 The cache holds at most `MEMO_ENTRIES` flows and is emptied when full,
 wherever a cached path is dropped (route and /service/ events, a link-state
-delta, the path refresh), on each probe outcome, which the ranking reads,
-and on the other inputs of a decision: policy and identity events and
-`attach_host`.
+delta that drops one, the path refresh), on each probe outcome, which the
+ranking reads, and on the other inputs of a decision: policy and identity
+events and `attach_host`.  The path cache is the link-state sync's `paths`:
+the sync drops the paths a delta may change and calls `_on_ls_delta` only
+when it dropped one, so a delta to a linecard that caches no path costs
+nothing here (see pathengine).
 
 Host frames are the minimal tuple (src_mac, dst_mac, src_ip, dst_ip,
 payload), serialized as 6+6+4+4 octets plus payload; each distinct 20-octet
@@ -172,10 +175,11 @@ def _hop(octets: bytes, ip: str, port: int) -> tuple:
 def _parse(memo, payload: bytes, *observed):
     """srou.parse(payload) as a tuple led by the layout: what memo, a node's
     memo of _check or _hop, gives on a data header's octets and observed,
-    or (layout, None) for OAM."""
+    or (layout, None) for OAM.  A runtime's _on_datagram makes the same
+    dispatch inline."""
     if len(payload) > 3 and payload[3] != _OAM:
         return memo(payload[:max(4, payload[1])], *observed)
-    return srou.parse(payload), None
+    return srou.parse_oam(payload), None  # under 4 octets: TruncatedHeader
 
 
 def _header(source: tuple[str, int], visit: tuple, flow_id: int,
@@ -227,7 +231,7 @@ def encode_frame(frame: HostFrame) -> bytes:
 def decode_frame(data: bytes) -> HostFrame:
     if len(data) < 20:
         raise DataplaneError(f"frame too short: {len(data)}")
-    return HostFrame(*_frame_fields(bytes(data[:20])), bytes(data[20:]))
+    return tuple.__new__(HostFrame, (*_frame_fields(bytes(data[:20])), bytes(data[20:])))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +413,7 @@ class NodeRuntime:
         self.frame_trace = FrameTrace(world.clock, world.trace, name, self.counts)
         self.responder = ProbeResponder()
         self.sessions: dict[tuple[str, tuple[str, int]], ProbeSession] = {}
-        self.service_dir: dict[str, list[ServiceSloc]] = {}
+        self.service_dir: dict[str, tuple[ServiceSloc, ...]] = {}
         self.short_index: dict[str, ServiceSloc] = {}
         self._watches = []
         self._stun_server = None  # the address STUN requests go to, once discovery runs
@@ -436,7 +440,7 @@ class NodeRuntime:
     def _later(self, delay_ns: int, fn: Callable[[], None], label: str) -> int:
         """Run fn after delay_ns unless the runtime is killed first; returns
         the event's seq."""
-        return self.clock.call_later(delay_ns, fn, label, owner=self)
+        return self.clock.call_at(self.clock.now + delay_ns, fn, label, self)
 
     def every(self, interval_ns: int, fn: Callable[[], None], label: str) -> None:
         def tick():
@@ -592,16 +596,19 @@ class NodeRuntime:
         payload = pkt.payload
         self._bytes_rx[ss.short] = (self._bytes_rx.get(ss.short, 0)
                                     + UDP_OVERHEAD_BYTES + len(payload))
+        hop = None
         try:
-            hop = _parse(self._hop, payload, pkt.src_ip, pkt.src_port)
+            if len(payload) > 3 and payload[3] != _OAM:
+                hop = self._hop(payload[:max(4, payload[1])], pkt.src_ip, pkt.src_port)
+            else:
+                lay = srou.parse_oam(payload)  # under 4 octets: TruncatedHeader
         except srou.BadMagic:
             self.count("drop_bad_magic")
             return
         except srou.CodecError as exc:
             self.frame_trace.emit("malformed", type(exc).__name__)
             return
-        lay = hop[0]
-        if type(lay) is srou.DataLayout:
+        if hop is not None:
             self.on_data(ss, pkt, hop)
         elif lay.oam_type == srou.OamType.LINKSTATE:
             self.on_linkstate(ss, pkt, lay)
@@ -682,7 +689,7 @@ class NodeRuntime:
         announced SLoC of another system."""
         if system == self.name:
             return
-        for peer in self.service_dir.get(system, []):
+        for peer in self.service_dir.get(system, ()):
             for local in self.slocs:
                 if (local.short, peer.public_addr) not in self.sessions:
                     self.open_session(local, peer)
@@ -697,31 +704,31 @@ class NodeRuntime:
                 _, name = schema.parse_service_key(ev.entry.key)
             except SchemaError:
                 return None
-            old = self.service_dir.pop(name, [])
+            old = self.service_dir.pop(name, ())
             for ss in old:
                 self.short_index.pop(ss.short, None)
             self._close_sessions(name, {ss.public_addr for ss in old})
             return None
         try:
-            role, name, slocs = schema.parse_service(ev.entry.key, ev.entry.value)
+            role, name, slocs = ev.entry.decoded[schema.parse_service]
         except SchemaError:
             self.emit("service_parse_warning", key=ev.entry.key)
             return None
-        old = self.service_dir.get(name, [])
+        old = self.service_dir.get(name, ())
         for ss in old:  # a re-announce replaces them
             self.short_index.pop(ss.short, None)
-        self.service_dir[name] = [ServiceSloc(name, s) for s in slocs]
-        for ss in self.service_dir[name]:
+        self.service_dir[name] = slocs
+        for ss in slocs:
             self.short_index[ss.short] = ss
         self._close_sessions(name, {ss.public_addr for ss in old}
-                             - {ss.public_addr for ss in self.service_dir[name]})
+                             - {ss.public_addr for ss in slocs})
         whitelist = self.probe_cfg.whitelist
         if role == "fabric" and (whitelist is None or name in whitelist):
             self._probe(name)
         return name
 
     def _probe_tick(self, session: ProbeSession) -> None:
-        if session.expire(self.clock.now):
+        if session.pending and session.expire(self.clock.now):
             self.on_probe_outcome(session)
         self.send_from(session.local, session.peer.public_addr,
                        session.make_request(self.clock.now))
@@ -851,7 +858,8 @@ class LinecardRuntime(NodeRuntime):
         self.ls_sync = LinkStateSync(on_delta=self._on_ls_delta)
         self.policy_rules: dict = {}
         self.identity_cache: dict[str, list[int]] = {}
-        self.path_cache: dict[str, tuple[ServiceSloc, ComputedPath]] = {}
+        # route key -> (local SLoC, path); the link-state sync drops what a delta may change
+        self.path_cache: dict[str, tuple[ServiceSloc, ComputedPath]] = self.ls_sync.paths
         # (vnid, vrf, identity, dst MAC, dst IP, T bit) -> an encap of _encap
         self._flows: dict[tuple, tuple] = {}
 
@@ -916,8 +924,7 @@ class LinecardRuntime(NodeRuntime):
     def _on_service(self, ev) -> None:
         self._flows.clear()
         name = super()._on_service(ev)
-        if name is not None and any(r.system_name == name
-                                    for r in self.route_sync.table.routes()):
+        if name in self.route_sync.systems:
             self._probe(name)
 
     def _on_policy(self, ev) -> None:
@@ -949,11 +956,8 @@ class LinecardRuntime(NodeRuntime):
             self._probe(route.system_name)
 
     def _on_ls_delta(self, src: str, dst: str) -> None:
-        for key, (_, path) in list(self.path_cache.items()):
-            shorts = {w.short for w in path.waypoints}
-            if src in shorts or dst in shorts or path.source == PATH_ENGINEERED:
-                self.path_cache.pop(key, None)
-                self._flows.clear()
+        """A link-state delta dropped a cached path (see LinkStateSync)."""
+        self._flows.clear()
 
     def _refresh(self) -> None:
         self.path_cache.clear()
@@ -1043,7 +1047,7 @@ class LinecardRuntime(NodeRuntime):
         return chosen
 
     def _engineer(self, system: str):
-        dst_shorts = {ss.short for ss in self.service_dir.get(system, [])}
+        dst_shorts = {ss.short for ss in self.service_dir.get(system, ())}
         src_shorts = {ss.short for ss in self.slocs}
         if not dst_shorts:
             return None

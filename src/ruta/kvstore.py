@@ -24,13 +24,23 @@ looks up the watches on each `/`-ancestor of its key (a prefix that ends in
 the watches it reaches and the depth of its key, not the number of watches.
 The hits are collected before any is delivered and go out in watch_id
 order: a watch added during delivery does not see the change, and one that
-a callback cancels gets nothing more.
+a callback cancels gets nothing more.  The store hands a change straight to
+the on_event of a watch that is live, not held, has no backlog and whose
+client is healthy; every other hit goes through Watch._deliver, which
+buffers it or drops it.
+
+Every entry carries a decode memo, `KvEntry.decoded`: `decoded[parse]` is
+parse(key, value), called on the first lookup only, so all the followers of
+a put and every listing that replays the entry share one decode.  A lookup
+that hits is a dict read and runs no Python code.  The memo lives and dies
+with its entry; a delete hands it to the tombstone, which holds the same
+value.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Optional
 
@@ -56,12 +66,29 @@ class LeaseNotFound(StoreError):
     pass
 
 
+class Decoded(dict):
+    """One entry's decode memo: parse -> parse(key, value).  A parse runs on
+    its first lookup; one that raises stores nothing and raises again on
+    the next lookup."""
+
+    __slots__ = ("key", "value")
+
+    def __init__(self, key: str, value: bytes):
+        self.key = key
+        self.value = value
+
+    def __missing__(self, parse: Callable[[str, bytes], object]):
+        got = self[parse] = parse(self.key, self.value)
+        return got
+
+
 @dataclass(frozen=True)
 class KvEntry:
     key: str
     value: bytes
     lease_id: Optional[int]
     mod_revision: int
+    decoded: Decoded = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -170,8 +197,13 @@ class KvStore:
         hits = (tuple(groups[0]) if len(groups) == 1
                 else sorted((w for g in groups for w in g), key=_WATCH_ID))
         ev = WatchEvent(kind, entry, entry.mod_revision)
+        partitioned = self.partitioned
         for watch in hits:
-            watch._deliver(ev)
+            if watch.canceled or watch.held or watch.backlog or (
+                    watch.client in partitioned and watch.client is not None):
+                watch._deliver(ev)
+            else:
+                watch.on_event(ev)
 
     def _live_lease(self, lease_id: Optional[int]) -> Optional[Lease]:
         if lease_id is None:
@@ -193,7 +225,8 @@ class KvStore:
             if old_lease is not None:
                 old_lease.keys.discard(key)
         self.revision += 1
-        entry = KvEntry(key, bytes(value), lease_id, self.revision)
+        value = bytes(value)
+        entry = KvEntry(key, value, lease_id, self.revision, Decoded(key, value))
         self.entries[key] = entry
         if lease is not None:
             lease.keys.add(key)
@@ -212,11 +245,12 @@ class KvStore:
             if lease is not None:
                 lease.keys.discard(key)
         self.revision += 1
-        self._emit(DELETE, KvEntry(key, old.value, old.lease_id, self.revision))
+        self._emit(DELETE, KvEntry(key, old.value, old.lease_id, self.revision, old.decoded))
         return True
 
     def get_prefix(self, prefix: str) -> list[KvEntry]:
-        return [self.entries[k] for k in sorted(self.entries) if k.startswith(prefix)]
+        entries = self.entries
+        return [entries[k] for k in sorted([k for k in entries if k.startswith(prefix)])]
 
     # -- watches ------------------------------------------------------------
 
@@ -297,14 +331,6 @@ class StoreHandle:
     def _check(self) -> None:
         if self.name in self.store.partitioned:
             raise StoreUnavailable(f"client {self.name} is partitioned")
-
-    @property
-    def available(self) -> bool:
-        try:
-            self._check()
-            return True
-        except StoreUnavailable:
-            return False
 
     def put(self, key: str, value: bytes, lease_id: Optional[int] = None) -> int:
         self._check()

@@ -442,30 +442,28 @@ class Network:
             node.drop("not_alive")
             return
         node.tx += 1
-        self._route(node, pkt)
+        self._route(node, pkt, None)
 
-    def _arrive(self, st: _DirState, pkt: Datagram) -> None:
-        """The event of pkt reaching the far end of direction st."""
-        st.delivered += 1
-        node = st.to
-        if not node.alive:
-            node.drop("not_alive")
-            return
-        nat = node.nat
-        if nat is not None:
-            if pkt.dst_ip == nat.public_ip:
-                pkt = nat.translate_in(pkt)
-                if pkt is None:
-                    node.drop("no_mapping")
-                    return
-            else:
-                pkt = nat.translate_out(pkt)
-        self._route(node, pkt)
-
-    def _route(self, node: SimNode, pkt: Datagram) -> None:
+    def _route(self, node: SimNode, pkt: Datagram, arrived: Optional[_DirState]) -> None:
         """Hand pkt to node's socket for its destination, or send it on the
-        first link towards the destination's owner; a send on an up link
-        that is not lost is one heap entry that runs `_arrive`."""
+        first link towards the destination's owner.  A send on an up link
+        that is not lost is one heap entry that runs `_route` again at the
+        far end, with the direction it arrived by, where it is counted as
+        delivered, dropped if that node is dead, and NAT-translated."""
+        if arrived is not None:
+            arrived.delivered += 1
+            if not node.alive:
+                node.drop("not_alive")
+                return
+            nat = node.nat
+            if nat is not None:
+                if pkt.dst_ip == nat.public_ip:
+                    pkt = nat.translate_in(pkt)
+                    if pkt is None:
+                        node.drop("no_mapping")
+                        return
+                else:
+                    pkt = nat.translate_out(pkt)
         try:
             hop = node.next_hop[pkt.dst_ip]
         except KeyError:
@@ -493,8 +491,8 @@ class Network:
                     raise SimError(f"cannot schedule at {at} before now {clock.now}")
                 seq = clock._seq
                 clock._seq = seq + 1
-                heapq.heappush(clock._heap, (at, seq, self._arrive, (hop, pkt), hop.label,
-                                             None))
+                heapq.heappush(clock._heap, (at, seq, self._route, (hop.to, pkt, hop),
+                                             hop.label, None))
 
     def _next_hop(self, node: SimNode, ip: str) -> object:
         """Fill node's next-hop table for ip; an address nobody owns is

@@ -29,7 +29,17 @@ The map is an EdgeMap, which keeps the out-adjacency the search walks
 beside the edges and updates both together, so a search builds none.
 
 The syncs are pure mirrors: each subscribes through the `follow` its owner
-hands to `start` and holds no store session of its own.
+hands to `start` and holds no store session of its own.  Each reads a
+record through its store entry's decode memo, so a put is decoded once for
+every sync that follows it.  RouteSync counts its table's routes per system,
+so whether a system is a route's destination is one dict read.
+
+LinkStateSync also holds the paths computed over its link state, `paths`,
+which a linecard fills and reads as its path cache.  The sync drops the
+ones a delta may change: every engineered path, and any path with the
+delta's src or dst among its waypoints.  A delta to a sync that holds no
+path costs one dict read; on_delta hears of a delta only when it dropped a
+path.
 """
 
 from __future__ import annotations
@@ -243,6 +253,11 @@ class Lpm:
             if not table:
                 del self._by_mask[mask]
 
+    def exact(self, prefix: str, mask: int) -> Optional[ServiceRoute]:
+        """The route of exactly prefix/mask, if any."""
+        table = self._by_mask.get(mask)
+        return None if table is None else table.get(self._net(prefix, mask))
+
     def lookup(self, ip: str) -> Optional[ServiceRoute]:
         addr = self._net(ip, 32)
         for mask, table in self._by_mask.items():
@@ -287,15 +302,11 @@ class RouteTable:
             return self.resolve_l3(vrf, ip)
         raise NoRoute("nothing to resolve with")
 
-    def routes(self) -> Iterator[ServiceRoute]:
-        """Every route: type-2, then type-5."""
-        yield from self.type2.values()
-        for lpm in self.type5.values():
-            yield from lpm.routes()
-
 
 class RouteSync:
-    """Mirror of the watched /route prefixes, one follow per imported RT."""
+    """Mirror of the watched /route prefixes, one follow per imported RT.
+    `systems` maps each system name to the number of the table's routes
+    that lead to it."""
 
     def __init__(self, l2_imports: dict[str, int], l3_imports: dict[str, int],
                  on_delta: Optional[Callable[[str, ServiceRoute], None]] = None):
@@ -303,6 +314,7 @@ class RouteSync:
         self.l3_imports = dict(l3_imports)
         self.on_delta = on_delta
         self.table = RouteTable()
+        self.systems: dict[str, int] = {}
 
     def start(self, follow: Follow) -> None:
         """Follow each imported RT prefix."""
@@ -312,7 +324,7 @@ class RouteSync:
 
     def _apply(self, ev: WatchEvent) -> None:
         try:
-            route = parse_route(ev.entry.key, ev.entry.value)
+            route = ev.entry.decoded[parse_route]
         except SchemaError:
             return
         if route.route_type == 2:
@@ -320,6 +332,7 @@ class RouteSync:
             if vnid is None:
                 return
             tkey = (vnid, route.mac)
+            old = self.table.type2.get(tkey)
             if ev.kind == PUT:
                 self.table.type2[tkey] = route
             else:
@@ -329,20 +342,31 @@ class RouteSync:
             if vrf is None:
                 return
             lpm = self.table.type5.setdefault(vrf, Lpm())
+            old = lpm.exact(route.prefix, route.mask)
             if ev.kind == PUT:
                 lpm.insert(route.prefix, route.mask, route)
             else:
                 lpm.remove(route.prefix, route.mask)
+        systems = self.systems
+        if old is not None:
+            left = systems.pop(old.system_name) - 1
+            if left:
+                systems[old.system_name] = left
+        if ev.kind == PUT:
+            systems[route.system_name] = systems.get(route.system_name, 0) + 1
         if self.on_delta is not None:
             self.on_delta(ev.kind, route)
 
 
 class LinkStateSync:
-    """Mirror of /stats/linkstate into an in-memory record map."""
+    """Mirror of /stats/linkstate into an in-memory record map, and the
+    keeper of the paths computed over it (see the module docstring)."""
 
     def __init__(self, on_delta: Optional[Callable[[str, str], None]] = None):
         self.records: dict[tuple[str, str], LinkStateRecord] = {}
-        self.on_delta = on_delta
+        self.on_delta = on_delta  # on_delta(src, dst) after a delta dropped a path
+        # route key -> (local SLoC, path) chosen for it
+        self.paths: dict[str, tuple[ServiceSloc, ComputedPath]] = {}
         self._policy: Optional[SlaPolicy] = None
         self._edges = EdgeMap({})  # build_edges(records, _policy)
 
@@ -352,7 +376,7 @@ class LinkStateSync:
     def _apply(self, ev: WatchEvent) -> None:
         try:
             if ev.kind == PUT:
-                pair, rec = parse_linkstate(ev.entry.key, ev.entry.value)
+                pair, rec = ev.entry.decoded[parse_linkstate]
                 self.records[pair] = rec
             else:
                 pair = parse_linkstate_key(ev.entry.key)
@@ -362,8 +386,19 @@ class LinkStateSync:
         if self._policy is not None:
             self._edge(pair)
             self._edge((pair[1], pair[0]))
-        if self.on_delta is not None:
-            self.on_delta(*pair)
+        if self.paths:
+            self._drop_paths(*pair)
+
+    def _drop_paths(self, src: str, dst: str) -> None:
+        """Drop every engineered path and every path through src or dst."""
+        dropped = False
+        for key, (_, path) in list(self.paths.items()):
+            if path.source == PATH_ENGINEERED or any(
+                    w.short == src or w.short == dst for w in path.waypoints):
+                del self.paths[key]
+                dropped = True
+        if dropped and self.on_delta is not None:
+            self.on_delta(src, dst)
 
     def _edge(self, pair: tuple[str, str]) -> None:
         """Set the edge of one direction as build_edges would: its own up

@@ -23,7 +23,13 @@ a deep copy of each field that costs 25 times as much.
 
 Node, service, route, link-state, group-rule and identity values are read
 only through parse_node, parse_service, parse_route, parse_linkstate,
-parse_group_rule and parse_identity, which raise only SchemaError.
+parse_group_rule and parse_identity, which raise only SchemaError.  Each
+takes (key, value) and decodes afresh.  A reader of a store entry looks a
+node, service, route or link-state value up in the entry's decode memo
+instead, `entry.decoded[parse_route]` (see kvstore), so a record is decoded
+once for every follower of its put, every listing that replays it, every
+hunt and every registration that scans it.  The parsers return frozen
+records and tuples of them, so readers share what the memo holds.
 """
 
 from __future__ import annotations
@@ -73,8 +79,11 @@ class LabelSpaceExhausted(SchemaError):
     pass
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # what json.dumps builds
+
+
 def to_json_bytes(doc) -> bytes:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _ENCODER.encode(doc).encode("utf-8")
 
 
 def from_json_bytes(raw: bytes):
@@ -220,7 +229,7 @@ class ServiceSloc:
     def addr(self) -> tuple[str, int]:
         return self.sloc.private_ip, self.sloc.private_port
 
-    @property
+    @functools.cached_property
     def public_addr(self) -> tuple[str, int]:
         return self.sloc.public_ip, self.sloc.public_port
 
@@ -244,14 +253,12 @@ def service_value(slocs: list[Sloc]) -> bytes:
     return to_json_bytes({"slocs": [s.to_doc() for s in slocs]})
 
 
-@functools.lru_cache(maxsize=1)
-def parse_service(key: str, value: bytes) -> tuple[str, str, tuple[Sloc, ...]]:
-    """(role, system name, SLoCs) of a /service record, decoded once for all
-    the followers of a put, as parse_linkstate is; the SLoCs are a tuple of
-    frozen records, so followers share them."""
+def parse_service(key: str, value: bytes) -> tuple[str, str, tuple[ServiceSloc, ...]]:
+    """(role, system name, the system's ServiceSlocs) of a /service record;
+    the ServiceSlocs are a tuple of frozen records."""
     role, name = parse_service_key(key)
-    return role, name, _decode(key, value,
-                               lambda doc: tuple(Sloc.from_doc(d) for d in doc["slocs"]))
+    return role, name, _decode(key, value, lambda doc: tuple(
+        ServiceSloc(name, Sloc.from_doc(d)) for d in doc["slocs"]))
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +347,8 @@ def parse_route_key(key: str, doc: dict) -> ServiceRoute:
     raise MalformedRoute(f"route type {rtype!r} unsupported")
 
 
-@functools.lru_cache(maxsize=1)
 def parse_route(key: str, value: bytes) -> ServiceRoute:
-    """The route of a /route record, decoded once for all the followers of a
-    put, as parse_linkstate is; the route is frozen, so followers share it."""
+    """The route of a /route record; the route is frozen."""
     return _decode(key, value, lambda doc: parse_route_key(key, doc))
 
 
@@ -407,13 +412,9 @@ def parse_linkstate_key(key: str) -> tuple[str, str]:
     return src, dst
 
 
-@functools.lru_cache(maxsize=1)
 def parse_linkstate(key: str, value: bytes) -> tuple[tuple[str, str], LinkStateRecord]:
-    """((src, dst) from the key, record) of a /stats/linkstate record.
-
-    A put reaches every follower in turn, so remembering the last (key,
-    value) decodes it once; the record is frozen, so followers share it.
-    """
+    """((src, dst) from the key, record) of a /stats/linkstate record; the
+    record is frozen."""
     return parse_linkstate_key(key), _decode(key, value, LinkStateRecord.from_doc)
 
 
@@ -558,9 +559,10 @@ def register_node(handle: StoreHandle, role: str, system_name: str, site_id: int
                   location: tuple[float, float], lease: Lease, *,
                   label_ceiling: int = 1 << LABEL_BITS) -> NodeRecord:
     """Register with the smallest unused 24-bit SystemLabel in one
-    synchronous store step: scan /node/, choose the label and put the record
-    under lease.  No other client acts between the scan and the put, so two
-    registrations never choose the same label and none needs a lock.
+    synchronous store step: scan /node/, each record read through its decode
+    memo, choose the label and put the record under lease.  No other client
+    acts between the scan and the put, so two registrations never choose the
+    same label and none needs a lock.
 
     A name any /node/ record holds raises DuplicateSystemName; no label
     below label_ceiling raises LabelSpaceExhausted.
@@ -568,15 +570,19 @@ def register_node(handle: StoreHandle, role: str, system_name: str, site_id: int
     used = set()
     for entry in handle.get_prefix("/node/"):
         try:
-            r, name = parse_node_key(entry.key)
+            record = entry.decoded[parse_node]
         except SchemaError:
-            continue  # not a node record: holds neither name nor label
+            try:
+                r, name = parse_node_key(entry.key)
+            except SchemaError:
+                continue  # not a node record: holds neither name nor label
+            record = None  # a malformed value still holds its name, but no label
+        else:
+            r, name = record.role, record.system_name
         if name == system_name:
             raise DuplicateSystemName(f"{system_name} already registered as {r}")
-        try:
-            used.add(parse_node(entry.key, entry.value).system_label)
-        except SchemaError:
-            pass  # a malformed value still holds its name, but no label
+        if record is not None:
+            used.add(record.system_label)
     label = 0
     while label in used:
         label += 1
@@ -588,16 +594,17 @@ def register_node(handle: StoreHandle, role: str, system_name: str, site_id: int
 
 
 def hunt(handle: StoreHandle, role: str) -> tuple[list[tuple[str, tuple[Sloc, ...]]], list[str]]:
-    """Prefix-fetch /service/<role>; unparseable values become warnings."""
+    """Prefix-fetch /service/<role>, each record read through its decode
+    memo; unparseable values become warnings."""
     results = []
     warnings = []
     for entry in handle.get_prefix(f"/service/{role}/"):
         try:
-            _, system_name, slocs = parse_service(entry.key, entry.value)
+            _, system_name, service_slocs = entry.decoded[parse_service]
         except SchemaError as exc:
             warnings.append(f"{entry.key}: unparseable service record ({exc})")
             continue
-        results.append((system_name, slocs))
+        results.append((system_name, tuple(ss.sloc for ss in service_slocs)))
     return results, warnings
 
 

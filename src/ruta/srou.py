@@ -150,6 +150,13 @@ class OamType(IntEnum):
     STUN = 0x2
 
 
+# Enum values that the probe path reads per message, as plain ints: a read
+# of an enum member costs about 0.2 us.
+_PROTO_OAM = int(ProtocolId.OAM)
+_OAM_LINKSTATE = int(OamType.LINKSTATE)
+_OAM_STUN = int(OamType.STUN)
+_OAM_TRACEROUTE = int(OamType.TRACEROUTE)
+
 LINKSTATE_REQUEST = 0x0
 LINKSTATE_RESPONSE = 0x1
 STUN_REQUEST = 0x0
@@ -574,15 +581,15 @@ def parse_oam(data: bytes) -> OamLayout:
     """Check an OAM message and return its raw fields.  A Linkstate payload
     stays five ints, so a probe is read without objects."""
     total, ft, _, proto = _parse_prefix(data)
-    if proto != ProtocolId.OAM:
+    if proto != _PROTO_OAM:
         raise InvariantViolation(f"protocol id {proto:#x} is not OAM")
-    off = 4 + ft.octets
+    off = 8 + 4 * ft  # 4 + ft.octets, without the property's calls
     if off + 2 > total:
         raise TruncatedHeader("OAM message shorter than fixed fields")
     oam_type, subtype = data[off], data[off + 1]
     body = total - off - 2
 
-    if oam_type == OamType.LINKSTATE:
+    if oam_type == _OAM_LINKSTATE:
         if subtype not in (LINKSTATE_REQUEST, LINKSTATE_RESPONSE):
             raise UnknownOamType(f"linkstate subtype {subtype:#x}")
         if body < LINKSTATE_PAYLOAD_OCTETS:
@@ -591,7 +598,7 @@ def parse_oam(data: bytes) -> OamLayout:
         if body > LINKSTATE_PAYLOAD_OCTETS:
             raise LengthMismatch("trailing bytes after linkstate payload")
         payload = _LINKSTATE.unpack_from(data, off + 2)
-    elif oam_type == OamType.STUN:
+    elif oam_type == _OAM_STUN:
         if subtype == STUN_REQUEST:
             if body:
                 raise LengthMismatch("stun request carries no payload")
@@ -605,12 +612,12 @@ def parse_oam(data: bytes) -> OamLayout:
                        int.from_bytes(data[off + 6:off + 8], "big"))
         else:
             raise UnknownOamType(f"stun subtype {subtype:#x}")
-    elif oam_type == OamType.TRACEROUTE:
+    elif oam_type == _OAM_TRACEROUTE:
         raise UnknownOamType("oam type 0x1 (traceroute) is reserved")
     else:
         raise UnknownOamType(f"oam type {oam_type:#x}")
-    return OamLayout._make((total, ft, int.from_bytes(data[4:off], "big"),
-                            oam_type, subtype, payload))
+    return tuple.__new__(OamLayout, (total, ft, int.from_bytes(data[4:off], "big"),
+                                     oam_type, subtype, payload))
 
 
 def encode_linkstate(subtype: int, flow_id: int, flow_id_type: int, seq: int,
@@ -621,9 +628,9 @@ def encode_linkstate(subtype: int, flow_id: int, flow_id_type: int, seq: int,
     passes fields encode_oam accepts (a request zeroes the echo fields)."""
     octets = 4 * (flow_id_type + 1)
     return (bytes((MAGIC, 6 + octets + LINKSTATE_PAYLOAD_OCTETS, flow_id_type << 3,
-                   ProtocolId.OAM))
+                   _PROTO_OAM))
             + flow_id.to_bytes(octets, "big")
-            + bytes((OamType.LINKSTATE, subtype))
+            + bytes((_OAM_LINKSTATE, subtype))
             + _LINKSTATE.pack(seq, timestamp, received_timestamp, sender_seq,
                               sender_timestamp))
 

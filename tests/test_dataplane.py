@@ -30,7 +30,13 @@ from ruta.dataplane import (
 )
 from ruta.kvstore import KvStore
 from ruta.netsim import Datagram, Network, Trace, VirtualClock, millis, seconds
-from ruta.pathengine import NoRoute, SlaPolicy
+from ruta.pathengine import (
+    PATH_DIRECT,
+    PATH_ENGINEERED,
+    ComputedPath,
+    NoRoute,
+    SlaPolicy,
+)
 from ruta.schema import PolicyRule, Sloc
 
 import srouref
@@ -1819,6 +1825,65 @@ class TestFlowCache:
         assert net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2()) is None
         assert net.lc_a.counts["drop_policy_deny"] == 1
         assert net.lc_a.counts["encap"] == 4
+
+
+class TestLinkStateInvalidation:
+    """A link-state delta drops from a linecard's path cache every engineered
+    path and every path with the delta's src or dst among its waypoints, and
+    empties the flow cache only when it dropped one."""
+
+    @staticmethod
+    def kept(cache, src, dst):
+        """The paths the rule keeps: what `_on_ls_delta` kept when it scanned
+        the cache itself on every delta."""
+        out = {}
+        for key, (local, path) in cache.items():
+            shorts = {w.short for w in path.waypoints}
+            if not (src in shorts or dst in shorts or path.source == PATH_ENGINEERED):
+                out[key] = (local, path)
+        return out
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_deltas_drop_what_the_rule_drops(self, seed):
+        rng = random.Random(seed)
+        net = SpineLeaf(seed=seed)
+        net.world.clock.run_until(seconds(3))
+        lc = net.lc_a
+        pool = [lc.short_index[s] for s in sorted(lc.short_index)]
+        ends = sorted(lc.short_index) + ["X|inet|10.9.9.9:9"]  # and one no path holds
+        assert len(pool) == 4  # both linecards and both spines
+        writer = net.world.store.client("oracle")
+        lease = writer.grant_lease(seconds(600))
+        dropped = kept = 0
+        for step in range(400):
+            if step == 200:
+                lc.ls_sync.edges(lc.sla)  # from here on each delta also keeps the edge map
+            while len(lc.path_cache) < 5:
+                waypoints = tuple(rng.sample(pool, rng.randint(1, 3)))
+                source = rng.choice((PATH_DIRECT, PATH_ENGINEERED, PATH_DIRECT))
+                lc.path_cache[f"/route/2/x/{step}/{len(lc.path_cache)}"] = (
+                    lc.slocs[0], ComputedPath(waypoints, 1.0, source))
+            sentinel = ("sentinel", step)
+            lc._flows[sentinel] = ()
+            src, dst = rng.sample(ends, 2)
+            before = dict(lc.path_cache)
+            want = self.kept(before, src, dst)
+            key = schema.linkstate_key(src, dst)
+            roll = rng.random()
+            if roll < 0.2 and writer.get(key) is not None:
+                writer.delete(key)
+            elif roll < 0.3:
+                writer.put(key, b'{"loss": "high"}', lease.lease_id)
+                want = before  # a malformed record changes nothing
+            else:
+                schema.put_record(writer, schema.LinkStateRecord(
+                    src, dst, rng.uniform(100, 5000), 0.0, rng.choice((0.0, 0.5)),
+                    rng.choice(("up", "down")), net.world.clock.now), lease)
+            assert lc.path_cache == want
+            assert (sentinel in lc._flows) == (want == before)
+            dropped += want != before
+            kept += want == before
+        assert dropped > 50 and kept > 50
 
 
 class TestHeadlessRuntime:

@@ -285,6 +285,109 @@ class TestPrefixDispatch:
             assert got == [(i, rev) for i in live]
 
 
+class TestInlineDelivery:
+    """The store hands a change straight to a live, unheld watch of a healthy
+    client with no backlog; every other watch buffers it or drops it."""
+
+    def test_one_put_reaches_four_kinds_of_watch_in_one_group(self, store):
+        store.put("/g/0", b"0")
+        got = {name: [] for name in ("direct", "held", "partitioned", "canceled")}
+        watches = {}
+
+        def record(name):
+            return lambda ev: got[name].append((ev.kind, ev.entry.key, ev.revision))
+
+        def direct(ev):
+            record("direct")(ev)
+            if ev.entry.key == "/g/1":
+                watches["canceled"].cancel()
+
+        watches["direct"] = store.client("A").follow("/g/", direct)
+        watches["partitioned"] = store.client("C").follow("/g/", record("partitioned"))
+        watches["canceled"] = store.client("D").follow("/g/", record("canceled"))
+        store.set_partitioned("C", True)
+        revs = []
+
+        def held(ev):  # the put made during the listing waits for the listing to end
+            if not revs:
+                revs.append(store.put("/g/1", b"1"))
+            record("held")(ev)
+
+        watches["held"] = store.client("B").follow("/g/", held)
+        ids = [watches[n].watch_id for n in ("direct", "partitioned", "canceled", "held")]
+        assert ids == sorted(ids)  # one group, and the put meets them in this order
+        listed, put = (PUT, "/g/0", 1), (PUT, "/g/1", revs[0])
+        assert got == {"direct": [listed, put], "held": [listed, put],
+                       "partitioned": [listed], "canceled": [listed]}
+        assert watches["partitioned"].backlog and not watches["held"].backlog
+        store.put("/g/2", b"2")
+        assert got["partitioned"] == [listed]
+        store.set_partitioned("C", False)
+        assert got["partitioned"] == [listed, put, (PUT, "/g/2", revs[0] + 1)]
+        assert got["canceled"] == [listed]
+        assert got["direct"] == got["held"] == got["partitioned"]
+
+
+class TestDecodeMemo:
+    """Each entry decodes once per parser, for every reader of it."""
+
+    def test_a_parser_runs_once_per_entry_for_followers_and_listings(self, store):
+        calls = []
+
+        def parse(key, value):
+            calls.append((key, value))
+            return (key, int(value))
+
+        store.put("/d/a", b"1")
+        decoded = []
+        for name in ("A", "B"):
+            store.client(name).follow("/d/", lambda ev: decoded.append(
+                ev.entry.decoded[parse]))
+        store.put("/d/b", b"2")
+        store.client("C").follow("/d/", lambda ev: decoded.append(ev.entry.decoded[parse]))
+        assert calls == [("/d/a", b"1"), ("/d/b", b"2")]
+        assert decoded == [("/d/a", 1)] * 2 + [("/d/b", 2)] * 2 + [("/d/a", 1), ("/d/b", 2)]
+        store.put("/d/a", b"3")  # a new value is a new entry, with a memo of its own
+        assert calls[-1] == ("/d/a", b"3") and decoded[-1] == ("/d/a", 3)
+
+    def test_a_parse_that_raises_is_not_remembered(self, store):
+        calls = []
+
+        def parse(key, value):
+            calls.append(value)
+            raise ValueError(value)
+
+        store.put("/d/a", b"x")
+        entry = store.get("/d/a")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                entry.decoded[parse]
+        assert calls == [b"x", b"x"] and parse not in entry.decoded
+
+    def test_a_delete_hands_the_memo_to_its_tombstone(self, store):
+        calls = []
+
+        def parse(key, value):
+            calls.append(value)
+            return value.decode()
+
+        store.put("/d/a", b"x")
+        assert store.get("/d/a").decoded[parse] == "x"
+        tombstones = []
+        store.watch_prefix("/d/", on_event=tombstones.append)
+        store.delete("/d/a")
+        assert tombstones[0].kind == DELETE and tombstones[0].entry.decoded[parse] == "x"
+        assert calls == [b"x"]
+
+    def test_entries_compare_without_their_memo(self, store):
+        store.put("/d/a", b"x")
+        entry = store.get("/d/a")
+        fresh = kvstore.KvEntry(entry.key, entry.value, entry.lease_id, entry.mod_revision,
+                                kvstore.Decoded(entry.key, entry.value))
+        assert entry.decoded[lambda key, value: value.decode()] == "x"
+        assert entry == fresh and hash(entry) == hash(fresh)
+
+
 class TestFollow:
     def test_seeds_in_key_order_then_streams(self, store):
         store.put("/f/b", b"2")
@@ -443,7 +546,6 @@ class TestPartition:
             h.get("/k")
         with pytest.raises(StoreUnavailable):
             h.put("/k", b"w")
-        assert not h.available
 
     def test_heal_replays_backlog_in_order(self, store):
         h = store.client("LC_A")

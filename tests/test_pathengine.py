@@ -3,6 +3,7 @@ and the segment list a linecard renders a computed path as."""
 
 import ipaddress
 import random
+from collections import Counter
 
 import pytest
 
@@ -491,6 +492,37 @@ class TestRouteSync:
         route = self.put_route(store)
         store.delete(route.key())
         assert sync.table.type2 == {}
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_system_counts_follow_the_table(self, seed):
+        # seeded puts and deletes of type-2 and type-5 routes, some of which
+        # share a table slot across RDs or move a slot to another system
+        rng = random.Random(seed)
+        store = KvStore(VirtualClock())
+        sync = RouteSync(l2_imports={"100:1": 1, "200:1": 2}, l3_imports={"300:1": 3})
+        sync.start(store.client("LC_A").follow)
+        systems = ("LC_B", "LC_C", "LC_D")
+        for _ in range(500):
+            common = dict(export_rt=rng.choice(("100:1", "200:1", "300:1", "400:1")),
+                          rd=rng.choice(("1:1", "2:1")), site_id=1,
+                          system_name=rng.choice(systems), policy_tag=0)
+            if common["export_rt"] == "300:1":
+                route = ServiceRoute(route_type=5, prefix=f"10.{rng.randrange(3)}.0.0",
+                                     mask=rng.choice((16, 24)), **common)
+            else:
+                route = ServiceRoute(route_type=2, mac=f"aa:aa:aa:aa:aa:0{rng.randrange(4)}",
+                                     ip="10.0.0.1", **common)
+            if rng.random() < 0.3:
+                store.delete(route.key())
+            elif rng.random() < 0.05:
+                store.put(route.key(), b"{}")  # malformed: the table keeps its route
+            else:
+                store.put(route.key(), to_json_bytes(route.to_doc()))
+            held = list(sync.table.type2.values())
+            held += [r for lpm in sync.table.type5.values() for r in lpm.routes()]
+            assert sync.systems == Counter(r.system_name for r in held)
+        assert set(sync.systems) == set(systems)
 
 
 class TestLinkStateSync:

@@ -6,6 +6,7 @@ import pytest
 
 from ruta import schema
 from ruta.dataplane import LinecardRuntime, World
+from ruta.pathengine import LinkStateSync, RouteSync
 from ruta.kvstore import KvStore
 from ruta.netsim import Network, Trace, VirtualClock, seconds
 from ruta.schema import (
@@ -446,3 +447,66 @@ class TestParsers:
         assert linecard.identity_cache.get(schema.identity_key("u1", "d1"),
                                            [schema.DEFAULT_GROUP]) == [0]
         assert linecard.policy_rules == {}
+
+
+class TestDecodeOncePerEntry:
+    """A store entry is decoded once for all its readers: every follower of
+    its put, every listing that replays it, every hunt and every
+    registration that scans it.  The memo is the entry's, so a second world
+    decodes afresh."""
+
+    FOLLOWERS = 4
+
+    @staticmethod
+    def records():
+        """(key, value) of 2 node, 2 service, 3 route and 6 link-state records."""
+        out = [(schema.node_key("fabric", f"F{i}"),
+                schema.to_json_bytes(NodeRecord("fabric", f"F{i}", 1, (0.0, 0.0), i).to_doc()))
+               for i in range(2)]
+        out += [(schema.service_key("fabric", f"F{i}"),
+                 schema.service_value([make_sloc(ip=f"10.0.0.{i + 1}")])) for i in range(2)]
+        for i in range(3):
+            route = ServiceRoute(route_type=2, export_rt="100:1", rd="1:1",
+                                 mac=f"aa:aa:aa:aa:aa:0{i}", ip=f"10.1.0.{i}", site_id=1,
+                                 system_name="LC_B", policy_tag=0)
+            out.append((route.key(), schema.to_json_bytes(route.to_doc())))
+        for i in range(6):
+            rec = LinkStateRecord(f"a|c|10.0.0.{i}:1", f"b|c|10.0.1.{i}:1", 1.0 + i, 0.0,
+                                  0.0, "up", 0)
+            out.append((rec.key(), schema.to_json_bytes(rec.to_doc())))
+        return out
+
+    def world(self):
+        """Put the records, then list them to each follower, which also hunts
+        and registers; returns what the last follower mirrors."""
+        clock = VirtualClock()
+        store = KvStore(clock)
+        for key, value in self.records():
+            store.put(key, value)
+        for i in range(self.FOLLOWERS):
+            h = store.client(f"LC{i}")
+            routes = RouteSync({"100:1": 1}, {})
+            routes.start(h.follow)
+            links = LinkStateSync()
+            links.start(h.follow)
+            found, warnings = schema.hunt(h, "fabric")
+            assert warnings == [] and [n for n, _ in found] == ["F0", "F1"]
+            rec, _ = register(h, clock, f"LC{i}", role="linecard")
+            assert rec.system_label == 2 + i
+        rec = LinkStateRecord("a|c|10.0.0.9:1", "b|c|10.0.1.9:1", 1.0, 0.0, 0.0, "up", 0)
+        store.put(rec.key(), schema.to_json_bytes(rec.to_doc()))
+        return routes, links
+
+    def test_a_listing_to_many_followers_decodes_each_record_once(self, monkeypatch):
+        decodes = []
+        real = schema.from_json_bytes
+        monkeypatch.setattr(schema, "from_json_bytes",
+                            lambda raw: decodes.append(raw) or real(raw))
+        routes, links = self.world()
+        assert len(routes.table.type2) == 3 and len(links.records) == 7
+        # every record once, each follower's own /node record once for the
+        # followers that register after it, and the put made after the listings
+        once = len(self.records()) + (self.FOLLOWERS - 1) + 1
+        assert len(decodes) == once
+        self.world()  # a second world shares no memo with the first
+        assert len(decodes) == 2 * once
