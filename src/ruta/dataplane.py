@@ -88,10 +88,9 @@ The cache holds at most `MEMO_ENTRIES` flows and is emptied when full,
 wherever a cached path is dropped (route and /service/ events, a link-state
 delta that drops one, the path refresh), on each probe outcome, which the
 ranking reads, and on the other inputs of a decision: policy and identity
-events and `attach_host`.  The path cache is the link-state sync's `paths`:
-the sync drops the paths a delta may change and calls `_on_ls_delta` only
-when it dropped one, so a delta to a linecard that caches no path costs
-nothing here (see pathengine).
+events and `attach_host`.  A link-state delta drops every engineered path
+and every path with the delta's src or dst among its waypoints; on a
+linecard that caches no path it returns at once.
 
 Host frames are the minimal tuple (src_mac, dst_mac, src_ip, dst_ip,
 payload), serialized as 6+6+4+4 octets plus payload; each distinct 20-octet
@@ -175,8 +174,7 @@ def _hop(octets: bytes, ip: str, port: int) -> tuple:
 def _parse(memo, payload: bytes, *observed):
     """srou.parse(payload) as a tuple led by the layout: what memo, a node's
     memo of _check or _hop, gives on a data header's octets and observed,
-    or (layout, None) for OAM.  A runtime's _on_datagram makes the same
-    dispatch inline."""
+    or (layout, None) for OAM."""
     if len(payload) > 3 and payload[3] != _OAM:
         return memo(payload[:max(4, payload[1])], *observed)
     return srou.parse_oam(payload), None  # under 4 octets: TruncatedHeader
@@ -596,19 +594,16 @@ class NodeRuntime:
         payload = pkt.payload
         self._bytes_rx[ss.short] = (self._bytes_rx.get(ss.short, 0)
                                     + UDP_OVERHEAD_BYTES + len(payload))
-        hop = None
         try:
-            if len(payload) > 3 and payload[3] != _OAM:
-                hop = self._hop(payload[:max(4, payload[1])], pkt.src_ip, pkt.src_port)
-            else:
-                lay = srou.parse_oam(payload)  # under 4 octets: TruncatedHeader
+            hop = _parse(self._hop, payload, pkt.src_ip, pkt.src_port)
         except srou.BadMagic:
             self.count("drop_bad_magic")
             return
         except srou.CodecError as exc:
             self.frame_trace.emit("malformed", type(exc).__name__)
             return
-        if hop is not None:
+        lay = hop[0]
+        if type(lay) is srou.DataLayout:
             self.on_data(ss, pkt, hop)
         elif lay.oam_type == srou.OamType.LINKSTATE:
             self.on_linkstate(ss, pkt, lay)
@@ -858,8 +853,7 @@ class LinecardRuntime(NodeRuntime):
         self.ls_sync = LinkStateSync(on_delta=self._on_ls_delta)
         self.policy_rules: dict = {}
         self.identity_cache: dict[str, list[int]] = {}
-        # route key -> (local SLoC, path); the link-state sync drops what a delta may change
-        self.path_cache: dict[str, tuple[ServiceSloc, ComputedPath]] = self.ls_sync.paths
+        self.path_cache: dict[str, tuple[ServiceSloc, ComputedPath]] = {}
         # (vnid, vrf, identity, dst MAC, dst IP, T bit) -> an encap of _encap
         self._flows: dict[tuple, tuple] = {}
 
@@ -956,8 +950,13 @@ class LinecardRuntime(NodeRuntime):
             self._probe(route.system_name)
 
     def _on_ls_delta(self, src: str, dst: str) -> None:
-        """A link-state delta dropped a cached path (see LinkStateSync)."""
-        self._flows.clear()
+        if not self.path_cache:
+            return
+        for key, (_, path) in list(self.path_cache.items()):
+            shorts = {w.short for w in path.waypoints}
+            if src in shorts or dst in shorts or path.source == PATH_ENGINEERED:
+                self.path_cache.pop(key, None)
+                self._flows.clear()
 
     def _refresh(self) -> None:
         self.path_cache.clear()

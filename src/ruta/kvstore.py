@@ -26,8 +26,7 @@ The hits are collected before any is delivered and go out in watch_id
 order: a watch added during delivery does not see the change, and one that
 a callback cancels gets nothing more.  The store hands a change straight to
 the on_event of a watch that is live, not held, has no backlog and whose
-client is healthy; every other hit goes through Watch._deliver, which
-buffers it or drops it.
+client is healthy, and appends it to the backlog of every other live watch.
 
 Every entry carries a decode memo, `KvEntry.decoded`: `decoded[parse]` is
 parse(key, value), called on the first lookup only, so all the followers of
@@ -129,14 +128,6 @@ class Watch:
     def _client_healthy(self) -> bool:
         return self.client is None or self.client not in self.store.partitioned
 
-    def _deliver(self, ev: WatchEvent) -> None:
-        if self.canceled:
-            return
-        if not (self.held or self.backlog) and self._client_healthy():
-            self.on_event(ev)  # a backlog being replayed goes first
-        else:
-            self.backlog.append(ev)
-
     def _flush(self) -> None:
         while self.backlog and not (self.held or self.canceled):
             self.on_event(self.backlog.popleft())
@@ -199,9 +190,10 @@ class KvStore:
         ev = WatchEvent(kind, entry, entry.mod_revision)
         partitioned = self.partitioned
         for watch in hits:
-            if watch.canceled or watch.held or watch.backlog or (
-                    watch.client in partitioned and watch.client is not None):
-                watch._deliver(ev)
+            if watch.canceled:
+                continue
+            if watch.held or watch.backlog or watch.client in partitioned:
+                watch.backlog.append(ev)  # a backlog being replayed goes first
             else:
                 watch.on_event(ev)
 

@@ -33,13 +33,6 @@ hands to `start` and holds no store session of its own.  Each reads a
 record through its store entry's decode memo, so a put is decoded once for
 every sync that follows it.  RouteSync counts its table's routes per system,
 so whether a system is a route's destination is one dict read.
-
-LinkStateSync also holds the paths computed over its link state, `paths`,
-which a linecard fills and reads as its path cache.  The sync drops the
-ones a delta may change: every engineered path, and any path with the
-delta's src or dst among its waypoints.  A delta to a sync that holds no
-path costs one dict read; on_delta hears of a delta only when it dropped a
-path.
 """
 
 from __future__ import annotations
@@ -359,14 +352,11 @@ class RouteSync:
 
 
 class LinkStateSync:
-    """Mirror of /stats/linkstate into an in-memory record map, and the
-    keeper of the paths computed over it (see the module docstring)."""
+    """Mirror of /stats/linkstate into an in-memory record map."""
 
     def __init__(self, on_delta: Optional[Callable[[str, str], None]] = None):
         self.records: dict[tuple[str, str], LinkStateRecord] = {}
-        self.on_delta = on_delta  # on_delta(src, dst) after a delta dropped a path
-        # route key -> (local SLoC, path) chosen for it
-        self.paths: dict[str, tuple[ServiceSloc, ComputedPath]] = {}
+        self.on_delta = on_delta
         self._policy: Optional[SlaPolicy] = None
         self._edges = EdgeMap({})  # build_edges(records, _policy)
 
@@ -386,19 +376,8 @@ class LinkStateSync:
         if self._policy is not None:
             self._edge(pair)
             self._edge((pair[1], pair[0]))
-        if self.paths:
-            self._drop_paths(*pair)
-
-    def _drop_paths(self, src: str, dst: str) -> None:
-        """Drop every engineered path and every path through src or dst."""
-        dropped = False
-        for key, (_, path) in list(self.paths.items()):
-            if path.source == PATH_ENGINEERED or any(
-                    w.short == src or w.short == dst for w in path.waypoints):
-                del self.paths[key]
-                dropped = True
-        if dropped and self.on_delta is not None:
-            self.on_delta(src, dst)
+        if self.on_delta is not None:
+            self.on_delta(*pair)
 
     def _edge(self, pair: tuple[str, str]) -> None:
         """Set the edge of one direction as build_edges would: its own up

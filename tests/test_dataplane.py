@@ -1834,8 +1834,7 @@ class TestLinkStateInvalidation:
 
     @staticmethod
     def kept(cache, src, dst):
-        """The paths the rule keeps: what `_on_ls_delta` kept when it scanned
-        the cache itself on every delta."""
+        """The paths the rule keeps, written out apart from `_on_ls_delta`."""
         out = {}
         for key, (local, path) in cache.items():
             shorts = {w.short for w in path.waypoints}

@@ -6,13 +6,14 @@ benchmark world is built and converged, except functions named `<...>`
 The count is taken on the second set-up of the world in the process, as
 the benchmark's median set-up is: the first fills the module-level memos.
 The simulated outcome is fixed by the seed, so the count is the same on
-Python 3.10 to 3.13.  Only `nat_echo`'s moves, by 2 calls, with
+Python 3.10 to 3.13.  Only `nat_echo`'s moves, by a few calls, with
 PYTHONHASHSEED: its convergence check walks a set of names.
 
-The bounds sit above the counts of the store that delivers a change in one
-Python frame and decodes each entry once: 212,051 for `mesh_4x32`, 5,034
-or 5,036 for `nat_echo` and 1,866 for `steer_2x2`.  The store before that
-made 387,252, 5,810 or 5,812, and 2,162.
+The bounds sit above the counts of a store that hands a change to a
+healthy follower without an extra frame and decodes each entry once:
+246,627 for `mesh_4x32`, 5,033 to 5,037 for `nat_echo` and 1,874 for
+`steer_2x2`.  Before that the set-ups made 387,252, 5,810 or 5,812, and
+2,162.
 """
 
 import cProfile
