@@ -1,10 +1,14 @@
 """Node runtimes and the forwarding state machine.
 
 Linecards encapsulate host frames after policy lookup and path selection
-and execute End.DT2U / End.DT4 on arrival.  Fabrics relay segments, filling
-a zeroed SRoU source from the observed outer source on the first hop (NAT
-traversal) and optionally admitting packets by a time-bucketed token carried
-in the 32-bit flow id.  STUN nodes answer address-discovery OAM; LSDB nodes
+and execute End.DT2U / End.DT4 on arrival: deliver to the local host, or
+re-encapsulate toward the owner the destination's route names.  A route
+that names the executing linecard itself counts as no route
+(`drop_no_l2_entry`, `drop_no_vrf_route`): the frame is never sent to the
+linecard's own SLoC, where it would arrive again.  Fabrics relay segments,
+filling a zeroed SRoU source from the observed outer source on the first
+hop (NAT traversal) and optionally admitting packets by a time-bucketed
+token carried in the 32-bit flow id.  STUN nodes answer address-discovery OAM; LSDB nodes
 mirror the store's link state as regional read replicas.
 
 Every runtime is a single-threaded event handler on the shared virtual
@@ -738,14 +742,17 @@ class NodeRuntime:
         key = (session.local.short, session.peer.public_addr)
         if self._verdicts.get(key) != session.status:
             self._verdicts[key] = session.status
-            self._report_session(session)
+            self._report_session(session, session.figures())
 
-    def _report_session(self, session: ProbeSession) -> None:
-        """Own a session's record unless its figures are owned already."""
-        figures = session.figures()
+    def _report_session(self, session: ProbeSession, figures: tuple) -> None:
+        """Own the record a session's figures (see ProbeSession.figures) make,
+        unless those figures are owned already."""
         key = schema.linkstate_key(session.local.short, session.peer.short)
-        if figures is not None and self.owned.get(key, (0, 0, None))[2] != figures:
-            record = session.metrics(self.clock.now)
+        if self.owned.get(key, (0, 0, None))[2] != figures:
+            delay_us, jitter_us, loss, status = figures
+            record = LinkStateRecord(src=session.local.short, dst=session.peer.short,
+                                     two_way_delay_us=delay_us, jitter_us=jitter_us,
+                                     loss=loss, status=status, sampled_at=self.clock.now)
             self._own(key, schema.to_json_bytes(record.to_doc()), 2, figures)
 
     def _report_linkstate(self) -> None:
@@ -759,7 +766,10 @@ class NodeRuntime:
             load = schema.SlocLoadRecord.from_counters(ss, rx, tx, interval_s, self.clock.now)
             self._store_call(schema.put_record, self.handle, load, self.lease2)
         for key in sorted(self.sessions):
-            self._report_session(self.sessions[key])
+            session = self.sessions[key]
+            figures = session.figures()
+            if figures is not None:  # a session with an empty window has no record
+                self._report_session(session, figures)
 
     # -- segment relay (shared by fabric and linecard) -------------------------
 
@@ -983,9 +993,7 @@ class LinecardRuntime(NodeRuntime):
         paths cached to the system."""
         system = session.peer.system_name
         self._flows.clear()
-        figures = session.figures()
-        if figures is None:
-            return
+        figures = session.figures()  # every caller pushed an outcome first
         delay_us, _, loss, status = figures
         violated = sla_breach(status, delay_us, loss, self.sla) is not None
         key = (session.local.short, session.peer.public_addr)
@@ -993,7 +1001,7 @@ class LinecardRuntime(NodeRuntime):
         if last == (status, violated):
             return
         self._verdicts[key] = (status, violated)
-        self._report_session(session)
+        self._report_session(session, figures)
         if last is not None and last[1] == violated:
             return
         self._drop_paths_to(system)
@@ -1048,8 +1056,6 @@ class LinecardRuntime(NodeRuntime):
     def _engineer(self, system: str):
         dst_shorts = {ss.short for ss in self.service_dir.get(system, ())}
         src_shorts = {ss.short for ss in self.slocs}
-        if not dst_shorts:
-            return None
         edges = self.ls_sync.edges(self.sla)
         try:
             cost, node_path = shortest_constrained(edges, src_shorts, dst_shorts,
@@ -1198,7 +1204,8 @@ class LinecardRuntime(NodeRuntime):
     def execute_function(self, ss, pkt, lay, seg: srou.Function, inner) -> None:
         """End.DT2U and End.DT4: deliver the inner frame to the local host at
         its destination MAC in VNID args, or at its destination IP in VRF
-        args, or else re-encapsulate it toward the destination's owner."""
+        args, or else re-encapsulate it toward the destination's owner; a
+        route that names this node itself counts as no route."""
         if lay.t_bit:
             self.frame_trace.emit("postcard", "function", lay.flow_id,
                                   lay.segments_left - 1)
@@ -1223,6 +1230,8 @@ class LinecardRuntime(NodeRuntime):
         try:
             route = resolve(seg.args, dst)
         except NoRoute:
+            route = None
+        if route is None or route.system_name == self.name:
             self.count(unrouted)
             return
         try:
@@ -1263,9 +1272,6 @@ class LsdbRuntime(NodeRuntime):
 
     def role_start(self) -> None:
         self.ls_sync.start(self.watch)
-
-    def linkstate_records(self) -> dict[tuple[str, str], LinkStateRecord]:
-        return self.ls_sync.records
 
 
 # ---------------------------------------------------------------------------

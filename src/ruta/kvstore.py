@@ -287,9 +287,7 @@ class KvStore:
         return lease.expires_at
 
     def _expiry_check(self, lease_id: int) -> None:
-        lease = self.leases.get(lease_id)
-        if lease is None:
-            return
+        lease = self.leases[lease_id]  # only this check deletes a lease; one is pending
         if self.clock.now < lease.expires_at:
             self.clock.call_at(lease.expires_at, lambda: self._expiry_check(lease_id),
                                label=f"lease:{lease_id}")

@@ -83,10 +83,6 @@ class VirtualClock:
         heapq.heappush(self._heap, (at, seq, fn, (), label, owner))
         return seq
 
-    def call_later(self, delay: int, fn: Callable[[], None], label: str = "",
-                   owner: object = None) -> int:
-        return self.call_at(self.now + delay, fn, label, owner)
-
     def cancel(self, seq: int) -> None:
         """Cancel the pending event `seq`; a seq that is not pending is a no-op."""
         self._remove(lambda entry: entry[1] == seq)

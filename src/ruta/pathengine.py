@@ -316,25 +316,22 @@ class RouteSync:
             follow(prefix, self._apply)
 
     def _apply(self, ev: WatchEvent) -> None:
+        """Mirror one route event.  The follow of /route/<t>/<rt>/ delivers
+        only routes of type t under RT rt, since an RT holds no '/', so the
+        route's RT is imported."""
         try:
             route = ev.entry.decoded[parse_route]
         except SchemaError:
             return
         if route.route_type == 2:
-            vnid = self.l2_imports.get(route.export_rt)
-            if vnid is None:
-                return
-            tkey = (vnid, route.mac)
+            tkey = (self.l2_imports[route.export_rt], route.mac)
             old = self.table.type2.get(tkey)
             if ev.kind == PUT:
                 self.table.type2[tkey] = route
             else:
                 self.table.type2.pop(tkey, None)
         else:
-            vrf = self.l3_imports.get(route.export_rt)
-            if vrf is None:
-                return
-            lpm = self.table.type5.setdefault(vrf, Lpm())
+            lpm = self.table.type5.setdefault(self.l3_imports[route.export_rt], Lpm())
             old = lpm.exact(route.prefix, route.mask)
             if ev.kind == PUT:
                 lpm.insert(route.prefix, route.mask, route)

@@ -15,9 +15,10 @@ The window holds one int per probe: its two-way delay in ns, or LOST.  Loss
 rate and mean delay over the window are running sums (a lost count and an
 integer-nanosecond delay sum), updated as a sample enters the window and as
 one leaves it, so reading them costs the same at any window size.
-`figures` reads what a record would carry without building one, and
-`metrics` builds the record.  A record holds link figures only: a SLoC's
-utilization is the node runtime's own per-SLoC record, not a session's.
+`figures` reads what a session's link-state record carries, and the node
+runtime builds the record from those figures.  A record holds link figures
+only: a SLoC's utilization is the node runtime's own per-SLoC record, not a
+session's.
 
 The node runtime opens the sessions, one per (local SLoC, peer SLoC) pair
 of each system it probes, and decides when a session's record goes to the
@@ -40,7 +41,7 @@ from typing import Optional
 
 from . import srou
 from .netsim import NS_PER_US, seconds
-from .schema import STATUS_DOWN, STATUS_UP, LinkStateRecord, ServiceSloc
+from .schema import STATUS_DOWN, STATUS_UP, ServiceSloc
 
 PROBE_INTERVAL_NS = seconds(1)
 DEFAULT_WINDOW = 100
@@ -55,10 +56,6 @@ class ProberError(Exception):
 
 
 class MalformedOam(ProberError):
-    pass
-
-
-class EmptyWindow(ProberError):
     pass
 
 
@@ -173,16 +170,6 @@ class ProbeSession:
             return None
         return (self.two_way_delay_us(), self.smoothed_jitter_us, self.loss_rate(),
                 self.status)
-
-    def metrics(self, now: int) -> LinkStateRecord:
-        """Fold the window into a LinkStateRecord sampled at now."""
-        figures = self.figures()
-        if figures is None:
-            raise EmptyWindow(f"no probe outcomes for {self.peer.short}")
-        delay_us, jitter_us, loss, status = figures
-        return LinkStateRecord(src=self.local.short, dst=self.peer.short,
-                               two_way_delay_us=delay_us, jitter_us=jitter_us, loss=loss,
-                               status=status, sampled_at=now)
 
 
 class ProbeResponder:

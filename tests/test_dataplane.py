@@ -188,6 +188,12 @@ class TestDirectEncap:
         assert net.lc_a.inject_host_frame("H1", frame) is None
         assert net.lc_a.counts["drop_no_route"] == 1
 
+    def test_a_frame_from_an_unknown_host_raises(self):
+        net = SpineLeaf()
+        with pytest.raises(dataplane.DataplaneError, match="unknown host H9"):
+            net.lc_a.inject_host_frame("H9", net.frame_h1_to_h2())
+        assert not net.lc_a.counts.get("encap")
+
     def test_dynamic_host_learning_announces(self):
         net = SpineLeaf()
         w = net.world
@@ -200,6 +206,19 @@ class TestDirectEncap:
                           "10.0.0.44", "10.0.0.99", b"first")
         net.lc_a.inject_host_frame("H4", frame)
         assert w.store.get(key) is not None
+
+    def test_a_host_in_a_vnid_without_an_l2_service_is_not_announced(self):
+        net = SpineLeaf()
+        w = net.world
+        w.clock.run_until(millis(1))
+        net.lc_a.attach_host(HostPort("H5", "0a:00:00:00:00:55", "10.0.0.55", vnid=999))
+        frame = HostFrame("0a:00:00:00:00:55", "0a:00:00:00:00:99",
+                          "10.0.0.55", "10.0.0.99", b"x")
+        assert net.lc_a.inject_host_frame("H5", frame) is None
+        assert net.lc_a.counts["drop_no_route"] == 1
+        assert "H5" not in net.lc_a.announced
+        assert not [k for k in net.lc_a.owned if "0a:00:00:00:00:55" in k]
+        assert len(w.trace.select("type2_announced", "LC_A")) == 1  # H1's, at start
 
 
 class TestPolicy:
@@ -436,6 +455,37 @@ class TestRelayAndFunctions:
         assert net.lc_b.counts["drop_no_service"] == 1
         assert "encap" not in net.lc_b.counts
         assert records == [("postcard", {"flow_id": 0, "sl": 0, "action": "function"})]
+
+    @staticmethod
+    def route_to_ghost(net, system, rd):
+        """A type-2 route naming system for a MAC no host of it has."""
+        w = net.world
+        w.clock.run_until(millis(5))
+        ghost = schema.ServiceRoute(route_type=2, export_rt="100:1", rd=rd,
+                                    mac="0a:00:00:00:00:aa", ip="10.0.0.170", site_id=1,
+                                    system_name=system, policy_tag=0)
+        w.store.put(ghost.key(), schema.to_json_bytes(ghost.to_doc()))
+        return HostFrame("0a:00:00:00:00:88", "0a:00:00:00:00:aa",
+                         "10.0.0.88", "10.0.0.170", b"ghost")
+
+    def test_end_dt2u_on_a_route_back_to_its_own_node_is_dropped(self):
+        # the route names LC_B itself: re-encapsulating would loop at LC_B
+        net = SpineLeaf()
+        frame = self.route_to_ghost(net, "LC_B", "2:1")
+        records = run_function_at_lc_b(net, srou.FUNC_END_DT2U, 1234, encode_frame(frame))
+        assert net.lc_b.counts["drop_no_l2_entry"] == 1
+        assert "encap" not in net.lc_b.counts and net.delivered == []
+        assert records == [("postcard", {"flow_id": 0, "sl": 0, "action": "function"})]
+
+    def test_a_host_frame_on_a_route_back_to_its_own_node_is_dropped_on_arrival(self):
+        # LC_A encapsulates to its own SLoC once; End.DT2U there drops it
+        net = SpineLeaf()
+        frame = self.route_to_ghost(net, "LC_A", "1:1")
+        assert net.lc_a.inject_host_frame("H1", frame) is not None
+        net.world.clock.run_until(millis(20))
+        assert (net.lc_a.counts["encap"], net.lc_a.counts["drop_no_l2_entry"]) == (1, 1)
+        assert [e["detail"]["outer_dst"] for e in net.world.trace.select("encap", "LC_A")] \
+            == ["192.168.99.77:5547"]
 
     def test_relay_clears_reserved_bits(self):
         # reserved RRR bits are ignored on receipt and zeroed on send
@@ -932,6 +982,26 @@ class TestSlaPath:
         w.clock.run_until(w.clock.now + millis(10))
         assert [f.payload for f in net.delivered] == [b"hello"]
 
+    def test_a_relay_through_a_sloc_no_service_announces_goes_direct(self):
+        # the link state leads through "ghost", which no /service/ record
+        # announces: no header can name it, so the frame takes the direct path
+        net = SpineLeaf()
+        w = net.world
+        w.clock.run_until(millis(100))
+        lc_a, lc_b = net.lc_a.slocs[0].short, net.lc_b.slocs[0].short
+        for src, dst in ((lc_a, "ghost"), ("ghost", lc_b)):
+            rec = schema.LinkStateRecord(src=src, dst=dst, two_way_delay_us=1_000.0,
+                                         jitter_us=0.0, loss=0.0, status="up",
+                                         sampled_at=w.clock.now)
+            w.store.put(rec.key(), schema.to_json_bytes(rec.to_doc()))
+        net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2())
+        [selected] = w.trace.select("path_selected", "LC_A")
+        assert (selected["detail"]["source"], selected["detail"]["waypoints"]) == (
+            "direct", (lc_b,))
+        assert net.lc_a.counts["sla_unmet_direct"] == 1
+        w.clock.run_until(w.clock.now + millis(10))
+        assert [f.payload for f in net.delivered] == [b"hello"]
+
 
 class TestEndDt4:
     def build(self):
@@ -1012,6 +1082,29 @@ class TestEndDt4:
         encaps = [detail for event, detail in records if event == "encap"]
         assert [(d["dst"], d["function"], d["args"]) for d in encaps] == [
             (route.key(), "End.DT4", 77)]
+
+    def test_a_host_reaches_a_host_its_own_linecard_serves_by_a_type5_route(self):
+        # V2 lives behind LC_A under LC_A's own type-5 route, and no session
+        # leads to LC_A: the frame goes out to LC_A's own SLoC, and End.DT4
+        # there delivers it
+        net = self.build()
+        w = net.world
+        got = []
+        net.lc_a.attach_host(HostPort("V2", "0a:00:00:00:02:02", "10.3.0.5", vrf=77,
+                                      deliver=got.append))
+        route = schema.ServiceRoute(route_type=5, export_rt="200:1", rd="1:1",
+                                    prefix="10.3.0.0", mask=24, site_id=1,
+                                    system_name="LC_A", policy_tag=0)
+        w.store.put(route.key(), schema.to_json_bytes(route.to_doc()))
+        frame = HostFrame("0a:00:00:00:00:88", "00:00:00:00:00:00",
+                          "10.0.0.88", "10.3.0.5", b"l3 self")
+        w.clock.call_at(millis(10), lambda: net.lc_a.inject_host_frame("H1", frame))
+        w.clock.run_until(millis(30))
+        assert [f.payload for f in got] == [b"l3 self"]
+        (encap,) = w.trace.select("encap", "LC_A")
+        assert (encap["detail"]["outer_dst"], encap["detail"]["function"]) == (
+            "192.168.99.77:5547", "End.DT4")
+        assert not any(k.startswith("drop") for k in net.lc_a.counts)
 
     def test_a_withdrawn_type5_route_leaves_the_vrf(self):
         # once LC_A withdraws V2's prefix, End.DT4 at LC_B finds no route
@@ -2433,7 +2526,7 @@ class TestLsdbReplica:
 
         before = stored()
         assert len(before) == 8  # LC->LC and LC->spine both ways, spine<->spine
-        assert ls.linkstate_records() == before == net.lc_a.ls_sync.records
+        assert ls.ls_sync.records == before == net.lc_a.ls_sync.records
         net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2(b"around"))
         w.clock.run_until(seconds(31))
         assert [f.payload for f in net.delivered] == [b"around"]
@@ -2441,7 +2534,7 @@ class TestLsdbReplica:
         chosen = w.trace.select("path_selected", "LC_A")[-1]["detail"]
         assert chosen["source"] == "engineered"
         assert chosen["waypoints"][0] == "Spine_A|inet|192.168.99.75:17777"
-        mirrored = dict(ls.linkstate_records())
+        mirrored = dict(ls.ls_sync.records)
         ls.kill()
         # a record is put again only when its figures change: make some change
         w.net.link_between("LC_A", "Spine_A").set_loss(0.5)
@@ -2451,7 +2544,7 @@ class TestLsdbReplica:
                      if {p.split("|")[0] for p in pair} == {"LC_A", "Spine_A"}}
         assert a_spine_a and all(after[pair] != before[pair] for pair in a_spine_a)
         assert net.lc_a.ls_sync.records == after
-        assert ls.linkstate_records() == mirrored  # a killed replica stops mirroring
+        assert ls.ls_sync.records == mirrored  # a killed replica stops mirroring
 
 
 class TestServiceDirectory:

@@ -529,6 +529,28 @@ class TestLease:
         with pytest.raises(kvstore.LeaseExpired):
             store.put("/k", b"v", lease.lease_id)
 
+    @pytest.mark.parametrize("ttl", [0, -1])
+    def test_ttl_must_be_positive(self, store, ttl):
+        with pytest.raises(ValueError):
+            store.grant_lease(ttl)
+        assert store.leases == {}
+
+    def test_put_at_the_expiry_instant(self, clock, store):
+        # a put that runs at expires_at, ahead of the lease's expiry check,
+        # finds the lease still held but expired
+        raised = []
+
+        def put():
+            with pytest.raises(kvstore.LeaseExpired) as exc:
+                store.put("/k", b"v", lease.lease_id)
+            raised.append((clock.now, lease.lease_id in store.leases, str(exc.value)))
+
+        clock.call_at(seconds(1), put)
+        lease = store.grant_lease(seconds(1))
+        clock.run_until(seconds(1))
+        assert raised == [(seconds(1), True, f"lease {lease.lease_id} expired")]
+        assert store.get("/k") is None and lease.lease_id not in store.leases
+
     def test_atomic_multi_key_expiry(self, clock, store):
         lease = store.grant_lease(seconds(10))
         for i in range(5):

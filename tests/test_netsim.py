@@ -7,9 +7,11 @@ import random
 
 import pytest
 
+from ruta import netsim
 from ruta.netsim import (
     Datagram,
     Network,
+    SimError,
     SimNat,
     Trace,
     VirtualClock,
@@ -46,7 +48,7 @@ class TestClock:
 
     def test_run_until_quiescent(self):
         clock = VirtualClock()
-        clock.call_at(10, lambda: clock.call_later(5, lambda: None, "nested"))
+        clock.call_at(10, lambda: clock.call_at(clock.now + 5, lambda: None, "nested"))
         trace = clock.run_until_quiescent()
         assert [t for t, _, _ in trace] == [10, 15]
         assert clock.now == 15
@@ -71,7 +73,7 @@ class TestClock:
         mine, other = object(), object()
         clock.call_at(10, lambda: fired.append("mine@10"), owner=mine)
         clock.call_at(10, lambda: fired.append("other@10"), owner=other)
-        clock.call_later(30, lambda: fired.append("mine@30"), "x", owner=mine)
+        clock.call_at(30, lambda: fired.append("mine@30"), "x", owner=mine)
         clock.call_at(40, lambda: fired.append("nobody@40"))
         clock.run_until(20)
         clock.cancel_owned(mine)
@@ -112,6 +114,37 @@ class DictTrace:
 
     def to_jsonl(self):
         return "\n".join(json.dumps(r, sort_keys=True) for r in self.records) + "\n"
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("wire", [
+        lambda net: net.add_node("hub"),
+        lambda net: net.add_address("hub", "10.0.0.1"),  # client's
+        lambda net: net.add_link("hub", "nowhere", millis(1)),
+        lambda net: net.add_link("nowhere", "hub", millis(1)),
+    ], ids=["duplicate-node", "owned-address", "unknown-b", "unknown-a"])
+    def test_wiring_rejects(self, wire):
+        clock, net, inbox = star()
+        with pytest.raises(SimError):
+            wire(net)
+
+    def test_a_link_delay_below_zero_cannot_schedule(self):
+        clock, net, inbox = star()
+        net.link_between("client", "hub").delay_ab = -1
+        with pytest.raises(SimError, match="before now"):
+            net.send("client", Datagram("10.0.0.1", 1000, "10.0.0.2", 2000, b"x"))
+
+    def test_run_until_quiescent_stops_a_runaway(self, monkeypatch):
+        monkeypatch.setattr(netsim, "MAX_QUIESCENT_EVENTS", 50)
+        clock = VirtualClock()
+
+        def again():
+            clock.call_at(clock.now + 1, again)
+
+        clock.call_at(0, again)
+        with pytest.raises(SimError, match="exceeded 50 events"):
+            clock.run_until_quiescent()
+        assert clock.now == 49
 
 
 class TestTrace:
@@ -222,6 +255,11 @@ class TestLinks:
         assert inbox == []
         link = net.link_between("client", "hub")
         assert link.counters()["client->hub"]["lost"] == 20
+
+    def test_no_link_between_nodes_a_link_does_not_join(self):
+        clock, net, inbox = star()
+        assert net.link_between("client", "hub") is net.link_between("hub", "client")
+        assert net.link_between("client", "server") is None
 
     def test_seeded_loss_reproducible(self):
         delivered = []

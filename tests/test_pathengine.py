@@ -69,6 +69,11 @@ class TestSla:
         assert breach(make_rec("a", "b", 400_000.0)) is None  # one-way exactly 200ms
 
 
+    @pytest.mark.parametrize("max_segments", [0, -1])
+    def test_a_path_needs_a_segment(self, max_segments):
+        with pytest.raises(ValueError):
+            SlaPolicy(max_segments=max_segments)
+
 class TestEdges:
     def test_cost_formula(self):
         rec = make_rec("a", "b", 80_000.0, loss=0.01, jitter=2_000.0)
@@ -341,6 +346,13 @@ class TestLpmAndTable:
         assert lpm.lookup("10.1.2.3") is narrow
         assert lpm.lookup("10.1.9.9") is wide
         assert lpm.lookup("10.2.0.1") is None
+
+    @pytest.mark.parametrize("keys", [{}, dict(vnid=1), dict(mac="00:11:22:33:44:55"),
+                                      dict(vrf=1), dict(ip="10.0.0.1"),
+                                      dict(vnid=1, ip="10.0.0.1")])
+    def test_resolve_with_nothing_to_resolve_with(self, keys):
+        with pytest.raises(pathengine.NoRoute, match="nothing to resolve with"):
+            pathengine.RouteTable().resolve(**keys)
 
     def test_lpm_random_oracle(self):
         rng = random.Random(5)

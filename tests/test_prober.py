@@ -1,11 +1,13 @@
 """Link prober: TWAMP math, loss/jitter estimators, responder, STUN exchange."""
 
 import gc
+import json
 import random
+from dataclasses import fields as fields_of
 
 import pytest
 
-from ruta import prober, srou
+from ruta import prober, schema, srou
 from ruta.dataplane import (FabricRuntime, LinecardRuntime, ProbeConfig,
                             StunRuntime, World)
 from ruta.kvstore import KvStore
@@ -99,6 +101,20 @@ class TestResponder:
         assert resp.payload.received_timestamp == 99999
         assert resp.oam_subtype == srou.LINKSTATE_RESPONSE
 
+    @pytest.mark.parametrize("msg", [
+        srou.OamMessage(srou.OamType.STUN, srou.STUN_RESPONSE,
+                        srou.StunResponseData("10.0.0.2", 7002)),
+        srou.OamMessage(srou.OamType.LINKSTATE, srou.LINKSTATE_REQUEST,
+                        srou.LinkstateData(seq=1, timestamp=0)),
+    ], ids=["stun", "request"])
+    def test_a_session_takes_only_responses(self, msg):
+        s = ProbeSession(service_sloc("A", "10.0.0.1", 7001),
+                         service_sloc("B", "10.0.0.2", 7002))
+        s.make_request(0)
+        with pytest.raises(prober.MalformedOam):
+            s.on_response(fields(msg), millis(1))
+        assert s.pending == {1: 0} and s.outcomes == ()
+
     def test_responder_seq_increments(self):
         r = ProbeResponder()
         req = request(1, 1)
@@ -151,23 +167,22 @@ class TestMetrics:
     def test_symmetric_two_way_delay_exact(self):
         h = ProbeHarness(delay_ab=millis(20), delay_ba=millis(20))
         h.run_probes(5)
-        rec = h.session.metrics(h.clock.now)
-        assert rec.two_way_delay_us == 40000.0
-        assert rec.loss == 0.0
-        assert rec.status == "up"
+        delay_us, _, loss, status = h.session.figures()
+        assert delay_us == 40000.0
+        assert loss == 0.0
+        assert status == "up"
 
     def test_asymmetric_invisible(self):
         # round trip measurement cannot see 10/30 asymmetry
         h = ProbeHarness(delay_ab=millis(10), delay_ba=millis(30))
         h.run_probes(5)
-        assert h.session.metrics(h.clock.now).two_way_delay_us == 40000.0
+        assert h.session.figures()[0] == 40000.0
 
     def test_loss_estimate_fixed_seed(self):
         h = ProbeHarness(delay_ab=millis(1), delay_ba=millis(1),
                          loss_ab=0.05, seed=1234, window=1000)
         h.run_probes(1000)
-        rec = h.session.metrics(h.clock.now)
-        assert abs(rec.loss - 0.05) <= 0.015
+        assert abs(h.session.figures()[2] - 0.05) <= 0.015
 
     def test_loss_estimator_unbiased_across_seeds(self):
         estimates = []
@@ -187,8 +202,7 @@ class TestMetrics:
         h.link.set_loss(1.0)
         h.run_probes(3)
         assert h.session.status == "down"
-        rec = h.session.metrics(h.clock.now)
-        assert rec.status == "down"
+        assert h.session.figures()[3] == "down"
 
     def test_forged_echo_timestamp_ignored(self):
         # the sender keeps its own T1 (TWAMP, RFC 5357): a peer that echoes a
@@ -200,7 +214,7 @@ class TestMetrics:
                           sender_timestamp=millis(30))
         assert session.on_response(forged, millis(40)) is True
         assert session.outcomes == (millis(40),)
-        assert session.metrics(millis(40)).two_way_delay_us == 40_000.0
+        assert session.figures()[0] == 40_000.0
         assert session.t1_mismatches == 1
 
     @pytest.mark.parametrize("t2, t3", [(0, millis(500)), (millis(500), 0),
@@ -214,7 +228,7 @@ class TestMetrics:
         req = sent(session.make_request(0))
         forged = response(t2, t3, sender_seq=req.seq, sender_timestamp=req.timestamp)
         assert session.on_response(forged, millis(40))
-        assert session.metrics(millis(40)).two_way_delay_us == 40_000.0
+        assert session.figures()[0] == 40_000.0
 
     def test_honest_echo_counts_no_mismatch(self):
         h = ProbeHarness(delay_ab=millis(20), delay_ba=millis(20))
@@ -235,11 +249,6 @@ class TestMetrics:
         tail = jitters[2:]
         assert all(a >= b for a, b in zip(tail, tail[1:]))
         assert tail[-1] < tail[0]
-
-    def test_empty_window(self):
-        h = ProbeHarness()
-        with pytest.raises(prober.EmptyWindow):
-            h.session.metrics(0)
 
     def test_window_bounded(self):
         h = ProbeHarness(window=10)
@@ -306,15 +315,24 @@ class TestMetrics:
 
     def test_utilization_from_counters(self):
         # utilization is the probing SLoC's own load record, not the session's
-        h = ProbeHarness()
-        h.run_probes(1)
-        rec = SlocLoadRecord.from_counters(h.session.local, bytes_rx=12_500_000,
+        f1 = TestFullMesh.fabrics([("F2", [service_sloc("F2", "10.0.0.2", 17777).sloc])])
+        (session,) = f1.sessions.values()
+        rec = SlocLoadRecord.from_counters(session.local, bytes_rx=12_500_000,
                                            bytes_tx=125_000_000, interval_s=1.0,
-                                           sampled_at=h.clock.now)
-        assert rec.sloc == h.session.local.short
+                                           sampled_at=f1.clock.now)
+        assert rec.sloc == session.local.short
         assert rec.utilization_rx == pytest.approx(0.1)
         assert rec.utilization_tx == pytest.approx(1.0)  # clamped
-        assert not hasattr(h.session.metrics(h.clock.now), "utilization_rx")
+        key = schema.linkstate_key(session.local.short, session.peer.short)
+        put = f1.handle.get(key).value
+        assert set(json.loads(put)) == {f.name for f in fields_of(schema.LinkStateRecord)}
+        assert not hasattr(schema.parse_linkstate(key, put)[1], "utilization_rx")
+
+    def test_a_sloc_without_a_bandwidth_reads_no_utilization(self):
+        ss = service_sloc("A", "10.0.0.1", 7001, bw=0.0)
+        rec = SlocLoadRecord.from_counters(ss, bytes_rx=1500, bytes_tx=1500,
+                                           interval_s=1.0, sampled_at=0)
+        assert (rec.utilization_rx, rec.utilization_tx) == (0.0, 0.0)
 
     def test_seq_strictly_increases(self):
         # expire walks pending oldest first: seq order is send order

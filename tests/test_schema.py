@@ -193,6 +193,28 @@ class TestRoutes:
                          prefix="10.0.0.0", mask=33,
                          site_id=1, system_name="X", policy_tag=0)
 
+    @pytest.mark.parametrize("fields", [
+        dict(route_type=2, ip="10.0.0.1"),
+        dict(route_type=2, mac="00:11:22:33:44:55"),
+        dict(route_type=5, prefix="10.0.0.0"),
+        dict(route_type=5, mask=24),
+        dict(route_type=5, prefix="10.0.0.1", mask=24),  # host bits set
+        dict(route_type=3),
+        dict(route_type=5, prefix="10.0.0.0", mask=8, export_rt=""),
+        dict(route_type=5, prefix="10.0.0.0", mask=8, rd="1/1"),
+    ], ids=["type2-no-mac", "type2-no-ip", "type5-no-mask", "type5-no-prefix",
+            "host-bits", "type3", "empty-rt", "slash-in-rd"])
+    def test_malformed_route_rejected(self, fields):
+        with pytest.raises(schema.MalformedRoute):
+            ServiceRoute(**{**dict(export_rt="100:1", rd="1:1", site_id=1,
+                                   system_name="X", policy_tag=0), **fields})
+
+    def test_unsupported_route_type_in_a_key(self):
+        doc = {"site_id": 1, "system_name": "X", "policy_tag": 0}
+        assert schema.parse_route_key("/route/5/1:1/1:1/10.0.0.0/8", doc).mask == 8
+        with pytest.raises(schema.MalformedRoute):
+            schema.parse_route_key("/route/3/1:1/1:1/10.0.0.0/8", doc)
+
     def test_key_round_trip_fuzz(self):
         rng = random.Random(9)
         for _ in range(300):
@@ -214,6 +236,19 @@ class TestRoutes:
                     system_name=f"n{rng.randrange(99)}", policy_tag=0)
             parsed = schema.parse_route_key(route.key(), route.to_doc())
             assert parsed == route
+
+
+class TestKeyArguments:
+    @pytest.mark.parametrize("make, args", [
+        (schema.node_key, ("router", "X")),
+        (schema.service_key, ("router", "X")),
+        (schema.group_rule_key, (1.5, 2)),
+        (schema.group_rule_key, (1, "2")),
+        (schema.parse_linkstate_key, ("/stats/sloc/a - b",)),
+    ], ids=["node-role", "service-role", "float-tag", "str-tag", "linkstate-prefix"])
+    def test_rejected(self, make, args):
+        with pytest.raises(schema.ValidationError):
+            make(*args)
 
 
 class TestLinkstate:

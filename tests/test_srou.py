@@ -238,6 +238,68 @@ def relay_visits(data: bytes) -> list:
         visited.append(seg)
 
 
+def header(**changes) -> SRoUHeader:
+    """A one-waypoint IPv4 data header with changes applied."""
+    return replace(SRoUHeader(protocol_id=ProtocolId.IPV4, source_address="10.0.0.1",
+                              source_port=1, segment_list=(Waypoint("10.0.0.2", 2),),
+                              segments_left=1), **changes)
+
+
+class TestEncodeRejects:
+    """Each argument check on the encode side raises its error, and the
+    valid base of each case encodes."""
+
+    @pytest.mark.parametrize("error, changes", [
+        (srou.InvariantViolation, dict(protocol_id=ProtocolId.OAM)),
+        (srou.InvariantViolation, dict(protocol_id=7)),
+        (srou.UnsupportedSlocType, dict(sloc_type=srou.SlocType.SRV6)),
+        (srou.InvariantViolation, dict(segment_list=(), segments_left=0)),
+        (srou.InvariantViolation, dict(segment_list=(Waypoint("10.0.0.2", 2),) * 257)),
+        (srou.InvariantViolation, dict(flow_id=1 << 32)),
+        (srou.InvariantViolation, dict(flow_id=1 << 64, flow_id_type=FlowIdType.FT64)),
+        (srou.InvariantViolation, dict(segment_list=(Function(1 << 24, 1),))),
+        (srou.InvariantViolation, dict(segment_list=(Function(-1, 1),))),
+        (srou.InvariantViolation, dict(segment_list=(Function(0, 1 << 16),))),
+        (srou.InvariantViolation, dict(tlvs=(Tlv(256, b""),))),
+        (srou.InvariantViolation, dict(tlvs=(Tlv(1, b"x" * 256),))),
+        (srou.InvariantViolation, dict(segment_list=(Waypoint("10.0.0.2", 2),) * 42)),
+        (srou.InvariantViolation, dict(tlvs=(Tlv(1, b"x" * 240),))),
+    ], ids=["oam", "unknown-protocol", "sloc-type", "no-segment", "257-segments",
+            "flow-id-ft32", "flow-id-ft64", "function-args", "negative-args",
+            "function-code", "tlv-type", "tlv-value", "42-segments", "tlv-too-long"])
+    def test_header(self, error, changes):
+        srou.encode_header(header())
+        with pytest.raises(error):
+            srou.encode_header(header(**changes))
+
+    @pytest.mark.parametrize("error, msg", [
+        (srou.InvariantViolation,
+         OamMessage(OamType.LINKSTATE, srou.LINKSTATE_REQUEST, StunRequestData())),
+        (srou.UnknownOamType,
+         OamMessage(OamType.LINKSTATE, 5, LinkstateData(seq=1, timestamp=1))),
+        (srou.InvariantViolation,
+         OamMessage(OamType.LINKSTATE, srou.LINKSTATE_REQUEST,
+                    LinkstateData(seq=1 << 32, timestamp=1))),
+        (srou.InvariantViolation,
+         OamMessage(OamType.LINKSTATE, srou.LINKSTATE_RESPONSE,
+                    LinkstateData(seq=1, timestamp=-1))),
+        (srou.InvariantViolation,
+         OamMessage(OamType.STUN, srou.STUN_REQUEST, LinkstateData(seq=1, timestamp=1))),
+        (srou.InvariantViolation,
+         OamMessage(OamType.STUN, srou.STUN_RESPONSE, StunRequestData())),
+        (srou.UnknownOamType, OamMessage(OamType.STUN, 9, StunRequestData())),
+        (srou.UnknownOamType,
+         OamMessage(OamType.TRACEROUTE, 0, StunRequestData())),
+        (srou.InvariantViolation,
+         OamMessage(OamType.STUN, srou.STUN_REQUEST, StunRequestData(), flow_id=1 << 32)),
+    ], ids=["linkstate-payload", "linkstate-subtype", "linkstate-seq",
+            "linkstate-timestamp", "stun-request-payload", "stun-response-payload",
+            "stun-subtype", "traceroute", "flow-id"])
+    def test_oam(self, error, msg):
+        with pytest.raises(error):
+            srou.encode_oam(msg)
+
+
 class TestAdvance:
     def test_te_order(self):
         # SL=2 visits the waypoint first, then the function at index 0
