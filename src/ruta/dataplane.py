@@ -3,9 +3,11 @@
 Linecards encapsulate host frames after policy lookup and path selection
 and execute End.DT2U / End.DT4 on arrival: deliver to the local host, or
 re-encapsulate toward the owner the destination's route names.  A route
-that names the executing linecard itself counts as no route
-(`drop_no_l2_entry`, `drop_no_vrf_route`): the frame is never sent to the
-linecard's own SLoC, where it would arrive again.  Fabrics relay segments,
+that names the executing linecard itself, or whose path's outer address is
+one of the linecard's own SLoC addresses, private or public (another
+system's record may announce them), counts as no route (`drop_no_l2_entry`,
+`drop_no_vrf_route`): the frame is never sent to the linecard's own SLoC,
+where it would arrive again.  Fabrics relay segments,
 filling a zeroed SRoU source from the observed outer source on the first
 hop (NAT traversal) and optionally admitting packets by a time-bucketed
 token carried in the 32-bit flow id.  STUN nodes answer address-discovery OAM; LSDB nodes
@@ -388,6 +390,23 @@ class TokenEdgeConfig:
     secret: str
 
 
+class _ProbeTimer:
+    """One probe session's clock callback: each call runs its runtime's
+    `_probe_tick`, which schedules the same timer again.  It is a slotted
+    object of this module, not a closure, so it costs three references and
+    is timed as this module's layer; the session holds no reference to it."""
+
+    __slots__ = ("runtime", "session", "label")
+
+    def __init__(self, runtime: "NodeRuntime", session: ProbeSession, label: str):
+        self.runtime = runtime
+        self.session = session
+        self.label = label
+
+    def __call__(self) -> None:
+        self.runtime._probe_tick(self)
+
+
 class NodeRuntime:
     """Common onboarding, leases, OAM handling, and probe reporting."""
 
@@ -656,16 +675,9 @@ class NodeRuntime:
     # -- probing --------------------------------------------------------------
 
     def open_session(self, local: ServiceSloc, peer: ServiceSloc) -> None:
-        key = (local.short, peer.public_addr)
-        session = self.sessions[key] = ProbeSession(local, peer)
-        label = f"probe:{peer.short}"
-
-        def tick():  # until the runtime is killed or the session closed
-            if self.alive and self.sessions.get(key) is session:
-                self._probe_tick(session)
-                self._later(PROBE_INTERVAL_NS, tick, label)
-
-        self._later(PROBE_INTERVAL_NS, tick, label)
+        session = self.sessions[local.short, peer.public_addr] = ProbeSession(local, peer)
+        timer = _ProbeTimer(self, session, f"probe:{peer.short}")
+        self._later(PROBE_INTERVAL_NS, timer, timer.label)
 
     def _close_sessions(self, system: str, withdrawn: set) -> bool:
         """Close the sessions to the SLoCs of system at the withdrawn public
@@ -726,11 +738,18 @@ class NodeRuntime:
             self._probe(name)
         return name
 
-    def _probe_tick(self, session: ProbeSession) -> None:
+    def _probe_tick(self, timer: _ProbeTimer) -> None:
+        """Probe the timer's session once and schedule the timer again, until
+        the runtime is killed or the session closed."""
+        session = timer.session
+        if not self.alive or self.sessions.get(
+                (session.local.short, session.peer.public_addr)) is not session:
+            return
         if session.pending and session.expire(self.clock.now):
             self.on_probe_outcome(session)
         self.send_from(session.local, session.peer.public_addr,
                        session.make_request(self.clock.now))
+        self._later(PROBE_INTERVAL_NS, timer, timer.label)
 
     def sessions_to(self, system_name: str) -> list[ProbeSession]:
         return [s for s in self.sessions.values()
@@ -1205,7 +1224,8 @@ class LinecardRuntime(NodeRuntime):
         """End.DT2U and End.DT4: deliver the inner frame to the local host at
         its destination MAC in VNID args, or at its destination IP in VRF
         args, or else re-encapsulate it toward the destination's owner; a
-        route that names this node itself counts as no route."""
+        route that names this node itself, or a path whose outer address is
+        one of this node's own SLoC addresses, counts as no route."""
         if lay.t_bit:
             self.frame_trace.emit("postcard", "function", lay.flow_id,
                                   lay.segments_left - 1)
@@ -1238,6 +1258,10 @@ class LinecardRuntime(NodeRuntime):
             path_pair = self._path_for(route)
         except NoRoute:
             self.count("drop_no_service")
+            return
+        outer = path_pair[1].waypoints[0].public_addr
+        if any(outer in (ss.addr, ss.public_addr) for ss in self.slocs):
+            self.count(unrouted)  # the frame would arrive here again
             return
         entry = self._encap(route, path_pair, seg.args)
         if entry is not None:

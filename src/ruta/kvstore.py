@@ -31,9 +31,12 @@ client is healthy, and appends it to the backlog of every other live watch.
 Every entry carries a decode memo, `KvEntry.decoded`: `decoded[parse]` is
 parse(key, value), called on the first lookup only, so all the followers of
 a put and every listing that replays the entry share one decode.  A lookup
-that hits is a dict read and runs no Python code.  The memo lives and dies
-with its entry; a delete hands it to the tombstone, which holds the same
-value.
+that hits is a dict read and runs no Python code.  A parse that raises is
+remembered too: each later lookup raises a fresh exception of the same type
+and arguments without parsing again.  The memo lives and dies with its
+entry; a delete hands it to the tombstone, which holds the same value.
+Entries and watch events are slotted, since the store holds one entry per
+key and a put makes one event.
 """
 
 from __future__ import annotations
@@ -67,21 +70,31 @@ class LeaseNotFound(StoreError):
 
 class Decoded(dict):
     """One entry's decode memo: parse -> parse(key, value).  A parse runs on
-    its first lookup; one that raises stores nothing and raises again on
-    the next lookup."""
+    its first lookup; one that raises stores its exception's type and
+    arguments in `failed`, and every later lookup raises an equal exception."""
 
-    __slots__ = ("key", "value")
+    __slots__ = ("key", "value", "failed")
 
     def __init__(self, key: str, value: bytes):
         self.key = key
         self.value = value
+        self.failed: Optional[dict] = None  # parse -> (exception type, args)
 
     def __missing__(self, parse: Callable[[str, bytes], object]):
-        got = self[parse] = parse(self.key, self.value)
+        if self.failed is not None and parse in self.failed:
+            kind, args = self.failed[parse]
+            raise kind(*args) from None  # a fresh one: no traceback piles up
+        try:
+            got = self[parse] = parse(self.key, self.value)
+        except Exception as exc:
+            if self.failed is None:
+                self.failed = {}
+            self.failed[parse] = (type(exc), exc.args)
+            raise
         return got
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KvEntry:
     key: str
     value: bytes
@@ -90,7 +103,7 @@ class KvEntry:
     decoded: Decoded = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WatchEvent:
     kind: str  # PUT | DELETE
     entry: KvEntry

@@ -25,8 +25,8 @@ can be an unordered set, and no sort is needed.
 Each linecard's edge map follows the link state delta by delta: a put or a
 delete recomputes only the two directions of the changed pair, and
 build_edges, the reference, runs again only when the SLA policy changes.
-The map is an EdgeMap, which keeps the out-adjacency the search walks
-beside the edges and updates both together, so a search builds none.
+The map is an EdgeMap, which keeps the edges only as the out-adjacency
+the search walks, one entry per edge, so a search builds none.
 
 The syncs are pure mirrors: each subscribes through the `follow` its owner
 hands to `start` and holds no store session of its own.  Each reads a
@@ -145,28 +145,27 @@ def _adjacency(edges: dict[tuple[str, str], float]) -> dict[str, dict[str, float
     return out
 
 
-class EdgeMap(dict):
-    """A directed cost map that keeps its out-adjacency beside it, so that
-    `out[u][v] == self[(u, v)]`.  Change it only through `set` and `drop`."""
+class EdgeMap:
+    """A directed cost map kept only as its out-adjacency: `out[u][v]` is
+    the cost of the edge (u, v).  Change it only through `set` and `drop`."""
+
+    __slots__ = ("out",)
 
     def __init__(self, edges: dict[tuple[str, str], float]):
-        super().__init__(edges)
         self.out = _adjacency(edges)
 
     def set(self, pair: tuple[str, str], cost: float) -> None:
-        self[pair] = cost
         self.out.setdefault(pair[0], {})[pair[1]] = cost
 
     def drop(self, pair: tuple[str, str]) -> None:
-        if pair in self:
-            del self[pair]
-            out = self.out[pair[0]]
-            del out[pair[1]]
+        out = self.out.get(pair[0])
+        if out is not None:
+            out.pop(pair[1], None)
             if not out:
                 del self.out[pair[0]]
 
 
-def shortest_constrained(edges: dict[tuple[str, str], float],
+def shortest_constrained(edges: dict[tuple[str, str], float] | EdgeMap,
                          srcs: set[str], dsts: set[str],
                          max_hops: int) -> tuple[float, tuple[str, ...]]:
     """Hop-layered relaxation; returns (cost, node path including the source).
@@ -176,7 +175,7 @@ def shortest_constrained(edges: dict[tuple[str, str], float],
     winner is a simple path.  Ties break on (cost, hops, lexicographic path).
     Only the frontier, the nodes that improved in the last round, is relaxed:
     see the module docstring for why that equals relaxing every edge.  An
-    EdgeMap lends its kept adjacency; any other map has one built per call.
+    EdgeMap lends its adjacency; a pair-keyed map has one built per call.
     A candidate's path is built only when its cost does not exceed the best
     one's, since a dearer candidate loses on cost alone.
     """
@@ -389,7 +388,7 @@ class LinkStateSync:
                                                rec.loss, self._policy))
 
     def edges(self, policy: SlaPolicy) -> EdgeMap:
-        """The current edge map, its adjacency kept; callers must not change it."""
+        """The current edge map; callers must not change it."""
         if policy != self._policy:
             self._edges = EdgeMap(build_edges(self.records, policy))
             self._policy = policy

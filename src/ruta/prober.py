@@ -11,7 +11,10 @@ Window and timeout are session parameters, which node runtimes leave at
 their defaults; the run length and the probe interval, PROBE_INTERVAL_NS,
 are constants.
 
-The window holds one int per probe: its two-way delay in ns, or LOST.  Loss
+The window holds one sample per probe, its two-way delay in ns or LOST, in
+one `array('q')` of machine integers: it grows until it holds `window`
+samples, then becomes a ring whose head index names the oldest, which the
+next sample overwrites.  So a session keeps no int object per sample.  Loss
 rate and mean delay over the window are running sums (a lost count and an
 integer-nanosecond delay sum), updated as a sample enters the window and as
 one leaves it, so reading them costs the same at any window size.
@@ -36,7 +39,7 @@ packs it, and `on_response` and `on_probe_request` take the fields of
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from typing import Optional
 
 from . import srou
@@ -70,6 +73,10 @@ def _twd_ns(t1: int, t2: int, t3: int, t4: int) -> int:
 class ProbeSession:
     """Measurement state for one ordered (local SLoC, peer SLoC) pair."""
 
+    __slots__ = ("local", "peer", "window", "timeout_ns", "seq", "pending", "_window",
+                 "_head", "_lost", "_delay_ns", "smoothed_jitter_us",
+                 "consecutive_losses", "lost_total", "t1_mismatches", "_last_twd_us")
+
     def __init__(self, local: ServiceSloc, peer: ServiceSloc,
                  window: int = DEFAULT_WINDOW,
                  timeout_ns: int = DEFAULT_TIMEOUT_NS):
@@ -79,7 +86,8 @@ class ProbeSession:
         self.timeout_ns = timeout_ns
         self.seq = 0
         self.pending: dict[int, int] = {}  # seq -> t1, oldest first
-        self._window: deque[int] = deque(maxlen=window)  # two-way delay ns or LOST
+        self._window = array("q")  # two-way delay ns or LOST; a ring once full
+        self._head = 0      # the oldest sample's index once the window is full
         self._lost = 0      # lost probes in the window
         self._delay_ns = 0  # sum of the window's delivered two-way delays
         self.smoothed_jitter_us = 0.0
@@ -130,17 +138,24 @@ class ProbeSession:
     @property
     def outcomes(self) -> tuple[int, ...]:
         """The window, oldest first: each probe's two-way delay in ns, or LOST."""
-        return tuple(self._window)
+        ring, head = self._window, self._head
+        return tuple(ring[head:]) + tuple(ring[:head])
 
     def _push(self, sample: int) -> None:
-        """Append to the window; the sums follow the sample that enters it
-        and the one the deque evicts."""
-        if len(self._window) == self.window:
-            if not self.window:
-                return  # a zero window keeps nothing
-            self._count(self._window[0], -1)
+        """Append to the window, or once it is full overwrite its oldest
+        sample; the sums follow the sample that enters it and the one it
+        evicts."""
+        ring = self._window
+        if len(ring) < self.window:
+            ring.append(sample)
+        elif not self.window:
+            return  # a zero window keeps nothing
+        else:
+            head = self._head
+            self._count(ring[head], -1)
+            ring[head] = sample
+            self._head = head + 1 if head + 1 < self.window else 0
         self._count(sample, 1)
-        self._window.append(sample)
 
     def _count(self, sample: int, sign: int) -> None:
         if sample == LOST:

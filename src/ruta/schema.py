@@ -18,8 +18,9 @@ Key grammar:
 Values are canonical JSON documents (UTF-8, sorted keys).  /node and /service
 keys are written under the node-keepalive lease (class 1), /route and /stats
 under the slower route lease (class 2).  A flat record's document is its
-fields by name, `dict(vars(record))`: what `dataclasses.asdict` gives, without
-a deep copy of each field that costs 25 times as much.
+fields by name, `dict(vars(record))` or, for a slotted record, a dict of its
+fields: what `dataclasses.asdict` gives, without a deep copy of each field
+that costs 25 times as much.
 
 Node, service, route, link-state, group-rule and identity values are read
 only through parse_node, parse_service, parse_route, parse_linkstate,
@@ -29,7 +30,10 @@ node, service, route or link-state value up in the entry's decode memo
 instead, `entry.decoded[parse_route]` (see kvstore), so a record is decoded
 once for every follower of its put, every listing that replays it, every
 hunt and every registration that scans it.  The parsers return frozen
-records and tuples of them, so readers share what the memo holds.
+records and tuples of them, so readers share what the memo holds.  A
+link-state record is slotted, and the SLoC-shorts and status decoded from
+its key and value are interned, so the records that every linecard mirrors
+share one string per SLoC.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import functools
 import ipaddress
 import json
 import re
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
@@ -356,7 +361,13 @@ def parse_route(key: str, value: bytes) -> ServiceRoute:
 # link state
 
 
-@dataclass(frozen=True)
+def _interned(value):
+    """A decoded str as the one interned copy of its text; any other value
+    as it is, for the record's checks to judge."""
+    return sys.intern(value) if type(value) is str else value
+
+
+@dataclass(frozen=True, slots=True)
 class LinkStateRecord:
     src: str  # SLoC-short
     dst: str
@@ -380,16 +391,18 @@ class LinkStateRecord:
         return linkstate_key(self.src, self.dst)
 
     def to_doc(self) -> dict:
-        return dict(vars(self))
+        return {"src": self.src, "dst": self.dst,
+                "two_way_delay_us": self.two_way_delay_us, "jitter_us": self.jitter_us,
+                "loss": self.loss, "status": self.status, "sampled_at": self.sampled_at}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "LinkStateRecord":
         return cls(
-            src=doc["src"], dst=doc["dst"],
+            src=_interned(doc["src"]), dst=_interned(doc["dst"]),
             two_way_delay_us=float(doc["two_way_delay_us"]),
             jitter_us=float(doc["jitter_us"]),
             loss=float(doc["loss"]),
-            status=doc["status"],
+            status=_interned(doc["status"]),
             sampled_at=int(doc["sampled_at"]),
         )
 
@@ -409,7 +422,7 @@ def parse_linkstate_key(key: str) -> tuple[str, str]:
     src, sep, dst = rest.partition(" - ")
     if not sep or not src or not dst:
         raise ValidationError(f"bad linkstate key {key!r}")
-    return src, dst
+    return sys.intern(src), sys.intern(dst)
 
 
 def parse_linkstate(key: str, value: bytes) -> tuple[tuple[str, str], LinkStateRecord]:

@@ -487,6 +487,25 @@ class TestRelayAndFunctions:
         assert [e["detail"]["outer_dst"] for e in net.world.trace.select("encap", "LC_A")] \
             == ["192.168.99.77:5547"]
 
+    def test_a_route_to_a_system_announcing_this_nodes_own_sloc_is_dropped(self):
+        # a well-formed but hostile pair of records: "Ghost" announces LC_B's
+        # own SLoC, and a type-2 route names Ghost.  LC_A sends the frame to
+        # that SLoC, so it lands at LC_B, whose End.DT2U must count it
+        # unrouted rather than re-encapsulate it to its own address, where it
+        # would arrive again at once, without end
+        net = SpineLeaf()
+        w = net.world
+        w.clock.run_until(seconds(3))
+        w.store.put(schema.service_key("linecard", "Ghost"),
+                    schema.service_value([sloc("192.168.99.78", 5546)]))
+        frame = self.route_to_ghost(net, "Ghost", "9:1")
+        assert net.lc_a.inject_host_frame("H1", frame) is not None
+        w.clock.run_until(seconds(3) + millis(20))
+        assert net.lc_b.counts["drop_no_l2_entry"] == 1
+        assert "encap" not in net.lc_b.counts and net.delivered == []
+        assert [e["detail"]["outer_dst"] for e in w.trace.select("encap", "LC_A")] \
+            == ["192.168.99.78:5546"]
+
     def test_relay_clears_reserved_bits(self):
         # reserved RRR bits are ignored on receipt and zeroed on send
         net = SpineLeaf()
@@ -2545,6 +2564,31 @@ class TestLsdbReplica:
         assert a_spine_a and all(after[pair] != before[pair] for pair in a_spine_a)
         assert net.lc_a.ls_sync.records == after
         assert ls.ls_sync.records == mirrored  # a killed replica stops mirroring
+
+
+class TestMalformedRecord:
+    def test_a_malformed_link_state_put_is_parsed_once_for_every_linecard(self, monkeypatch):
+        # each linecard's link-state follower reads the entry's decode memo,
+        # which remembers the failed parse, as does a later listing
+        w = make_world()
+        cards = []
+        for j in range(4):
+            w.net.add_node(f"LC{j}")
+            cards.append(LinecardRuntime(w, f"LC{j}", [sloc(f"10.1.{j}.1", 5500)]))
+            cards[-1].start()
+        decodes = []
+        real = schema.from_json_bytes
+        monkeypatch.setattr(schema, "from_json_bytes",
+                            lambda raw: decodes.append(raw) or real(raw))
+        key = schema.linkstate_key("LC0|inet|10.1.0.1:5500", "LC1|inet|10.1.1.1:5500")
+        bad = b'{"src": "LC0|inet|10.1.0.1:5500"}'  # JSON, but no link-state record
+        w.store.put(key, bad)
+        assert decodes == [bad]
+        assert [lc.ls_sync.records for lc in cards] == [{}] * 4
+        late = LsdbRuntime(w, "LS", [sloc("10.0.0.31", 6379)])
+        w.net.add_node("LS")
+        late.start()
+        assert late.ls_sync.records == {} and decodes.count(bad) == 1
 
 
 class TestServiceDirectory:

@@ -350,19 +350,33 @@ class TestDecodeMemo:
         store.put("/d/a", b"3")  # a new value is a new entry, with a memo of its own
         assert calls[-1] == ("/d/a", b"3") and decoded[-1] == ("/d/a", 3)
 
-    def test_a_parse_that_raises_is_not_remembered(self, store):
+    def test_a_parse_that_raises_is_remembered_and_raised_afresh(self, store):
+        # the parse runs once; each later lookup raises an equal exception,
+        # a new object each time, so no traceback grows across lookups
         calls = []
 
         def parse(key, value):
             calls.append(value)
-            raise ValueError(value)
+            raise ValueError(value, key)
 
         store.put("/d/a", b"x")
         entry = store.get("/d/a")
-        for _ in range(2):
-            with pytest.raises(ValueError):
+        raised = []
+        for _ in range(3):
+            with pytest.raises(ValueError) as info:
                 entry.decoded[parse]
-        assert calls == [b"x", b"x"] and parse not in entry.decoded
+            raised.append(info.value)
+        assert calls == [b"x"] and parse not in entry.decoded
+        assert [exc.args for exc in raised] == [(b"x", "/d/a")] * 3
+        assert len({id(exc) for exc in raised}) == 3
+        depths = []
+        for exc in raised[1:]:
+            tb, depth = exc.__traceback__, 0
+            while tb is not None:
+                tb, depth = tb.tb_next, depth + 1
+            depths.append(depth)
+        assert depths[0] == depths[1]
+        assert entry.decoded[lambda key, value: value.decode()] == "x"  # others still parse
 
     def test_a_delete_hands_the_memo_to_its_tombstone(self, store):
         calls = []

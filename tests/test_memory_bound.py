@@ -1,0 +1,91 @@
+"""Memory bound: the bytes `ruta` itself keeps for a probe session and a mesh.
+
+tracemalloc counts every live block whose innermost allocating frame is a
+line of `src/ruta` (a block made inside a library `ruta` calls, such as
+`json`, counts against that library).  Two cases are measured, each after a
+full garbage collection:
+
+- one `ProbeSession` whose 100-sample window is full (150 answered probes);
+- the 4-spine x 8-leaf mesh of the benchmark, converged and then run for
+  3 simulated s of traffic.
+
+The bounds sit above the bytes kept by sessions whose window is one
+machine-integer ring and linecards whose edge map is one out-adjacency: on
+Python 3.11 to 3.13, 1,200 B per session and 841,322 to 847,858 B for the
+mesh.  Before that, with a deque of int objects per window, a pair-keyed
+edge dict beside the adjacency, unslotted store entries and link-state
+records, and one closure per probe timer, they were 5,320 B and 1,015,016
+to 1,025,408 B.
+"""
+
+import gc
+import sys
+import tracemalloc
+from pathlib import Path
+
+import ruta
+from ruta import srou
+from ruta.netsim import seconds
+from ruta.prober import DEFAULT_WINDOW, ProbeResponder, ProbeSession
+from ruta.schema import ServiceSloc, Sloc
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import worlds  # noqa: E402  (bench/ is not a package)
+
+RUTA = Path(ruta.__file__).resolve().parent
+
+SESSION_BOUND = 2_000
+MESH_BOUND = 900_000
+
+
+def kept_by_ruta(build):
+    """(bytes in live blocks allocated by a line of src/ruta, what build
+    returned), counted while build's result is alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = build()
+        gc.collect()
+        stats = tracemalloc.take_snapshot().statistics("filename")
+    finally:
+        tracemalloc.stop()
+    size = sum(st.size for st in stats
+               if Path(st.traceback[0].filename).resolve().parent == RUTA)
+    return size, kept
+
+
+def service_sloc(name: str, ip: str) -> ServiceSloc:
+    return ServiceSloc(name, Sloc(color="inet", private_ip=ip, private_port=5500,
+                                  public_ip=ip, public_port=5500))
+
+
+def full_session() -> ProbeSession:
+    session = ProbeSession(service_sloc("A", "10.0.0.1"), service_sloc("B", "10.0.0.2"))
+    responder = ProbeResponder()
+    now = seconds(1)
+    for i in range(DEFAULT_WINDOW + 50):  # distinct delays, none a cached small int
+        request = srou.parse_oam(session.make_request(now))
+        answer = srou.parse_oam(responder.on_probe_request(request, now + 250_000 + i))
+        assert session.on_response(answer, now + 500_000 + 3 * i)
+        now += seconds(1)
+    return session
+
+
+def mesh_with_traffic():
+    wl = worlds.mesh_4x32(1, leaves=8)
+    wl.converge()
+    _, stop = wl.schedule(seconds(3))
+    wl.run_until(stop)
+    return wl
+
+
+def test_a_probe_session_with_a_full_window_stays_under_its_bound():
+    size, session = kept_by_ruta(full_session)
+    assert len(session.outcomes) == DEFAULT_WINDOW and not session.pending
+    assert 0 < size <= SESSION_BOUND, size
+
+
+def test_a_mesh_after_traffic_stays_under_its_bound():
+    size, wl = kept_by_ruta(mesh_with_traffic)
+    assert len(wl.ledger.delivered) > 0
+    assert 0 < size <= MESH_BOUND, size

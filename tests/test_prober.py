@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+from collections import deque
 from dataclasses import fields as fields_of
 
 import pytest
@@ -292,22 +293,27 @@ class TestMetrics:
 
     @pytest.mark.parametrize("window", [0, 1, 5, 100])
     def test_window_sums_match_window_walk(self, window):
+        # the ring reads oldest first, as a bounded deque of the samples does
         rng = random.Random(window)
         h = ProbeHarness(window=window)
         s, now = h.session, 0
+        expect = deque(maxlen=window)
         for _ in range(3 * window + 50):
             now += rng.randrange(1, 2_000_000_000)
             req = sent(s.make_request(now))
             if rng.random() < 0.3:
                 now += s.timeout_ns
                 assert s.expire(now)
+                expect.append(LOST)
             else:
                 t2 = now + rng.randrange(1, 90_000_000)
                 t3 = t2 + rng.randrange(0, 5_000)
                 now = t3 + rng.randrange(1, 90_000_000)
                 assert s.on_response(response(t2, t3, sender_seq=req.seq,
                                               sender_timestamp=req.timestamp), now)
+                expect.append(now - req.timestamp - (t3 - t2))
             window = s.outcomes
+            assert window == tuple(expect)
             delivered = [sample / 1000 for sample in window if sample != LOST]
             assert s.loss_rate() == (window.count(LOST) / len(window) if window else 0.0)
             assert s.two_way_delay_us() == pytest.approx(
