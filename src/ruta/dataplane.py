@@ -954,7 +954,7 @@ class LinecardRuntime(NodeRuntime):
         self._flows.clear()
         try:
             if ev.kind == PUT:
-                pair, rule = schema.parse_group_rule(ev.entry.key, ev.entry.value)
+                pair, rule = ev.entry.decoded[schema.parse_group_rule]
                 self.policy_rules[pair] = rule
             else:
                 self.policy_rules.pop(schema.parse_group_rule_key(ev.entry.key), None)
@@ -967,8 +967,8 @@ class LinecardRuntime(NodeRuntime):
             self.identity_cache.pop(ev.entry.key, None)
             return
         try:
-            self.identity_cache[ev.entry.key] = schema.parse_identity(ev.entry.key,
-                                                                      ev.entry.value)
+            # the memo's list, shared by every follower: readers index it and sort a copy
+            self.identity_cache[ev.entry.key] = ev.entry.decoded[schema.parse_identity]
         except SchemaError:
             pass  # a malformed record leaves the cached groups as they were
 

@@ -22,9 +22,10 @@ Each datagram that does not reach a socket is counted once, where it died:
 in its link direction's `lost` or `dropped` (link down), or in the node's
 `drops` by reason.
 
-The trace keeps each record as (time, body id), where a body (node, event,
-detail) is shared by every record that repeats it, and builds the record
-dicts only when they are read.
+The trace keeps each record as (gap since the previous record, body id) in
+the narrowest arrays that hold them, 5 bytes a record on the reference
+worlds, where a body (node, event, detail) is shared by every record that
+repeats it, and builds the record dicts only when they are read.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import json
 import random
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
 NS_PER_US = 1_000
@@ -132,9 +134,13 @@ class VirtualClock:
 class Trace:
     """Append-only event log; rendered as line-delimited JSON records.
 
-    A record is (time, body id): an int64 each.  A body (node, event and
-    the `**detail` dict) is held in three columns; `body` registers one for
-    any number of `append`s, and `emit` registers a fresh one per call.
+    A record is (gap, body id): the ns since the previous record's time (or
+    since 0), summed back into times on read, and the body it repeats.  Gaps
+    start as unsigned 4-byte ints and body ids as unsigned bytes; a value
+    that does not fit, such as a gap of 2**32 ns or a time before the last
+    record's, widens its column by copy (`_widened`).  A body (node, event
+    and the `**detail` dict) is held in three columns; `body` registers one
+    for any number of `append`s, and `emit` registers a fresh one per call.
     The {"time", "node", "event", "detail"} dicts are built on read, each
     with its own copy of the detail, so no reader can change a shared body.
     CPython never tracks a dict of atomic values, so nothing a record adds
@@ -142,8 +148,9 @@ class Trace:
     """
 
     def __init__(self):
-        self._time = array("q")
-        self._body = array("q")  # body id per record
+        self._gap = array("I")  # ns since the previous record, per record
+        self._body = array("B")  # body id per record
+        self._last = 0  # the time of the last record
         self._node: list[str] = []  # body columns, indexed by body id
         self._event: list[str] = []
         self._detail: list[dict] = []
@@ -157,11 +164,19 @@ class Trace:
 
     def __len__(self) -> int:
         """The number of records, counted without building them."""
-        return len(self._time)
+        return len(self._body)
 
     def append(self, time: int, body: int) -> None:
-        self._time.append(time)
-        self._body.append(body)
+        gap = time - self._last
+        try:  # no range test: a value that does not fit raises OverflowError
+            self._gap.append(gap)
+        except OverflowError:
+            self._gap = _widened(self._gap, gap)
+        self._last = time
+        try:
+            self._body.append(body)
+        except OverflowError:
+            self._body = _widened(self._body, body)
 
     def emit(self, time: int, node: str, event: str, **detail) -> None:
         self.append(time, self.body(node, event, **detail))
@@ -169,7 +184,7 @@ class Trace:
     def _records(self, wanted: Optional[set[int]] = None) -> list[dict]:
         node, event, detail = self._node, self._event, self._detail
         return [{"time": t, "node": node[b], "event": event[b], "detail": dict(detail[b])}
-                for t, b in zip(self._time, self._body)
+                for t, b in zip(accumulate(self._gap), self._body)
                 if wanted is None or b in wanted]
 
     @property
@@ -184,6 +199,22 @@ class Trace:
 
     def to_jsonl(self) -> str:
         return "\n".join(json.dumps(r, sort_keys=True) for r in self.records) + "\n"
+
+
+# A trace column's array types, narrowest first: unsigned 1, 2 and 4 bytes, then int64.
+_WIDTHS = "BHIq"
+
+
+def _widened(column: array, value: int) -> array:
+    """column copied into the narrowest wider type that also holds value,
+    with value appended.  A value int64 cannot hold raises OverflowError."""
+    for code in _WIDTHS[_WIDTHS.index(column.typecode) + 1:]:
+        try:
+            tail = array(code, (value,))
+        except OverflowError:
+            continue
+        return array(code, column) + tail
+    raise OverflowError(f"{value} does not fit in int64")
 
 
 class Datagram(NamedTuple):

@@ -25,12 +25,12 @@ that costs 25 times as much.
 Node, service, route, link-state, group-rule and identity values are read
 only through parse_node, parse_service, parse_route, parse_linkstate,
 parse_group_rule and parse_identity, which raise only SchemaError.  Each
-takes (key, value) and decodes afresh.  A reader of a store entry looks a
-node, service, route or link-state value up in the entry's decode memo
-instead, `entry.decoded[parse_route]` (see kvstore), so a record is decoded
-once for every follower of its put, every listing that replays it, every
-hunt and every registration that scans it.  The parsers return frozen
-records and tuples of them, so readers share what the memo holds.  A
+takes (key, value) and decodes afresh.  A reader of a store entry looks
+each value up in the entry's decode memo instead, `entry.decoded[parse_route]`
+(see kvstore), so a record is decoded once for every follower of its put,
+every listing that replays it, every hunt and every registration that scans
+it.  The parsers return frozen records and tuples of them, so readers share
+what the memo holds; parse_identity's list of tags is read, never changed.  A
 link-state record is slotted, and the SLoC-shorts and status decoded from
 its key and value are interned, so the records that every linecard mirrors
 share one string per SLoC.
@@ -427,8 +427,12 @@ def parse_linkstate_key(key: str) -> tuple[str, str]:
 
 def parse_linkstate(key: str, value: bytes) -> tuple[tuple[str, str], LinkStateRecord]:
     """((src, dst) from the key, record) of a /stats/linkstate record; the
-    record is frozen."""
-    return parse_linkstate_key(key), _decode(key, value, LinkStateRecord.from_doc)
+    record is frozen, and its src and dst are the key's."""
+    pair = parse_linkstate_key(key)
+    rec = _decode(key, value, LinkStateRecord.from_doc)
+    if (rec.src, rec.dst) != pair:  # a str equals only a str
+        raise ValidationError(f"{key}: value names {rec.src!r} - {rec.dst!r}")
+    return pair, rec
 
 
 @dataclass(frozen=True)

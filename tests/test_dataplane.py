@@ -2590,6 +2590,30 @@ class TestMalformedRecord:
         late.start()
         assert late.ls_sync.records == {} and decodes.count(bad) == 1
 
+    def test_each_policy_and_identity_put_is_decoded_once_for_every_linecard(self,
+                                                                            monkeypatch):
+        net = SpineLeaf()
+        w = net.world
+        w.clock.run_until(millis(5))
+        decodes = []
+        real = schema.from_json_bytes
+        monkeypatch.setattr(schema, "from_json_bytes",
+                            lambda raw: decodes.append(raw) or real(raw))
+        puts = [(schema.group_rule_key(10, 20), PolicyRule("deny").to_doc()),
+                (schema.group_rule_key(10, "*"), PolicyRule(
+                    "steer", ("Spine_A|inet|192.168.99.75:17777",)).to_doc()),
+                (schema.identity_key("u1", "d1"), {"groups": [10, 20]}),
+                (schema.identity_key("u2", "d1"), {"groups": "10"})]  # malformed
+        for key, doc in puts:
+            w.store.put(key, schema.to_json_bytes(doc))
+        w.clock.run_until(millis(10))
+        assert decodes == [schema.to_json_bytes(doc) for _, doc in puts]
+        for lc in (net.lc_a, net.lc_b):
+            assert set(lc.policy_rules) == {(10, 20), (10, "*")}
+            assert lc.identity_cache == {schema.identity_key("u1", "d1"): [10, 20]}
+        assert net.lc_a.identity_cache[schema.identity_key("u1", "d1")] is \
+            net.lc_b.identity_cache[schema.identity_key("u1", "d1")]
+
 
 class TestServiceDirectory:
     def test_reannounce_drops_replaced_shorts(self):

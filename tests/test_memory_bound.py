@@ -1,13 +1,14 @@
-"""Memory bound: the bytes `ruta` itself keeps for a probe session and a mesh.
+"""Memory bound: the bytes `ruta` itself keeps for a probe session, a mesh and a trace.
 
 tracemalloc counts every live block whose innermost allocating frame is a
 line of `src/ruta` (a block made inside a library `ruta` calls, such as
-`json`, counts against that library).  Two cases are measured, each after a
-full garbage collection:
+`json`, counts against that library).  Three cases are measured, each after
+a full garbage collection:
 
 - one `ProbeSession` whose 100-sample window is full (150 answered probes);
 - the 4-spine x 8-leaf mesh of the benchmark, converged and then run for
-  3 simulated s of traffic.
+  3 simulated s of traffic;
+- a `Trace` of 100,000 per-frame records over 3 bodies, 200 to 300 us apart.
 
 The bounds sit above the bytes kept by sessions whose window is one
 machine-integer ring and linecards whose edge map is one out-adjacency: on
@@ -15,17 +16,20 @@ Python 3.11 to 3.13, 1,200 B per session and 841,322 to 847,858 B for the
 mesh.  Before that, with a deque of int objects per window, a pair-keyed
 edge dict beside the adjacency, unslotted store entries and link-state
 records, and one closure per probe timer, they were 5,320 B and 1,015,016
-to 1,025,408 B.
+to 1,025,408 B.  The trace's bound, 6 B per record, sits above a record
+kept as a 4-byte gap and a 1-byte body id: 5.1 B with the arrays'
+over-allocation, on Python 3.10 to 3.13.  Kept as two int64, it took 16.3 B.
 """
 
 import gc
+import random
 import sys
 import tracemalloc
 from pathlib import Path
 
 import ruta
 from ruta import srou
-from ruta.netsim import seconds
+from ruta.netsim import Trace, seconds
 from ruta.prober import DEFAULT_WINDOW, ProbeResponder, ProbeSession
 from ruta.schema import ServiceSloc, Sloc
 
@@ -36,6 +40,8 @@ RUTA = Path(ruta.__file__).resolve().parent
 
 SESSION_BOUND = 2_000
 MESH_BOUND = 900_000
+TRACE_RECORDS = 100_000
+TRACE_BYTES_PER_RECORD = 6
 
 
 def kept_by_ruta(build):
@@ -79,6 +85,19 @@ def mesh_with_traffic():
     return wl
 
 
+def per_frame_trace() -> Trace:
+    trace = Trace()
+    bodies = [trace.body("LC_A", "encap", sl=0, flow_id=7, path="direct"),
+              trace.body("Spine_A", "relay", to="192.168.99.78:5546", sl=1),
+              trace.body("LC_B", "deliver", host="H2")]
+    rng = random.Random(5)
+    now = seconds(1)
+    for i in range(TRACE_RECORDS):
+        now += rng.randrange(200_000, 300_001)
+        trace.append(now, bodies[i % 3])
+    return trace
+
+
 def test_a_probe_session_with_a_full_window_stays_under_its_bound():
     size, session = kept_by_ruta(full_session)
     assert len(session.outcomes) == DEFAULT_WINDOW and not session.pending
@@ -89,3 +108,9 @@ def test_a_mesh_after_traffic_stays_under_its_bound():
     size, wl = kept_by_ruta(mesh_with_traffic)
     assert len(wl.ledger.delivered) > 0
     assert 0 < size <= MESH_BOUND, size
+
+
+def test_a_trace_of_per_frame_records_stays_under_its_bytes_per_record():
+    size, trace = kept_by_ruta(per_frame_trace)
+    assert len(trace) == TRACE_RECORDS
+    assert 0 < size / TRACE_RECORDS <= TRACE_BYTES_PER_RECORD, size

@@ -232,6 +232,58 @@ class TestTrace:
         monkeypatch.setattr(Trace, "_records", lambda self, wanted=None: 1 / 0)
         assert len(trace) == 10
 
+    @staticmethod
+    def assert_reads_as(new, ref, events=("encap", "relay"), nodes=("LC_A", "Spine_A")):
+        assert len(new) == len(ref.records)
+        assert new.records == ref.records
+        for event in events:
+            assert new.select(event) == ref.select(event)
+            for node in nodes:
+                assert new.select(event, node) == ref.select(event, node)
+        assert new.to_jsonl() == ref.to_jsonl()
+
+    def test_body_ids_past_one_and_two_bytes_widen_their_column(self):
+        new, ref = Trace(), DictTrace()
+        bodies = []
+        for i in range(70_000):
+            node, event = ("LC_A", "Spine_A")[i % 2], ("encap", "relay")[i % 3 % 2]
+            bodies.append((new.body(node, event, sl=i), node, event))
+        widths = []
+        for t, i in enumerate([0, 255, 256, 1, 65_535, 65_536, 255, 69_999]):
+            body, node, event = bodies[i]
+            new.append(t * 250_000, body)
+            ref.emit(t * 250_000, node, event, sl=i)
+            widths.append(new._body.typecode)
+        assert widths == ["B", "B", "H", "H", "H", "I", "I", "I"]
+        assert new._gap.typecode == "I"
+        self.assert_reads_as(new, ref)
+
+    @pytest.mark.parametrize("times, width", [
+        ([0, 2**32 - 1, 2**33 - 2, 2**33], "I"),  # gaps of 2**32 - 1 ns
+        ([5, 2**32 + 5, 2**32 + 6, 2**32 + 6], "q"),  # a gap of 2**32 ns
+        ([2**32, 2**32 + 1], "q"),  # the first gap is the first time
+        ([10, 20, 15, 30, 30], "q"),  # a time before the last record's
+        ([-1, 0, 1], "q"),
+    ])
+    def test_gaps_read_back_as_the_times_given(self, times, width):
+        new, ref = Trace(), DictTrace()
+        relay = new.body("Spine_A", "relay", sl=1)
+        for i, t in enumerate(times):
+            if i % 2:
+                new.append(t, relay)
+                ref.emit(t, "Spine_A", "relay", sl=1)
+            else:
+                new.emit(t, "LC_A", "encap", sl=i)
+                ref.emit(t, "LC_A", "encap", sl=i)
+        assert (new._gap.typecode, new._body.typecode) == (width, "B")
+        self.assert_reads_as(new, ref)
+
+    def test_a_value_past_int64_raises_overflow_error(self):
+        with pytest.raises(OverflowError):
+            Trace().append(0, 2**63)
+        with pytest.raises(OverflowError):
+            Trace().append(2**63, 0)
+
     def test_a_network_keeps_the_empty_trace_it_is_given(self):
         trace = Trace()
         assert len(trace) == 0

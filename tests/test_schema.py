@@ -448,6 +448,22 @@ class TestParsers:
                 rejected += 1
         assert rejected > 200
 
+    @pytest.mark.parametrize("src, dst", [(None, 7), (None, "b|c|2.2.2.2:2"),
+                                          ("a|c|1.1.1.1:1", ["b|c|2.2.2.2:2"])])
+    def test_a_linkstate_value_naming_a_non_string_is_rejected(self, src, dst):
+        _, key, doc, _ = _good_records()[2]
+        with pytest.raises(schema.ValidationError):
+            schema.parse_linkstate(key, schema.to_json_bytes(dict(doc, src=src, dst=dst)))
+
+    @pytest.mark.parametrize("src, dst", [("X", "Y"), ("a|c|1.1.1.1:1", "Y"),
+                                          ("X", "b|c|2.2.2.2:2"),
+                                          ("b|c|2.2.2.2:2", "a|c|1.1.1.1:1")])
+    def test_a_linkstate_value_naming_another_pair_than_its_key_is_rejected(self, src, dst):
+        _, key, doc, _ = _good_records()[2]
+        assert schema.parse_linkstate_key(key) == (doc["src"], doc["dst"])
+        with pytest.raises(schema.ValidationError, match="names"):
+            schema.parse_linkstate(key, schema.to_json_bytes(dict(doc, src=src, dst=dst)))
+
     def test_linkstate_memo_follows_key_and_value(self, store):
         _, key, doc, _ = _good_records()[2]
         first = schema.to_json_bytes(doc)
