@@ -7,7 +7,9 @@ that names the executing linecard itself, or whose path's outer address is
 one of the linecard's own SLoC addresses, private or public (another
 system's record may announce them), counts as no route (`drop_no_l2_entry`,
 `drop_no_vrf_route`): the frame is never sent to the linecard's own SLoC,
-where it would arrive again.  Fabrics relay segments,
+where it would arrive again.  Nor is a host frame on a route that names
+its own linecard: the linecard delivers or drops it at once, as End.DT2U
+or End.DT4 there would.  Fabrics relay segments,
 filling a zeroed SRoU source from the observed outer source on the first
 hop (NAT traversal) and optionally admitting packets by a time-bucketed
 token carried in the 32-bit flow id.  STUN nodes answer address-discovery OAM; LSDB nodes
@@ -108,7 +110,6 @@ from __future__ import annotations
 import functools
 import hmac
 import ipaddress
-import socket
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
@@ -225,7 +226,7 @@ def _frame_header(fields: tuple[str, str, str, str]) -> bytes:
 @_memo
 def _frame_fields(octets: bytes) -> tuple[str, str, str, str]:
     return (octets[0:6].hex(":"), octets[6:12].hex(":"),
-            socket.inet_ntoa(octets[12:16]), socket.inet_ntoa(octets[16:20]))
+            "%d.%d.%d.%d" % tuple(octets[12:16]), "%d.%d.%d.%d" % tuple(octets[16:20]))
 
 
 def encode_frame(frame: HostFrame) -> bytes:
@@ -1119,8 +1120,11 @@ class LinecardRuntime(NodeRuntime):
 
     def _decide(self, host: HostPort, frame: HostFrame, t_bit: bool) -> Optional[tuple]:
         """The encap of a host's frame; None when counted as dropped or
-        delivered.  A host whose groups no longer give its route's policy tag
-        owns the route again; a change of groups always misses the flow cache."""
+        delivered.  A route that names this linecard is never encapsulated:
+        the frame is delivered or dropped here, as End.DT2U or End.DT4 at
+        its own SLoC would.  A host whose groups no longer give its route's
+        policy tag owns the route again; a change of groups always misses
+        the flow cache."""
         groups = self._host_groups(host)
         if self._route_tags.get(host.name, groups[0]) != groups[0]:
             self.announced.discard(host.name)
@@ -1143,6 +1147,15 @@ class LinecardRuntime(NodeRuntime):
         rule = schema.lookup_policy(self.policy_rules, groups, [route.policy_tag])
         if rule.action == schema.ACTION_DENY:
             self.frame_trace.emit("policy_deny", route.key())
+            return None
+
+        if route.system_name == self.name:  # End.DT2U or End.DT4 here, unsent
+            if route.route_type == 5:
+                local = self.l3_local.get((host.vrf, frame.dst_ip))
+                if local is not None:
+                    self._deliver_local(local, frame)
+                    return None
+            self.count("drop_no_l2_entry" if route.route_type == 2 else "drop_no_vrf_route")
             return None
 
         if rule.action == schema.ACTION_STEER:

@@ -104,29 +104,33 @@ class VirtualClock:
             return len(self._heap)
         return sum(1 for entry in self._heap if entry[5] is owner)
 
-    def run_until(self, until: int) -> list[tuple[int, int, str]]:
-        """Execute every event with time <= until; returns the executed trace."""
+    def run_until(self, until: int) -> list[str]:
+        """Execute every event with time <= until, then set the clock to
+        until if it is later; returns the labels of the events run, in run
+        order."""
         executed = self._run(until, None)
         if until > self.now:
             self.now = until
         return executed
 
-    def run_until_quiescent(self) -> list[tuple[int, int, str]]:
-        """Execute events until none is pending; raises SimError past
-        MAX_QUIESCENT_EVENTS."""
+    def run_until_quiescent(self) -> list[str]:
+        """Execute events until none is pending; returns their labels as
+        run_until does.  Raises SimError past MAX_QUIESCENT_EVENTS."""
         return self._run(None, MAX_QUIESCENT_EVENTS)
 
-    def _run(self, until: Optional[int], limit: Optional[int]) -> list[tuple[int, int, str]]:
+    def _run(self, until: Optional[int], limit: Optional[int]) -> list[str]:
         """The event loop: pop events in (time, seq) order while one is due
-        by `until` (None: any), at most `limit` (None: no bound) of them."""
+        by `until` (None: any), at most `limit` (None: no bound) of them.
+        Only each event's label is kept, so its heap entry, with the entry's
+        time and seq ints, is freed when the event returns."""
         executed = []
         heap, pop = self._heap, heapq.heappop
         while heap and (until is None or heap[0][0] <= until):
             if limit is not None and len(executed) >= limit:
                 raise SimError(f"exceeded {limit} events; runaway simulation?")
-            at, seq, fn, args, label, _ = pop(heap)
+            at, _, fn, args, label, _ = pop(heap)
             self.now = at  # the heap never holds a time before now
-            executed.append((at, seq, label))
+            executed.append(label)
             fn(*args)
         return executed
 

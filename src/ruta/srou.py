@@ -70,7 +70,6 @@ seeded clean and mutated messages.
 from __future__ import annotations
 
 import ipaddress
-import socket
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -247,7 +246,7 @@ def _decode_segment(raw: bytes) -> Segment:
     if raw[0] == FUNCTION_MARKER:
         return Function(args=int.from_bytes(raw[1:4], "big"),
                         function=int.from_bytes(raw[4:6], "big"))
-    return Waypoint(address=socket.inet_ntoa(raw[0:4]),
+    return Waypoint(address="%d.%d.%d.%d" % tuple(raw[0:4]),
                     port=int.from_bytes(raw[4:6], "big"))
 
 
@@ -440,7 +439,7 @@ def data_source(data: bytes, lay: DataLayout) -> tuple[str, int]:
     src = lay.src_off
     if lay.protocol_id == ProtocolId.IPV4:
         port_off = src + 4
-        address = socket.inet_ntoa(data[src:port_off])
+        address = "%d.%d.%d.%d" % tuple(data[src:port_off])
     else:
         port_off = src + 16
         address = str(ipaddress.IPv6Address(data[src:port_off]))
@@ -608,7 +607,7 @@ def parse_oam(data: bytes) -> OamLayout:
                 raise TruncatedPayload(f"stun response payload {body} < 6")
             if body > STUN_RESPONSE_PAYLOAD_OCTETS:
                 raise LengthMismatch("trailing bytes after stun payload")
-            payload = (socket.inet_ntoa(data[off + 2:off + 6]),
+            payload = ("%d.%d.%d.%d" % tuple(data[off + 2:off + 6]),
                        int.from_bytes(data[off + 6:off + 8], "big"))
         else:
             raise UnknownOamType(f"stun subtype {subtype:#x}")

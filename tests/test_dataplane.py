@@ -478,14 +478,15 @@ class TestRelayAndFunctions:
         assert records == [("postcard", {"flow_id": 0, "sl": 0, "action": "function"})]
 
     def test_a_host_frame_on_a_route_back_to_its_own_node_is_dropped_on_arrival(self):
-        # LC_A encapsulates to its own SLoC once; End.DT2U there drops it
+        # the route names LC_A itself, for a MAC none of its hosts has: LC_A
+        # drops the frame as H1 hands it over, and sends nothing to its own SLoC
         net = SpineLeaf()
         frame = self.route_to_ghost(net, "LC_A", "1:1")
-        assert net.lc_a.inject_host_frame("H1", frame) is not None
+        assert net.lc_a.inject_host_frame("H1", frame) is None
         net.world.clock.run_until(millis(20))
-        assert (net.lc_a.counts["encap"], net.lc_a.counts["drop_no_l2_entry"]) == (1, 1)
-        assert [e["detail"]["outer_dst"] for e in net.world.trace.select("encap", "LC_A")] \
-            == ["192.168.99.77:5547"]
+        assert net.lc_a.counts["drop_no_l2_entry"] == 1
+        assert "encap" not in net.lc_a.counts and net.delivered == []
+        assert net.world.trace.select("encap", "LC_A") == []
 
     def test_a_route_to_a_system_announcing_this_nodes_own_sloc_is_dropped(self):
         # a well-formed but hostile pair of records: "Ghost" announces LC_B's
@@ -1103,9 +1104,8 @@ class TestEndDt4:
             (route.key(), "End.DT4", 77)]
 
     def test_a_host_reaches_a_host_its_own_linecard_serves_by_a_type5_route(self):
-        # V2 lives behind LC_A under LC_A's own type-5 route, and no session
-        # leads to LC_A: the frame goes out to LC_A's own SLoC, and End.DT4
-        # there delivers it
+        # V2 lives behind LC_A under LC_A's own type-5 route: LC_A delivers
+        # the frame as End.DT4 would, without sending it to its own SLoC
         net = self.build()
         w = net.world
         got = []
@@ -1117,13 +1117,28 @@ class TestEndDt4:
         w.store.put(route.key(), schema.to_json_bytes(route.to_doc()))
         frame = HostFrame("0a:00:00:00:00:88", "00:00:00:00:00:00",
                           "10.0.0.88", "10.3.0.5", b"l3 self")
-        w.clock.call_at(millis(10), lambda: net.lc_a.inject_host_frame("H1", frame))
+        sent = []
+        w.clock.call_at(millis(10), lambda: sent.append(net.lc_a.inject_host_frame("H1", frame)))
         w.clock.run_until(millis(30))
-        assert [f.payload for f in got] == [b"l3 self"]
-        (encap,) = w.trace.select("encap", "LC_A")
-        assert (encap["detail"]["outer_dst"], encap["detail"]["function"]) == (
-            "192.168.99.77:5547", "End.DT4")
+        assert sent == [None] and got == [frame]
+        assert [r["time"] for r in w.trace.select("deliver", "LC_A")] == [millis(10)]
+        assert w.trace.select("encap", "LC_A") == [] and "encap" not in net.lc_a.counts
         assert not any(k.startswith("drop") for k in net.lc_a.counts)
+
+    def test_a_type5_route_to_its_own_linecard_for_no_host_of_it_is_dropped_unsent(self):
+        # LC_A's own type-5 route covers 10.3.0.5, but no host of LC_A has it
+        net = self.build()
+        w = net.world
+        route = schema.ServiceRoute(route_type=5, export_rt="200:1", rd="1:1",
+                                    prefix="10.3.0.0", mask=24, site_id=1,
+                                    system_name="LC_A", policy_tag=0)
+        w.store.put(route.key(), schema.to_json_bytes(route.to_doc()))
+        frame = HostFrame("0a:00:00:00:00:88", "00:00:00:00:00:00",
+                          "10.0.0.88", "10.3.0.5", b"l3 nobody")
+        assert net.lc_a.inject_host_frame("H1", frame) is None
+        w.clock.run_until(millis(20))
+        assert net.lc_a.counts["drop_no_vrf_route"] == 1
+        assert "encap" not in net.lc_a.counts and net.delivered == []
 
     def test_a_withdrawn_type5_route_leaves_the_vrf(self):
         # once LC_A withdraws V2's prefix, End.DT4 at LC_B finds no route
@@ -1223,7 +1238,7 @@ class TestStunRole:
         assert lc.slocs[0].sloc.public_ip == "198.51.100.7"
         assert lc.slocs[0].sloc.public_port == 40000
         # the answer at 4 ms canceled the retry timer, which was due at 1 s
-        assert "stun-retry" not in [label for _, _, label in ran]
+        assert "stun-retry" not in ran
         assert stun_rt.counts["stun_served"] == 1
         entry = w.store.get("/service/linecard/LC_N")
         doc = schema.from_json_bytes(entry.value)

@@ -48,21 +48,38 @@ class TestClock:
 
     def test_run_until_quiescent(self):
         clock = VirtualClock()
-        clock.call_at(10, lambda: clock.call_at(clock.now + 5, lambda: None, "nested"))
-        trace = clock.run_until_quiescent()
-        assert [t for t, _, _ in trace] == [10, 15]
+        times = []
+
+        def outer():
+            times.append(clock.now)
+            clock.call_at(clock.now + 5, lambda: times.append(clock.now), "nested")
+
+        clock.call_at(10, outer, "outer")
+        assert clock.run_until_quiescent() == ["outer", "nested"]
+        assert times == [10, 15]
         assert clock.now == 15
+
+    def test_a_run_returns_same_instant_labels_in_scheduling_order(self):
+        clock = VirtualClock()
+        for label in ("b", "a", "c"):
+            clock.call_at(100, lambda: None, label)
+        clock.call_at(50, lambda: None, "first")
+        clock.call_at(300, lambda: None, "later")
+        ran = clock.run_until(200)
+        assert ran == ["first", "b", "a", "c"]
+        assert len(ran) == 4 and clock.pending() == 1
+        assert clock.run_until(200) == [] and clock.now == 200
 
     def test_cancel(self):
         clock = VirtualClock()
         fired = []
         seq = clock.call_at(10, lambda: fired.append(1))
-        kept = clock.call_at(10, lambda: fired.append(2))
+        kept = clock.call_at(10, lambda: fired.append(2), "kept")
         clock.cancel(seq)
         assert clock.pending() == 1
         ran = clock.run_until(20)
         assert fired == [2]
-        assert [s for _, s, _ in ran] == [kept]  # a canceled event is not counted
+        assert ran == ["kept"]  # a canceled event is not counted
         clock.cancel(kept)  # ran already: a no-op
         clock.cancel(12345)  # never scheduled: a no-op
         assert clock.pending() == 0
@@ -94,7 +111,7 @@ class TestClock:
                 clock.call_at(i * millis(1), lambda i=i: net.send(
                     "client", Datagram("10.0.0.1", 1000, "10.0.0.2", 2000, bytes([i]))))
             trace = clock.run_until_quiescent()
-            return trace, [(who, t, p.payload) for who, t, p in inbox]
+            return trace, clock.now, [(who, t, p.payload) for who, t, p in inbox]
 
         assert run() == run()
 

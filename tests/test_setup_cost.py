@@ -13,8 +13,9 @@ few calls, with PYTHONHASHSEED: its convergence check walks a set of names.
 The bounds sit above the counts of a store that hands a change to a
 healthy follower without an extra frame and decodes each entry once:
 246,627 for `mesh_4x32`, 5,033 to 5,037 for `nat_echo` and 1,874 for
-`steer_2x2`.  Before that the set-ups made 387,252, 5,810 or 5,812, and
-2,162.
+`steer_2x2` when they were set.  Before that the set-ups made 387,252,
+5,810 or 5,812, and 2,162.  Today they make 240,722, 4,982 or 4,984, and
+1,837, under PYTHONHASHSEED 0 to 10 and 12345.
 
 Per frame is the calls of a 2-simulated-s timed phase of a converged world
 at seed 1, over the frames offered in it: 77.17 for `mesh_4x32`, 52.04 for
