@@ -16,8 +16,9 @@ token carried in the 32-bit flow id.  STUN nodes answer address-discovery OAM; L
 mirror the store's link state as regional read replicas.
 
 Every runtime is a single-threaded event handler on the shared virtual
-clock: packet arrivals, timers, and watch callbacks.  Runtimes never share
-mutable state; they interact only through simulated packets and the store.
+clock: packet arrivals, timers, and watch callbacks.  Runtimes share no
+mutable state, only immutable link-state snapshots (see `pathengine`);
+they interact only through simulated packets and the store.
 
 Each runtime owns its store session: every subscription goes through
 `NodeRuntime.watch`, and a failed store call from the event loop makes the
@@ -80,10 +81,10 @@ malformed.  The token check, function execution, counters and trace records
 stay per packet.  `_header` builds every data header a node sends: at a
 linecard's encap, and at app sockets, which keep a memo of it.  A path that
 no header can carry is a counted drop, `drop_unencodable_path`.  Each
-per-frame trace record goes through the node's `FrameTrace`, which builds
-one body per event and raw values, so equal encaps, relays and deliveries
-share it, and bumps the event's counter in the node's `counts` in the same
-call.
+per-frame trace record, and a linecard's `path_selected`, goes through the
+node's `FrameTrace`, which builds one body per event and raw values, so
+equal encaps, relays, deliveries and path choices share it, and bumps the
+event's counter in the node's `counts` in the same call.
 
 A linecard decides once per flow.  Its flow cache maps (host vnid, vrf,
 identity, destination MAC, destination IP, T bit), read from the host on
@@ -313,7 +314,7 @@ class World:
     trace: Trace
 
 
-# The per-frame records, each rendered from the raw values that key its body.
+# The records a FrameTrace writes, each rendered from the raw values that key its body.
 _FRAME_DETAIL = {
     "relay": lambda ip, port, sl, flow_id: {"to": f"{ip}:{port}", "sl": sl,
                                             "flow_id": flow_id},
@@ -327,6 +328,9 @@ _FRAME_DETAIL = {
     "unknown_function": lambda code: {"code": code},
     "policy_deny": lambda dst: {"dst": dst},
     "passthrough": lambda nbytes: {"nbytes": nbytes},
+    # the cost is keyed by its repr, so that 0.0 and -0.0 stay apart
+    "path_selected": lambda dst, source, waypoints, cost: {
+        "dst": dst, "source": source, "waypoints": waypoints, "cost_ms": float(cost)},
     "encap": lambda dst, ip, port, outer_ip, outer_port, sl, flow_id, path, function, args: {
         "dst": dst, "outer_src": f"{ip}:{port}", "outer_dst": f"{outer_ip}:{outer_port}",
         "sl": sl, "flow_id": flow_id, "path": path, "args": args,
@@ -344,8 +348,8 @@ class FrameTrace:
     """A node's per-frame trace records.  Each appends (time, body id) and
     bumps its event's counter in the node's counts; the body is built and
     registered only on the first frame of its key, the event and its raw
-    values.  Those are ints and strs, so keys that compare equal render
-    alike."""
+    values.  Those are ints, strs and tuples of strs (a float goes as its
+    repr), so keys that compare equal render alike."""
 
     def __init__(self, clock: VirtualClock, trace: Trace, node: str,
                  counts: dict[str, int]):
@@ -983,10 +987,14 @@ class LinecardRuntime(NodeRuntime):
         if not self.path_cache:
             return
         for key, (_, path) in list(self.path_cache.items()):
-            shorts = {w.short for w in path.waypoints}
-            if src in shorts or dst in shorts or path.source == PATH_ENGINEERED:
-                self.path_cache.pop(key, None)
-                self._flows.clear()
+            if path.source != PATH_ENGINEERED:
+                for w in path.waypoints:
+                    if w.short == src or w.short == dst:
+                        break
+                else:
+                    continue  # no waypoint is an end of the delta: keep the path
+            self.path_cache.pop(key, None)
+            self._flows.clear()
 
     def _refresh(self) -> None:
         self.path_cache.clear()
@@ -1068,9 +1076,9 @@ class LinecardRuntime(NodeRuntime):
             chosen = (local, ComputedPath(waypoints=(peer,), cost_ms=cost,
                                           source=PATH_DIRECT))
         self.path_cache[key] = chosen
-        self.emit("path_selected", dst=key, source=chosen[1].source,
-                  waypoints=tuple(w.short for w in chosen[1].waypoints),
-                  cost_ms=round(chosen[1].cost_ms, 3))
+        self.frame_trace.emit("path_selected", key, chosen[1].source,
+                              tuple(w.short for w in chosen[1].waypoints),
+                              repr(round(chosen[1].cost_ms, 3)))
         return chosen
 
     def _engineer(self, system: str):

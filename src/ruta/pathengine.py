@@ -22,21 +22,39 @@ improve offers the same candidates it offered a round earlier, and each of
 those already lost to, or is, the best walk of its target.  So the frontier
 can be an unordered set, and no sort is needed.
 
-Each linecard's edge map follows the link state delta by delta: a put or a
-delete recomputes only the two directions of the changed pair, and
-build_edges, the reference, runs again only when the SLA policy changes.
-The map is an EdgeMap, which keeps the edges only as the out-adjacency
-the search walks, one entry per edge, so a search builds none.
+The link state a sync follows is a LinkState: an immutable snapshot, kept
+as a two-level map, source SLoC short -> {destination short -> record},
+with an EdgeMap of the same shape for each SLA policy asked of it.  An
+EdgeMap keeps the edges only as the out-adjacency the search walks, one
+entry per edge, so a search builds none.  A put or a delete makes a new
+snapshot by path copying (Driscoll et al., "Making data structures
+persistent", JCSS 1989): it copies the outer map and the row the pair
+touches, and in each edge map the two rows of the pair's two directions.
+Every other row is shared with the snapshot before, so a delta costs
+O(nodes), not O(records).  build_edges, the reference, runs only when a
+snapshot is first asked for a policy.
 
 The syncs are pure mirrors: each subscribes through the `follow` its owner
 hands to `start` and holds no store session of its own.  Each reads a
 record through its store entry's decode memo, so a put is decoded once for
-every sync that follows it.  RouteSync counts its table's routes per system,
+every sync that follows it.  Followers in step share their snapshots, too.
+Every sync starts from one empty snapshot, and the store hands each
+follower of a put the same WatchEvent object.  One transition memo,
+(snapshot, event) -> (next snapshot, pair), remembers the last step any
+sync made, keyed by the identity of both.  A follower that meets the same
+event object from the same snapshot takes the snapshot the first one
+computed, and so holds exactly what it would have computed itself.  A
+follower whose history differs (partitioned, held in its listing, killed,
+late to follow, or handed events in another order by a nested delivery)
+misses the memo and computes its own snapshots, so its view is exactly its
+own history too.  The memo keeps only the last step, so no chain of old
+snapshots stays alive.  RouteSync counts its table's routes per system,
 so whether a system is a route's destination is one dict read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -112,7 +130,7 @@ def edge_cost_ms(two_way_delay_us: float, jitter_us: float, loss: float,
             + policy.jitter_weight * jitter_us / 1000.0)
 
 
-def build_edges(records: dict[tuple[str, str], LinkStateRecord],
+def build_edges(records: Mapping[tuple[str, str], LinkStateRecord],
                 policy: SlaPolicy) -> dict[tuple[str, str], float]:
     """Directed cost map from probe records.
 
@@ -145,24 +163,41 @@ def _adjacency(edges: dict[tuple[str, str], float]) -> dict[str, dict[str, float
     return out
 
 
+def _assigned(rows: dict[str, dict], changes) -> dict[str, dict]:
+    """A copy of the two-level map rows with rows[u][v] = value for each
+    ((u, v), value) in changes, or the entry dropped where value is None (a
+    row left empty goes too).  Only the changed rows are copied; the copy
+    shares every other row with rows."""
+    rows = dict(rows)
+    for (u, v), value in changes:
+        row = dict(rows.get(u, ()))
+        if value is None:
+            row.pop(v, None)
+        else:
+            row[v] = value
+        if row:
+            rows[u] = row
+        else:
+            rows.pop(u, None)
+    return rows
+
+
 class EdgeMap:
     """A directed cost map kept only as its out-adjacency: `out[u][v]` is
-    the cost of the edge (u, v).  Change it only through `set` and `drop`."""
+    the cost of the edge (u, v).  It is never changed: `updated` makes a
+    copy that shares the rows it does not change."""
 
     __slots__ = ("out",)
 
     def __init__(self, edges: dict[tuple[str, str], float]):
         self.out = _adjacency(edges)
 
-    def set(self, pair: tuple[str, str], cost: float) -> None:
-        self.out.setdefault(pair[0], {})[pair[1]] = cost
-
-    def drop(self, pair: tuple[str, str]) -> None:
-        out = self.out.get(pair[0])
-        if out is not None:
-            out.pop(pair[1], None)
-            if not out:
-                del self.out[pair[0]]
+    def updated(self, changes) -> "EdgeMap":
+        """A copy with each (pair, cost) of changes set, or the edge dropped
+        where cost is None."""
+        edges = EdgeMap({})
+        edges.out = _assigned(self.out, changes)
+        return edges
 
 
 def shortest_constrained(edges: dict[tuple[str, str], float] | EdgeMap,
@@ -347,49 +382,110 @@ class RouteSync:
             self.on_delta(ev.kind, route)
 
 
+_NO_ROW: dict = {}
+
+
+class LinkState(Mapping):
+    """An immutable link-state snapshot: a read-only map (src, dst) ->
+    LinkStateRecord, kept as `rows[src][dst]`.  `applied` makes the next
+    snapshot by path copying (see the module docstring).  The edge map of
+    each policy is built on a snapshot's first `edge_map` call for it, and
+    carried delta by delta into the snapshots made from this one; it is a
+    function of the records, so a shared snapshot may gain one.  The empty
+    snapshot keeps none, so that what one world asks for does not follow
+    every later world of the process."""
+
+    __slots__ = ("rows", "_edges")
+
+    def __init__(self, rows: dict[str, dict[str, LinkStateRecord]]):
+        self.rows = rows
+        self._edges: dict[SlaPolicy, EdgeMap] = {}
+
+    def __getitem__(self, pair: tuple[str, str]) -> LinkStateRecord:
+        return self.rows[pair[0]][pair[1]]
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        for src, row in self.rows.items():
+            for dst in row:
+                yield src, dst
+
+    def __len__(self) -> int:
+        return sum(map(len, self.rows.values()))
+
+    def applied(self, pair: tuple[str, str], rec: Optional[LinkStateRecord]) -> "LinkState":
+        """The snapshot after a put of rec at pair, or its delete if rec is
+        None: each edge map recomputes only the two directions of the pair."""
+        state = LinkState(_assigned(self.rows, ((pair, rec),)))
+        for policy, edges in self._edges.items():
+            state._edges[policy] = edges.updated(
+                [(p, state._cost(p, policy)) for p in (pair, (pair[1], pair[0]))])
+        return state
+
+    def _cost(self, pair: tuple[str, str], policy: SlaPolicy) -> Optional[float]:
+        """The cost of the edge pair as build_edges gives it: from its own
+        up record, or else from the reverse record when the direction is
+        unmeasured; None where there is no edge."""
+        rec = self.rows.get(pair[0], _NO_ROW).get(pair[1])
+        if rec is None:
+            rec = self.rows.get(pair[1], _NO_ROW).get(pair[0])
+        if rec is None or rec.status == STATUS_DOWN:
+            return None
+        return edge_cost_ms(rec.two_way_delay_us, rec.jitter_us, rec.loss, policy)
+
+    def edge_map(self, policy: SlaPolicy) -> EdgeMap:
+        """build_edges(self, policy) as an EdgeMap; callers must not change it."""
+        edges = self._edges.get(policy)
+        if edges is None:
+            edges = EdgeMap(build_edges(self, policy))
+            if self.rows:  # the empty snapshot every sync starts from keeps none
+                self._edges[policy] = edges
+        return edges
+
+
+EMPTY_LINK_STATE = LinkState({})
+
+# (snapshot, event, next snapshot, pair or None): the last step any
+# LinkStateSync made, its transition memo
+_last_step: tuple = (None, None, EMPTY_LINK_STATE, None)
+
+
 class LinkStateSync:
-    """Mirror of /stats/linkstate into an in-memory record map."""
+    """Mirror of /stats/linkstate: `records` is the current LinkState
+    snapshot, replaced on each delta and never changed.
+
+    Followers in step share their snapshots through the transition memo
+    `_last_step`, keyed by the identity of the snapshot and of the WatchEvent.
+    The sharing is exact: a step's result depends only on the snapshot it
+    starts from and on the event, and a hit holds the very objects the
+    step was computed from, so it takes what it would compute itself.  Any
+    other follower misses and computes its step.  On a hit a delta costs
+    no decode, copy or edge cost, and `on_delta(src, dst)` runs once per
+    follower per delta all the same."""
 
     def __init__(self, on_delta: Optional[Callable[[str, str], None]] = None):
-        self.records: dict[tuple[str, str], LinkStateRecord] = {}
+        self.records = EMPTY_LINK_STATE
         self.on_delta = on_delta
-        self._policy: Optional[SlaPolicy] = None
-        self._edges = EdgeMap({})  # build_edges(records, _policy)
 
     def start(self, follow: Follow) -> None:
         follow(LINKSTATE_PREFIX, self._apply)
 
     def _apply(self, ev: WatchEvent) -> None:
-        try:
-            if ev.kind == PUT:
-                pair, rec = ev.entry.decoded[parse_linkstate]
-                self.records[pair] = rec
-            else:
-                pair = parse_linkstate_key(ev.entry.key)
-                self.records.pop(pair, None)
-        except SchemaError:
-            return
-        if self._policy is not None:
-            self._edge(pair)
-            self._edge((pair[1], pair[0]))
-        if self.on_delta is not None:
+        global _last_step
+        was, seen, state, pair = _last_step
+        if seen is not ev or was is not self.records:
+            try:
+                if ev.kind == PUT:
+                    pair, rec = ev.entry.decoded[parse_linkstate]
+                else:
+                    pair, rec = parse_linkstate_key(ev.entry.key), None
+            except SchemaError:
+                pair = None  # a rejected event leaves the snapshot as it was
+            state = self.records if pair is None else self.records.applied(pair, rec)
+            _last_step = (self.records, ev, state, pair)
+        self.records = state
+        if pair is not None and self.on_delta is not None:
             self.on_delta(*pair)
-
-    def _edge(self, pair: tuple[str, str]) -> None:
-        """Set the edge of one direction as build_edges would: its own up
-        record, or else the reverse record when that direction is unmeasured."""
-        rec = self.records.get(pair)
-        if rec is None:
-            rec = self.records.get((pair[1], pair[0]))
-        if rec is None or rec.status == STATUS_DOWN:
-            self._edges.drop(pair)
-        else:
-            self._edges.set(pair, edge_cost_ms(rec.two_way_delay_us, rec.jitter_us,
-                                               rec.loss, self._policy))
 
     def edges(self, policy: SlaPolicy) -> EdgeMap:
         """The current edge map; callers must not change it."""
-        if policy != self._policy:
-            self._edges = EdgeMap(build_edges(self.records, policy))
-            self._policy = policy
-        return self._edges
+        return self.records.edge_map(policy)

@@ -2450,6 +2450,31 @@ class TestTraceMemory:
         assert net.spine_a.counts["drop_malformed"] == 6_000
         assert (traced1 - traced0) / 5_000 <= 32, (traced1 - traced0) / 5_000
 
+    def test_equal_path_choices_share_one_body(self):
+        """Each path refresh selects the path again: the records repeat, the
+        bodies do not."""
+        net = SpineLeaf()
+        w = net.world
+        w.clock.run_until(seconds(3))
+        for _ in range(4):
+            net.lc_a.inject_host_frame("H1", net.frame_h1_to_h2())
+            w.clock.run_until(w.clock.now + seconds(10))  # past the next refresh
+        selected = w.trace.select("path_selected", "LC_A")
+        bodies = [n for n, e in zip(w.trace._node, w.trace._event) if e == "path_selected"]
+        assert len(selected) == 4 and bodies == ["LC_A"]
+        assert [r["detail"] for r in selected] == [selected[0]["detail"]] * 4
+        assert list(selected[0]["detail"]) == ["dst", "source", "waypoints", "cost_ms"]
+
+    def test_a_path_cost_keys_its_body_by_its_repr(self):
+        # 0.0 == -0.0, but their records differ, so their bodies must
+        trace = Trace()
+        frames = dataplane.FrameTrace(VirtualClock(), trace, "LC_A", {})
+        for cost in (0.0, -0.0, 0.0, 1.5):
+            frames.emit("path_selected", "/route/2/x", "direct", ("B",), repr(cost))
+        assert [repr(r["detail"]["cost_ms"]) for r in trace.records] == [
+            "0.0", "-0.0", "0.0", "1.5"]
+        assert len(trace._event) == 3
+
 
 class TestTimers:
     def test_fired_timers_are_released(self):

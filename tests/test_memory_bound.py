@@ -1,14 +1,16 @@
-"""Memory bound: the bytes `ruta` itself keeps for a probe session, a mesh, a
-trace and a clock run's result.
+"""Memory bound: the bytes `ruta` itself keeps for a probe session, a mesh,
+the link state of a mesh, a trace and a clock run's result.
 
 tracemalloc counts every live block whose innermost allocating frame is a
 line of `src/ruta` (a block made inside a library `ruta` calls, such as
-`json`, counts against that library).  Four cases are measured, each after
+`json`, counts against that library).  Five cases are measured, each after
 a full garbage collection:
 
 - one `ProbeSession` whose 100-sample window is full (150 answered probes);
 - the 4-spine x 8-leaf mesh of the benchmark, converged and then run for
   3 simulated s of traffic;
+- the blocks `pathengine.py` allocated in the 4-spine x 16-leaf mesh,
+  converged and then run for 3 simulated s of traffic;
 - a `Trace` of 100,000 per-frame records over 3 bodies, 200 to 300 us apart;
 - the result of a `VirtualClock.run_until` over 100,000 events that share
   one label, kept alive after the run.
@@ -19,9 +21,18 @@ Python 3.11 to 3.13, 1,200 B per session and 841,322 to 847,858 B for the
 mesh.  Before that, with a deque of int objects per window, a pair-keyed
 edge dict beside the adjacency, unslotted store entries and link-state
 records, and one closure per probe timer, they were 5,320 B and 1,015,016
-to 1,025,408 B.  The trace's bound, 6 B per record, sits above a record
-kept as a 4-byte gap and a 1-byte body id: 5.1 B with the arrays'
-over-allocation, on Python 3.10 to 3.13.  Kept as two int64, it took 16.3 B.
+to 1,025,408 B.  Since the linecards share their link-state snapshots and
+`path_selected` bodies, the mesh keeps 762,014 B on Python 3.11, where it
+kept 822,023 B before.
+
+The 4x16 mesh's link state, 316 records, is one snapshot that its 16
+linecards share: 72,872 B on Python 3.11, under a bound of 100,000 B.  With
+a private mirror of the records per linecard, and an edge map per linecard
+that engineered a path, it took 277,736 B.
+
+The trace's bound, 6 B per record, sits above a record kept as a 4-byte
+gap and a 1-byte body id: 5.1 B with the arrays' over-allocation, on
+Python 3.10 to 3.13.  Kept as two int64, it took 16.3 B.
 The run result's bound, 12 B per event, sits above a list of the labels of
 the events run: 8.0 B, one list slot per event, on Python 3.10 to 3.13.  A
 (time, seq, label) tuple per event, which kept each event's seq int alive,
@@ -47,15 +58,17 @@ RUTA = Path(ruta.__file__).resolve().parent
 
 SESSION_BOUND = 2_000
 MESH_BOUND = 900_000
+LINK_STATE_BOUND = 100_000
 TRACE_RECORDS = 100_000
 TRACE_BYTES_PER_RECORD = 6
 RUN_EVENTS = 100_000
 RUN_BYTES_PER_EVENT = 12
 
 
-def kept_by_ruta(build):
-    """(bytes in live blocks allocated by a line of src/ruta, what build
-    returned), counted while build's result is alive."""
+def kept_by_ruta(build, module=None):
+    """(bytes in live blocks allocated by a line of src/ruta, or of its
+    module of that name if one is given, what build returned), counted
+    while build's result is alive."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -64,8 +77,9 @@ def kept_by_ruta(build):
         stats = tracemalloc.take_snapshot().statistics("filename")
     finally:
         tracemalloc.stop()
-    size = sum(st.size for st in stats
-               if Path(st.traceback[0].filename).resolve().parent == RUTA)
+    files = [Path(st.traceback[0].filename).resolve() for st in stats]
+    size = sum(st.size for st, path in zip(stats, files) if path.parent == RUTA
+               and (module is None or path.name == module + ".py"))
     return size, kept
 
 
@@ -86,8 +100,8 @@ def full_session() -> ProbeSession:
     return session
 
 
-def mesh_with_traffic():
-    wl = worlds.mesh_4x32(1, leaves=8)
+def mesh_with_traffic(leaves=8):
+    wl = worlds.mesh_4x32(1, leaves=leaves)
     wl.converge()
     _, stop = wl.schedule(seconds(3))
     wl.run_until(stop)
@@ -126,6 +140,14 @@ def test_a_mesh_after_traffic_stays_under_its_bound():
     size, wl = kept_by_ruta(mesh_with_traffic)
     assert len(wl.ledger.delivered) > 0
     assert 0 < size <= MESH_BOUND, size
+
+
+def test_the_link_state_of_a_mesh_is_kept_once():
+    size, wl = kept_by_ruta(lambda: mesh_with_traffic(leaves=16), "pathengine")
+    cards = [rt for rt in wl.runtimes if rt.role == "linecard"]
+    assert 0 < size <= LINK_STATE_BOUND, size
+    assert len(cards) == 16 and len(cards[0].ls_sync.records) > 300
+    assert len({id(lc.ls_sync.records) for lc in cards}) == 1
 
 
 def test_a_trace_of_per_frame_records_stays_under_its_bytes_per_record():

@@ -25,9 +25,12 @@ from ruta.pathengine import (
 from ruta.schema import (
     LINKSTATE_PREFIX,
     LinkStateRecord,
+    SchemaError,
     ServiceRoute,
     ServiceSloc,
     Sloc,
+    parse_linkstate,
+    parse_linkstate_key,
     to_json_bytes,
 )
 
@@ -192,20 +195,21 @@ class TestSearch:
 
     def test_kept_adjacency_search_equals_the_oracle_on_float_ties(self):
         # the same tie graphs through an EdgeMap that was built and then
-        # changed edge by edge: the kept adjacency, the path built only for
-        # a candidate no dearer than the best, and the oracle agree
+        # updated edge by edge: the kept adjacency, the path built only for
+        # a candidate no dearer than the best, and the oracle agree, and
+        # each update left the map it was made from as it was
         for seed in range(300):
             rng = random.Random(seed)
             edges, srcs, dsts = self.tie_graph(rng)
             pairs = sorted(edges)
-            kept = EdgeMap({p: edges[p] for p in pairs[::2]})
+            first = kept = EdgeMap({p: edges[p] for p in pairs[::2]})
             for pair in pairs[1::2]:
-                kept.set(pair, 9.9)
-                kept.set(pair, edges[pair])
+                kept = kept.updated([(pair, 9.9)])
+                kept = kept.updated([(pair, edges[pair])])
             extra = ("n0", "zz")
-            kept.set(extra, 0.1)
-            kept.drop(extra)
+            kept = kept.updated([(extra, 0.1)]).updated([(extra, None)])
             assert kept.out == adjacency(edges)
+            assert first.out == adjacency({p: edges[p] for p in pairs[::2]})
             for max_hops in range(1, 6):
                 expect = pathoracle.best_path(edges, srcs, dsts, max_hops)
                 if expect is None:
@@ -619,3 +623,209 @@ class TestLinkStateSync:
                 for max_hops in (1, 2, 4):
                     assert self.search(kept, srcs, dsts, max_hops) == \
                         self.search(fresh, srcs, dsts, max_hops)
+
+
+class _PrivateMirror:
+    """A private link-state mirror, the reference a follower's shared
+    snapshots must equal: a record dict, and one edge map, built by
+    build_edges when the policy changes and then kept delta by delta."""
+
+    def __init__(self):
+        self.records = {}
+        self.deltas = []  # the pairs on_delta would have been called with
+        self._policy = None
+        self._out = {}
+
+    def apply(self, ev):
+        try:
+            if ev.kind == PUT:
+                pair, rec = ev.entry.decoded[parse_linkstate]
+                self.records[pair] = rec
+            else:
+                pair = parse_linkstate_key(ev.entry.key)
+                self.records.pop(pair, None)
+        except SchemaError:
+            return
+        if self._policy is not None:
+            self._edge(pair)
+            self._edge((pair[1], pair[0]))
+        self.deltas.append(pair)
+
+    def _edge(self, pair):
+        rec = self.records.get(pair)
+        if rec is None:
+            rec = self.records.get((pair[1], pair[0]))
+        if rec is None or rec.status == "down":
+            out = self._out.get(pair[0])
+            if out is not None:
+                out.pop(pair[1], None)
+                if not out:
+                    del self._out[pair[0]]
+        else:
+            self._out.setdefault(pair[0], {})[pair[1]] = pathengine.edge_cost_ms(
+                rec.two_way_delay_us, rec.jitter_us, rec.loss, self._policy)
+
+    def edges(self, policy):
+        if policy != self._policy:
+            self._out = adjacency(build_edges(self.records, policy))
+            self._policy = policy
+        return self._out
+
+
+class _Follower:
+    """A LinkStateSync and, for each policy, a private mirror, each fed by
+    a watch of its own through the follower's store client.  A mirror's
+    watch is registered just before the sync's, so that both see every
+    event in the same order, nested deliveries included."""
+
+    def __init__(self, store, name, policies, on_delta=None):
+        self.handle = store.client(name)
+        self.mirrors = {policy: _PrivateMirror() for policy in policies}
+        self.deltas = []
+        self.watches = []
+        self.killed = False
+        self.sync = LinkStateSync(on_delta=on_delta or self._on_delta)
+
+    def _on_delta(self, src, dst):
+        self.deltas.append((src, dst))
+
+    def start(self):
+        def follow(prefix, on_event):
+            for mirror in self.mirrors.values():
+                self.watches.append(self.handle.follow(prefix, mirror.apply))
+            self.watches.append(self.handle.follow(prefix, on_event))
+        self.sync.start(follow)
+
+    def kill(self):
+        for watch in self.watches:
+            watch.cancel()
+        self.killed = True
+
+    def check(self, bits):
+        held = self.sync.records
+        for policy, mirror in self.mirrors.items():
+            assert dict(held) == mirror.records and self.deltas == mirror.deltas
+            if policy is not None:
+                assert bits(self.sync.edges(policy).out) == bits(mirror.edges(policy))
+        assert len(held) == len(mirror.records) and sorted(held) == sorted(mirror.records)
+        assert all(pair in held for pair in mirror.records)
+
+
+class TestSharedSnapshots:
+    """Followers share link-state snapshots, and each one's view is exactly
+    what a private mirror fed its events would hold.  A memo keyed on the
+    event alone, on the snapshot alone, or on the event's key or revision
+    with the snapshot gives some follower here a wrong view."""
+
+    P1 = SlaPolicy()
+    P2 = SlaPolicy(loss_penalty_ms=10.0, jitter_weight=0.5)
+    SHORTS = [f"N{i}|inet|10.0.0.{i}:1" for i in range(6)]
+
+    @staticmethod
+    def record_doc(rng, src, dst):
+        return make_rec(src, dst, rng.choice((2e3, rng.uniform(1e3, 4e5))),
+                        loss=rng.choice((0.0, rng.random())), jitter=rng.uniform(0, 900),
+                        status="down" if rng.random() < 0.2 else "up").to_doc()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_follower_equals_its_private_mirror(self, seed):
+        rng = random.Random(seed)
+        store = KvStore(VirtualClock())
+        writer = store.client("writer")
+        shorts = self.SHORTS
+        nesting = []
+
+        def nest(src, dst):  # a put from inside a delivery reaches the later watches first
+            nester._on_delta(src, dst)
+            if not nesting and rng.random() < 0.3:
+                nesting.append(True)
+                a, b = rng.sample(shorts, 2)
+                store.put(make_rec(a, b, 0.0).key(),
+                          to_json_bytes(self.record_doc(rng, a, b)))
+                nesting.pop()
+
+        group_a = [_Follower(store, f"A{i}", (None, self.P1)) for i in range(2)]
+        nester = _Follower(store, "N", (self.P1,), on_delta=nest)
+        group_b = [_Follower(store, f"B{i}", (self.P1, self.P2)) for i in range(2)]
+        chaos = _Follower(store, "C", (self.P1, self.P2))
+        late = [_Follower(store, f"L{i}", (self.P2,)) for i in range(2)]
+        started = group_a + [nester] + group_b + [chaos]
+        for follower in started:
+            follower.start()
+        starts = dict(zip(rng.sample(range(40, 260), len(late)), late))
+        partitioned = set()
+        shared = 0
+        for step in range(300):
+            if step in starts:
+                starts[step].start()
+                started.append(starts[step])
+            src, dst = rng.sample(shorts, 2)
+            key = make_rec(src, dst, 0.0).key()
+            roll = rng.random()
+            if roll < 0.45:
+                writer.put(key, to_json_bytes(self.record_doc(rng, src, dst)))
+            elif roll < 0.6:
+                held = writer.get_prefix(LINKSTATE_PREFIX)
+                if held:
+                    writer.delete(rng.choice(held).key)
+            elif roll < 0.66:
+                writer.put(key, storegen.malformed_value(rng, self.record_doc(rng, src, dst)))
+            elif roll < 0.72:  # a value that names another pair, or a key of no pair
+                other = make_rec(dst, src, 0.0).key()
+                writer.put(rng.choice((other, LINKSTATE_PREFIX + src)),
+                           to_json_bytes(self.record_doc(rng, src, dst)))
+            elif roll < 0.9:
+                name = rng.choice([f.handle.name for f in [chaos] + started[6:]])
+                if name in partitioned:
+                    partitioned.discard(name)
+                    store.set_partitioned(name, False)
+                else:
+                    partitioned.add(name)
+                    store.set_partitioned(name, True)
+            elif roll < 0.92 and not chaos.killed:
+                chaos.kill()
+            for follower in started:
+                follower.check(TestLinkStateSync.bits)
+            assert group_a[0].sync.records is group_a[1].sync.records
+            assert group_b[0].sync.records is group_b[1].sync.records
+            shared += len(group_a[0].sync.records) > 0
+        for name in partitioned:
+            store.set_partitioned(name, False)
+        for follower in started:
+            follower.check(TestLinkStateSync.bits)
+        assert shared > 200 and len(started) == 8
+        assert group_a[0].sync.records is not group_b[0].sync.records  # the nesting split them
+
+    def test_the_followers_of_two_stores_share_no_step(self):
+        # equal revisions and keys, other values: a step is taken only for
+        # the same event object from the same snapshot
+        rng = random.Random(3)
+        stores = [KvStore(VirtualClock()), KvStore(VirtualClock())]
+        followers = [_Follower(store, "LC", (self.P1,)) for store in stores]
+        for follower in followers:
+            follower.start()
+        for _ in range(50):
+            src, dst = rng.sample(self.SHORTS, 2)
+            key = make_rec(src, dst, 0.0).key()
+            for store in stores:
+                if rng.random() < 0.2 and store.get(key) is not None:
+                    store.delete(key)
+                else:
+                    store.put(key, to_json_bytes(self.record_doc(rng, src, dst)))
+            for follower in followers:
+                follower.check(TestLinkStateSync.bits)
+        assert followers[0].sync.records != followers[1].sync.records
+
+    def test_a_delta_copies_only_the_rows_it_touches(self):
+        a, b, c = self.SHORTS[:3]
+        state = pathengine.EMPTY_LINK_STATE
+        for src, dst in ((a, b), (b, c), (c, a)):
+            state = state.applied((src, dst), make_rec(src, dst, 2e3))
+        before = state.edge_map(self.P1)
+        after = state.applied((a, b), None)
+        assert after.rows[b] is state.rows[b] and after.rows[c] is state.rows[c]
+        assert a not in after.rows and (a, b) in state and (a, b) not in after
+        edges = after.edge_map(self.P1)
+        assert edges.out[c] is before.out[c]  # a -> b and b -> a changed, c's row did not
+        assert edges.out[a] == {c: before.out[a][c]} and edges.out[b] == {c: before.out[b][c]}
+        assert pathengine.EMPTY_LINK_STATE.edge_map(self.P1).out == {}

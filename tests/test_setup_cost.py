@@ -14,16 +14,20 @@ The bounds sit above the counts of a store that hands a change to a
 healthy follower without an extra frame and decodes each entry once:
 246,627 for `mesh_4x32`, 5,033 to 5,037 for `nat_echo` and 1,874 for
 `steer_2x2` when they were set.  Before that the set-ups made 387,252,
-5,810 or 5,812, and 2,162.  Today they make 240,722, 4,982 or 4,984, and
-1,837, under PYTHONHASHSEED 0 to 10 and 12345.
+5,810 or 5,812, and 2,162.  With a private link-state mirror per follower
+they made 240,722, 4,982 or 4,984, and 1,837, under PYTHONHASHSEED 0 to 10
+and 12345.  Today, with followers that share link-state snapshots, they
+make 244,201, 5,021 and 1,857 under PYTHONHASHSEED 0 and 12345: each
+distinct link-state step costs three calls once, where each follower
+applied it in its own call before, which it still makes.
 
 Per frame is the calls of a 2-simulated-s timed phase of a converged world
-at seed 1, over the frames offered in it: 77.17 for `mesh_4x32`, 52.04 for
+at seed 1, over the frames offered in it: 68.56 for `mesh_4x32`, 52.04 for
 `nat_echo` and 28.43 for `steer_2x2`, under any PYTHONHASHSEED.  That is the
-count with the module-level frame memos cold; warm ones lower it a little
-(`mesh_4x32` read 77.12 after an earlier timed phase in the process).  Each
-bound is under the count plus one, so one more call per offered frame fails
-it.
+count with the module-level frame memos cold; warm ones lower it a little.
+`mesh_4x32` made 77.17 when each of its linecards costed each link-state
+put for itself.  Each bound is under the count plus one, so one more call
+per offered frame fails it.
 """
 
 import cProfile
@@ -42,7 +46,7 @@ import worlds  # noqa: E402  (bench/ is not a package)
 RUTA = Path(ruta.__file__).resolve().parent
 
 BOUNDS = {"mesh_4x32": 250_000, "nat_echo": 5_814, "steer_2x2": 2_162}
-PER_FRAME_BOUNDS = {"mesh_4x32": 78.0, "nat_echo": 53.0, "steer_2x2": 29.0}
+PER_FRAME_BOUNDS = {"mesh_4x32": 69.0, "nat_echo": 53.0, "steer_2x2": 29.0}
 
 
 def ruta_calls(profile: cProfile.Profile) -> int:
